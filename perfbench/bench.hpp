@@ -27,10 +27,6 @@ struct Args {
   double seconds = 10.0;
   bool trace = false;
   bool smoke = false;       ///< a few ops per workload instead of a timed run
-  int threads = 1;          ///< OpenMP threads per compute thread
-  int probe_threads = 1;    ///< threads of the traced kernel speedup probe
-  int ranks = 1;            ///< dist_yukawa: simmpi ranks
-  int workers = 1;          ///< serve_open: frontend worker threads
   std::string trace_out;    ///< where the traced run writes its spans
 };
 
@@ -52,7 +48,9 @@ struct Report {
   double rel_error = 0.0;
   double tolerance = 0.0;
   double peak_rss_mb = 0.0;
-  std::map<std::string, double> layers;        ///< per-layer metrics
+  /// Per-layer metrics: only those the workload measured (perfbench/run.py
+  /// checks them against the layers it declares for the workload).
+  std::map<std::string, double> layers;
   std::map<std::string, double> extra;         ///< diagnostics (not metrics)
   std::map<std::string, std::string> config;   ///< workload configuration
 

@@ -1,77 +1,27 @@
 // bltc_perf: runs one benchmark workload and prints one JSON line with its
-// end-to-end metrics, its per-layer metrics and the raw run report.
+// end-to-end metrics, the per-layer metrics it measured (traced run) and the
+// raw run report.
 //
 //   bltc_perf --workload md_open --seed 1 --seconds 20 --trace 0
-//             --threads 1 --probe-threads 2 [--ranks 2] [--workers 1]
 //             [--smoke] [--trace-out trace.json]
 //
-// perfbench/run.py builds this binary, sets OMP_NUM_THREADS to --threads
-// (OpenMP teams of rank and worker threads read it from the environment),
-// and adds the environment block.
-#include <omp.h>
-
+// perfbench/run.py builds this binary, runs it with OMP_NUM_THREADS=1 (the
+// OpenMP teams of simmpi ranks and serve workers read it from the
+// environment; the MD workloads set a team of two), attaches the units of
+// BENCHMARK.json and adds the environment block.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <map>
+#include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "bench.hpp"
 
 namespace {
 
 using namespace perfbench;
-
-struct Metric {
-  const char* name;
-  const char* unit;
-};
-
-// Every per-layer metric, in the order BENCHMARK.json lists them. A layer
-// the workload does not run reads 0.
-constexpr Metric kLayerMetrics[] = {
-    {"plan.tree_ms", "ms"},
-    {"plan.lists_ms", "ms"},
-    {"plan.moments_ms", "ms"},
-    {"plan.update_ms", "ms"},
-    {"plan.incremental_ratio", "ratio"},
-    {"kernels.compute_ms", "ms"},
-    {"kernels.evals.direct", "count"},
-    {"kernels.evals.pc", "count"},
-    {"kernels.evals.cp", "count"},
-    {"kernels.evals.cc", "count"},
-    {"kernels.ns_per_eval", "ns"},
-    {"kernels.speedup_vs_1thread", "ratio"},
-    {"mesh.spread_ms", "ms"},
-    {"mesh.fft_ms", "ms"},
-    {"mesh.gather_ms", "ms"},
-    {"mesh.points", "count"},
-    {"partition.rcb_ms", "ms"},
-    {"dist.update_ms", "ms"},
-    {"dist.rma_gets", "count"},
-    {"dist.rma_bytes", "bytes"},
-    {"dist.let_remote_particles", "count"},
-    {"dist.rank_imbalance", "ratio"},
-    {"serve.queue_ms.p50", "ms"},
-    {"serve.queue_ms.tail", "ms"},
-    {"serve.execute_ms.p50", "ms"},
-    {"serve.cache_hit_ratio", "ratio"},
-    {"serve.fused_share", "ratio"},
-    {"serve.group_size_mean", "count"},
-    {"serve.failed", "count"},
-    {"trace.overhead_pct", "%"},
-};
-
-std::string metric_json(const std::vector<std::pair<Metric, double>>& ms) {
-  Json out;
-  for (const auto& [m, v] : ms) {
-    out.raw(m.name, Json().num("value", v).str("unit", m.unit).done());
-  }
-  return out.done();
-}
 
 Args parse(int argc, char** argv) {
   Args a;
@@ -87,17 +37,10 @@ Args parse(int argc, char** argv) {
     else if (key == "--seed") a.seed = std::stoull(v);
     else if (key == "--seconds") a.seconds = std::stod(v);
     else if (key == "--trace") a.trace = v == "1";
-    else if (key == "--threads") a.threads = std::stoi(v);
-    else if (key == "--probe-threads") a.probe_threads = std::stoi(v);
-    else if (key == "--ranks") a.ranks = std::stoi(v);
-    else if (key == "--workers") a.workers = std::stoi(v);
     else if (key == "--trace-out") a.trace_out = v;
     else throw std::invalid_argument("unknown argument " + key);
   }
-  if (a.threads < 1 || a.probe_threads < 1 || a.ranks < 1 || a.workers < 1 ||
-      a.seconds <= 0) {
-    throw std::invalid_argument("thread counts and seconds must be positive");
-  }
+  if (a.seconds <= 0) throw std::invalid_argument("seconds must be positive");
   return a;
 }
 
@@ -106,7 +49,6 @@ Args parse(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     const Args a = parse(argc, argv);
-    omp_set_num_threads(a.threads);
     Trace trace(false);
     Report rep;
     if (a.workload == "md_open") rep = run_md(a, trace, false);
@@ -125,25 +67,24 @@ int main(int argc, char** argv) {
     const std::size_t n = rep.latency_ms.size();
     const auto tail_rank = static_cast<std::size_t>(
         std::ceil(rep.tail_quantile * static_cast<double>(n)));
-    const std::vector<std::pair<Metric, double>> end_to_end = {
-        {{"setup_s", "s"}, median(rep.setup_s)},
-        {{"latency_p50_ms", "ms"}, percentile(rep.latency_ms, 0.5)},
-        {{"latency_tail_ms", "ms"}, percentile(rep.latency_ms, rep.tail_quantile)},
-        {{"throughput_per_s", "1/s"}, rep.throughput_per_s},
-        {{"peak_rss_mb", "MB"}, rep.peak_rss_mb},
+    // Units live in BENCHMARK.json; perfbench/run.py attaches them.
+    const std::map<std::string, double> end_to_end = {
+        {"setup_s", median(rep.setup_s)},
+        {"latency_p50_ms", percentile(rep.latency_ms, 0.5)},
+        {"latency_tail_ms", percentile(rep.latency_ms, rep.tail_quantile)},
+        {"throughput_per_s", rep.throughput_per_s},
+        {"peak_rss_mb", rep.peak_rss_mb},
         // Correct digits of the potentials: steadier across seeds than the
         // relative error itself, whose value varies by tens of percent from
         // one random geometry to the next.
-        {{"accuracy_digits", "digits"},
-         -std::log10(std::max(rep.rel_error, 1e-16))},
+        {"accuracy_digits", -std::log10(std::max(rep.rel_error, 1e-16))},
     };
-    std::vector<std::pair<Metric, double>> per_layer;
     if (a.trace) {
-      const double untraced = median(rep.latency_ms);
-      rep.layers["trace.overhead_pct"] =
-          untraced > 0 ? (median(rep.traced_ms) / untraced - 1.0) * 100.0 : 0.0;
-      for (const Metric& m : kLayerMetrics) {
-        per_layer.push_back({m, rep.layers.count(m.name) ? rep.layers[m.name] : 0.0});
+      // Only closed loops trace some ops and not others (serve_open records
+      // its spans after the run, so no request pays for tracing).
+      if (!rep.traced_ms.empty()) {
+        rep.layers["trace.overhead_pct"] =
+            (median(rep.traced_ms) / median(rep.latency_ms) - 1.0) * 100.0;
       }
       if (!a.trace_out.empty()) trace.write(a.trace_out);
     }
@@ -155,8 +96,8 @@ int main(int argc, char** argv) {
                             .boolean("correct", rep.correct)
                             .num("attempted", static_cast<double>(rep.attempted))
                             .num("failed", static_cast<double>(rep.failed))
-                            .raw("end_to_end", metric_json(end_to_end))
-                            .raw("per_layer", metric_json(per_layer))
+                            .object("end_to_end", end_to_end)
+                            .object("per_layer", rep.layers)
                             .raw("tail", tail.done())
                             .object("self_ms", trace.self_ms())
                             .raw("report", to_json(rep))

@@ -16,12 +16,14 @@ written under .bench_out/.
     python3 perfbench/run.py --smoke
 
 runs a few ops of every workload, traced and untraced, and checks that every
-metric BENCHMARK.json names is reported with its unit and that every
-correctness gate passes.
+end-to-end metric of BENCHMARK.json and every per-layer metric the workload
+declares in LAYERS_ON is reported, and that every correctness gate passes.
+Units come from BENCHMARK.json alone.
 """
 import argparse
 import hashlib
 import json
+import math
 import os
 import pathlib
 import platform
@@ -33,8 +35,33 @@ ROOT = pathlib.Path.cwd()
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
 BUILD = ROOT / ".bench_build"
 OUT = ROOT / ".bench_out"
-WORKLOADS = ("md_open", "md_pme", "dist_yukawa", "serve_open")
 RUN_TIMEOUT_S = 170
+LAYOUT_KEYS = ("threads", "ranks", "threads_per_rank", "workers",
+               "threads_per_worker", "probe_threads")
+
+# The per-layer metrics each workload measures (METRICS.md, column "on").
+# A traced run must report exactly these; the result line gives every other
+# per-layer metric of BENCHMARK.json as 0.
+PLAN_BUILD = ("plan.tree_ms", "plan.lists_ms", "plan.moments_ms")
+KERNELS = ("kernels.compute_ms", "kernels.evals.direct", "kernels.evals.pc",
+           "kernels.evals.cp", "kernels.evals.cc", "kernels.ns_per_eval",
+           "kernels.speedup_vs_1thread")
+MD = PLAN_BUILD + ("plan.update_ms", "plan.incremental_ratio") + KERNELS + (
+    "trace.overhead_pct",)
+LAYERS_ON = {
+    "md_open": MD,
+    "md_pme": MD + ("mesh.spread_ms", "mesh.fft_ms", "mesh.gather_ms",
+                    "mesh.points"),
+    "dist_yukawa": PLAN_BUILD + ("plan.incremental_ratio",) + KERNELS + (
+        "partition.rcb_ms", "dist.update_ms", "dist.rma_gets",
+        "dist.rma_bytes", "dist.let_remote_particles", "dist.rank_imbalance",
+        "trace.overhead_pct"),
+    "serve_open": PLAN_BUILD + KERNELS + (
+        "serve.queue_ms.p50", "serve.queue_ms.tail", "serve.execute_ms.p50",
+        "serve.cache_hit_ratio", "serve.fused_share", "serve.group_size_mean",
+        "serve.failed"),
+}
+WORKLOADS = tuple(LAYERS_ON)
 
 
 def log(*args):
@@ -65,19 +92,6 @@ def build():
             log("perfbench: build step failed:", " ".join(cmd))
             sys.exit(2)
     return BUILD / "bltc_perf"
-
-
-def thread_layout(workload, nproc):
-    """Threads per workload. Every timed op runs on single-threaded compute
-    threads: on a shared machine, OpenMP teams wait at every barrier for a
-    thread whose core was taken away, which made multi-threaded timings
-    drift far more between runs than single-threaded ones. dist_yukawa
-    needs two ranks (OS threads); serve_open adds the arrival generator to
-    its one worker. The traced run's kernel speedup probe uses up to two
-    threads."""
-    two = min(2, max(1, nproc))
-    return {"threads": 1, "probe_threads": two,
-            "ranks": two if workload == "dist_yukawa" else 1, "workers": 1}
 
 
 def main_compile_command():
@@ -144,21 +158,19 @@ def cpu_ticks():
     return (fields[7] if len(fields) > 7 else 0), sum(fields)
 
 
-def run_workload(binary, workload, seed, seconds, trace, smoke, layout):
+def run_workload(binary, workload, seed, seconds, trace, smoke):
     OUT.mkdir(exist_ok=True)
     tag = f"{workload}-seed{seed}-trace{int(trace)}"
     cmd = [str(binary), "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "1" if trace else "0",
-           "--threads", str(layout["threads"]),
-           "--probe-threads", str(layout["probe_threads"]),
-           "--ranks", str(layout["ranks"]),
-           "--workers", str(layout["workers"])]
+           "--seconds", str(seconds), "--trace", "1" if trace else "0"]
     if trace:
         cmd += ["--trace-out", str(OUT / f"trace-{tag}.json")]
     if smoke:
         cmd.append("--smoke")
-    env = dict(os.environ, OMP_NUM_THREADS=str(layout["threads"]),
-               OMP_DYNAMIC="false", OMP_PROC_BIND="false")
+    # simmpi ranks and serve workers each run a one-thread OpenMP team
+    # (METRICS.md, Steadiness); the MD workloads set a team of two.
+    env = dict(os.environ, OMP_NUM_THREADS="1", OMP_DYNAMIC="false",
+               OMP_PROC_BIND="false")
     before, ticks_before = loadavg(), cpu_ticks()
     done = subprocess.run(cmd, env=env, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
@@ -182,7 +194,8 @@ def run_workload(binary, workload, seed, seconds, trace, smoke, layout):
         "isa_avx512_cpu": cpu_has_avx512(),
         "cpu": platform.processor() or platform.machine(),
         "nproc": len(os.sched_getaffinity(0)),
-        "layout": layout,
+        "layout": {k: report["config"][k] for k in LAYOUT_KEYS
+                   if k in report["config"]},
         "workload": workload,
         "seed": seed,
         "seconds": seconds,
@@ -196,23 +209,48 @@ def run_workload(binary, workload, seed, seconds, trace, smoke, layout):
     return result
 
 
-def smoke(binary, nproc):
-    """A few ops per workload, traced and untraced: every metric that
-    BENCHMARK.json names is present with its unit and every gate passes."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    problems = []
+def check_metrics(spec, workload, kind, got):
+    """Problems with the metrics bltc_perf reported: an end-to-end metric
+    missing, 0 or not finite; a per-layer metric the workload declares in
+    LAYERS_ON missing or not finite; any metric not named for it."""
+    if kind == "end_to_end":
+        wanted = {m["name"] for m in spec[kind]}
+    else:
+        wanted = set(LAYERS_ON[workload])
+    problems = [f"{workload}: {kind} {name} missing"
+                for name in sorted(wanted - got.keys())]
+    problems += [f"{workload}: {kind} {name} not declared"
+                 for name in sorted(got.keys() - wanted)]
+    for name in sorted(wanted & got.keys()):
+        value = got[name]
+        if not isinstance(value, (int, float)) or not math.isfinite(value) or (
+                kind == "end_to_end" and value == 0):
+            problems.append(f"{workload}: {kind} {name} = {value}")
+    return problems
+
+
+def metrics(spec, kind, got):
+    """Every metric of this kind that BENCHMARK.json names, with its unit;
+    a per-layer metric the workload does not measure reads 0."""
+    return {m["name"]: {"value": got.get(m["name"], 0.0), "unit": m["unit"]}
+            for m in spec[kind]}
+
+
+def smoke(binary, spec):
+    """A few ops per workload, traced and untraced: every end-to-end metric
+    and every per-layer metric each workload declares is reported, every
+    per-layer metric is measured on some workload, and every gate passes."""
+    problems = [f"per_layer {m['name']} measured on no workload"
+                for m in spec["per_layer"]
+                if not any(m["name"] in on for on in LAYERS_ON.values())]
+    problems += [f"{w}: {name} not in BENCHMARK.json"
+                 for w, on in LAYERS_ON.items() for name in on
+                 if name not in {m["name"] for m in spec["per_layer"]}]
     for workload in WORKLOADS:
         for trace in (False, True):
-            result = run_workload(binary, workload, 1, 1, trace, True,
-                                thread_layout(workload, nproc))
+            result = run_workload(binary, workload, 1, 1, trace, True)
             kind = "per_layer" if trace else "end_to_end"
-            got = result[kind]
-            for m in spec[kind]:
-                if m["name"] not in got:
-                    problems.append(f"{workload}: {m['name']} missing")
-                elif got[m["name"]]["unit"] != m["unit"]:
-                    problems.append(f"{workload}: {m['name']} unit "
-                                    f"{got[m['name']]['unit']} != {m['unit']}")
+            problems += check_metrics(spec, workload, kind, result[kind])
             if not result["correct"] or result["failed"]:
                 problems.append(f"{workload} trace={int(trace)}: gate "
                                 f"{result['report']['gate']}, failed "
@@ -238,20 +276,24 @@ def main():
     if not args.smoke and args.workload is None:
         parser.error("--workload is required unless --smoke is given")
 
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     binary = build()
-    nproc = len(os.sched_getaffinity(0))
     if args.smoke:
-        return smoke(binary, nproc)
+        return smoke(binary, spec)
 
     result = run_workload(binary, args.workload, args.seed, args.seconds,
-                        bool(args.trace), False,
-                        thread_layout(args.workload, nproc))
+                          bool(args.trace), False)
     kind = "per_layer" if args.trace else "end_to_end"
+    problems = check_metrics(spec, args.workload, kind, result[kind])
+    if problems:
+        for p in problems:
+            log("perfbench:", p)
+        return 4
     print(json.dumps({"environment": result["environment"]}))
     print(json.dumps({"correct": result["correct"],
                       "attempted": result["attempted"],
                       "failed": result["failed"],
-                      "metrics": result[kind]}))
+                      "metrics": metrics(spec, kind, result[kind])}))
     return 0
 
 

@@ -2,8 +2,8 @@
 // builds its inputs from the seed, times fresh set-ups, runs a warm-up,
 // measures ops for the requested number of seconds, and checks the outputs
 // against an oracle. The closed loops step kReplicas independent systems
-// round-robin. The traced run interleaves untraced and traced rounds of ops
-// and then probes single layers on the workload's inputs.
+// round-robin; their traced run interleaves untraced and traced rounds of
+// ops. Every traced run then probes single layers on the workload's inputs.
 #include <omp.h>
 
 #include <algorithm>
@@ -43,13 +43,41 @@ constexpr std::size_t kReplicas = 4;
 constexpr std::size_t kSmokeOps = 2 * kReplicas;
 constexpr std::size_t kFrames = 16;  ///< trajectory length (played ping-pong)
 
-/// Fresh set-ups per replica (serve_open: set-ups / kReplicas); setup_s is
-/// their median, so one slow set-up does not move it.
-std::size_t setup_rounds(const Args& a) { return a.smoke ? 1 : 3; }
+/// Thread budget: busy threads stay within nproc (perfbench/METRICS.md,
+/// Steadiness). perfbench/run.py sets OMP_NUM_THREADS=1, which every simmpi
+/// rank and serve worker, each an OS thread with its own OpenMP team, reads;
+/// the MD workloads' one caller runs a team of pair_threads().
+constexpr std::size_t kWorkers = 1;  ///< serve_open: + the arrival generator
 
-std::vector<std::uint64_t> replica_seeds(std::uint64_t seed) {
+/// The MD workloads' OpenMP team, dist_yukawa's simmpi ranks and the team
+/// of the traced run's kernel speedup probe: two where the machine has two
+/// processors.
+int pair_threads() { return std::min(2, omp_get_num_procs()); }
+
+/// Timed segments per run. Contention from other tenants of a shared
+/// machine comes and goes over seconds and moved set-up time up to 1.7x
+/// between one second and the next (serve_open: 26 or 45 ms), so set-ups
+/// done back to back reported one moment of the machine. Each segment
+/// starts with one round of fresh set-ups (one per replica; serve_open:
+/// kReplicas fresh servers), so they spread over the run like the ops.
+/// setup_s is their median. A first round of set-ups builds the handles the
+/// ops use and is discarded: a process's first set-ups ran about twice as
+/// long as later ones.
+std::size_t segments(const Args& a) { return a.smoke ? 1 : 5; }
+
+/// Extra systems md_open and dist_yukawa evaluate, untimed, after the timed
+/// loop for the accuracy gate. Their error moves with the geometry (with
+/// the 4 replicas alone, accuracy_digits spread 3.1% over ten seeds);
+/// pooling over 4x as many systems steadies it.
+constexpr std::size_t kGateExtra = 12;
+
+/// Sub-seeds `first` .. `first + n - 1` of `seed`: the replicas take the
+/// first kReplicas, the extra gate systems the next kGateExtra.
+std::vector<std::uint64_t> sub_seeds(std::uint64_t seed, std::size_t first,
+                                     std::size_t n) {
   SplitMix64 rng(seed);
-  std::vector<std::uint64_t> seeds(kReplicas);
+  for (std::size_t i = 0; i < first; ++i) rng.next_u64();
+  std::vector<std::uint64_t> seeds(n);
   for (std::uint64_t& s : seeds) s = rng.next_u64();
   return seeds;
 }
@@ -187,23 +215,24 @@ void kernel_layers(const std::vector<RunStats>& stats, Report& rep) {
 }
 
 /// kernels.speedup_vs_1thread: compute seconds of `eval` at one OpenMP
-/// thread over those at `a.probe_threads`, median of three alternating
-/// repeats each after one discarded call at `a.probe_threads` (the first
-/// call at a new thread count sizes the per-thread scratch). `eval` must
-/// re-execute an unchanged plan (compute only) and return RunStats. The
-/// timed ops themselves run at `a.threads`.
+/// thread over those at pair_threads(), median of three alternating repeats
+/// each after one discarded call at pair_threads() (the first call at a new
+/// thread count sizes the per-thread scratch). `eval` must re-execute an
+/// unchanged plan (compute only) and return RunStats.
 template <typename Eval>
-void probe_speedup(const Args& a, Report& rep, Eval&& eval) {
-  omp_set_num_threads(a.probe_threads);
+void probe_speedup(Report& rep, Eval&& eval) {
+  const int threads = omp_get_max_threads();
+  omp_set_num_threads(pair_threads());
   eval();
   std::vector<double> one, many;
   for (int r = 0; r < 3; ++r) {
     omp_set_num_threads(1);
     one.push_back(eval().compute_seconds);
-    omp_set_num_threads(a.probe_threads);
+    omp_set_num_threads(pair_threads());
     many.push_back(eval().compute_seconds);
   }
-  omp_set_num_threads(a.threads);
+  omp_set_num_threads(threads);
+  rep.config["probe_threads"] = std::to_string(pair_threads());
   rep.layers["kernels.speedup_vs_1thread"] = median(one) / median(many);
 }
 
@@ -211,8 +240,7 @@ void probe_speedup(const Args& a, Report& rep, Eval&& eval) {
 /// a served request): a serial Solver over `cloud` with the same kernel and
 /// parameters.
 void probe_kernels_serial(const Cloud& cloud, const KernelSpec& kernel,
-                          const TreecodeParams& p, const Args& a,
-                          Report& rep) {
+                          const TreecodeParams& p, Report& rep) {
   Solver serial({kernel, p, Backend::kCpu, {}});
   serial.set_sources(cloud);
   const auto eval = [&] {
@@ -222,42 +250,54 @@ void probe_kernels_serial(const Cloud& cloud, const KernelSpec& kernel,
   };
   eval();  // plans the targets
   kernel_layers({eval(), eval(), eval()}, rep);
-  probe_speedup(a, rep, eval);
+  probe_speedup(rep, eval);
 }
 
-/// Closed loop with one caller over the replicas: the set-up ran round 0
-/// (op k = 0 .. kReplicas-1), one warm-up round is discarded, then ops run
-/// until `a.seconds` elapsed (kSmokeOps in smoke mode). The traced run
-/// traces every odd round, so traced and untraced ops interleave under the
-/// same conditions and over the same replicas. `op(k, measured)` runs op k
-/// on replica k % kReplicas and returns false for a failed op.
-template <typename Op>
-void closed_loop(const Args& a, Trace& trace, Report& rep, Op&& op) {
+/// Closed loop with one caller over the replicas. `setup(r, keep)` runs one
+/// fresh set-up of replica r and returns its seconds; with keep, the ops use
+/// the handle it built. Round 0 (keep, discarded) builds those handles; then
+/// each of segments(a) segments runs a round of set-ups, one discarded
+/// warm-up round of ops and ops for its share of `a.seconds` (kSmokeOps in
+/// smoke mode). The traced run traces every odd round, so traced and
+/// untraced ops interleave under the same conditions and over the same
+/// replicas. `op(k, measured)` runs op k on replica k % kReplicas and
+/// returns false for a failed op. Throughput counts the segments' time only.
+template <typename Setup, typename Op>
+void closed_loop(const Args& a, Trace& trace, Report& rep, Setup&& setup,
+                 Op&& op) {
+  for (std::size_t r = 0; r < kReplicas; ++r) setup(r, true);
   std::size_t k = kReplicas;
-  for (; k < 2 * kReplicas; ++k) op(k, false);
-  const auto start = Clock::now();
-  for (;; ++k) {
-    const bool traced = a.trace && (k / kReplicas) % 2 == 1;
-    trace.set_enabled(traced);
-    bool ok = false;
-    const auto t0 = Clock::now();
-    try {
-      ok = op(k, true);
-    } catch (const std::exception&) {
-      rep.extra["last_error_op"] = static_cast<double>(k);
+  double timed_s = 0.0;
+  for (std::size_t seg = 0; seg < segments(a); ++seg) {
+    for (std::size_t r = 0; r < kReplicas; ++r) {
+      rep.setup_s.push_back(setup(r, false));
     }
-    const double ms = ms_between(t0, Clock::now());
-    trace.set_enabled(false);
-    ++rep.attempted;
-    if (!ok) ++rep.failed;
-    (traced ? rep.traced_ms : rep.latency_ms).push_back(ms);
-    const double elapsed = ms_between(start, Clock::now()) / 1e3;
-    if (a.smoke ? rep.attempted >= kSmokeOps : elapsed >= a.seconds) {
-      rep.throughput_per_s =
-          static_cast<double>(rep.attempted - rep.failed) / elapsed;
-      break;
+    for (const std::size_t end = k + kReplicas; k < end; ++k) op(k, false);
+    const double until_s =
+        a.seconds * static_cast<double>(seg + 1) / static_cast<double>(segments(a));
+    const auto start = Clock::now();
+    for (bool done = false; !done; ++k) {
+      const bool traced = a.trace && (k / kReplicas) % 2 == 1;
+      trace.set_enabled(traced);
+      bool ok = false;
+      const auto t0 = Clock::now();
+      try {
+        ok = op(k, true);
+      } catch (const std::exception&) {
+        rep.extra["last_error_op"] = static_cast<double>(k);
+      }
+      const double ms = ms_between(t0, Clock::now());
+      trace.set_enabled(false);
+      ++rep.attempted;
+      if (!ok) ++rep.failed;
+      (traced ? rep.traced_ms : rep.latency_ms).push_back(ms);
+      const double elapsed_s = timed_s + ms_between(start, Clock::now()) / 1e3;
+      done = a.smoke ? rep.attempted >= kSmokeOps : elapsed_s >= until_s;
+      if (done) timed_s = elapsed_s;
     }
   }
+  rep.throughput_per_s =
+      static_cast<double>(rep.attempted - rep.failed) / timed_s;
 }
 
 }  // namespace
@@ -266,6 +306,12 @@ void closed_loop(const Args& a, Trace& trace, Report& rep, Op&& op) {
 
 Report run_md(const Args& a, Trace& trace, bool pme) {
   Report rep;
+  // A team of two runs the library's parallel paths (the dual traversal's
+  // per-thread reduction, the slab-owned mesh spread) inside the bounded
+  // metrics. Alternating one- and two-thread runs over eight seeds, two
+  // threads were the steadier: p50 IQR 5.4% against 11.6% (md_open) and
+  // 20% against 29% (md_pme).
+  omp_set_num_threads(pair_threads());
   TreecodeParams p;
   p.theta = 0.7;
   p.position_slack = 0.1;
@@ -290,6 +336,7 @@ Report run_md(const Args& a, Trace& trace, bool pme) {
   }
   const KernelSpec kernel = KernelSpec::coulomb();
   const SolverConfig config{kernel, p, Backend::kCpu, {}};
+  rep.config["threads"] = std::to_string(omp_get_max_threads());
   rep.config["replicas"] = std::to_string(kReplicas);
   rep.config["particles"] = std::to_string(particles);
   rep.config["theta"] = Json::number(p.theta);
@@ -305,29 +352,33 @@ Report run_md(const Args& a, Trace& trace, bool pme) {
     std::size_t last_frame = 0;
   };
   std::vector<Replica> replicas(kReplicas);
-  const auto seeds = replica_seeds(a.seed);
+  const auto seeds = sub_seeds(a.seed, 0, kReplicas);
   for (std::size_t r = 0; r < kReplicas; ++r) {
     const Cloud base = pme ? ionic_melt(particles, seeds[r])
                            : plummer_sphere(particles, seeds[r]);
     replicas[r].frames = trajectory(base, step, seeds[r]);
   }
   // Set-up: handle + source plan + target plan (the cold first op minus its
-  // kernel time), setup_rounds() times per replica on fresh handles; the
-  // last handles stay.
-  for (std::size_t s = 0; s < setup_rounds(a) * kReplicas; ++s) {
-    Replica& rp = replicas[s % kReplicas];
-    rp.solver.reset();  // tearing down the previous handle is not set-up
+  // kernel time). A handle that is not kept is dropped after the timing.
+  const auto setup = [&](std::size_t r, bool keep) {
+    Replica& rp = replicas[r];
+    std::unique_ptr<Solver> solver;
+    FieldResult out;
     RunStats st;
     const double ms = time_ms([&] {
-      rp.solver = std::make_unique<Solver>(config);
-      rp.solver->set_sources(rp.frames[0]);
-      rp.last = rp.solver->evaluate_field(rp.frames[0], &st);
+      solver = std::make_unique<Solver>(config);
+      solver->set_sources(rp.frames[0]);
+      out = solver->evaluate_field(rp.frames[0], &st);
     });
-    rep.setup_s.push_back(ms / 1e3 - st.compute_seconds);
-  }
+    if (keep) {
+      rp.solver = std::move(solver);
+      rp.last = std::move(out);
+    }
+    return ms / 1e3 - st.compute_seconds;
+  };
 
   std::vector<RunStats> stats;
-  closed_loop(a, trace, rep, [&](std::size_t k, bool measured) {
+  closed_loop(a, trace, rep, setup, [&](std::size_t k, bool measured) {
     Replica& rp = replicas[k % kReplicas];
     const std::size_t f = frame_of(k / kReplicas);
     auto step_span = trace.span("md.step", k);
@@ -345,17 +396,28 @@ Report run_md(const Args& a, Trace& trace, bool pme) {
     return all_finite(rp.last.phi) && all_finite(rp.last.ex);
   });
 
-  // Correctness gate on every replica's last output, errors pooled.
+  // Correctness gate on every replica's last output, errors pooled. md_open
+  // adds kGateExtra fresh systems; md_pme does not: its converged Ewald
+  // oracle takes about 1.8 s per system, and its accuracy_digits repeated
+  // within 1.3% over ten seeds from the replicas alone.
   const auto gate_start = Clock::now();
   ErrorAccumulator field, potential;
-  for (const Replica& rp : replicas) {
-    const Cloud& frame = rp.frames[rp.last_frame];
+  const auto gate = [&](const Cloud& frame, const FieldResult& out) {
     const auto sample = sample_indices(frame.size(), pme ? 150 : 2000);
     const Cloud probes = subset(frame, sample);
     const FieldResult ref = pme ? direct_field_ewald(probes, frame, p.domain)
                                 : direct_field(probes, frame, kernel);
-    add_field_error(field, ref, rp.last, sample);
-    add_potential_error(potential, ref.phi, rp.last.phi, sample);
+    add_field_error(field, ref, out, sample);
+    add_potential_error(potential, ref.phi, out.phi, sample);
+  };
+  for (const Replica& rp : replicas) gate(rp.frames[rp.last_frame], rp.last);
+  if (!pme) {
+    for (const std::uint64_t seed : sub_seeds(a.seed, kReplicas, kGateExtra)) {
+      const Cloud cloud = plummer_sphere(particles, seed);
+      Solver solver(config);
+      solver.set_sources(cloud);
+      gate(cloud, solver.evaluate_field(cloud));
+    }
   }
   rep.extra["gate_s"] = ms_between(gate_start, Clock::now()) / 1e3;
   // The mesh tuner budgets the Ewald split at 0.05x the nominal target.
@@ -387,7 +449,7 @@ Report run_md(const Args& a, Trace& trace, bool pme) {
   Replica& rp = replicas[0];
   const Cloud& frame = rp.frames[rp.last_frame];
   probe_plan(frame, p, /*self=*/!pme, rep);
-  probe_speedup(a, rep, [&] {
+  probe_speedup(rep, [&] {
     RunStats st;
     rp.solver->evaluate_field(frame, &st);
     return st;
@@ -435,7 +497,9 @@ Report run_dist(const Args& a, Trace& trace) {
   config.kernel = kernel;
   config.params.treecode = p;
   config.params.backend = Backend::kCpu;
-  config.nranks = a.ranks;
+  config.nranks = pair_threads();
+  rep.config["ranks"] = std::to_string(config.nranks);
+  rep.config["threads_per_rank"] = std::to_string(omp_get_max_threads());
   rep.config["replicas"] = std::to_string(kReplicas);
   rep.config["particles"] = std::to_string(kParticles);
   rep.config["theta"] = Json::number(p.theta);
@@ -452,25 +516,30 @@ Report run_dist(const Args& a, Trace& trace) {
     std::size_t last_frame = 0;
   };
   std::vector<Replica> replicas(kReplicas);
-  const auto seeds = replica_seeds(a.seed);
+  const auto seeds = sub_seeds(a.seed, 0, kReplicas);
   for (std::size_t r = 0; r < kReplicas; ++r) {
     replicas[r].frames =
         trajectory(uniform_cube(kParticles, seeds[r]), kStep, seeds[r]);
   }
-  for (std::size_t s = 0; s < setup_rounds(a) * kReplicas; ++s) {
-    Replica& rp = replicas[s % kReplicas];
-    rp.solver.reset();  // tearing down the previous handle is not set-up
+  const auto setup = [&](std::size_t r, bool keep) {
+    Replica& rp = replicas[r];
+    std::unique_ptr<dist::DistSolver> solver;
+    std::vector<double> out;
     dist::DistStats st;
     const double ms = time_ms([&] {
-      rp.solver = std::make_unique<dist::DistSolver>(config);
-      rp.solver->set_sources(rp.frames[0]);
-      rp.last = rp.solver->evaluate(&st);
+      solver = std::make_unique<dist::DistSolver>(config);
+      solver->set_sources(rp.frames[0]);
+      out = solver->evaluate(&st);
     });
-    rep.setup_s.push_back(ms / 1e3 - st.compute_seconds);
-  }
+    if (keep) {
+      rp.solver = std::move(solver);
+      rp.last = std::move(out);
+    }
+    return ms / 1e3 - st.compute_seconds;
+  };
 
   std::vector<dist::DistStats> stats;
-  closed_loop(a, trace, rep, [&](std::size_t k, bool measured) {
+  closed_loop(a, trace, rep, setup, [&](std::size_t k, bool measured) {
     Replica& rp = replicas[k % kReplicas];
     const std::size_t f = frame_of(k / kReplicas);
     auto step_span = trace.span("dist.step", k);
@@ -488,13 +557,21 @@ Report run_dist(const Args& a, Trace& trace) {
     return all_finite(rp.last);
   });
 
+  // Correctness gate on every replica's last output and kGateExtra fresh
+  // systems, errors pooled.
   const auto gate_start = Clock::now();
   ErrorAccumulator potential;
-  for (const Replica& rp : replicas) {
-    const Cloud& frame = rp.frames[rp.last_frame];
+  const auto gate = [&](const Cloud& frame, const std::vector<double>& out) {
     const auto sample = sample_indices(frame.size(), frame.size());
     const auto ref = direct_sum_sampled(frame, sample, frame, kernel);
-    add_potential_error(potential, ref, rp.last, sample);
+    add_potential_error(potential, ref, out, sample);
+  };
+  for (const Replica& rp : replicas) gate(rp.frames[rp.last_frame], rp.last);
+  for (const std::uint64_t seed : sub_seeds(a.seed, kReplicas, kGateExtra)) {
+    const Cloud cloud = uniform_cube(kParticles, seed);
+    dist::DistSolver solver(config);
+    solver.set_sources(cloud);
+    gate(cloud, solver.evaluate());
   }
   rep.extra["gate_s"] = ms_between(gate_start, Clock::now()) / 1e3;
   rep.tolerance = nominal_error(p);
@@ -536,12 +613,12 @@ Report run_dist(const Args& a, Trace& trace) {
   const Cloud& frame = replicas[0].frames[replicas[0].last_frame];
   rep.layers["partition.rcb_ms"] = median_ms(3, [&] {
     rcb_partition(frame.x, frame.y, frame.z,
-                  static_cast<std::size_t>(a.ranks),
+                  static_cast<std::size_t>(pair_threads()),
                   minimal_bounding_box_range(frame.x, frame.y, frame.z, 0,
                                              frame.size()));
   });
   probe_plan(frame, p, false, rep);
-  probe_kernels_serial(frame, kernel, p, a, rep);
+  probe_kernels_serial(frame, kernel, p, rep);
   return rep;
 }
 
@@ -615,6 +692,8 @@ Report run_serve(const Args& a, Trace& trace) {
   SplitMix64 rng(a.seed ^ 0x6172'7269'7661'6c73ULL);
   for (double& t : due_ms) t = rng.uniform(0.0, a.seconds * 1e3);
   std::sort(due_ms.begin(), due_ms.end());
+  rep.config["workers"] = std::to_string(kWorkers);
+  rep.config["threads_per_worker"] = std::to_string(omp_get_max_threads());
   rep.config["rate_per_s"] = Json::number(kRatePerS);
   rep.config["deadline_ms"] = Json::number(kDeadlineMs);
   rep.config["requests"] = std::to_string(scheduled);
@@ -623,22 +702,24 @@ Report run_serve(const Args& a, Trace& trace) {
   rep.config["mix"] = "open boundary; 60% shared clouds, 25% dual traversal";
 
   serve::ServeOptions options;
-  options.workers = static_cast<std::size_t>(a.workers);
+  options.workers = kWorkers;
   // Set-up: a fresh frontend plus its hot set (every shared cloud under
-  // both presets) built into the cache.
+  // both presets) built into the cache. The first kReplicas are discarded
+  // (segments()); the last of them serves the run.
   std::unique_ptr<Server> server;
-  for (std::size_t s = 0; s < setup_rounds(a) * kReplicas; ++s) {
-    server.reset();
+  const auto setup = [&] {
+    std::unique_ptr<Server> fresh;
     const double ms = time_ms([&] {
-      server = std::make_unique<Server>(options);
+      fresh = std::make_unique<Server>(options);
       for (std::size_t c = 0; c < spec.num_shared; ++c) {
         for (const TreecodeParams* p : {&presets.open, &presets.dual}) {
-          server->cache.get_or_build(storm.clouds[c], *p);
+          fresh->cache.get_or_build(storm.clouds[c], *p);
         }
       }
     });
-    rep.setup_s.push_back(ms / 1e3);
-  }
+    return std::pair{ms / 1e3, std::move(fresh)};
+  };
+  for (std::size_t s = 0; s < kReplicas; ++s) server = setup().second;
   for (std::size_t w = 0; w < kWarmupOps; ++w) {
     server->frontend.submit(requests[w]).get();
   }
@@ -649,51 +730,74 @@ Report run_serve(const Args& a, Trace& trace) {
     serve::ServeResponse response;
   };
   std::vector<Outcome> outcomes(scheduled);
-  std::vector<double> late_ms, submit_begin_ms, submit_end_ms;
+  std::vector<double> late_ms, submit_begin_ms, submit_end_ms, trace_origin_ms;
   struct Outstanding {
     std::size_t i;
     std::future<serve::ServeResponse> future;
   };
   std::vector<Outstanding> outstanding;
-  const auto start = Clock::now();
-  const double trace_offset = trace.now_ms();
+  // Each segment sets up kReplicas fresh servers, then plays its window of
+  // the schedule and drains. The schedule's clock stops in between, so
+  // arrivals keep their spacing and every request is timed from its due
+  // time.
+  const double window_ms = a.seconds * 1e3 / static_cast<double>(segments(a));
+  double active_ms = 0.0;
   std::size_t next = 0;
-  double last_resolve_ms = 0.0;
-  while (next < scheduled || !outstanding.empty()) {
-    double now = ms_between(start, Clock::now());
-    while (next < scheduled && now >= due_ms[next]) {
-      late_ms.push_back(now - due_ms[next]);
-      submit_begin_ms.push_back(now);
-      outstanding.push_back(
-          {next, server->frontend.submit(requests[kWarmupOps + next])});
-      now = ms_between(start, Clock::now());
-      submit_end_ms.push_back(now);
-      ++next;
+  for (std::size_t seg = 0; seg < segments(a); ++seg) {
+    for (std::size_t s = 0; s < kReplicas; ++s) {
+      rep.setup_s.push_back(setup().first);
     }
-    for (std::size_t j = 0; j < outstanding.size();) {
-      auto& f = outstanding[j].future;
-      if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-        ++j;
-        continue;
+    const double seg_begin_ms = window_ms * static_cast<double>(seg);
+    const std::size_t seg_end =
+        seg + 1 == segments(a)
+            ? scheduled
+            : static_cast<std::size_t>(
+                  std::lower_bound(due_ms.begin(), due_ms.end(),
+                                   seg_begin_ms + window_ms) -
+                  due_ms.begin());
+    const auto origin =
+        Clock::now() - std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double, std::milli>(seg_begin_ms));
+    const double trace_origin = trace.now_ms() - seg_begin_ms;
+    double last_resolve_ms = seg_begin_ms;
+    while (next < seg_end || !outstanding.empty()) {
+      double now = ms_between(origin, Clock::now());
+      while (next < seg_end && now >= due_ms[next]) {
+        late_ms.push_back(now - due_ms[next]);
+        submit_begin_ms.push_back(now);
+        trace_origin_ms.push_back(trace_origin);
+        outstanding.push_back(
+            {next, server->frontend.submit(requests[kWarmupOps + next])});
+        now = ms_between(origin, Clock::now());
+        submit_end_ms.push_back(now);
+        ++next;
       }
-      const std::size_t i = outstanding[j].i;
-      Outcome& o = outcomes[i];
-      o.latency_ms = now - due_ms[i];
-      try {
-        o.response = f.get();
-        o.ok = o.latency_ms <= kDeadlineMs;
-      } catch (const std::exception&) {
-        o.ok = false;
+      for (std::size_t j = 0; j < outstanding.size();) {
+        auto& f = outstanding[j].future;
+        if (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+          ++j;
+          continue;
+        }
+        const std::size_t i = outstanding[j].i;
+        Outcome& o = outcomes[i];
+        o.latency_ms = now - due_ms[i];
+        try {
+          o.response = f.get();
+          o.ok = o.latency_ms <= kDeadlineMs;
+        } catch (const std::exception&) {
+          o.ok = false;
+        }
+        last_resolve_ms = now;
+        outstanding[j] = std::move(outstanding.back());
+        outstanding.pop_back();
       }
-      last_resolve_ms = now;
-      outstanding[j] = std::move(outstanding.back());
-      outstanding.pop_back();
-    }
-    const double wake = next < scheduled ? std::min(due_ms[next], now + 0.1)
+      const double wake = next < seg_end ? std::min(due_ms[next], now + 0.1)
                                          : now + 0.1;
-    std::this_thread::sleep_until(
-        start + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double, std::milli>(wake)));
+      std::this_thread::sleep_until(
+          origin + std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::duration<double, std::milli>(wake)));
+    }
+    active_ms += last_resolve_ms - seg_begin_ms;
   }
 
   std::size_t ok = 0;
@@ -702,16 +806,17 @@ Report run_serve(const Args& a, Trace& trace) {
     ++rep.attempted;
     if (o.ok) ++ok;
     else ++rep.failed;
-    const bool traced = a.trace && i % 2 == 1;
-    (traced ? rep.traced_ms : rep.latency_ms).push_back(o.latency_ms);
-    if (traced) {
-      // The request span runs from due time to resolution. Its children are
-      // the timed submit call and the queue/execute intervals the response
-      // reports about itself.
-      const double t0 = trace_offset + due_ms[i];
+    rep.latency_ms.push_back(o.latency_ms);
+    if (a.trace) {
+      // Spans are recorded here, after the run, from times taken during it,
+      // so tracing costs no request anything and serve_open reports no
+      // trace.overhead_pct. The request span runs from due time to
+      // resolution. Its children are the timed submit call and the
+      // queue/execute intervals the response reports about itself.
+      const double t0 = trace_origin_ms[i] + due_ms[i];
       const int parent = trace.add("serve.request", t0, t0 + o.latency_ms, -1, i);
-      const double begin = trace_offset + submit_begin_ms[i];
-      const double end = trace_offset + submit_end_ms[i];
+      const double begin = trace_origin_ms[i] + submit_begin_ms[i];
+      const double end = trace_origin_ms[i] + submit_end_ms[i];
       const double q = o.response.queue_seconds * 1e3;
       const double x = o.response.execute_seconds * 1e3;
       trace.add("serve.submit", begin, end, parent, i);
@@ -719,8 +824,7 @@ Report run_serve(const Args& a, Trace& trace) {
       trace.add("serve.execute", end + q, end + q + x, parent, i);
     }
   }
-  rep.throughput_per_s =
-      static_cast<double>(ok) / (std::max(last_resolve_ms, 1.0) / 1e3);
+  rep.throughput_per_s = static_cast<double>(ok) / (active_ms / 1e3);
   rep.extra["generator_late_ms_p50"] = percentile(late_ms, 0.5);
   rep.extra["generator_late_ms_max"] = percentile(late_ms, 1.0);
 
@@ -781,8 +885,7 @@ Report run_serve(const Args& a, Trace& trace) {
   const auto miss = std::find_if(mix.begin(), mix.end(),
                                  [](const StormRequest* r) { return !r->shared; });
   probe_plan(storm.clouds[(*miss)->cloud], presets.open, false, rep);
-  probe_kernels_serial(storm.clouds[0], presets.open_kernel, presets.open, a,
-                       rep);
+  probe_kernels_serial(storm.clouds[0], presets.open_kernel, presets.open, rep);
   return rep;
 }
 
