@@ -3,9 +3,9 @@
 // evaluation against direct summation, and env-var scaling knobs so the same
 // binaries run as quick smoke tests or long paper-scale sweeps.
 //
-// Scaling knobs (see DESIGN.md §1): problem sizes default to ~1/50 of the
-// paper's (this machine has one CPU core and no GPU); modeled times project
-// onto the paper's hardware from real operation/byte counts.
+// Scaling knobs: problem sizes default to ~1/50 of the paper's (the benches
+// target a small CPU-only host); modeled times project onto the paper's
+// hardware from real operation/byte counts.
 #pragma once
 
 #include <cstddef>

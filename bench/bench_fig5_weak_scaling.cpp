@@ -6,7 +6,7 @@
 // largest run 1.024 B particles in 345 s (Coulomb) / 380 s (Yukawa).
 //
 // Here ranks are simmpi threads with one modeled P100 each; modeled times
-// come from real per-rank operation/byte counts (DESIGN.md §1). Every run
+// come from real per-rank operation/byte counts. Every run
 // goes through the persistent DistSolver handle, and a repeat evaluation on
 // the cached plan is timed alongside — the steady-state per-step cost a
 // time-stepping driver would pay. Results land in BENCH_fig5.json

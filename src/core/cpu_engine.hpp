@@ -60,6 +60,17 @@ class CpuEngine final : public Engine {
                              RunStats& stats,
                              ExecContext* ctx) const override;
 
+  /// The prepared moments evaluation reads for the engine-owned piece: the
+  /// whole degree ladder under the dual traversal, the nominal level alone
+  /// otherwise.
+  std::span<const ClusterMoments> prepared_levels() const {
+    if (!dual_levels_.empty()) return dual_levels_;
+    return {&moments_, 1};
+  }
+  /// Whether tiles tagged fp32-eligible in the engine-owned piece execute
+  /// fp32 (a shadow exists under every non-fp64 precision policy).
+  bool has_fp32_shadow() const { return !shadow_.empty(); }
+
  private:
   ClusterMoments moments_;
   /// Dual traversal only: moments at every ladder degree ([0] is the

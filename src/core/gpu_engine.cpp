@@ -1,14 +1,9 @@
 #include "core/gpu_engine.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <memory>
+#include <numeric>
 #include <stdexcept>
 
-#include "core/barycentric.hpp"
-#include "core/chebyshev.hpp"
-#include "core/cpu_kernels.hpp"  // dual_transfer_apply (downward pass)
-#include "gpusim/buffer.hpp"
 #include "gpusim/perf_model.hpp"
 #include "mesh/mesh.hpp"
 #include "util/failpoints.hpp"
@@ -37,1057 +32,210 @@ double kernel_eval_weight(const KernelSpec& spec, bool on_gpu) {
 
 namespace {
 
-/// The two preprocessing kernels (Eqs. 14-15) for one cluster, writing its
-/// modified charges into `out`. Shared by the full-tree precompute and the
-/// dirty-cluster incremental variant; `qtilde`/`hit` are caller scratch
-/// reused across launches.
-void gpu_precompute_one_cluster(gpusim::Device& device, const ClusterTree& tree,
-                                const OrderedParticles& sources,
-                                const ClusterMoments& moments, std::size_t m,
-                                const std::vector<double>& w, int ci,
-                                std::span<double> out,
-                                std::vector<double>& qtilde,
-                                std::vector<unsigned char>& hit) {
-  const ClusterNode& node = tree.node(ci);
-  const auto gx = moments.grid(ci, 0);
-  const auto gy = moments.grid(ci, 1);
-  const auto gz = moments.grid(ci, 2);
-  const std::size_t ppc = out.size();
-
-  qtilde.assign(node.count(), 0.0);
-  hit.assign(node.count(), 0);
-
-    // --- Preprocessing kernel 1 (Eq. 14): one block per source particle,
-    // threads parallelize over the interpolation degree computing the three
-    // denominator sums, followed by a block reduction. O((n+1) N_C) work.
-    {
-      gpusim::KernelCost cost;
-      cost.evals = static_cast<double>(node.count()) *
-                   static_cast<double>(3 * m) / 3.0;  // ~ (n+1) per particle
-      cost.blocks = node.count();
-      device.launch(device.next_stream(), cost, [&] {
-        for (std::size_t j = 0; j < node.count(); ++j) {  // block index
-          const std::size_t p = node.begin + j;
-          // Threads: each of the 3(n+1) denominator terms in parallel,
-          // then a reduction per dimension.
-          const Denominator d1 = barycentric_denominator(gx, w, sources.x[p]);
-          const Denominator d2 = barycentric_denominator(gy, w, sources.y[p]);
-          const Denominator d3 = barycentric_denominator(gz, w, sources.z[p]);
-          if (d1.hit >= 0 || d2.hit >= 0 || d3.hit >= 0) {
-            // Coordinate coincides with a Chebyshev coordinate: the
-            // factorized form is invalid; flag for the delta-condition path.
-            hit[j] = 1;
-            continue;
-          }
-          qtilde[j] = sources.q[p] / (d1.value * d2.value * d3.value);
-        }
-      });
-    }
-
-    // --- Preprocessing kernel 2 (Eq. 15): one block per Chebyshev point,
-    // threads parallelize over the cluster's source particles, followed by
-    // a block reduction. O((n+1)^3 N_C) work.
-    {
-      gpusim::KernelCost cost;
-      cost.evals = static_cast<double>(ppc) * static_cast<double>(node.count());
-      cost.blocks = ppc;
-      device.launch(device.next_stream(), cost, [&] {
-        for (std::size_t k1 = 0; k1 < m; ++k1) {    // block index (k1,k2,k3)
-          for (std::size_t k2 = 0; k2 < m; ++k2) {
-            for (std::size_t k3 = 0; k3 < m; ++k3) {
-              double acc = 0.0;  // block reduction over threads j
-              for (std::size_t j = 0; j < node.count(); ++j) {
-                if (hit[j]) continue;
-                const std::size_t p = node.begin + j;
-                acc += (w[k1] / (sources.x[p] - gx[k1])) *
-                       (w[k2] / (sources.y[p] - gy[k2])) *
-                       (w[k3] / (sources.z[p] - gz[k3])) * qtilde[j];
-              }
-              out[(k1 * m + k2) * m + k3] = acc;
-            }
-          }
-        }
-        // Delta-condition cleanup for flagged particles (§2.3): enforces
-        // L_k = delta in the coincident dimension(s). Runs as a small tail
-        // within the same launch; the flagged count is O(1) per cluster
-        // (box-corner particles) so its cost is negligible.
-        std::vector<double> l1(m), l2(m), l3(m);
-        for (std::size_t j = 0; j < node.count(); ++j) {
-          if (!hit[j]) continue;
-          const std::size_t p = node.begin + j;
-          barycentric_basis(gx, w, sources.x[p], l1);
-          barycentric_basis(gy, w, sources.y[p], l2);
-          barycentric_basis(gz, w, sources.z[p], l3);
-          const double qj = sources.q[p];
-          for (std::size_t k1 = 0; k1 < m; ++k1) {
-            const double a = l1[k1] * qj;
-            if (a == 0.0) continue;
-            for (std::size_t k2 = 0; k2 < m; ++k2) {
-              const double ab = a * l2[k2];
-              if (ab == 0.0) continue;
-              double* row = out.data() + (k1 * m + k2) * m;
-              for (std::size_t k3 = 0; k3 < m; ++k3) row[k3] += ab * l3[k3];
-            }
-          }
-        }
-      });
-    }
+/// Element size of the resident cluster arrays (grids + modified charges).
+/// Under a non-fp64 precision policy they are fp32-resident: only far-field
+/// launches read them, so a real implementation ships them as floats and
+/// the modeled transfer is half the bytes.
+std::size_t cluster_elem_bytes(const TreecodeParams& params) {
+  return params.precision != PrecisionPolicy::kFp64 ? sizeof(float)
+                                                    : sizeof(double);
 }
+
+/// Modeled weight of a launch's evaluations: tiles the host executed fp32
+/// run at the 2:1 FP32:FP64 throughput of the paper's GPUs (Titan V).
+double precision_factor(bool fp32) { return fp32 ? 0.5 : 1.0; }
 
 }  // namespace
-
-GpuPrecomputeResult gpu_precompute_moments_device_resident(
-    gpusim::Device& device, const ClusterTree& tree,
-    const OrderedParticles& sources, const ClusterMoments& moments,
-    int degree) {
-  const std::size_t m = static_cast<std::size_t>(degree) + 1;
-  const std::size_t ppc = moments.points_per_cluster();
-  const std::vector<double> w = chebyshev2_weights(degree);
-
-  gpusim::DeviceBuffer<double> dqhat(device, tree.num_nodes() * ppc);
-  auto qhat_all = dqhat.span();
-
-  // Per-cluster scratch, reused across launches (device-resident in a real
-  // implementation).
-  std::vector<double> qtilde;
-  std::vector<unsigned char> hit;
-
-  for (std::size_t c = 0; c < tree.num_nodes(); ++c) {
-    const int ci = static_cast<int>(c);
-    if (tree.node(ci).count() == 0) continue;
-    gpu_precompute_one_cluster(device, tree, sources, moments, m, w, ci,
-                               {qhat_all.data() + c * ppc, ppc}, qtilde, hit);
-  }
-
-  device.synchronize();
-
-  // DtH: modified charges return to the host, where (in the distributed
-  // code) they are exposed through RMA windows for LET construction.
-  GpuPrecomputeResult result;
-  result.qhat = dqhat.copy_to_host();
-  return result;
-}
-
-GpuPrecomputeResult gpu_precompute_moments_clusters(
-    gpusim::Device& device, const ClusterTree& tree,
-    const OrderedParticles& sources, const ClusterMoments& moments, int degree,
-    std::span<const std::size_t> clusters) {
-  const std::size_t m = static_cast<std::size_t>(degree) + 1;
-  const std::size_t ppc = moments.points_per_cluster();
-  const std::vector<double> w = chebyshev2_weights(degree);
-
-  // Device scratch sized to the dirty subset only: the resident full-size
-  // charge array is patched from it range-by-range by the caller.
-  gpusim::DeviceBuffer<double> dqhat(device, clusters.size() * ppc);
-  auto qhat_all = dqhat.span();
-
-  std::vector<double> qtilde;
-  std::vector<unsigned char> hit;
-  for (std::size_t i = 0; i < clusters.size(); ++i) {
-    const int ci = static_cast<int>(clusters[i]);
-    if (tree.node(ci).count() == 0) continue;
-    gpu_precompute_one_cluster(device, tree, sources, moments, m, w, ci,
-                               {qhat_all.data() + i * ppc, ppc}, qtilde, hit);
-  }
-
-  device.synchronize();
-
-  // DtH: only the dirty clusters' modified charges return to the host.
-  GpuPrecomputeResult result;
-  result.qhat = dqhat.copy_to_host();
-  return result;
-}
-
-void apply_precompute_result(const GpuPrecomputeResult& result,
-                             const ClusterTree& tree, ClusterMoments& moments) {
-  const std::size_t ppc = moments.points_per_cluster();
-  for (std::size_t c = 0; c < tree.num_nodes(); ++c) {
-    auto dst = moments.qhat_mutable(static_cast<int>(c));
-    const double* src = result.qhat.data() + c * ppc;
-    for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = src[i];
-  }
-}
-
-GpuPrecomputeResult gpu_precompute_moments(gpusim::Device& device,
-                                           const ClusterTree& tree,
-                                           const OrderedParticles& sources,
-                                           const ClusterMoments& moments,
-                                           int degree) {
-  // HtD: source particles (coordinates + charges) enter the device data
-  // region once for the whole precompute (§3.2 data management).
-  gpusim::DeviceBuffer<double> dsx(device, std::span<const double>(sources.x));
-  gpusim::DeviceBuffer<double> dsy(device, std::span<const double>(sources.y));
-  gpusim::DeviceBuffer<double> dsz(device, std::span<const double>(sources.z));
-  gpusim::DeviceBuffer<double> dsq(device, std::span<const double>(sources.q));
-  return gpu_precompute_moments_device_resident(device, tree, sources,
-                                                moments, degree);
-}
-
-namespace {
-
-// Shifted kernel bodies (periodic boundaries): the entry's lattice shift —
-// resolved from the (device-resident) shift table by its compact id via
-// resolve_shift/resolve_pair_shift (core/periodic.hpp) — is subtracted from
-// the target-source separation, i.e. the kernels see the source stream at
-// its image position without any image copy existing in device memory.
-
-/// Body of the batch-cluster approximation kernel (Eq. 11), templated on
-/// the accumulation precision: Real = double is the paper's configuration,
-/// Real = float is the §5 mixed-precision future-work mode (kernel values
-/// and accumulators in single precision; coordinates stay double).
-template <typename Real, typename Kernel>
-void approx_kernel_body(const OrderedParticles& targets,
-                        const TargetBatch& batch, std::span<const double> gx,
-                        std::span<const double> gy, std::span<const double> gz,
-                        std::span<const double> qhat, Kernel k,
-                        std::span<double> phi,
-                        const ResolvedShift& shift = {}) {
-  const std::size_t m = gx.size();
-  for (std::size_t i = batch.begin; i < batch.end; ++i) {
-    const double tx = targets.x[i] - shift.x;
-    const double ty = targets.y[i] - shift.y;
-    const double tz = targets.z[i] - shift.z;
-    Real acc = Real(0);
-    for (std::size_t k1 = 0; k1 < m; ++k1) {
-      const double dx2 = (tx - gx[k1]) * (tx - gx[k1]);
-      for (std::size_t k2 = 0; k2 < m; ++k2) {
-        const double dy = ty - gy[k2];
-        const double dxy2 = dx2 + dy * dy;
-        const double* qrow = qhat.data() + (k1 * m + k2) * m;
-        for (std::size_t k3 = 0; k3 < m; ++k3) {
-          const double dz = tz - gz[k3];
-          acc += static_cast<Real>(k(dxy2 + dz * dz)) *
-                 static_cast<Real>(qrow[k3]);
-        }
-      }
-    }
-    phi[i] += static_cast<double>(acc);  // #pragma acc atomic in real code
-  }
-}
-
-/// Body of the batch-cluster direct sum kernel (Eq. 9), same templating.
-template <typename Real, typename Kernel>
-void direct_kernel_body(const OrderedParticles& targets,
-                        const TargetBatch& batch,
-                        const OrderedParticles& sources,
-                        const ClusterNode& node, Kernel k,
-                        std::span<double> phi,
-                        const ResolvedShift& shift = {}) {
-  for (std::size_t i = batch.begin; i < batch.end; ++i) {
-    const double tx = targets.x[i] - shift.x;
-    const double ty = targets.y[i] - shift.y;
-    const double tz = targets.z[i] - shift.z;
-    Real acc = Real(0);
-    for (std::size_t j = node.begin; j < node.end; ++j) {
-      const double dx = tx - sources.x[j];
-      const double dy = ty - sources.y[j];
-      const double dz = tz - sources.z[j];
-      const double r2 = dx * dx + dy * dy + dz * dz;
-      if constexpr (Kernel::kSingular) {
-        if (r2 == 0.0) continue;
-      }
-      acc += static_cast<Real>(k(r2)) * static_cast<Real>(sources.q[j]);
-    }
-    phi[i] += static_cast<double>(acc);  // #pragma acc atomic in real code
-  }
-}
-
-/// Accumulate one source stream (particles or proxy points) onto a target
-/// node's grid potentials — the body shared by the CC and CP launch classes.
-template <typename Real, typename Kernel>
-void grid_accumulate_body(std::span<const double> tx, std::span<const double> ty,
-                          std::span<const double> tz, const double* sx,
-                          const double* sy, const double* sz, const double* sq,
-                          std::size_t ns, Kernel k, double* hat,
-                          const ResolvedShift& shift = {}) {
-  const std::size_t m = tx.size();
-  std::size_t p = 0;
-  for (std::size_t k1 = 0; k1 < m; ++k1) {
-    for (std::size_t k2 = 0; k2 < m; ++k2) {
-      for (std::size_t k3 = 0; k3 < m; ++k3, ++p) {
-        const double x = tx[k1] - shift.x;
-        const double y = ty[k2] - shift.y;
-        const double z = tz[k3] - shift.z;
-        Real acc = Real(0);
-        for (std::size_t j = 0; j < ns; ++j) {
-          const double dx = x - sx[j];
-          const double dy = y - sy[j];
-          const double dz = z - sz[j];
-          const double r2 = dx * dx + dy * dy + dz * dz;
-          if constexpr (Kernel::kSingular) {
-            if (r2 == 0.0) continue;
-          }
-          acc += static_cast<Real>(k(r2)) * static_cast<Real>(sq[j]);
-        }
-        hat[p] += static_cast<double>(acc);
-      }
-    }
-  }
-}
-
-/// Symmetric direct bodies for self-mode dual traversals (targets ==
-/// sources): one G per unordered point pair, accumulated into both sides.
-template <typename Real, typename Kernel>
-void direct_mutual_body(const OrderedParticles& pts, const ClusterNode& a,
-                        const ClusterNode& b, Kernel k,
-                        std::span<double> phi) {
-  for (std::size_t i = a.begin; i < a.end; ++i) {
-    Real acc = Real(0);
-    for (std::size_t j = b.begin; j < b.end; ++j) {
-      const double dx = pts.x[i] - pts.x[j];
-      const double dy = pts.y[i] - pts.y[j];
-      const double dz = pts.z[i] - pts.z[j];
-      const double r2 = dx * dx + dy * dy + dz * dz;
-      if constexpr (Kernel::kSingular) {
-        if (r2 == 0.0) continue;
-      }
-      const Real g = static_cast<Real>(k(r2));
-      acc += g * static_cast<Real>(pts.q[j]);
-      phi[j] += static_cast<double>(g * static_cast<Real>(pts.q[i]));
-    }
-    phi[i] += static_cast<double>(acc);
-  }
-}
-
-template <typename Real, typename Kernel>
-void direct_self_body(const OrderedParticles& pts, const ClusterNode& a,
-                      Kernel k, std::span<double> phi) {
-  for (std::size_t i = a.begin; i < a.end; ++i) {
-    Real acc = Real(0);
-    for (std::size_t j = i + 1; j < a.end; ++j) {
-      const double dx = pts.x[i] - pts.x[j];
-      const double dy = pts.y[i] - pts.y[j];
-      const double dz = pts.z[i] - pts.z[j];
-      const double r2 = dx * dx + dy * dy + dz * dz;
-      if constexpr (Kernel::kSingular) {
-        if (r2 == 0.0) continue;
-      }
-      const Real g = static_cast<Real>(k(r2));
-      acc += g * static_cast<Real>(pts.q[j]);
-      phi[j] += static_cast<double>(g * static_cast<Real>(pts.q[i]));
-    }
-    phi[i] += static_cast<double>(acc);
-  }
-  if constexpr (!Kernel::kSingular) {
-    const double g0 = k(0.0);
-    for (std::size_t i = a.begin; i < a.end; ++i) phi[i] += g0 * pts.q[i];
-  }
-}
-
-/// Interpolate a grid's accumulated potentials: parent grid -> child grid
-/// points (downward transfer) or leaf grid -> particles. `hat` is the
-/// source grid's (n+1)^3 potentials on the grids of `node_grids[ni]`.
-void interpolate_hat(std::span<const double> gx, std::span<const double> gy,
-                     std::span<const double> gz, std::span<const double> w,
-                     const double* hat, double x, double y, double z,
-                     std::vector<double>& l1, std::vector<double>& l2,
-                     std::vector<double>& l3, double& out) {
-  const std::size_t m = gx.size();
-  barycentric_basis(gx, w, x, l1);
-  barycentric_basis(gy, w, y, l2);
-  barycentric_basis(gz, w, z, l3);
-  double acc = 0.0;
-  for (std::size_t k1 = 0; k1 < m; ++k1) {
-    if (l1[k1] == 0.0) continue;
-    for (std::size_t k2 = 0; k2 < m; ++k2) {
-      const double a = l1[k1] * l2[k2];
-      if (a == 0.0) continue;
-      const double* row = hat + (k1 * m + k2) * m;
-      for (std::size_t k3 = 0; k3 < m; ++k3) acc += a * l3[k3] * row[k3];
-    }
-  }
-  out += acc;
-}
-
-}  // namespace
-
-std::vector<double> gpu_evaluate_dual_device_resident(
-    gpusim::Device& device, const OrderedParticles& targets,
-    const ClusterTree& target_tree,
-    std::span<const ClusterMoments> target_grids,
-    const DualInteractionLists& lists, const ClusterTree& source_tree,
-    const OrderedParticles& sources,
-    std::span<const ClusterMoments> moment_levels, const KernelSpec& kernel,
-    EngineCounters* counters, const ShiftTable* shifts) {
-  const std::size_t nn = target_tree.num_nodes();
-  const std::size_t nlevels = target_grids.size();
-  // Per-launch precision: a pair tagged fp32-eligible by the list builder
-  // runs single precision at the 2:1 FP32:FP64 modeled throughput of the
-  // paper's GPUs (Titan V); untagged pairs — every direct pair — run fp64.
-  const double weight = kernel_eval_weight(kernel, /*on_gpu=*/true);
-
-  // Per-level grid-potential scratch (resident in a real implementation;
-  // the engine's tgt_hat_ buffer stands in for it between calls).
-  std::vector<std::size_t> lppc(nlevels), hat_off(nlevels);
-  std::size_t total = 0;
-  for (std::size_t l = 0; l < nlevels; ++l) {
-    lppc[l] = target_grids[l].points_per_cluster();
-    hat_off[l] = total;
-    total += nn * lppc[l];
-  }
-  std::vector<double> hat(total, 0.0);
-  std::vector<unsigned char> flag(nlevels * nn, 0);
-  std::vector<double> phi_store(targets.size(), 0.0);
-  const std::span<double> phi = phi_store;
-  EngineCounters local;
-
-  with_kernel(kernel, [&](auto k) {
-    // --- CC / CP kernels: one launch per pair, one target grid point per
-    // block, threads over the source stream with a block reduction.
-    for (std::size_t g = 0; g < lists.grid_nodes.size(); ++g) {
-      const int ti = lists.grid_nodes[g];
-      for (std::size_t e = lists.grid_offsets[g];
-           e < lists.grid_offsets[g + 1]; ++e) {
-        const DualPair& pair = lists.grid_pairs[e];
-        const std::size_t level = pair.level;
-        const bool f32 = pair.fp32 != 0;
-        const ClusterMoments& tg = target_grids[level];
-        const ClusterMoments& sm = moment_levels[level];
-        const std::size_t ppc = lppc[level];
-        const std::size_t m = static_cast<std::size_t>(tg.degree()) + 1;
-        const ResolvedShift shift = resolve_pair_shift(shifts, pair);
-        flag[level * nn + static_cast<std::size_t>(ti)] = 1;
-        const auto tx = tg.grid(ti, 0);
-        const auto ty = tg.grid(ti, 1);
-        const auto tz = tg.grid(ti, 2);
-        double* hrow =
-            hat.data() + hat_off[level] + static_cast<std::size_t>(ti) * ppc;
-        if (pair.kind == DualKind::kCC) {
-          const auto sgx = sm.grid(pair.source, 0);
-          const auto sgy = sm.grid(pair.source, 1);
-          const auto sgz = sm.grid(pair.source, 2);
-          const auto qhat = sm.qhat(pair.source);
-          // Expand the source proxy grid once per launch (device scratch).
-          std::vector<double> sx(ppc), sy(ppc), sz(ppc);
-          std::size_t p = 0;
-          for (std::size_t s1 = 0; s1 < m; ++s1) {
-            for (std::size_t s2 = 0; s2 < m; ++s2) {
-              for (std::size_t s3 = 0; s3 < m; ++s3, ++p) {
-                sx[p] = sgx[s1];
-                sy[p] = sgy[s2];
-                sz[p] = sgz[s3];
-              }
-            }
-          }
-          const double evals = static_cast<double>(ppc) *
-                               static_cast<double>(ppc);
-          gpusim::KernelCost cost;
-          cost.evals = weight * (f32 ? 0.5 : 1.0) * evals;
-          cost.blocks = ppc;
-          device.launch(device.next_stream(), cost,
-                        [&, tx, ty, tz, hrow, shift] {
-            if (f32) {
-              grid_accumulate_body<float>(tx, ty, tz, sx.data(), sy.data(),
-                                          sz.data(), qhat.data(), ppc, k,
-                                          hrow, shift);
-            } else {
-              grid_accumulate_body<double>(tx, ty, tz, sx.data(), sy.data(),
-                                           sz.data(), qhat.data(), ppc, k,
-                                           hrow, shift);
-            }
-          });
-          local.cc_evals += evals;
-          if (f32) local.fp32_evals += evals;
-          ++local.cc_launches;
-        } else {  // kCP
-          const ClusterNode& s = source_tree.node(pair.source);
-          const double evals = static_cast<double>(ppc) *
-                               static_cast<double>(s.count());
-          gpusim::KernelCost cost;
-          cost.evals = weight * (f32 ? 0.5 : 1.0) * evals;
-          cost.blocks = ppc;
-          device.launch(device.next_stream(), cost,
-                        [&, tx, ty, tz, hrow, s, shift] {
-            if (f32) {
-              grid_accumulate_body<float>(
-                  tx, ty, tz, sources.x.data() + s.begin,
-                  sources.y.data() + s.begin, sources.z.data() + s.begin,
-                  sources.q.data() + s.begin, s.count(), k, hrow, shift);
-            } else {
-              grid_accumulate_body<double>(
-                  tx, ty, tz, sources.x.data() + s.begin,
-                  sources.y.data() + s.begin, sources.z.data() + s.begin,
-                  sources.q.data() + s.begin, s.count(), k, hrow, shift);
-            }
-          });
-          local.cp_evals += evals;
-          if (f32) local.fp32_evals += evals;
-          ++local.cp_launches;
-        }
-      }
-    }
-
-    // --- Downward pass kernel chain, per ladder level. Transfers run
-    // parent-before-child (node index order); interpolation is kernel-
-    // independent double-precision work, so its modeled cost carries no
-    // kernel weight.
-    for (std::size_t level = 0; level < nlevels; ++level) {
-      const ClusterMoments& tg = target_grids[level];
-      const std::size_t ppc = lppc[level];
-      const std::size_t m = static_cast<std::size_t>(tg.degree()) + 1;
-      const std::vector<double> w = chebyshev2_weights(tg.degree());
-      std::vector<double> l1(m), l2(m), l3(m);
-      std::vector<double> b1(m * m), b2(m * m), b3(m * m);
-      std::vector<double> tmp1(ppc), tmp2(ppc);
-      unsigned char* lflag = flag.data() + level * nn;
-      double* lhat = hat.data() + hat_off[level];
-      for (std::size_t ni = 0; ni < nn; ++ni) {
-        if (!lflag[ni]) continue;
-        const ClusterNode& node = target_tree.node(static_cast<int>(ni));
-        if (node.is_leaf()) continue;
-        const auto pgx = tg.grid(static_cast<int>(ni), 0);
-        const auto pgy = tg.grid(static_cast<int>(ni), 1);
-        const auto pgz = tg.grid(static_cast<int>(ni), 2);
-        const double* prow = lhat + ni * ppc;
-        gpusim::KernelCost cost;
-        cost.evals = static_cast<double>(node.num_children) *
-                     static_cast<double>(ppc);
-        cost.blocks = static_cast<std::size_t>(node.num_children);
-        device.launch(device.next_stream(), cost, [&] {
-          for (int c = 0; c < node.num_children; ++c) {
-            const int ci = node.children[static_cast<std::size_t>(c)];
-            const auto cgx = tg.grid(ci, 0);
-            const auto cgy = tg.grid(ci, 1);
-            const auto cgz = tg.grid(ci, 2);
-            for (std::size_t kp = 0; kp < m; ++kp) {
-              barycentric_basis(pgx, w, cgx[kp], {b1.data() + kp * m, m});
-              barycentric_basis(pgy, w, cgy[kp], {b2.data() + kp * m, m});
-              barycentric_basis(pgz, w, cgz[kp], {b3.data() + kp * m, m});
-            }
-            dual_transfer_apply(prow, lhat + static_cast<std::size_t>(ci) * ppc,
-                                b1.data(), b2.data(), b3.data(), m,
-                                tmp1.data(), tmp2.data());
-            lflag[static_cast<std::size_t>(ci)] = 1;
-          }
-        });
-      }
-      for (std::size_t ni = 0; ni < nn; ++ni) {
-        if (!lflag[ni]) continue;
-        const ClusterNode& node = target_tree.node(static_cast<int>(ni));
-        if (!node.is_leaf() || node.count() == 0) continue;
-        const auto gx = tg.grid(static_cast<int>(ni), 0);
-        const auto gy = tg.grid(static_cast<int>(ni), 1);
-        const auto gz = tg.grid(static_cast<int>(ni), 2);
-        const double* hrow = lhat + ni * ppc;
-        gpusim::KernelCost cost;
-        cost.evals = static_cast<double>(node.count()) *
-                     static_cast<double>(ppc);
-        cost.blocks = node.count();
-        device.launch(device.next_stream(), cost, [&] {
-          for (std::size_t i = node.begin; i < node.end; ++i) {
-            interpolate_hat(gx, gy, gz, w, hrow, targets.x[i], targets.y[i],
-                            targets.z[i], l1, l2, l3, phi[i]);
-          }
-        });
-      }
-    }
-
-    // --- PC / direct kernels, target leaves as batches: the existing
-    // batch-cluster bodies (Eqs. 9 and 11) apply unchanged.
-    for (std::size_t g = 0; g < lists.leaf_nodes.size(); ++g) {
-      const ClusterNode& leaf = target_tree.node(lists.leaf_nodes[g]);
-      TargetBatch batch;
-      batch.begin = leaf.begin;
-      batch.end = leaf.end;
-      for (std::size_t e = lists.leaf_offsets[g];
-           e < lists.leaf_offsets[g + 1]; ++e) {
-        const DualPair& pair = lists.leaf_pairs[e];
-        const ResolvedShift shift = resolve_pair_shift(shifts, pair);
-        if (pair.kind == DualKind::kPC) {
-          const bool f32 = pair.fp32 != 0;
-          const ClusterMoments& sm = moment_levels[pair.level];
-          const std::size_t ppc = sm.points_per_cluster();
-          const auto gx = sm.grid(pair.source, 0);
-          const auto gy = sm.grid(pair.source, 1);
-          const auto gz = sm.grid(pair.source, 2);
-          const auto qhat = sm.qhat(pair.source);
-          const double evals = static_cast<double>(batch.count()) *
-                               static_cast<double>(ppc);
-          gpusim::KernelCost cost;
-          cost.evals = weight * (f32 ? 0.5 : 1.0) * evals;
-          cost.blocks = batch.count();
-          device.launch(device.next_stream(), cost, [&, gx, gy, gz, qhat,
-                                                     batch, shift] {
-            if (f32) {
-              approx_kernel_body<float>(targets, batch, gx, gy, gz, qhat, k,
-                                        phi, shift);
-            } else {
-              approx_kernel_body<double>(targets, batch, gx, gy, gz, qhat, k,
-                                         phi, shift);
-            }
-          });
-          local.approx_evals += evals;
-          if (f32) local.fp32_evals += evals;
-          ++local.approx_launches;
-        } else if (!lists.self) {  // one-directional direct, always fp64
-          const ClusterNode& s = source_tree.node(pair.source);
-          gpusim::KernelCost cost;
-          cost.evals = weight * static_cast<double>(batch.count()) *
-                       static_cast<double>(s.count());
-          cost.blocks = batch.count();
-          device.launch(device.next_stream(), cost, [&, s, batch, shift] {
-            direct_kernel_body<double>(targets, batch, sources, s, k, phi,
-                                       shift);
-          });
-          local.direct_evals += static_cast<double>(batch.count()) *
-                                static_cast<double>(s.count());
-          ++local.direct_launches;
-        } else if (pair.source == lists.leaf_nodes[g]) {
-          // Diagonal self-pair: triangular sum (half the evaluations).
-          const double evals =
-              static_cast<double>(batch.count()) *
-              (static_cast<double>(batch.count()) - 1.0) / 2.0;
-          gpusim::KernelCost cost;
-          cost.evals = weight * evals;
-          cost.blocks = batch.count();
-          // Self mode: target and source orders are identical, but only
-          // the source particles see update_charges — read everything from
-          // the live source arrays.
-          device.launch(device.next_stream(), cost, [&] {
-            direct_self_body<double>(sources, leaf, k, phi);
-          });
-          local.direct_evals += evals;
-          ++local.direct_launches;
-        } else {
-          // Symmetric off-diagonal direct: each G feeds both leaves.
-          const ClusterNode& s = source_tree.node(pair.source);
-          const double evals = static_cast<double>(batch.count()) *
-                               static_cast<double>(s.count());
-          gpusim::KernelCost cost;
-          cost.evals = weight * evals;
-          cost.blocks = batch.count();
-          device.launch(device.next_stream(), cost, [&, s] {
-            direct_mutual_body<double>(sources, leaf, s, k, phi);
-          });
-          local.direct_evals += evals;
-          ++local.direct_launches;
-        }
-      }
-    }
-  });
-
-  device.synchronize();
-  local.fp64_evals = local.total_evals() - local.fp32_evals;
-  if (counters != nullptr) *counters = local;
-  return phi_store;
-}
-
-std::vector<double> gpu_evaluate_device_resident(
-    gpusim::Device& device, const OrderedParticles& targets,
-    const std::vector<TargetBatch>& batches, const InteractionLists& lists,
-    const ClusterTree& tree, const OrderedParticles& sources,
-    const ClusterMoments& moments, const KernelSpec& kernel,
-    EngineCounters* counters, const ShiftTable* shifts) {
-  std::vector<double> phi_store(targets.size(), 0.0);
-  const std::span<double> phi = phi_store;
-  // Per-launch precision: approximation launches tagged fp32-eligible run
-  // single precision, which roughly doubles effective throughput on the
-  // paper's GPUs (Titan V FP32:FP64 = 2:1); direct launches always run
-  // fp64 (they have no truncation budget to hide the float floor in).
-  const double weight = kernel_eval_weight(kernel, /*on_gpu=*/true);
-  EngineCounters local;
-
-  with_kernel(kernel, [&](auto k) {
-    // The CPU walks the interaction lists and queues one kernel per
-    // batch-cluster interaction, cycling the stream id (§3.2 asynchronous
-    // streams). Potential updates use an atomic add in the real code; the
-    // simulated device executes launches in queue order, which makes the
-    // accumulation race-free here (documented simplification).
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-      const TargetBatch& batch = batches[b];
-      const BatchInteractions& bi = lists.per_batch[b];
-
-      for (std::size_t e = 0; e < bi.approx.size(); ++e) {
-        const int ci = bi.approx[e];
-        const bool f32 = e < bi.approx_fp32.size() && bi.approx_fp32[e] != 0;
-        const ResolvedShift shift = resolve_shift(shifts, bi.approx_shift, e);
-        const auto gx = moments.grid(ci, 0);
-        const auto gy = moments.grid(ci, 1);
-        const auto gz = moments.grid(ci, 2);
-        const auto qhat = moments.qhat(ci);
-        const double evals = static_cast<double>(batch.count()) *
-                             static_cast<double>(qhat.size());
-        gpusim::KernelCost cost;
-        cost.evals = weight * (f32 ? 0.5 : 1.0) * evals;
-        cost.blocks = batch.count();
-        device.launch(device.next_stream(), cost,
-                      [&, gx, gy, gz, qhat, shift] {
-          // Batch-cluster approximation kernel (Eq. 11): one target per
-          // block; threads over Chebyshev points with a block reduction.
-          // The shift is read from the device-resident table by id.
-          if (f32) {
-            approx_kernel_body<float>(targets, batch, gx, gy, gz, qhat, k,
-                                      phi, shift);
-          } else {
-            approx_kernel_body<double>(targets, batch, gx, gy, gz, qhat, k,
-                                       phi, shift);
-          }
-        });
-        local.approx_evals += evals;
-        if (f32) local.fp32_evals += evals;
-        ++local.approx_launches;
-      }
-
-      for (std::size_t e = 0; e < bi.direct.size(); ++e) {
-        const ClusterNode& node = tree.node(bi.direct[e]);
-        const ResolvedShift shift = resolve_shift(shifts, bi.direct_shift, e);
-        gpusim::KernelCost cost;
-        cost.evals = weight * static_cast<double>(batch.count()) *
-                     static_cast<double>(node.count());
-        cost.blocks = batch.count();
-        device.launch(device.next_stream(), cost, [&, node, shift] {
-          // Batch-cluster direct sum kernel (Eq. 9): one target per block;
-          // threads over the cluster's source particles with a reduction.
-          // Direct tiles run fp64 under every precision policy.
-          direct_kernel_body<double>(targets, batch, sources, node, k, phi,
-                                     shift);
-        });
-        local.direct_evals += static_cast<double>(batch.count()) *
-                              static_cast<double>(node.count());
-        ++local.direct_launches;
-      }
-    }
-  });
-
-  device.synchronize();
-  local.fp64_evals = local.total_evals() - local.fp32_evals;
-  if (counters != nullptr) *counters = local;
-  return phi_store;
-}
-
-std::vector<double> gpu_evaluate(gpusim::Device& device,
-                                 const OrderedParticles& targets,
-                                 const std::vector<TargetBatch>& batches,
-                                 const InteractionLists& lists,
-                                 const ClusterTree& tree,
-                                 const OrderedParticles& sources,
-                                 const ClusterMoments& moments,
-                                 const KernelSpec& kernel,
-                                 EngineCounters* counters,
-                                 const ShiftTable* shifts) {
-  // HtD: targets, source particles (for direct interactions), cluster grid
-  // coordinates and modified charges (the serial-run equivalent of copying
-  // the LET onto the device).
-  gpusim::DeviceBuffer<double> dtx(device, std::span<const double>(targets.x));
-  gpusim::DeviceBuffer<double> dty(device, std::span<const double>(targets.y));
-  gpusim::DeviceBuffer<double> dtz(device, std::span<const double>(targets.z));
-  gpusim::DeviceBuffer<double> dsx(device, std::span<const double>(sources.x));
-  gpusim::DeviceBuffer<double> dsy(device, std::span<const double>(sources.y));
-  gpusim::DeviceBuffer<double> dsz(device, std::span<const double>(sources.z));
-  gpusim::DeviceBuffer<double> dsq(device, std::span<const double>(sources.q));
-  gpusim::DeviceBuffer<double> dgrids(device, moments.all_grids());
-  gpusim::DeviceBuffer<double> dqhat(device, moments.all_qhat());
-  std::unique_ptr<gpusim::DeviceBuffer<double>> dshifts;
-  if (shifts != nullptr) {
-    const std::vector<double> flat = shifts->flattened();
-    dshifts = std::make_unique<gpusim::DeviceBuffer<double>>(
-        device, std::span<const double>(flat));
-  }
-
-  std::vector<double> phi = gpu_evaluate_device_resident(
-      device, targets, batches, lists, tree, sources, moments, kernel,
-      counters, shifts);
-
-  // DtH: final potentials.
-  device.device_to_host(phi.size() * sizeof(double));
-  return phi;
-}
 
 GpuSimEngine::GpuSimEngine(const GpuOptions& options)
     : options_(options), device_(options.device, options.async_streams) {}
 
+void GpuSimEngine::model_precompute(const ClusterTree& tree,
+                                    std::span<const std::size_t> clusters) {
+  const ClusterMoments& nominal = host_.prepared_levels().front();
+  const std::size_t m = static_cast<std::size_t>(nominal.degree()) + 1;
+  const std::size_t ppc = nominal.points_per_cluster();
+  const gpusim::TimeMarker before = device_.marker();
+  for (const std::size_t c : clusters) {
+    const ClusterNode& node = tree.node(static_cast<int>(c));
+    if (node.count() == 0) continue;
+    // Preprocessing kernel 1 (Eq. 14): one block per source particle,
+    // threads over the 3(n+1) denominator terms. O((n+1) N_C) work.
+    gpusim::KernelCost k1;
+    k1.evals = static_cast<double>(node.count()) * static_cast<double>(m);
+    k1.blocks = node.count();
+    device_.launch(device_.next_stream(), k1);
+    // Preprocessing kernel 2 (Eq. 15): one block per Chebyshev point,
+    // threads over the cluster's source particles. O((n+1)^3 N_C) work.
+    gpusim::KernelCost k2;
+    k2.evals = static_cast<double>(ppc) * static_cast<double>(node.count());
+    k2.blocks = ppc;
+    device_.launch(device_.next_stream(), k2);
+  }
+  device_.synchronize();
+  // DtH: the modified charges return to the host, where (in the
+  // distributed code) they are exposed through RMA windows.
+  device_.device_to_host(clusters.size() * ppc * sizeof(double));
+  pending_modeled_precompute_ +=
+      device_.marker().kernel_seconds - before.kernel_seconds;
+}
+
+void GpuSimEngine::model_restrictions(std::size_t clusters) {
+  // Dual traversal: the coarse ladder levels are small tensor transfers of
+  // the resident nominal charges, one launch per level.
+  const std::span<const ClusterMoments> levels = host_.prepared_levels();
+  for (std::size_t l = 1; l < levels.size(); ++l) {
+    gpusim::KernelCost cost;
+    cost.evals = static_cast<double>(clusters) *
+                 static_cast<double>(levels[l].points_per_cluster());
+    cost.blocks = clusters;
+    const gpusim::TimeMarker before = device_.marker();
+    device_.launch(device_.next_stream(), cost);
+    device_.synchronize();
+    pending_modeled_precompute_ +=
+        device_.marker().kernel_seconds - before.kernel_seconds;
+  }
+}
+
 void GpuSimEngine::prepare_sources(const SourcePlan& plan,
                                    const TreecodeParams& params,
                                    bool charges_only) {
-  // Injected before any device mutation, so a tripped staging attempt
-  // leaves prior staged state intact and the whole call is retryable.
+  // Injected before any mutation, so a tripped staging attempt leaves prior
+  // staged state intact and the whole call is retryable.
   failpoint(failpoints::sites::kGpuStage);
-  const OrderedParticles& src = *plan.particles;
+  host_.prepare_sources(plan, params, charges_only);
   const ClusterTree& tree = *plan.tree;
+  const std::size_t n = plan.particles->size();
 
   if (charges_only) {
     // Update-device of the charges alone (coordinates, tree, and grids are
     // unchanged and stay resident).
-    src_q_->upload(src.q);
+    device_.host_to_device(n * sizeof(double));
   } else {
-    // HtD: source particles enter the device data region once for the
-    // lifetime of this source plan (§3.2 data management).
-    src_x_ = std::make_unique<Buffer>(device_, std::span<const double>(src.x));
-    src_y_ = std::make_unique<Buffer>(device_, std::span<const double>(src.y));
-    src_z_ = std::make_unique<Buffer>(device_, std::span<const double>(src.z));
-    src_q_ = std::make_unique<Buffer>(device_, std::span<const double>(src.q));
-    moments_ = ClusterMoments::grids_only(tree, params.degree);
-    pending_host_setup_particles_ += src.size();
-    // A new source plan invalidates whatever target data was staged: the
-    // interaction lists that referenced the old tree are gone.
-    tgt_x_.reset();
-    tgt_y_.reset();
-    tgt_z_.reset();
-    tgt_grids_.reset();
-    tgt_hat_.reset();
-  }
-
-  // The two preprocessing kernels (Eqs. 14-15) per cluster.
-  const gpusim::TimeMarker before = device_.marker();
-  GpuPrecomputeResult pre = gpu_precompute_moments_device_resident(
-      device_, tree, src, moments_, params.degree);
-  const gpusim::TimeMarker after = device_.marker();
-  pending_modeled_precompute_ += after.kernel_seconds - before.kernel_seconds;
-
-  apply_precompute_result(pre, tree, moments_);
-
-  // HtD: cluster data (grids + modified charges) staged for the compute
-  // phase; stays resident across evaluations. Under a non-fp64 precision
-  // policy the cluster arrays are fp32-resident — only far-field launches
-  // read them, so a real implementation ships them as floats and the
-  // modeled transfer is half the bytes (the simulated kernels still read
-  // the double storage; the fp32 arithmetic is modeled by the 2:1 launch
-  // weight).
-  const std::size_t cluster_elem_bytes =
-      params.precision != PrecisionPolicy::kFp64 ? sizeof(float)
-                                                 : sizeof(double);
-  const auto stage_cluster = [&](std::span<const double> host) {
-    auto buf = std::make_unique<Buffer>(device_, host.size());
-    std::copy(host.begin(), host.end(), buf->span().begin());
-    device_.host_to_device(host.size() * cluster_elem_bytes);
-    return buf;
-  };
-  const auto restage_cluster = [&](Buffer& buf,
-                                   std::span<const double> host) {
-    std::copy(host.begin(), host.end(), buf.span().begin());
-    device_.host_to_device(host.size() * cluster_elem_bytes);
-  };
-  if (charges_only) {
-    restage_cluster(*qhat_, moments_.all_qhat());
-  } else {
-    grids_ = stage_cluster(moments_.all_grids());
-    qhat_ = stage_cluster(moments_.all_qhat());
-    // New source geometry orphans the attached LET; the caller re-attaches
-    // after the exchange.
+    // HtD: the four source streams enter the device data region once for
+    // the lifetime of this source plan (§3.2 data management).
+    for (int stream = 0; stream < 4; ++stream) {
+      device_.host_to_device(n * sizeof(double));
+    }
+    sources_staged_ = true;
+    staged_sources_ = n;
+    staged_clusters_ = tree.num_nodes();
+    pending_host_setup_particles_ += n;
+    // A new source plan invalidates whatever target data was staged (the
+    // lists that referenced the old tree are gone) and orphans the attached
+    // LET; the caller re-attaches after the exchange.
+    targets_staged_ = false;
     let_.clear();
   }
 
-  // Dual traversal: build the moment ladder. The restrictions are small
-  // tensor transfers of the already-resident nominal charges, modeled as
-  // one launch per level; the coarse grids and charges stay device
-  // resident (charges-only refreshes re-upload the charge arrays alone).
-  dual_moments_.clear();
-  if (!charges_only) {
-    dual_grids_.clear();
-    dual_qhat_.clear();
-  }
-  if (params.traversal == TraversalMode::kDual) {
-    const std::vector<int> ladder = dual_degree_ladder(params.degree);
-    for (std::size_t l = 0; l < ladder.size(); ++l) {
-      if (ladder[l] == params.degree) {
-        dual_moments_.push_back(moments_);
-        continue;
-      }
-      gpusim::KernelCost cost;
-      cost.evals = static_cast<double>(tree.num_nodes()) *
-                   static_cast<double>(interpolation_point_count(ladder[l]));
-      cost.blocks = tree.num_nodes();
-      const gpusim::TimeMarker rb = device_.marker();
-      device_.launch(device_.next_stream(), cost, [&] {
-        dual_moments_.push_back(
-            ClusterMoments::restrict_from(tree, moments_, ladder[l]));
-      });
-      device_.synchronize();
-      pending_modeled_precompute_ +=
-          device_.marker().kernel_seconds - rb.kernel_seconds;
+  std::vector<std::size_t> all(tree.num_nodes());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  model_precompute(tree, all);
+  model_restrictions(tree.num_nodes());
+
+  // HtD: cluster data (grids + modified charges, every ladder level) staged
+  // for the compute phase; stays resident across evaluations. A
+  // charges-only refresh re-uploads the charge arrays alone.
+  const std::size_t elem = cluster_elem_bytes(params);
+  for (const ClusterMoments& level : host_.prepared_levels()) {
+    if (!charges_only) {
+      device_.host_to_device(level.all_grids().size() * elem);
     }
-    if (charges_only) {
-      for (std::size_t l = 1; l < dual_moments_.size(); ++l) {
-        restage_cluster(*dual_qhat_[l - 1], dual_moments_[l].all_qhat());
-      }
-    } else {
-      for (std::size_t l = 1; l < dual_moments_.size(); ++l) {
-        dual_grids_.push_back(stage_cluster(dual_moments_[l].all_grids()));
-        dual_qhat_.push_back(stage_cluster(dual_moments_[l].all_qhat()));
-      }
-    }
+    device_.host_to_device(level.all_qhat().size() * elem);
   }
 }
 
 void GpuSimEngine::update_sources(const SourcePlan& plan,
                                   const TreecodeParams& params,
                                   const SourceUpdate& update) {
-  // Injected before any device mutation: a tripped partial restage leaves
-  // the resident state whole and the caller falls back to a full rebuild.
+  // Injected before any mutation: a tripped partial restage leaves the
+  // resident state whole and the caller falls back to a full rebuild.
   failpoint(failpoints::sites::kGpuPartialRestage);
-  const OrderedParticles& src = *plan.particles;
   const ClusterTree& tree = *plan.tree;
-  if (src_x_ == nullptr || src_x_->size() != src.size() ||
-      moments_.num_clusters() != tree.num_nodes()) {
+  if (!sources_staged_ || staged_sources_ != plan.particles->size() ||
+      staged_clusters_ != tree.num_nodes()) {
     // Nothing resident to patch: full stage.
     prepare_sources(plan, params, /*charges_only=*/false);
     return;
   }
+  host_.update_sources(plan, params, update);
 
   // Update-device of array sections: only the moved tree-order ranges of
   // the four source streams cross PCIe. Grids stay resident untouched —
   // the boxes are unchanged by an in-topology update.
-  std::size_t moved_doubles = 0;
+  std::size_t moved = 0;
   for (const auto& range : update.moved_ranges) {
-    const auto b = static_cast<std::ptrdiff_t>(range.first);
-    const auto e = static_cast<std::ptrdiff_t>(range.second);
-    std::copy(src.x.begin() + b, src.x.begin() + e, src_x_->span().begin() + b);
-    std::copy(src.y.begin() + b, src.y.begin() + e, src_y_->span().begin() + b);
-    std::copy(src.z.begin() + b, src.z.begin() + e, src_z_->span().begin() + b);
-    std::copy(src.q.begin() + b, src.q.begin() + e, src_q_->span().begin() + b);
-    moved_doubles += range.second - range.first;
+    moved += range.second - range.first;
   }
-  device_.host_to_device(4 * moved_doubles * sizeof(double));
+  device_.host_to_device(4 * moved * sizeof(double));
 
-  // Re-run the two preprocessing kernels for the dirty clusters only; the
-  // packed result returns to the host (proportional DtH) and patches the
-  // host mirror plus the resident charge array (proportional HtD).
-  const gpusim::TimeMarker before = device_.marker();
-  const GpuPrecomputeResult pre = gpu_precompute_moments_clusters(
-      device_, tree, src, moments_, params.degree, update.dirty_clusters);
-  pending_modeled_precompute_ +=
-      device_.marker().kernel_seconds - before.kernel_seconds;
-
-  // fp32-resident charge arrays (precision policy != kFp64) restage their
-  // dirty ranges at half the bytes, matching the prepare-time staging model.
-  const std::size_t cluster_elem_bytes =
-      params.precision != PrecisionPolicy::kFp64 ? sizeof(float)
-                                                 : sizeof(double);
-  const std::size_t ppc = moments_.points_per_cluster();
-  const auto dq = qhat_->span();
-  for (std::size_t i = 0; i < update.dirty_clusters.size(); ++i) {
-    const std::size_t c = update.dirty_clusters[i];
-    const auto dst = moments_.qhat_mutable(static_cast<int>(c));
-    const double* s = pre.qhat.data() + i * ppc;
-    std::copy(s, s + ppc, dst.begin());
-    std::copy(dst.begin(), dst.end(),
-              dq.begin() + static_cast<std::ptrdiff_t>(c * ppc));
-  }
-  device_.host_to_device(update.dirty_clusters.size() * ppc *
-                         cluster_elem_bytes);
-
-  // Dual ladder: restrict the dirty clusters per level (one small modeled
-  // launch per level) and update-device their coarse charge ranges.
-  if (params.traversal == TraversalMode::kDual && !dual_moments_.empty()) {
-    for (const std::size_t c : update.dirty_clusters) {
-      const auto src_hat = moments_.qhat(static_cast<int>(c));
-      const auto dst_hat = dual_moments_.front().qhat_mutable(
-          static_cast<int>(c));
-      std::copy(src_hat.begin(), src_hat.end(), dst_hat.begin());
-    }
-    for (std::size_t l = 1; l < dual_moments_.size(); ++l) {
-      ClusterMoments& coarse = dual_moments_[l];
-      gpusim::KernelCost cost;
-      cost.evals = static_cast<double>(update.dirty_clusters.size()) *
-                   static_cast<double>(coarse.points_per_cluster());
-      cost.blocks = update.dirty_clusters.size();
-      const gpusim::TimeMarker rb = device_.marker();
-      device_.launch(device_.next_stream(), cost, [&] {
-        for (const std::size_t c : update.dirty_clusters) {
-          ClusterMoments::restrict_cluster(moments_, static_cast<int>(c),
-                                           coarse);
-        }
-      });
-      device_.synchronize();
-      pending_modeled_precompute_ +=
-          device_.marker().kernel_seconds - rb.kernel_seconds;
-      const std::size_t cppc = coarse.points_per_cluster();
-      const auto dhat = dual_qhat_[l - 1]->span();
-      for (const std::size_t c : update.dirty_clusters) {
-        const auto src_hat = coarse.qhat(static_cast<int>(c));
-        std::copy(src_hat.begin(), src_hat.end(),
-                  dhat.begin() + static_cast<std::ptrdiff_t>(c * cppc));
-      }
-      device_.host_to_device(update.dirty_clusters.size() * cppc *
-                             cluster_elem_bytes);
-    }
+  // The preprocessing kernels and ladder restrictions re-run for the dirty
+  // clusters only, and exactly their charge ranges are restaged.
+  model_precompute(tree, update.dirty_clusters);
+  const std::size_t dirty = update.dirty_clusters.size();
+  model_restrictions(dirty);
+  const std::size_t elem = cluster_elem_bytes(params);
+  for (const ClusterMoments& level : host_.prepared_levels()) {
+    device_.host_to_device(dirty * level.points_per_cluster() * elem);
   }
 }
 
 void GpuSimEngine::update_targets(
     const TargetPlan& plan,
     std::span<const std::pair<std::size_t, std::size_t>> moved_ranges) {
-  // Serialize against evaluations: the staged target buffers are the same
+  // Serialize against evaluations: the staged target state is the same
   // state evaluate_potential reads.
   std::lock_guard<std::mutex> lock(eval_mutex_);
   failpoint(failpoints::sites::kGpuPartialRestage);
-  const OrderedParticles& tgt = *plan.particles;
-  if (tgt_x_ == nullptr) return;  // nothing staged; next evaluate stages all
-  if (tgt_x_->size() != tgt.size()) {
-    // Shape changed under us: drop the staged targets, the next evaluate
-    // runs the full fresh-target staging path.
-    tgt_x_.reset();
-    tgt_y_.reset();
-    tgt_z_.reset();
-    tgt_grids_.reset();
-    tgt_hat_.reset();
+  if (!targets_staged_) return;  // next evaluate stages everything
+  if (staged_targets_ != plan.particles->size()) {
+    // Shape changed under us: the next evaluate runs the full
+    // fresh-target staging path.
+    targets_staged_ = false;
     return;
   }
   // Update-device of array sections: only the moved target coordinate
   // ranges cross PCIe, keeping the resident plan coherent for the next
   // evaluate with fresh_targets == false.
-  std::size_t moved_doubles = 0;
-  for (const auto& range : moved_ranges) {
-    const auto b = static_cast<std::ptrdiff_t>(range.first);
-    const auto e = static_cast<std::ptrdiff_t>(range.second);
-    std::copy(tgt.x.begin() + b, tgt.x.begin() + e, tgt_x_->span().begin() + b);
-    std::copy(tgt.y.begin() + b, tgt.y.begin() + e, tgt_y_->span().begin() + b);
-    std::copy(tgt.z.begin() + b, tgt.z.begin() + e, tgt_z_->span().begin() + b);
-    moved_doubles += range.second - range.first;
-  }
-  device_.host_to_device(3 * moved_doubles * sizeof(double));
+  std::size_t moved = 0;
+  for (const auto& range : moved_ranges) moved += range.second - range.first;
+  device_.host_to_device(3 * moved * sizeof(double));
 }
 
 void GpuSimEngine::refresh_let_positions(std::span<const LetPiece> pieces,
-                                         const TreecodeParams& /*params*/) {
+                                         const TreecodeParams& params) {
   failpoint(failpoints::sites::kGpuPartialRestage);
   if (pieces.size() != let_.size()) {
     throw std::logic_error(
         "GpuSimEngine::refresh_let_positions: refresh with a different "
         "piece count");
   }
+  host_.refresh_let_positions(pieces, params);
   // The piece set, trees, and fetched ranges are unchanged; the caller
   // refreshed coordinates, charges, and modified charges in place. Restage
   // the fetched particle data (coordinates + charges) and the charge
   // arrays; grids and tree geometry stay resident.
-  for (LetDeviceState& state : let_) {
-    const OrderedParticles& p = *state.piece.plan.particles;
-    std::copy(p.x.begin(), p.x.end(), state.sx->span().begin());
-    std::copy(p.y.begin(), p.y.end(), state.sy->span().begin());
-    std::copy(p.z.begin(), p.z.end(), state.sz->span().begin());
-    std::copy(p.q.begin(), p.q.end(), state.sq->span().begin());
-    device_.host_to_device(4 * state.piece.fetched_particles *
+  for (const LetPiece& piece : let_) {
+    device_.host_to_device(4 * piece.fetched_particles * sizeof(double));
+    device_.host_to_device(piece.plan.moments->all_qhat().size() *
                            sizeof(double));
-    state.qhat->upload(state.piece.plan.moments->all_qhat());
   }
 }
 
-void GpuSimEngine::stage_piece_particles(LetDeviceState& state,
+void GpuSimEngine::stage_piece_particles(const LetPiece& piece,
                                          bool charges_only) {
   failpoint(failpoints::sites::kGpuStage);
-  const OrderedParticles& p = *state.piece.plan.particles;
+  // Only the fetched subset crosses PCIe: the placeholders outside the
+  // fetched ranges are never referenced by the lists. Coordinates stage
+  // once; charges restage on every refresh.
   if (!charges_only) {
-    // Allocate full-size device arrays (OpenACC `create`), then model the
-    // packed upload of the fetched subset: the placeholders outside the
-    // fetched ranges are never referenced by the lists and a real
-    // implementation would not move them over PCIe.
-    state.sx = std::make_unique<Buffer>(device_, p.size());
-    state.sy = std::make_unique<Buffer>(device_, p.size());
-    state.sz = std::make_unique<Buffer>(device_, p.size());
-    state.sq = std::make_unique<Buffer>(device_, p.size());
-    std::copy(p.x.begin(), p.x.end(), state.sx->span().begin());
-    std::copy(p.y.begin(), p.y.end(), state.sy->span().begin());
-    std::copy(p.z.begin(), p.z.end(), state.sz->span().begin());
-    device_.host_to_device(3 * state.piece.fetched_particles *
-                           sizeof(double));
+    device_.host_to_device(3 * piece.fetched_particles * sizeof(double));
   }
-  // Charges restage on every refresh; coordinates stay resident.
-  std::copy(p.q.begin(), p.q.end(), state.sq->span().begin());
-  device_.host_to_device(state.piece.fetched_particles * sizeof(double));
+  device_.host_to_device(piece.fetched_particles * sizeof(double));
 }
 
 void GpuSimEngine::attach_let_pieces(std::span<const LetPiece> pieces,
-                                     const TreecodeParams& /*params*/,
+                                     const TreecodeParams& params,
                                      bool charges_only) {
   if (charges_only) {
     if (pieces.size() != let_.size()) {
@@ -1097,38 +245,165 @@ void GpuSimEngine::attach_let_pieces(std::span<const LetPiece> pieces,
     }
     // Update-device of the refreshed charge data alone: modified charges of
     // every LET cluster plus the fetched direct-range particle charges.
-    for (LetDeviceState& state : let_) {
-      state.qhat->upload(state.piece.plan.moments->all_qhat());
-      stage_piece_particles(state, /*charges_only=*/true);
+    for (const LetPiece& piece : let_) {
+      device_.host_to_device(piece.plan.moments->all_qhat().size() *
+                             sizeof(double));
+      stage_piece_particles(piece, /*charges_only=*/true);
     }
+    host_.attach_let_pieces(pieces, params, charges_only);
     return;
   }
   let_.clear();
   let_.reserve(pieces.size());
   for (const LetPiece& piece : pieces) {
-    LetDeviceState state;
-    state.piece = piece;
-    stage_piece_particles(state, /*charges_only=*/false);
+    stage_piece_particles(piece, /*charges_only=*/false);
     // HtD: the piece's cluster data — grids recomputed locally from the
     // remote boxes plus the fetched modified charges (the LET's device
     // footprint, §3.1-3.2).
-    state.grids =
-        std::make_unique<Buffer>(device_, piece.plan.moments->all_grids());
-    state.qhat =
-        std::make_unique<Buffer>(device_, piece.plan.moments->all_qhat());
+    device_.host_to_device(piece.plan.moments->all_grids().size() *
+                           sizeof(double));
+    device_.host_to_device(piece.plan.moments->all_qhat().size() *
+                           sizeof(double));
     // LET assembly is host-side setup work, like the local tree/list build.
     pending_host_setup_particles_ += piece.fetched_particles;
-    let_.push_back(std::move(state));
+    let_.push_back(piece);
   }
+  host_.attach_let_pieces(pieces, params, charges_only);
+}
+
+void GpuSimEngine::model_batched(const std::vector<TargetBatch>& batches,
+                                 const InteractionLists& lists,
+                                 const ClusterTree& tree, std::size_t ppc,
+                                 double weight, bool fp32) const {
+  // The CPU walks the interaction lists and queues one kernel per
+  // batch-cluster interaction, cycling the stream id (§3.2 asynchronous
+  // streams); each launch runs one target per block.
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const TargetBatch& batch = batches[b];
+    const BatchInteractions& bi = lists.per_batch[b];
+    const double count = static_cast<double>(batch.count());
+    for (std::size_t e = 0; e < bi.approx.size(); ++e) {
+      // Batch-cluster approximation kernel (Eq. 11), threads over the
+      // cluster's Chebyshev points.
+      const bool f32 =
+          fp32 && e < bi.approx_fp32.size() && bi.approx_fp32[e] != 0;
+      gpusim::KernelCost cost;
+      cost.evals = weight * precision_factor(f32) *
+                   (count * static_cast<double>(ppc));
+      cost.blocks = batch.count();
+      device_.launch(device_.next_stream(), cost);
+    }
+    for (const int ci : bi.direct) {
+      // Batch-cluster direct sum kernel (Eq. 9), threads over the cluster's
+      // source particles; direct launches run fp64 under every policy.
+      gpusim::KernelCost cost;
+      cost.evals =
+          weight * count * static_cast<double>(tree.node(ci).count());
+      cost.blocks = batch.count();
+      device_.launch(device_.next_stream(), cost);
+    }
+  }
+  device_.synchronize();
+}
+
+void GpuSimEngine::model_dual(const TargetPlan& targets,
+                              const ClusterTree& source_tree, double weight,
+                              bool fp32) const {
+  const ClusterTree& target_tree = *targets.tree;
+  const DualInteractionLists& lists = targets.dual_lists[0];
+  const std::span<const ClusterMoments> grids = targets.grids;
+  const std::span<const ClusterMoments> levels = host_.prepared_levels();
+  const std::size_t nn = target_tree.num_nodes();
+  std::vector<unsigned char> flag(grids.size() * nn, 0);
+
+  // CC / CP kernels: one launch per pair, one target grid point per block,
+  // threads over the source stream (proxy points or particles).
+  for (std::size_t g = 0; g < lists.grid_nodes.size(); ++g) {
+    const int ti = lists.grid_nodes[g];
+    for (std::size_t e = lists.grid_offsets[g]; e < lists.grid_offsets[g + 1];
+         ++e) {
+      const DualPair& pair = lists.grid_pairs[e];
+      const std::size_t ppc = grids[pair.level].points_per_cluster();
+      flag[pair.level * nn + static_cast<std::size_t>(ti)] = 1;
+      const double sources =
+          pair.kind == DualKind::kCC
+              ? static_cast<double>(ppc)
+              : static_cast<double>(source_tree.node(pair.source).count());
+      gpusim::KernelCost cost;
+      cost.evals = weight * precision_factor(fp32 && pair.fp32 != 0) *
+                   (static_cast<double>(ppc) * sources);
+      cost.blocks = ppc;
+      device_.launch(device_.next_stream(), cost);
+    }
+  }
+
+  // Downward pass kernel chain, per ladder level: parent-to-children grid
+  // transfers in node index order (parents before children), then one
+  // leaf-to-particle interpolation per reached leaf. Interpolation is
+  // kernel-independent work, so these launches carry no kernel weight.
+  for (std::size_t level = 0; level < grids.size(); ++level) {
+    const double ppc = static_cast<double>(grids[level].points_per_cluster());
+    unsigned char* lflag = flag.data() + level * nn;
+    for (std::size_t ni = 0; ni < nn; ++ni) {
+      const ClusterNode& node = target_tree.node(static_cast<int>(ni));
+      if (!lflag[ni] || node.is_leaf()) continue;
+      gpusim::KernelCost cost;
+      cost.evals = static_cast<double>(node.num_children) * ppc;
+      cost.blocks = static_cast<std::size_t>(node.num_children);
+      device_.launch(device_.next_stream(), cost);
+      for (int c = 0; c < node.num_children; ++c) {
+        lflag[static_cast<std::size_t>(
+            node.children[static_cast<std::size_t>(c)])] = 1;
+      }
+    }
+    for (std::size_t ni = 0; ni < nn; ++ni) {
+      const ClusterNode& node = target_tree.node(static_cast<int>(ni));
+      if (!lflag[ni] || !node.is_leaf() || node.count() == 0) continue;
+      gpusim::KernelCost cost;
+      cost.evals = static_cast<double>(node.count()) * ppc;
+      cost.blocks = node.count();
+      device_.launch(device_.next_stream(), cost);
+    }
+  }
+
+  // PC / direct kernels with target leaves as batches: the batch-cluster
+  // launch shapes (Eqs. 9 and 11). Self mode evaluates each direct pair
+  // once for both sides, and the diagonal pair is a triangular sum.
+  for (std::size_t g = 0; g < lists.leaf_nodes.size(); ++g) {
+    const ClusterNode& leaf = target_tree.node(lists.leaf_nodes[g]);
+    const double count = static_cast<double>(leaf.count());
+    for (std::size_t e = lists.leaf_offsets[g]; e < lists.leaf_offsets[g + 1];
+         ++e) {
+      const DualPair& pair = lists.leaf_pairs[e];
+      const double sources =
+          pair.kind == DualKind::kPC
+              ? static_cast<double>(levels[pair.level].points_per_cluster())
+              : static_cast<double>(source_tree.node(pair.source).count());
+      gpusim::KernelCost cost;
+      cost.blocks = leaf.count();
+      if (pair.kind == DualKind::kPC) {
+        cost.evals = weight * precision_factor(fp32 && pair.fp32 != 0) *
+                     (count * sources);
+      } else if (!lists.self) {
+        cost.evals = weight * count * sources;
+      } else if (pair.source == lists.leaf_nodes[g]) {
+        cost.evals = weight * (count * (count - 1.0) / 2.0);
+      } else {
+        cost.evals = weight * (count * sources);
+      }
+      device_.launch(device_.next_stream(), cost);
+    }
+  }
+  device_.synchronize();
 }
 
 std::vector<double> GpuSimEngine::evaluate_potential(
     const SourcePlan& sources, const TargetPlan& targets,
     const KernelSpec& kernel, bool fresh_targets, RunStats& stats,
-    ExecContext* /*ctx*/) const {
+    ExecContext* ctx) const {
   // One simulated device executes one evaluation at a time: concurrent
-  // callers (the serving layer) serialize here rather than corrupting the
-  // staged target buffers or the delta-reported device counters.
+  // callers (the serving layer) serialize here rather than interleaving
+  // the staged target state or the delta-reported device counters.
   std::lock_guard<std::mutex> lock(eval_mutex_);
   if (targets.per_target_mac) {
     throw std::invalid_argument(
@@ -1148,84 +423,60 @@ std::vector<double> GpuSimEngine::evaluate_potential(
         "GpuSimEngine: dual-traversal evaluation of attached LET pieces is "
         "not supported (DistSolver rejects TraversalMode::kDual)");
   }
-  const OrderedParticles& tgt = *targets.particles;
-  if (fresh_targets || tgt_x_ == nullptr) {
-    // Injected before the first buffer replacement: a tripped target
-    // staging keeps the previously staged targets whole, and the retry
-    // re-runs the full staging block.
+  const std::size_t nt = targets.particles->size();
+  if (fresh_targets || !targets_staged_) {
+    // Injected before the staging is recorded: a tripped target staging
+    // keeps the previous staging state, and the retry re-runs it whole.
     failpoint(failpoints::sites::kGpuStage);
     // HtD: target coordinates, only when the target plan changed.
-    tgt_x_ = std::make_unique<Buffer>(device_, std::span<const double>(tgt.x));
-    tgt_y_ = std::make_unique<Buffer>(device_, std::span<const double>(tgt.y));
-    tgt_z_ = std::make_unique<Buffer>(device_, std::span<const double>(tgt.z));
-    pending_host_setup_particles_ += tgt.size();
+    for (int axis = 0; axis < 3; ++axis) {
+      device_.host_to_device(nt * sizeof(double));
+    }
+    targets_staged_ = true;
+    staged_targets_ = nt;
+    pending_host_setup_particles_ += nt;
     // Dual traversal: the target cluster grids (every ladder level) ride
-    // along with the targets (HtD once per target plan); the per-node grid
-    // potentials are a device-side allocation the CC/CP kernels accumulate
-    // into.
+    // along with the targets; the per-node grid potentials the CC/CP
+    // kernels accumulate into are a device-side allocation (no transfer).
     if (dual) {
-      std::size_t grid_doubles = 0, hat_doubles = 0;
+      std::size_t grid_doubles = 0;
       for (const ClusterMoments& g : targets.grids) {
         grid_doubles += g.all_grids().size();
-        hat_doubles += g.num_clusters() * g.points_per_cluster();
       }
-      tgt_grids_ = std::make_unique<Buffer>(device_, grid_doubles);
       device_.host_to_device(grid_doubles * sizeof(double));
-      tgt_hat_ = std::make_unique<Buffer>(device_, hat_doubles);
-    } else {
-      tgt_grids_.reset();
-      tgt_hat_.reset();
     }
   }
-  // Periodic boundaries: the shared lattice shift table rides to the device
-  // once per engine lifetime (it depends only on the solver's domain/shell
-  // configuration). This one upload is the entire extra device footprint of
-  // the image sum — sources, grids, and modified charges stay shared.
-  if (targets.shifts != nullptr && shift_table_ == nullptr) {
-    const std::vector<double> flat = targets.shifts->flattened();
-    shift_table_ =
-        std::make_unique<Buffer>(device_, std::span<const double>(flat));
+  if (targets.shifts != nullptr && !shift_table_staged_) {
+    device_.host_to_device(targets.shifts->bytes());
+    shift_table_staged_ = true;
   }
 
+  std::vector<double> phi = host_.evaluate_potential(
+      sources, targets, kernel, fresh_targets, stats, ctx);
+
+  // Model the launches over the lists the host just executed: the local
+  // piece first, then the attached LET pieces in piece order. fp32 is
+  // charged exactly where the host ran fp32 tiles — tagged interactions of
+  // the engine-owned piece when it carries a shadow; LET pieces run fp64.
+  const double weight = kernel_eval_weight(kernel, /*on_gpu=*/true);
+  const bool fp32 = host_.has_fp32_shadow();
   const gpusim::TimeMarker before = device_.marker();
-  EngineCounters counters;
-  std::vector<double> phi;
   if (dual) {
-    phi = gpu_evaluate_dual_device_resident(
-        device_, tgt, *targets.tree, targets.grids, targets.dual_lists[0],
-        *sources.tree, *sources.particles, dual_moments_, kernel, &counters,
-        targets.shifts);
+    model_dual(targets, *sources.tree, weight, fp32);
   } else {
-    // Local piece first, then the attached LET pieces in piece order (fixed
-    // accumulation order keeps the result deterministic and backend-
-    // independent).
-    phi = gpu_evaluate_device_resident(
-        device_, tgt, *targets.batches, targets.lists[0], *sources.tree,
-        *sources.particles, moments_, kernel, &counters, targets.shifts);
+    model_batched(*targets.batches, targets.lists[0], *sources.tree,
+                  host_.prepared_levels().front().points_per_cluster(),
+                  weight, fp32);
     for (std::size_t p = 0; p < let_.size(); ++p) {
-      const LetPiece& piece = let_[p].piece;
-      EngineCounters piece_counters;
-      add_into(phi, gpu_evaluate_device_resident(
-                        device_, tgt, *targets.batches, targets.lists[1 + p],
-                        *piece.plan.tree, *piece.plan.particles,
-                        *piece.plan.moments, kernel, &piece_counters));
-      accumulate_counters(counters, piece_counters);
+      const SourcePlan& piece = let_[p].plan;
+      model_batched(*targets.batches, targets.lists[1 + p], *piece.tree,
+                    piece.moments->points_per_cluster(), weight,
+                    /*fp32=*/false);
     }
   }
   // DtH: final potentials (every evaluation downloads its results).
   device_.device_to_host(phi.size() * sizeof(double));
   const gpusim::TimeMarker after = device_.marker();
-
-  stats.approx_evals = counters.approx_evals;
-  stats.direct_evals = counters.direct_evals;
-  stats.approx_launches = counters.approx_launches;
-  stats.direct_launches = counters.direct_launches;
-  stats.cp_evals = counters.cp_evals;
-  stats.cc_evals = counters.cc_evals;
-  stats.cp_launches = counters.cp_launches;
-  stats.cc_launches = counters.cc_launches;
-  stats.fp32_evals = counters.fp32_evals;
-  stats.fp64_evals = counters.fp64_evals;
 
   // Modeled times on the paper's hardware: host-side setup work plus all
   // PCIe transfers since the last report are attributed to the setup phase
@@ -1266,6 +517,13 @@ void GpuSimEngine::mesh_far_field(const mesh::MeshPlan& plan,
                                   std::vector<double>& phi, FieldResult* field,
                                   RunStats& stats) const {
   std::scoped_lock lock(eval_mutex_);
+  // The host gather computes the values; the launches below model it.
+  if (field != nullptr) {
+    plan.add_field(*targets.particles, *field);
+  } else {
+    plan.add_potential(*targets.particles, phi);
+  }
+
   const mesh::MeshTuning& tuning = plan.tuning();
   const double grid = static_cast<double>(plan.grid_points());
   const double p3 = static_cast<double>(tuning.order) *
@@ -1285,7 +543,7 @@ void GpuSimEngine::mesh_far_field(const mesh::MeshPlan& plan,
       gpusim::KernelCost cost;
       cost.evals = nsrc * p3;
       cost.blocks = (plan.num_sources() + 127) / 128;
-      device_.launch(device_.next_stream(), cost, [] {});
+      device_.launch(device_.next_stream(), cost);
     }
     const int dims[3] = {tuning.nx, tuning.ny, tuning.nz};
     for (int pass = 0; pass < 2; ++pass) {  // forward, then inverse
@@ -1295,13 +553,13 @@ void GpuSimEngine::mesh_far_field(const mesh::MeshPlan& plan,
         cost.blocks = static_cast<std::size_t>(grid) /
                           static_cast<std::size_t>(dims[d]) +
                       1;  // one block per pencil
-        device_.launch(device_.next_stream(), cost, [] {});
+        device_.launch(device_.next_stream(), cost);
       }
       if (pass == 0) {
         gpusim::KernelCost cost;
         cost.evals = grid / 2.0;  // Hermitian half spectrum
         cost.blocks = static_cast<std::size_t>(grid / 2.0) / 256 + 1;
-        device_.launch(device_.next_stream(), cost, [] {});
+        device_.launch(device_.next_stream(), cost);
       }
     }
     mesh_version_staged_ = plan.version();
@@ -1310,21 +568,13 @@ void GpuSimEngine::mesh_far_field(const mesh::MeshPlan& plan,
 
   // Per-call interpolation: one block per 128 targets, p^3 grid reads per
   // target (4x the accumulation work with analytic-gradient forces), then
-  // the far-field results come down over PCIe. The launch body performs the
-  // actual numerics — the simulated device computes bit-identical values to
-  // the host gather.
+  // the far-field results come down over PCIe.
   const std::size_t nt = targets.particles->size();
   {
     gpusim::KernelCost cost;
     cost.evals = static_cast<double>(nt) * p3 * (field != nullptr ? 4.0 : 1.0);
     cost.blocks = nt / 128 + 1;
-    device_.launch(device_.next_stream(), cost, [&] {
-      if (field != nullptr) {
-        plan.add_field(*targets.particles, *field);
-      } else {
-        plan.add_potential(*targets.particles, phi);
-      }
-    });
+    device_.launch(device_.next_stream(), cost);
   }
   device_.device_to_host(nt * sizeof(double) * (field != nullptr ? 4 : 1));
   const gpusim::TimeMarker after = device_.marker();

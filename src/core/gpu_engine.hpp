@@ -1,42 +1,44 @@
-// BLTC device kernels on the simulated GPU (§3.2). Four kernels exactly as
-// the paper describes:
+// Simulated-GPU backend (§3.2): GpuSim models launches over host numerics.
+// Every number it returns is computed by the host engine (`CpuEngine` and
+// the cpu_kernels list drivers), so the two backends agree bit for bit.
+// What this engine adds is what the paper's OpenACC run would cost. It
+// walks the same interaction lists the host executes and records the
+// paper's launch schedule on a `gpusim::Device` timeline:
 //   1. preprocessing kernel 1 — intermediate charges q̃_j (Eq. 14), one
-//      source particle per thread block, threads over interpolation degree;
-//   2. preprocessing kernel 2 — modified charges q̂_k (Eq. 15), one
-//      Chebyshev point per thread block, threads over source particles;
-//   3. batch-cluster direct sum kernel (Eq. 9), one target per thread block,
-//      threads over source particles, reduction per block;
-//   4. batch-cluster approximation kernel (Eq. 11), one target per thread
-//      block, threads over Chebyshev points, reduction per block.
-// Launches cycle round-robin over the device's asynchronous streams, and
-// transfers follow the paper's data-region schedule: sources HtD before the
-// precompute, modified charges DtH after it, targets + cluster data HtD
-// before the compute, potentials DtH at the end.
+//      block per source particle;
+//   2. preprocessing kernel 2 — modified charges q̂_k (Eq. 15), one block
+//      per Chebyshev point;
+//   3. batch-cluster direct sum kernel (Eq. 9), one block per target;
+//   4. batch-cluster approximation kernel (Eq. 11), one block per target;
+// plus, under the dual traversal, one launch per CC/CP pair, the
+// downward-pass chain and the moment-ladder restrictions, and under
+// kPeriodicMesh the spread/FFT/gather pipeline. Launches cycle round-robin
+// over the device's asynchronous streams, and transfers follow the paper's
+// data-region schedule: sources HtD before the precompute, modified charges
+// DtH after it, targets + cluster data HtD before the compute, potentials
+// DtH at the end.
 //
-// `GpuSimEngine` wraps these kernels behind the Engine interface and keeps
-// sources, grids, and modified charges device-resident across evaluate()
-// calls: a Solver that evaluates repeatedly uploads source data exactly
-// once, and target data only when the target plan changes. In the
-// distributed path each rank's engine additionally keeps its locally
-// essential tree device-resident — attached LET pieces stage their fetched
-// particles, grids, and modified charges once, and a charges-only refresh
-// re-uploads exactly the charge arrays.
+// The engine models sources, grids, and modified charges as device-resident
+// across evaluate() calls: a Solver that evaluates repeatedly uploads
+// source data exactly once, and target data only when the target plan
+// changes. In the distributed path each rank's engine additionally keeps
+// its locally essential tree device-resident — attached LET pieces stage
+// their fetched particles, grids, and modified charges once, and a
+// charges-only refresh re-uploads exactly the charge arrays.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "core/cpu_engine.hpp"
 #include "core/engine.hpp"
 #include "core/interaction_lists.hpp"
 #include "core/kernels.hpp"
 #include "core/moments.hpp"
-#include "core/particles.hpp"
-#include "gpusim/buffer.hpp"
 #include "gpusim/device.hpp"
 
 namespace bltc {
@@ -46,105 +48,12 @@ namespace bltc {
 /// ~1.5x slower than Coulomb on the GPU and ~1.8x on the CPU (§4, Fig. 4).
 double kernel_eval_weight(const KernelSpec& spec, bool on_gpu);
 
-/// Result of the device-side precompute (modified charges for every cluster).
-struct GpuPrecomputeResult {
-  /// Flattened modified charges, same layout as ClusterMoments.
-  std::vector<double> qhat;
-};
-
-/// Run the two preprocessing kernels for every cluster of the tree on
-/// `device`, assuming the source particles are already device resident (no
-/// source HtD is accounted); `moments` supplies the per-cluster grids
-/// (grids_only is enough). The modified charges return to the host (DtH),
-/// where (in the distributed code) they are exposed through RMA windows.
-GpuPrecomputeResult gpu_precompute_moments_device_resident(
-    gpusim::Device& device, const ClusterTree& tree,
-    const OrderedParticles& sources, const ClusterMoments& moments,
-    int degree);
-
-/// Incremental variant: run the two preprocessing kernels for exactly
-/// `clusters` (ascending node indices into `tree`), assuming sources are
-/// already device resident. Returns the modified charges packed in
-/// `clusters` order (clusters.size() * (n+1)^3 doubles) — only the dirty
-/// subset returns to the host (DtH), so the accounted traffic is
-/// proportional to the dirty cluster count, not the tree size.
-GpuPrecomputeResult gpu_precompute_moments_clusters(
-    gpusim::Device& device, const ClusterTree& tree,
-    const OrderedParticles& sources, const ClusterMoments& moments, int degree,
-    std::span<const std::size_t> clusters);
-
-/// Copy a precompute result's flattened modified charges into `moments`
-/// (which must have been built over the same tree/degree). The layout
-/// knowledge lives here, next to the kernels that produce it.
-void apply_precompute_result(const GpuPrecomputeResult& result,
-                             const ClusterTree& tree, ClusterMoments& moments);
-
-/// One-shot variant: uploads the source particles (HtD) first, then runs
-/// the preprocessing kernels.
-GpuPrecomputeResult gpu_precompute_moments(gpusim::Device& device,
-                                           const ClusterTree& tree,
-                                           const OrderedParticles& sources,
-                                           const ClusterMoments& moments,
-                                           int degree);
-
-/// Potential evaluation (kernels 3 and 4) assuming all inputs are already
-/// device resident — no transfers are accounted. The distributed solver
-/// uses this after explicitly accounting the (much smaller) LET transfer.
-/// A non-null `shifts` table (periodic boundaries) executes image entries
-/// by adding the entry's shift — read from the device-resident table by its
-/// compact id — to the source stream inside the kernel bodies; the cluster
-/// data itself is shared by every image.
-///
-/// Launch precision is per interaction: approximation launches whose list
-/// entry is tagged fp32-eligible (`BatchInteractions::approx_fp32`, see
-/// core/precision.hpp) run single precision at the 2:1 FP32:FP64 modeled
-/// throughput of the paper's GPUs; direct launches always run fp64.
-std::vector<double> gpu_evaluate_device_resident(
-    gpusim::Device& device, const OrderedParticles& targets,
-    const std::vector<TargetBatch>& batches, const InteractionLists& lists,
-    const ClusterTree& tree, const OrderedParticles& sources,
-    const ClusterMoments& moments, const KernelSpec& kernel,
-    EngineCounters* counters = nullptr, const ShiftTable* shifts = nullptr);
-
-/// Dual-traversal potential evaluation assuming all inputs (including the
-/// target cluster grids) are device resident. Models the BLDTT launch
-/// classes: CC/CP kernels accumulate onto per-target-node grid potentials,
-/// a downward-pass kernel chain propagates parent grids to children and
-/// interpolates leaf grids to particles, and PC/direct kernels reuse the
-/// batch-cluster bodies with target leaves as batches. PC/CP/CC launches
-/// tagged fp32-eligible (`DualPair::fp32`) run single precision at the 2:1
-/// modeled throughput; direct launches always run fp64.
-std::vector<double> gpu_evaluate_dual_device_resident(
-    gpusim::Device& device, const OrderedParticles& targets,
-    const ClusterTree& target_tree,
-    std::span<const ClusterMoments> target_grids,
-    const DualInteractionLists& lists, const ClusterTree& source_tree,
-    const OrderedParticles& sources,
-    std::span<const ClusterMoments> moment_levels, const KernelSpec& kernel,
-    EngineCounters* counters = nullptr, const ShiftTable* shifts = nullptr);
-
-/// Run the potential evaluation (kernels 3 and 4) for all batches on
-/// `device`, including the HtD upload of targets/sources/cluster data and
-/// the DtH download of potentials. `moments` must already hold modified
-/// charges. Returns tree-ordered potentials.
-std::vector<double> gpu_evaluate(gpusim::Device& device,
-                                 const OrderedParticles& targets,
-                                 const std::vector<TargetBatch>& batches,
-                                 const InteractionLists& lists,
-                                 const ClusterTree& tree,
-                                 const OrderedParticles& sources,
-                                 const ClusterMoments& moments,
-                                 const KernelSpec& kernel,
-                                 EngineCounters* counters = nullptr,
-                                 const ShiftTable* shifts = nullptr);
-
 /// Engine-interface wrapper owning one simulated device for the lifetime of
-/// its Solver. Device-resident state: source coordinates/charges (uploaded
-/// by prepare_sources; charges alone re-uploaded by update_charges),
-/// cluster grids and modified charges, and the last target plan's
-/// coordinates. Statistics are reported as deltas per evaluation, so a
-/// repeat evaluation on an unchanged plan shows zero host-to-device bytes
-/// for sources and targets.
+/// its Solver. The numerics run through a composed `CpuEngine`; this class
+/// keeps the device residency bookkeeping (which arrays are staged, so
+/// repeat evaluations move only results) and turns list walks into modeled
+/// launches. Statistics are reported as deltas per evaluation, so a repeat
+/// evaluation on an unchanged plan shows zero host-to-device bytes.
 class GpuSimEngine final : public Engine {
  public:
   explicit GpuSimEngine(const GpuOptions& options);
@@ -166,7 +75,7 @@ class GpuSimEngine final : public Engine {
   void refresh_let_positions(std::span<const LetPiece> pieces,
                              const TreecodeParams& params) override;
   std::span<const double> prepared_qhat() const override {
-    return moments_.all_qhat();
+    return host_.prepared_qhat();
   }
   std::vector<double> evaluate_potential(const SourcePlan& sources,
                                          const TargetPlan& targets,
@@ -186,18 +95,23 @@ class GpuSimEngine final : public Engine {
   const gpusim::Device& device() const { return device_; }
 
  private:
-  using Buffer = gpusim::DeviceBuffer<double>;
-
-  /// Device-resident copy of one attached LET piece. The particle buffers
-  /// are sized to the remote particle count but only the fetched subset is
-  /// accounted as PCIe traffic (the placeholders are never referenced).
-  struct LetDeviceState {
-    LetPiece piece;  ///< host-side views (caller-owned storage)
-    std::unique_ptr<Buffer> sx, sy, sz, sq;
-    std::unique_ptr<Buffer> grids, qhat;
-  };
-
-  void stage_piece_particles(LetDeviceState& state, bool charges_only);
+  /// Model the two preprocessing kernels for every non-empty cluster of
+  /// `clusters` and the DtH of their modified charges; the modeled kernel
+  /// seconds are attributed to the next evaluation's precompute phase.
+  void model_precompute(const ClusterTree& tree,
+                        std::span<const std::size_t> clusters);
+  /// Model one restriction launch per coarse ladder level, each over
+  /// `clusters` clusters (the whole tree on prepare, the dirty set on
+  /// update).
+  void model_restrictions(std::size_t clusters);
+  /// Model the batch-cluster launches of one source piece's lists.
+  void model_batched(const std::vector<TargetBatch>& batches,
+                     const InteractionLists& lists, const ClusterTree& tree,
+                     std::size_t ppc, double weight, bool fp32) const;
+  /// Model the dual-traversal launches of the engine-owned piece.
+  void model_dual(const TargetPlan& targets, const ClusterTree& source_tree,
+                  double weight, bool fp32) const;
+  void stage_piece_particles(const LetPiece& piece, bool charges_only);
 
   // Deliberate `mutable` audit: evaluation is const under the Engine
   // re-entrancy contract, but a simulated device accumulates time/transfer
@@ -210,31 +124,22 @@ class GpuSimEngine final : public Engine {
   mutable std::mutex eval_mutex_;
 
   GpuOptions options_;
+  CpuEngine host_;  ///< computes every number this engine returns
   mutable gpusim::Device device_;
-  ClusterMoments moments_;  ///< host mirror of grids + modified charges
-  /// Dual traversal only: host mirrors of the moment ladder ([0] is the
-  /// nominal degree; lower degrees are device-side restrictions of it).
-  std::vector<ClusterMoments> dual_moments_;
-  std::vector<std::unique_ptr<gpusim::DeviceBuffer<double>>> dual_grids_,
-      dual_qhat_;
 
-  // Device-resident data (persist across evaluate calls). Target-side
-  // buffers are staged lazily inside evaluate (hence mutable); source-side
-  // buffers are staged by prepare_sources.
-  std::unique_ptr<Buffer> src_x_, src_y_, src_z_, src_q_;
-  std::unique_ptr<Buffer> grids_, qhat_;
-  mutable std::unique_ptr<Buffer> tgt_x_, tgt_y_, tgt_z_;
-  /// Periodic boundaries: the plan's lattice shift table, uploaded once per
-  /// engine lifetime (it depends only on the solver's domain/shell
-  /// configuration) and read by every shifted kernel launch. Its one upload
-  /// is the entire device-footprint cost of periodic images — sources,
-  /// grids, and modified charges are shared by every shift.
-  mutable std::unique_ptr<Buffer> shift_table_;
-  /// Dual traversal: target-node Chebyshev grids plus the per-node grid
-  /// potentials the CC/CP kernels accumulate into; staged with the targets
-  /// and resident until the target plan changes.
-  mutable std::unique_ptr<Buffer> tgt_grids_, tgt_hat_;
-  std::vector<LetDeviceState> let_;
+  // Residency bookkeeping: what the modeled device currently holds.
+  bool sources_staged_ = false;
+  std::size_t staged_sources_ = 0;   ///< resident source particles
+  std::size_t staged_clusters_ = 0;  ///< clusters of the resident tree
+  mutable bool targets_staged_ = false;
+  mutable std::size_t staged_targets_ = 0;
+  /// Periodic boundaries: the plan's lattice shift table is uploaded once
+  /// per engine lifetime (it depends only on the solver's domain/shell
+  /// configuration). Its one upload is the entire device-footprint cost of
+  /// periodic images — sources, grids, and modified charges are shared by
+  /// every shift.
+  mutable bool shift_table_staged_ = false;
+  std::vector<LetPiece> let_;  ///< resident LET pieces (caller-owned data)
 
   // Phase accounting pending attribution to the next evaluation.
   mutable double pending_modeled_precompute_ = 0.0;

@@ -31,15 +31,6 @@ ShiftTable ShiftTable::build(const Box3& domain, int shells) {
   return table;
 }
 
-std::vector<double> ShiftTable::flattened() const {
-  std::vector<double> flat;
-  flat.reserve(3 * size());
-  flat.insert(flat.end(), sx.begin(), sx.end());
-  flat.insert(flat.end(), sy.begin(), sy.end());
-  flat.insert(flat.end(), sz.begin(), sz.end());
-  return flat;
-}
-
 double wrap_coordinate(double v, double lo, double len) {
   double t = std::fmod(v - lo, len);
   if (t < 0.0) t += len;

@@ -55,7 +55,7 @@ enum class BoundaryConditions {
 /// (i, j, k) != 0 with max(|i|,|j|,|k|) <= shells in lexicographic order,
 /// so the table — and therefore every interaction-list ordering built from
 /// it — is deterministic. Interaction-list entries store the index as a
-/// 16-bit shift id; executors resolve it here (the GPU engine keeps a
+/// 16-bit shift id; executors resolve it here (the GPU engine models a
 /// device-resident copy).
 struct ShiftTable {
   std::vector<double> sx, sy, sz;  ///< SoA shift components, home cell first
@@ -69,9 +69,6 @@ struct ShiftTable {
 
   /// Bytes a device-resident copy occupies (three doubles per entry).
   std::size_t bytes() const { return 3 * size() * sizeof(double); }
-
-  /// Flat {sx..., sy..., sz...} layout for a device-resident copy.
-  std::vector<double> flattened() const;
 
   /// Build the table for `shells` image shells of `domain` ((2k+1)^3
   /// entries). `shells == 0` yields the home cell only, which makes a

@@ -77,7 +77,7 @@ double Device::launch_duration(const KernelCost& cost) const {
   return std::max(cost.evals / effective, spec_.min_kernel_time);
 }
 
-void Device::record_launch(int stream, const KernelCost& cost) {
+void Device::launch(int stream, const KernelCost& cost) {
   if (stream < 0 || stream >= spec_.num_streams) {
     throw std::out_of_range("Device::launch: bad stream id");
   }

@@ -1,10 +1,10 @@
 // Software GPU execution model.
 //
 // The paper runs its compute kernels through OpenACC on NVIDIA Titan V and
-// P100 GPUs. This environment has no GPU, so (per DESIGN.md §1) the device
-// is simulated: kernels launched through this API execute their numerics on
-// the host immediately, while an event-driven timeline models what the
-// launch would cost on the real device — per-launch overhead, asynchronous
+// P100 GPUs. Here the device is a cost model: a launch is a declared cost,
+// not code. Callers compute their numbers on the host and record the
+// launches that work would take, and an event-driven timeline models what
+// they would cost on the real device — per-launch overhead, asynchronous
 // stream queuing (the paper's `async(streamID)` idiom with 4 streams),
 // occupancy of small launches, and PCIe transfer time. The model is
 // deliberately simple but reproduces the qualitative behaviours the paper
@@ -74,13 +74,9 @@ class Device {
   /// Account a device-to-host transfer of `bytes`.
   void device_to_host(std::size_t bytes);
 
-  /// Record a kernel launch on `stream` and execute `body()` immediately on
-  /// the host (the numerics are real; only the clock is simulated).
-  template <typename F>
-  void launch(int stream, const KernelCost& cost, F&& body) {
-    record_launch(stream, cost);
-    body();
-  }
+  /// Record a kernel launch of `cost` on `stream`, advancing the modeled
+  /// timeline. Nothing executes: callers compute their numbers on the host.
+  void launch(int stream, const KernelCost& cost);
 
   /// Round-robin stream assignment helper, mirroring the paper's cycling of
   /// streamID through the available streams.
@@ -107,8 +103,6 @@ class Device {
   double launch_duration(const KernelCost& cost) const;
 
  private:
-  void record_launch(int stream, const KernelCost& cost);
-
   DeviceSpec spec_;
   bool async_;
   double cpu_clock_ = 0.0;     ///< host-side time spent driving the device

@@ -1,4 +1,4 @@
-// In-process message-passing substrate standing in for MPI (DESIGN.md §1).
+// In-process message-passing substrate standing in for MPI.
 //
 // N ranks run as N OS threads. Each rank owns private data; the *only*
 // sanctioned communication channels are:

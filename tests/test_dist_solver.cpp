@@ -45,9 +45,28 @@ TEST(DistSolver, GpuBackendMatchesCpuBackend) {
                                                  pc, 4);
   const auto gpu = compute_potential_distributed(c, KernelSpec::yukawa(0.5),
                                                  pg, 4);
-  double scale = 0.0;
-  for (const double v : cpu.potential) scale = std::fmax(scale, std::fabs(v));
-  EXPECT_LT(max_abs_difference(cpu.potential, gpu.potential), 1e-11 * scale);
+  // GpuSim models launches over the host numerics, LET pieces included.
+  EXPECT_EQ(cpu.potential, gpu.potential);
+}
+
+TEST(DistSolver, GpuBackendMatchesCpuBackendUnderMixedPrecision) {
+  // Under kMixed the local piece runs its tagged far-field tiles fp32 from
+  // the shadow and the LET pieces run fp64 — on both backends. N is large
+  // enough that each rank's local tree has far-field pairs of its own.
+  const Cloud c = uniform_cube(20000, 4);
+  DistParams pc = cpu_params();
+  pc.treecode.precision = PrecisionPolicy::kMixed;
+  DistParams pg = pc;
+  pg.backend = Backend::kGpuSim;
+  const auto cpu = compute_potential_distributed(c, KernelSpec::coulomb(),
+                                                 pc, 2);
+  const auto gpu = compute_potential_distributed(c, KernelSpec::coulomb(),
+                                                 pg, 2);
+  EXPECT_EQ(cpu.potential, gpu.potential);
+  // Non-vacuous: fp32 tiles actually ran.
+  const auto fp64 = compute_potential_distributed(c, KernelSpec::coulomb(),
+                                                  cpu_params(), 2);
+  EXPECT_NE(cpu.potential, fp64.potential);
 }
 
 TEST(DistSolver, SingleRankMatchesSerialSolverExactly) {

@@ -71,6 +71,20 @@ TEST_P(DualParity, PotentialMatchesOracleWithinMacBound) {
   EXPECT_TRUE(dual_stats.dual_traversal);
   EXPECT_LT(dual_stats.total_evals(), pc_stats.total_evals());
   EXPECT_GT(dual_stats.cp_launches + dual_stats.cc_launches, 0u);
+
+  // Convergence with degree: the error falls as the nominal degree (and
+  // with it the whole reduced-order ladder) rises.
+  double prev = 1e300;
+  for (const int degree : {2, 4, 6, 8}) {
+    TreecodeParams params = dual_params();
+    params.degree = degree;
+    Solver solver = make_solver(params, kernel);
+    solver.set_sources(c);
+    const double err = relative_l2_error(oracle, solver.evaluate(c));
+    EXPECT_LT(err, prev * 1.5) << "degree " << degree;
+    prev = err;
+  }
+  EXPECT_LT(prev, 1e-6);
 }
 
 TEST_P(DualParity, FieldMatchesOracle) {
@@ -257,23 +271,24 @@ TEST(DualTraversal, GpuSimMatchesCpuAndStaysResident) {
 
   Solver cpu = make_solver(params, KernelSpec::coulomb());
   cpu.set_sources(c);
-  const auto phi_cpu = cpu.evaluate(c);
-
   Solver gpu = make_solver(params, KernelSpec::coulomb(), Backend::kGpuSim);
   gpu.set_sources(c);
+
+  // Asymmetric mode (distinct targets): GpuSim models launches over the
+  // host numerics, so the backends agree bit for bit.
+  const Cloud targets = uniform_cube(3000, 44, -1.5, 1.5);
+  EXPECT_EQ(cpu.evaluate(targets), gpu.evaluate(targets));
+
+  // Symmetric self mode: the per-thread mirror reduction is
+  // scheduling-dependent above one OpenMP thread (ROADMAP.md open item 1),
+  // so two runs agree to rounding only.
+  const auto phi_cpu = cpu.evaluate(c);
   RunStats first;
   const auto phi_gpu = gpu.evaluate(c, &first);
   EXPECT_GT(first.cc_launches + first.cp_launches, 0u);
   EXPECT_GT(first.gpu_launches, 0u);
   EXPECT_GT(first.bytes_to_device, 0u);
-
-  ASSERT_EQ(phi_cpu.size(), phi_gpu.size());
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < phi_cpu.size(); ++i) {
-    num += (phi_cpu[i] - phi_gpu[i]) * (phi_cpu[i] - phi_gpu[i]);
-    den += phi_cpu[i] * phi_cpu[i];
-  }
-  EXPECT_LT(std::sqrt(num / den), 1e-12);
+  EXPECT_LT(relative_l2_error(phi_cpu, phi_gpu), 1e-12);
 
   // Repeat evaluation: everything is device resident, only results move.
   RunStats repeat;

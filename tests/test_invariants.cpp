@@ -7,7 +7,6 @@
 
 #include "core/direct_sum.hpp"
 #include "core/solver.hpp"
-#include "core/variants.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/workloads.hpp"
@@ -109,22 +108,40 @@ TEST(Invariants, DualTraversalCoversEveryPairExactlyOnce) {
   // so r = 0 pairs are included too. Interpolation of a constant is exact
   // at any degree, so the approximated interactions contribute exactly as
   // many "pairs" as they cover.
-  Cloud c = uniform_cube(3000, 6);
+  const Cloud c = uniform_cube(20000, 6);
   double total_q = 0.0;
   for (const double q : c.q) total_q += q;
 
   // G(r) = sqrt(r^2 + s^2) with s huge behaves like the constant s over the
   // domain (relative variation ~ (r/s)^2 ~ 1e-14 for s = 1e6, r <= 3.5).
   const double s = 1.0e6;
+  // A low degree, small leaves, and a loose MAC make well-separated
+  // clusters large against their (n+1)^3 proxy points, so CC and CP pairs
+  // occur at this N.
   TreecodeParams p = params();
-  for (const TreecodeVariant v :
-       {TreecodeVariant::kParticleCluster, TreecodeVariant::kClusterParticle,
-        TreecodeVariant::kClusterCluster}) {
-    const auto phi = compute_potential_variant(
-        c, c, KernelSpec::multiquadric(s), p, v);
-    for (std::size_t i = 0; i < c.size(); i += 191) {
+  p.traversal = TraversalMode::kDual;
+  p.theta = 0.8;
+  p.degree = 3;
+  p.max_leaf = 100;
+  p.max_batch = 100;
+  SolverConfig config;
+  config.kernel = KernelSpec::multiquadric(s);
+  config.params = p;
+  Solver solver(config);
+  solver.set_sources(c);
+
+  // Symmetric self mode (targets == sources: mutual direct pairs, the
+  // triangular diagonal pairs, and the G(0) self term) and the asymmetric
+  // one-directional mode (a distinct target cloud).
+  const Cloud targets = uniform_cube(5000, 9, -1.5, 1.5);
+  for (const Cloud* t : {&c, &targets}) {
+    RunStats stats;
+    const auto phi = solver.evaluate(*t, &stats);
+    EXPECT_GT(stats.cc_launches, 0u);
+    EXPECT_GT(stats.cp_launches, 0u);
+    for (std::size_t i = 0; i < t->size(); i += 191) {
       EXPECT_NEAR(phi[i] / s, total_q, 1e-6 * (1.0 + std::fabs(total_q)))
-          << "variant " << static_cast<int>(v) << " target " << i;
+          << (t == &c ? "self" : "asymmetric") << " target " << i;
     }
   }
 }

@@ -109,11 +109,23 @@ TEST_P(PeriodicParity, PotentialMatchesPeriodicOracleOnBothEngines) {
       relative_l2_error(oracle, open_solver.evaluate(c));
   EXPECT_GT(open_err, 1e-10);  // non-vacuous: the open side approximated
 
+  std::vector<double> phi_cpu;
   for (const Backend backend : {Backend::kCpu, Backend::kGpuSim}) {
     Solver solver = make_solver(params, pc.kernel, backend);
     solver.set_sources(c);
     RunStats stats;
     const auto phi = solver.evaluate(c, &stats);
+    if (backend == Backend::kCpu) {
+      phi_cpu = phi;
+    } else if (mode == TraversalMode::kBatched) {
+      // GpuSim models launches over the host numerics: bitwise parity.
+      EXPECT_EQ(phi, phi_cpu) << pc.name;
+    } else {
+      // Dual symmetric self mode: the per-thread mirror reduction is
+      // scheduling-dependent above one OpenMP thread (ROADMAP.md open
+      // item 1), so two runs agree to rounding only.
+      EXPECT_LT(relative_l2_error(phi_cpu, phi), 1e-12) << pc.name;
+    }
     const double err = relative_l2_error(oracle, phi);
     // The trees differ (one tree over 27N replicated particles vs 27
     // shifted walks of the home tree), so the errors are not identical —
