@@ -1,24 +1,20 @@
-// PME bench: what does periodic Coulomb cost through the mesh far field vs
-// through truncated image shells? Four runs over the same neutral ionic
+// PME bench: what does periodic Coulomb cost through the mesh far field
+// compared with no periodicity at all? Two runs over the same neutral ionic
 // cell at the same (theta, n):
 //
-//   * open       — the same cloud with open boundaries: the near-field
-//                  eval-count baseline (what the treecode costs with no
-//                  periodicity at all);
-//   * mesh       — kPeriodicMesh: screened erfc(ar)/r near field with a
-//                  range cutoff + FFT mesh far field. The headline claim:
-//                  near-field kernel evals stay within ~1.3x of the open
-//                  baseline, and the error matches the *converged* Ewald
-//                  sum at the treecode's nominal error target;
-//   * shells=1/2 — legacy kPeriodic image-shell truncation: 27/125 lattice
-//                  images through the treecode, 4.4-6.6x the open eval
-//                  count, and an error floor set by lattice truncation (the
-//                  conditionally-convergent Coulomb sum converges slowly in
-//                  shells), not by (theta, n).
+//   * open — the same cloud with open boundaries: the near-field eval-count
+//            baseline (what the treecode costs with no periodicity);
+//   * mesh — kPeriodicMesh: screened erfc(ar)/r near field with a range
+//            cutoff + FFT mesh far field. The headline claim: near-field
+//            kernel evals stay within ~1.3x of the open baseline, and the
+//            error matches the *converged* Ewald sum at the treecode's
+//            nominal error target.
 //
-// Errors are measured against the converged classical Ewald oracle
-// (direct_sum_ewald_sampled) for the periodic runs. Results are written to
-// BENCH_pme.json (override with --json) for cross-PR tracking.
+// kPeriodicMesh is the one periodic Coulomb mode; Coulomb image shells are
+// rejected because their truncated sum does not converge (README, PME).
+// The mesh run is scored against the converged classical Ewald oracle
+// (direct_sum_ewald_sampled). Results are written to BENCH_pme.json
+// (override with --json) for cross-PR tracking.
 //
 // BLTC_PME_N rescales the run (default ~40k: 34^3 lattice sites).
 #include <cmath>
@@ -83,7 +79,7 @@ RunResult run_case(const Cloud& cloud, const TreecodeParams& params,
 
 int main(int argc, char** argv) {
   bench::banner(
-      "PME periodic Coulomb — mesh far field vs truncated image shells",
+      "PME periodic Coulomb — mesh far field vs open boundaries",
       "BLTC_PME_N (default 39304 = 34^3 lattice sites)");
 
   const std::size_t n = env_size("BLTC_PME_N", 39304);
@@ -96,8 +92,8 @@ int main(int argc, char** argv) {
   params.domain = Box3::cube(0.0, box);
 
   const auto sample = sample_indices(cloud.size(), 300);
-  // One converged Ewald reference serves every periodic run; the open run
-  // is scored against the plain direct sum over the same sample.
+  // The mesh run is scored against the converged Ewald reference, the open
+  // run against the plain direct sum over the same sample.
   WallTimer oracle_timer;
   const std::vector<double> ewald =
       direct_sum_ewald_sampled(cloud, sample, cloud, params.domain);
@@ -110,16 +106,9 @@ int main(int argc, char** argv) {
   TreecodeParams open_params = params;  // kOpen, same theta/n/leaf/batch
   TreecodeParams mesh_params = params;
   mesh_params.boundary = BoundaryConditions::kPeriodicMesh;
-  TreecodeParams shell1 = params;
-  shell1.boundary = BoundaryConditions::kPeriodic;
-  shell1.image_shells = 1;
-  TreecodeParams shell2 = shell1;
-  shell2.image_shells = 2;
 
   const RunResult open_run = run_case(cloud, open_params, sample, open_ref);
   const RunResult mesh_run = run_case(cloud, mesh_params, sample, ewald);
-  const RunResult s1_run = run_case(cloud, shell1, sample, ewald);
-  const RunResult s2_run = run_case(cloud, shell2, sample, ewald);
 
   const mesh::MeshTuning tuning = mesh::tune_mesh(mesh_params);
   bench::Table table({"mode", "near evals", "vs open", "error", "compute[s]",
@@ -132,17 +121,13 @@ int main(int argc, char** argv) {
   };
   row("open (baseline)", open_run);
   row("mesh (kPeriodicMesh)", mesh_run);
-  row("shells=1 (27 images)", s1_run);
-  row("shells=2 (125 images)", s2_run);
   table.print();
   std::printf("\nmesh tuning: order %d, alpha %.2f, r_cut %.3f, grid "
               "%dx%dx%d (%zu points), target error %.1e\n",
               tuning.order, tuning.alpha, tuning.r_cut, tuning.nx, tuning.ny,
               tuning.nz, mesh_run.mesh_points, tuning.target_error);
-  std::printf("near-field eval ratio vs open: mesh %.2fx, shells=1 %.2fx, "
-              "shells=2 %.2fx\n",
-              mesh_run.evals / open_run.evals, s1_run.evals / open_run.evals,
-              s2_run.evals / open_run.evals);
+  std::printf("near-field eval ratio vs open: mesh %.2fx\n",
+              mesh_run.evals / open_run.evals);
 
   bench::JsonReport report("bench_pme");
   report.note("n", std::to_string(cloud.size()));
@@ -153,25 +138,18 @@ int main(int argc, char** argv) {
                                std::to_string(tuning.nz));
   report.metric("open_evals", open_run.evals);
   report.metric("mesh_near_evals", mesh_run.evals);
-  report.metric("shells1_evals", s1_run.evals);
-  report.metric("shells2_evals", s2_run.evals);
   report.metric("mesh_eval_ratio", mesh_run.evals / open_run.evals);
-  report.metric("shells1_eval_ratio", s1_run.evals / open_run.evals);
-  report.metric("shells2_eval_ratio", s2_run.evals / open_run.evals);
   report.metric("mesh_error_vs_ewald", mesh_run.error);
-  report.metric("shells1_error_vs_ewald", s1_run.error);
-  report.metric("shells2_error_vs_ewald", s2_run.error);
   report.metric("open_error", open_run.error);
   report.metric("mesh_points", static_cast<double>(mesh_run.mesh_points));
   report.metric("mesh_far_seconds", mesh_run.mesh_cost);
+  report.metric("open_compute_seconds", open_run.compute);
   report.metric("mesh_compute_seconds", mesh_run.compute);
-  report.metric("shells1_compute_seconds", s1_run.compute);
   report.metric("nominal_error_target", tuning.target_error);
   report.write(bench::json_output_path(argc, argv, "BENCH_pme.json"));
 
-  std::printf("\nThe mesh far field replaces the (2k+1)^3-image lattice sum: "
-              "near-field work stays\nat the open-boundary level while the "
-              "error tracks the converged Ewald sum instead\nof an "
-              "image-truncation floor.\n");
+  std::printf("\nThe mesh far field carries the whole lattice sum: "
+              "near-field work stays at the\nopen-boundary level while the "
+              "error tracks the converged Ewald sum.\n");
   return 0;
 }

@@ -10,7 +10,9 @@
 // error on top of the error ladder's truncation bound would exceed the
 // nominal (theta, n) target, so its error column should track fp64's;
 // kFp32Far takes the whole far field to fp32 unconditionally and marks
-// the accuracy floor of the trade.
+// the accuracy floor of the trade. GpuSim runs the host numerics under a
+// launch-cost model, so its errors equal the CPU rows (the parity is
+// tested) and only the CPU error is measured.
 //
 // Results are written to BENCH_precision.json (override with --json) for
 // cross-PR tracking. BLTC_PREC_N / BLTC_PREC_REPS rescale the run.
@@ -80,7 +82,9 @@ Cell run_cell(const Cloud& cloud, const KernelSpec& kernel, Backend backend,
     cell.demotions = stats.precision_demotions;
   }
   cell.far_rate = cell.far_evals / cell.compute_seconds;
-  cell.error = bench::sampled_error(cloud, phi, kernel, 500);
+  if (backend == Backend::kCpu) {
+    cell.error = bench::sampled_error(cloud, phi, kernel, 500);
+  }
   return cell;
 }
 
@@ -103,6 +107,7 @@ int main(int argc, char** argv) {
   report.note("theta_degree", "0.8 / 8");
   report.note("compute_units",
               "cpu: wall seconds; gpu: modeled Titan V seconds");
+  report.note("gpu_error", "equals the cpu row (GpuSim-vs-CPU parity)");
 
   bench::Table table({"backend", "traversal", "policy", "error",
                       "compute[s]", "far_rate[evals/s]", "fp32_evals",
@@ -120,19 +125,19 @@ int main(int argc, char** argv) {
             PrecisionPolicy::kFp32Far}) {
         const Cell cell =
             run_cell(cloud, kernel, backend, traversal, policy, reps);
-        const char* backend_tag =
-            backend == Backend::kGpuSim ? "gpu" : "cpu";
+        const bool gpu = backend == Backend::kGpuSim;
+        const char* backend_tag = gpu ? "gpu" : "cpu";
         const char* traversal_tag =
             traversal == TraversalMode::kDual ? "dual" : "batched";
         table.add_row({backend_tag, traversal_tag, policy_tag(policy),
-                       bench::Table::sci(cell.error),
+                       gpu ? "= cpu" : bench::Table::sci(cell.error),
                        bench::Table::num(cell.compute_seconds, 4),
                        bench::Table::sci(cell.far_rate),
                        bench::Table::sci(cell.fp32_evals),
                        std::to_string(cell.demotions)});
         const std::string prefix = std::string(backend_tag) + "_" +
                                    traversal_tag + "_" + policy_tag(policy);
-        report.metric(prefix + "_error", cell.error);
+        if (!gpu) report.metric(prefix + "_error", cell.error);
         report.metric(prefix + "_compute_seconds", cell.compute_seconds);
         report.metric(prefix + "_far_rate", cell.far_rate);
         report.metric(prefix + "_fp32_evals", cell.fp32_evals);
@@ -140,7 +145,7 @@ int main(int argc, char** argv) {
         report.metric(prefix + "_demotions",
                       static_cast<double>(cell.demotions));
 
-        const int bi = backend == Backend::kGpuSim ? 1 : 0;
+        const int bi = gpu ? 1 : 0;
         const int ti = traversal == TraversalMode::kDual ? 1 : 0;
         if (policy == PrecisionPolicy::kFp64) {
           base_rate[bi][ti] = cell.far_rate;

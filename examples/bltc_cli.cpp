@@ -60,7 +60,8 @@ void usage() {
       "                         target; direct tiles always run fp64\n"
       "  --ranks <count>        >1 runs the distributed pipeline\n"
       "  --periodic             periodic boundary conditions over [0, L)^3\n"
-      "                         (serial only; Coulomb requires neutrality)\n"
+      "                         (serial only; image sums serve yukawa and\n"
+      "                         gaussian, periodic coulomb runs under --pme)\n"
       "  --box <L>              periodic cell edge length (default 1.0)\n"
       "  --shells <k>           image shells: (2k+1)^3 lattice images\n"
       "                         (default 1)\n"
@@ -432,7 +433,7 @@ int main(int argc, char** argv) {
     }
   }
   } catch (const std::invalid_argument& e) {
-    // Configuration rejected by the library (non-neutral periodic Coulomb,
+    // Configuration rejected by the library (Coulomb under image sums,
     // periodic distributed runs, out-of-range parameters): report like any
     // other bad input instead of aborting.
     std::fprintf(stderr, "invalid configuration: %s\n", e.what());

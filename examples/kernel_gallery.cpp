@@ -6,8 +6,8 @@
 // The periodic section runs the same machinery under
 // BoundaryConditions::kPeriodic: one source plan serving every lattice
 // image, checked against the periodic direct-sum oracle over the identical
-// image set. Yukawa and Gaussian converge absolutely; Coulomb requires the
-// neutral ionic-lattice workload.
+// image set. Yukawa and Gaussian converge absolutely; periodic Coulomb runs
+// in the PME section under kPeriodicMesh, since its image sum does not.
 //
 // BLTC_GALLERY_N scales the open-boundary workload (CI smoke runs use a
 // tiny value so this example can never silently rot).
@@ -81,12 +81,10 @@ int main() {
   struct PeriodicCase {
     const char* label;
     KernelSpec kernel;
-    bool ionic;  ///< neutral lattice (Coulomb requirement) vs plasma
   };
   const PeriodicCase cases[] = {
-      {"yukawa (screened plasma)", KernelSpec::yukawa(2.0), false},
-      {"gaussian (plasma)", KernelSpec::gaussian(4.0), false},
-      {"coulomb (neutral ionic)", KernelSpec::coulomb(), true},
+      {"yukawa (screened plasma)", KernelSpec::yukawa(2.0)},
+      {"gaussian (plasma)", KernelSpec::gaussian(4.0)},
   };
 
   std::printf("\nPeriodic section: [0,1)^3, %d image shell(s) — one shared "
@@ -95,9 +93,7 @@ int main() {
   std::printf("%-28s %-12s %-14s\n", "kernel (workload)", "error",
               "compute[s]");
   for (const PeriodicCase& pc : cases) {
-    auto cells = static_cast<std::size_t>(std::cbrt(static_cast<double>(pn)));
-    const Cloud cloud = pc.ionic ? ionic_lattice(cells, 7, 1.0, 0.5)
-                                 : screened_plasma(pn, 7, 1.0);
+    const Cloud cloud = screened_plasma(pn, 7, 1.0);
     SolverConfig config;
     config.kernel = pc.kernel;
     config.params = pparams;
@@ -124,9 +120,8 @@ int main() {
   // ---- PME section -------------------------------------------------------
   // The same Coulomb treecode under kPeriodicMesh: screened erfc(ar)/r near
   // field + FFT mesh far field, checked against the converged Ewald oracle.
-  // Unlike kPeriodic it is the *full* lattice sum (not a truncated image
-  // set) and accepts non-neutral clouds via the uniform-background
-  // convention.
+  // It is the *full* lattice sum (not a truncated image set) and accepts
+  // non-neutral clouds via the uniform-background convention.
   TreecodeParams mparams = pparams;
   mparams.boundary = BoundaryConditions::kPeriodicMesh;
   mparams.image_shells = 1;

@@ -289,11 +289,6 @@ std::vector<double> CpuEngine::evaluate_potential(const SourcePlan& sources,
                               targets.grids, targets.dual_lists[index],
                               *piece.tree, *piece.particles, levels, kernel,
                               targets.shifts, &counters, workspace, fp32);
-    } else if (targets.per_target_mac) {
-      phi = cpu_evaluate_per_target(*targets.particles, targets.lists[index],
-                                    *piece.tree, *piece.particles, moments,
-                                    kernel, targets.shifts, &counters,
-                                    workspace, fp32);
     } else {
       phi = cpu_evaluate(*targets.particles, *targets.batches,
                          targets.lists[index], *piece.tree, *piece.particles,
@@ -354,12 +349,6 @@ FieldResult CpuEngine::evaluate_field(const SourcePlan& sources,
                                     *piece.tree, *piece.particles, levels,
                                     kernel, targets.shifts, &counters,
                                     workspace, fp32);
-    } else if (targets.per_target_mac) {
-      out = cpu_evaluate_field_per_target(*targets.particles,
-                                          targets.lists[index], *piece.tree,
-                                          *piece.particles, moments, kernel,
-                                          targets.shifts, &counters,
-                                          workspace, fp32);
     } else {
       out = cpu_evaluate_field(*targets.particles, *targets.batches,
                                targets.lists[index], *piece.tree,

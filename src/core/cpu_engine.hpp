@@ -1,5 +1,5 @@
-// Host potential-evaluation engine — the paper's CPU comparator (§4). All
-// four host paths ({potential, field} x {batched, per-target MAC}) execute
+// Host potential-evaluation engine — the paper's CPU comparator (§4). Both
+// batched host paths (potential and field) and the dual paths execute
 // through the blocked kernel core in core/cpu_kernels.hpp; `CpuEngine`
 // wraps those free evaluation functions behind the Engine interface and
 // keeps the modified charges alive across evaluate() calls. Evaluation
@@ -34,7 +34,6 @@ namespace bltc {
 class CpuEngine final : public Engine {
  public:
   Backend backend() const override { return Backend::kCpu; }
-  bool supports_per_target_mac() const override { return true; }
   bool supports_fields() const override { return true; }
 
   void prepare_sources(const SourcePlan& plan, const TreecodeParams& params,

@@ -198,11 +198,10 @@ DirectStream direct_stream(const OrderedParticles& sources, std::size_t begin,
   return {sx, sy, sz, sources.q.data() + begin};
 }
 
-/// The one list-execution driver behind all four host paths. `batches`
-/// null means per-target-MAC lists (one list per target particle).
+/// The one list-execution driver behind both batched host paths.
 template <bool Field, typename K>
 void run_lists(const OrderedParticles& targets,
-               const std::vector<TargetBatch>* batches,
+               const std::vector<TargetBatch>& batches,
                const InteractionLists& lists, const ClusterTree& tree,
                const OrderedParticles& sources, const ClusterMoments& moments,
                K k, CpuWorkspace& ws, const ShiftTable* shifts,
@@ -222,8 +221,7 @@ void run_lists(const OrderedParticles& targets,
   cost.resize(nlists);
   for (std::size_t b = 0; b < nlists; ++b) {
     const BatchInteractions& bi = lists.per_batch[b];
-    const double count =
-        batches != nullptr ? static_cast<double>((*batches)[b].count()) : 1.0;
+    const double count = static_cast<double>(batches[b].count());
     double work = static_cast<double>(bi.approx.size()) * ppc;
     for (const int ci : bi.direct) {
       work += static_cast<double>(tree.node(ci).count());
@@ -245,8 +243,8 @@ void run_lists(const OrderedParticles& targets,
   for (std::size_t s = 0; s < nlists; ++s) {
     const std::size_t b = order[s];
     const BatchInteractions& bi = lists.per_batch[b];
-    const std::size_t begin = batches != nullptr ? (*batches)[b].begin : b;
-    const std::size_t end = batches != nullptr ? (*batches)[b].end : b + 1;
+    const std::size_t begin = batches[b].begin;
+    const std::size_t end = batches[b].end;
     const double count = static_cast<double>(end - begin);
     CpuScratch& scratch = ws.scratch();
 
@@ -798,24 +796,7 @@ std::vector<double> cpu_evaluate(const OrderedParticles& targets,
   CpuWorkspace local;
   CpuWorkspace& ws = workspace != nullptr ? *workspace : local;
   with_kernel(kernel, [&](auto k) {
-    run_lists<false>(targets, &batches, lists, tree, sources, moments, k, ws,
-                     shifts, fp32, phi.data(), nullptr, nullptr, nullptr,
-                     counters);
-  });
-  return phi;
-}
-
-std::vector<double> cpu_evaluate_per_target(
-    const OrderedParticles& targets, const InteractionLists& lists,
-    const ClusterTree& tree, const OrderedParticles& sources,
-    const ClusterMoments& moments, const KernelSpec& kernel,
-    const ShiftTable* shifts, EngineCounters* counters,
-    CpuWorkspace* workspace, const Fp32Shadow* fp32) {
-  std::vector<double> phi(targets.size(), 0.0);
-  CpuWorkspace local;
-  CpuWorkspace& ws = workspace != nullptr ? *workspace : local;
-  with_kernel(kernel, [&](auto k) {
-    run_lists<false>(targets, nullptr, lists, tree, sources, moments, k, ws,
+    run_lists<false>(targets, batches, lists, tree, sources, moments, k, ws,
                      shifts, fp32, phi.data(), nullptr, nullptr, nullptr,
                      counters);
   });
@@ -841,28 +822,7 @@ FieldResult cpu_evaluate_field(const OrderedParticles& targets,
   CpuWorkspace local;
   CpuWorkspace& ws = workspace != nullptr ? *workspace : local;
   with_grad_kernel(kernel, [&](auto k) {
-    run_lists<true>(targets, &batches, lists, tree, sources, moments, k, ws,
-                    shifts, fp32, out.phi.data(), out.ex.data(),
-                    out.ey.data(), out.ez.data(), counters);
-  });
-  return out;
-}
-
-FieldResult cpu_evaluate_field_per_target(
-    const OrderedParticles& targets, const InteractionLists& lists,
-    const ClusterTree& tree, const OrderedParticles& sources,
-    const ClusterMoments& moments, const KernelSpec& kernel,
-    const ShiftTable* shifts, EngineCounters* counters,
-    CpuWorkspace* workspace, const Fp32Shadow* fp32) {
-  FieldResult out;
-  out.phi.assign(targets.size(), 0.0);
-  out.ex.assign(targets.size(), 0.0);
-  out.ey.assign(targets.size(), 0.0);
-  out.ez.assign(targets.size(), 0.0);
-  CpuWorkspace local;
-  CpuWorkspace& ws = workspace != nullptr ? *workspace : local;
-  with_grad_kernel(kernel, [&](auto k) {
-    run_lists<true>(targets, nullptr, lists, tree, sources, moments, k, ws,
+    run_lists<true>(targets, batches, lists, tree, sources, moments, k, ws,
                     shifts, fp32, out.phi.data(), out.ex.data(),
                     out.ey.data(), out.ez.data(), counters);
   });

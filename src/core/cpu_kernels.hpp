@@ -13,7 +13,7 @@
 //     target. The singular-kernel guard is a branchless select
 //     (kernel_value_masked / grad_value_masked) so the loop if-converts.
 //   * A single-target variant vectorizes across *sources* with a simd
-//     reduction instead — the shape the per-target MAC ablation needs.
+//     reduction instead — the shape a one-target list (max_batch = 1) needs.
 //   * `TileSimd` is a hook for hand-tuned ISA-specific tiles; with AVX-512
 //     the Coulomb kernel replaces vsqrt+vdiv with vrsqrt14pd refined by two
 //     Newton iterations (relative error ~1e-16, far below the treecode's
@@ -22,11 +22,11 @@
 //     their original scalar form so their results are bit-stable.
 //
 // One templated driver (`cpu_kernels.cpp`) executes interaction lists
-// through these tiles for all four host paths: {potential, field} x
-// {batched MAC, per-target MAC}. Per-cluster grids are expanded once per
-// (list, cluster) visit into per-thread scratch that persists across
-// evaluations (owned by CpuEngine), and lists are executed largest-first
-// under guided scheduling so the parallel tail is made of cheap lists.
+// through these tiles for both batched host paths, potential and field.
+// Per-cluster grids are expanded once per (list, cluster) visit into
+// per-thread scratch that persists across evaluations (owned by CpuEngine),
+// and lists are executed largest-first under guided scheduling so the
+// parallel tail is made of cheap lists.
 #pragma once
 
 #include <cstddef>
@@ -62,7 +62,7 @@ inline constexpr std::size_t kF32FlushInterval = 128;
 /// point streams (coordinates + modified charges), reused across clusters,
 /// lists, and evaluate() calls. `cached_cluster` skips re-expansion when
 /// consecutive lists on one thread visit the same cluster (the common case
-/// under the per-target MAC, where a list holds a single target); it is
+/// at max_batch = 1, where a list holds a single target); it is
 /// only valid within one evaluation — the driver invalidates it on entry
 /// because the modified charges can change between calls.
 struct CpuScratch {
@@ -788,7 +788,8 @@ struct TileSimdF32<true, CoulombGradKernel> {
 #endif  // __AVX512F__
 
 /// One target against a source stream, vectorized across sources with a
-/// simd reduction (the per-target-MAC shape, and the edge case nt == 1).
+/// simd reduction (one-target lists, max_batch = 1, and the edge case
+/// nt == 1).
 template <bool Field, typename K>
 inline void accumulate_single(double tx, double ty, double tz,
                               const double* __restrict sx,
@@ -1161,14 +1162,6 @@ std::vector<double> cpu_evaluate(const OrderedParticles& targets,
                                  CpuWorkspace* workspace = nullptr,
                                  const Fp32Shadow* fp32 = nullptr);
 
-/// Ablation path: `lists` has one entry per target (per-target MAC).
-std::vector<double> cpu_evaluate_per_target(
-    const OrderedParticles& targets, const InteractionLists& lists,
-    const ClusterTree& tree, const OrderedParticles& sources,
-    const ClusterMoments& moments, const KernelSpec& kernel,
-    const ShiftTable* shifts = nullptr, EngineCounters* counters = nullptr,
-    CpuWorkspace* workspace = nullptr, const Fp32Shadow* fp32 = nullptr);
-
 /// Potential + field evaluation (tree order) for batched targets, using the
 /// analytic gradient of the barycentric approximation (core/fields.hpp).
 FieldResult cpu_evaluate_field(const OrderedParticles& targets,
@@ -1182,14 +1175,6 @@ FieldResult cpu_evaluate_field(const OrderedParticles& targets,
                                EngineCounters* counters = nullptr,
                                CpuWorkspace* workspace = nullptr,
                                const Fp32Shadow* fp32 = nullptr);
-
-/// Per-target-MAC potential + field evaluation.
-FieldResult cpu_evaluate_field_per_target(
-    const OrderedParticles& targets, const InteractionLists& lists,
-    const ClusterTree& tree, const OrderedParticles& sources,
-    const ClusterMoments& moments, const KernelSpec& kernel,
-    const ShiftTable* shifts = nullptr, EngineCounters* counters = nullptr,
-    CpuWorkspace* workspace = nullptr, const Fp32Shadow* fp32 = nullptr);
 
 /// Dual-traversal potential evaluation (tree order): executes CC/CP pairs
 /// onto target-node grids (parallel over grid groups), runs the downward

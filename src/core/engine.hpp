@@ -113,10 +113,6 @@ class Engine {
 
   virtual Backend backend() const = 0;
 
-  /// Whether the engine can execute per-target-MAC interaction lists
-  /// (the GPU engine batches by construction and cannot).
-  virtual bool supports_per_target_mac() const = 0;
-
   /// Whether evaluate_field is implemented.
   virtual bool supports_fields() const = 0;
 

@@ -405,11 +405,6 @@ std::vector<double> GpuSimEngine::evaluate_potential(
   // callers (the serving layer) serialize here rather than interleaving
   // the staged target state or the delta-reported device counters.
   std::lock_guard<std::mutex> lock(eval_mutex_);
-  if (targets.per_target_mac) {
-    throw std::invalid_argument(
-        "per_target_mac is a CPU-backend ablation; the GPU engine batches "
-        "by construction");
-  }
   const bool dual = targets.traversal == TraversalMode::kDual;
   const std::size_t npieces =
       dual ? targets.dual_lists.size() : targets.lists.size();

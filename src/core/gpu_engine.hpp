@@ -59,7 +59,6 @@ class GpuSimEngine final : public Engine {
   explicit GpuSimEngine(const GpuOptions& options);
 
   Backend backend() const override { return Backend::kGpuSim; }
-  bool supports_per_target_mac() const override { return false; }
   bool supports_fields() const override { return false; }
 
   void prepare_sources(const SourcePlan& plan, const TreecodeParams& params,

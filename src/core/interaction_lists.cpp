@@ -82,13 +82,8 @@ std::vector<ImageShift> image_shifts(const ShiftTable* shifts) {
   return images;
 }
 
-}  // namespace
-
-namespace {
-
-/// Aggregate totals shared by both batched builders; under kMixed every
-/// untagged approx entry is a demotion (it wanted fp32 but failed the
-/// bound).
+/// Aggregate totals of the batched lists; under kMixed every untagged
+/// approx entry is a demotion (it wanted fp32 but failed the bound).
 void finish_totals(InteractionLists& lists, PrecisionPolicy precision) {
   for (const auto& bi : lists.per_batch) {
     lists.total_approx += bi.approx.size();
@@ -574,26 +569,6 @@ DualInteractionLists build_dual_interaction_lists(const ClusterTree& ttree,
     lists.precision_demotions =
         lists.total_pc + lists.total_cp + lists.total_cc - lists.total_fp32;
   }
-  return lists;
-}
-
-InteractionLists build_interaction_lists_per_target(
-    const OrderedParticles& targets, const ClusterTree& tree, double theta,
-    int degree, const ShiftTable* shifts, PrecisionPolicy precision,
-    double range_cutoff) {
-  InteractionLists lists;
-  lists.per_batch.resize(targets.size());
-  if (tree.num_nodes() == 0) return lists;
-  const std::vector<ImageShift> images = image_shifts(shifts);
-#pragma omp parallel for schedule(dynamic, 64)
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const std::array<double, 3> pt{targets.x[i], targets.y[i], targets.z[i]};
-    for (const ImageShift& image : images) {
-      traverse(tree, tree.root(), pt, 0.0, theta, degree, image, precision,
-               range_cutoff, lists.per_batch[i]);
-    }
-  }
-  finish_totals(lists, precision);
   return lists;
 }
 

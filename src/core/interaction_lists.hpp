@@ -69,15 +69,6 @@ InteractionLists build_interaction_lists(
     PrecisionPolicy precision = PrecisionPolicy::kFp64,
     double range_cutoff = std::numeric_limits<double>::infinity());
 
-/// Ablation variant: apply the MAC per target particle instead of per batch
-/// (§3.2 argues batching is near-optimal; this quantifies the claim). The
-/// result has one BatchInteractions per *target particle* of `targets`.
-InteractionLists build_interaction_lists_per_target(
-    const OrderedParticles& targets, const ClusterTree& tree, double theta,
-    int degree, const ShiftTable* shifts = nullptr,
-    PrecisionPolicy precision = PrecisionPolicy::kFp64,
-    double range_cutoff = std::numeric_limits<double>::infinity());
-
 // ---- Dual traversal (BLDTT) ----------------------------------------------
 
 /// Interaction kinds the dual traversal emits for an admissible (target

@@ -52,18 +52,4 @@ inline bool pair_well_separated(const std::array<double, 3>& target_center,
          theta * distance(target_center, source_center);
 }
 
-/// Per-target MAC used by the ablation study: the batch radius is zero and
-/// the distance is measured from the individual target.
-inline MacResult evaluate_mac_point(const std::array<double, 3>& target,
-                                    const std::array<double, 3>& cluster_center,
-                                    double cluster_radius,
-                                    std::size_t cluster_count, double theta,
-                                    int degree) {
-  const double r = distance(target, cluster_center);
-  if (cluster_radius >= theta * r) return MacResult::kTooClose;
-  if (interpolation_point_count(degree) >= cluster_count)
-    return MacResult::kClusterSmall;
-  return MacResult::kApprox;
-}
-
 }  // namespace bltc

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/fields.hpp"
+#include "core/plan.hpp"
 
 namespace bltc {
 
@@ -51,26 +52,23 @@ Cloud wrap_cloud(const Cloud& cloud, const Box3& domain) {
   return out;
 }
 
-bool kernel_requires_neutrality(const KernelSpec& kernel) {
-  return kernel.type == KernelType::kCoulomb;
-}
-
-void require_periodic_neutrality(std::span<const double> charges,
-                                 const KernelSpec& kernel) {
-  if (!kernel_requires_neutrality(kernel)) return;
-  double sum = 0.0;
-  double abs_sum = 0.0;
-  for (const double q : charges) {
-    sum += q;
-    abs_sum += std::abs(q);
-  }
-  if (std::abs(sum) > 1e-9 * std::fmax(1.0, abs_sum)) {
+void require_boundary_kernel(const TreecodeParams& params,
+                             const KernelSpec& kernel) {
+  const bool coulomb = kernel.type == KernelType::kCoulomb;
+  if (params.boundary == BoundaryConditions::kPeriodic && coulomb) {
     throw std::invalid_argument(
-        "periodic boundary conditions: the Coulomb lattice sum is only "
-        "conditionally convergent and requires a charge-neutral system "
-        "(|sum q| <= 1e-9 * sum |q|); use a neutral charge assignment, or a "
-        "screened kernel (Yukawa/Gaussian) whose image sum converges "
-        "absolutely");
+        "BoundaryConditions::kPeriodic: the Coulomb lattice sum is only "
+        "conditionally convergent, so image shells do not converge it; "
+        "use BoundaryConditions::kPeriodicMesh for periodic Coulomb "
+        "(Yukawa and Gaussian run under kPeriodic image sums)");
+  }
+  // The erfc near field and the reciprocal-space Gaussian far field
+  // recombine to the Coulomb lattice sum and to nothing else.
+  if (params.mesh() && !coulomb) {
+    throw std::invalid_argument(
+        "BoundaryConditions::kPeriodicMesh applies the Ewald split of the "
+        "Coulomb kernel only; use BoundaryConditions::kPeriodic image sums "
+        "for " + kernel.name());
   }
 }
 

@@ -21,9 +21,10 @@
 // work only ever arises from the home cell and the adjacent image shell, so
 // the direct tiles realize the minimum-image convention; far images are
 // absorbed by cluster approximations high in the shifted trees. Yukawa and
-// Gaussian sums converge absolutely in the shell count and are the headline
-// periodic kernels; the Coulomb lattice sum is conditionally convergent and
-// only meaningful for charge-neutral systems, which the solver enforces.
+// Gaussian sums converge absolutely in the shell count and are the image-sum
+// kernels; the Coulomb lattice sum is conditionally convergent, so more
+// shells do not converge it, and periodic Coulomb runs under kPeriodicMesh
+// instead (`require_boundary_kernel`).
 #pragma once
 
 #include <array>
@@ -37,6 +38,8 @@
 #include "util/workloads.hpp"
 
 namespace bltc {
+
+struct TreecodeParams;
 
 /// Boundary conditions of the evaluation domain.
 enum class BoundaryConditions {
@@ -104,16 +107,13 @@ double wrap_coordinate(double v, double lo, double len);
 /// Wrap a cloud into `domain` (positions only; charges pass through).
 Cloud wrap_cloud(const Cloud& cloud, const Box3& domain);
 
-/// Whether `kernel`'s infinite lattice sum requires charge neutrality to be
-/// meaningful (conditionally convergent kernels). True for Coulomb.
-bool kernel_requires_neutrality(const KernelSpec& kernel);
-
-/// Enforce the periodic-validity requirement of `kernel` on the source
-/// charges: throws std::invalid_argument when the kernel requires charge
-/// neutrality and |sum q| > 1e-9 * max(1, sum |q|). Called by the solver on
-/// set_sources and update_charges under kPeriodic.
-void require_periodic_neutrality(std::span<const double> charges,
-                                 const KernelSpec& kernel);
+/// Which boundary mode serves which kernel: kPeriodic image sums reject
+/// Coulomb (conditionally convergent; use kPeriodicMesh), and kPeriodicMesh
+/// serves Coulomb only (the Ewald split is a property of 1/r). Throws
+/// std::invalid_argument naming the mode to use. Called by the Solver
+/// constructor and at ServeFrontend admission.
+void require_boundary_kernel(const TreecodeParams& params,
+                             const KernelSpec& kernel);
 
 // ---- Periodic O(N^2) oracles ---------------------------------------------
 // Reference sums over the *identical* image set the treecode uses: inputs

@@ -35,11 +35,6 @@ void TreecodeParams::validate() const {
     throw std::invalid_argument(
         "TreecodeParams: precision must be kFp64, kMixed, or kFp32Far");
   }
-  if (traversal == TraversalMode::kDual && per_target_mac) {
-    throw std::invalid_argument(
-        "TreecodeParams: per_target_mac is an ablation of the batched "
-        "traversal and cannot be combined with TraversalMode::kDual");
-  }
   if (boundary != BoundaryConditions::kOpen) {
     for (int d = 0; d < 3; ++d) {
       const auto i = static_cast<std::size_t>(d);
@@ -317,7 +312,6 @@ TargetPlanState TargetPlanState::plan(const Cloud& targets,
                                       const TreecodeParams& params) {
   TargetPlanState state;
   state.particles = OrderedParticles::from_cloud(targets);
-  state.per_target_mac = params.per_target_mac;
   state.traversal = params.traversal;
   state.boundary = params.boundary;
   state.domain = params.domain;
@@ -340,7 +334,7 @@ TargetPlanState TargetPlanState::plan(const Cloud& targets,
     for (const int d : dual_degree_ladder(params.degree)) {
       state.grids.push_back(ClusterMoments::grids_only(state.tree, d));
     }
-  } else if (!params.per_target_mac) {
+  } else {
     state.batches = build_target_batches(state.particles, params.max_batch,
                                          params.position_slack);
   }
@@ -362,15 +356,9 @@ std::size_t TargetPlanState::append_lists(const ClusterTree& source_tree,
         params.precision, cutoff));
     return dual_lists.size() - 1;
   }
-  if (per_target_mac) {
-    lists.push_back(build_interaction_lists_per_target(
-        particles, source_tree, params.theta, params.degree, table,
-        params.precision, cutoff));
-  } else {
-    lists.push_back(build_interaction_lists(batches, source_tree, params.theta,
-                                            params.degree, table,
-                                            params.precision, cutoff));
-  }
+  lists.push_back(build_interaction_lists(batches, source_tree, params.theta,
+                                          params.degree, table,
+                                          params.precision, cutoff));
   return lists.size() - 1;
 }
 
@@ -384,9 +372,6 @@ bool TargetPlanState::update_positions_self(
   (void)params;
   const std::size_t n = particles.size();
   if (targets.size() != n) return false;
-  // Per-target lists encode exact target positions; any movement
-  // invalidates them.
-  if (per_target_mac) return false;
   // The dual self lists rely on the source and target trees being the same
   // tree (same particles, same order, same node indexing); a source
   // re-bucket breaks that identity.

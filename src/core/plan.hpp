@@ -55,9 +55,6 @@ struct TreecodeParams {
   std::size_t max_batch = 2000; ///< N_B, target batch size
   /// Which algebraic form computes the modified charges on the CPU backend.
   MomentAlgorithm moment_algorithm = MomentAlgorithm::kDirect;
-  /// Ablation: apply the MAC per target instead of per batch (engines that
-  /// batch by construction reject it; see Engine::supports_per_target_mac).
-  bool per_target_mac = false;
   /// Interaction-list construction scheme (see TraversalMode).
   TraversalMode traversal = TraversalMode::kBatched;
 
@@ -141,14 +138,11 @@ struct SourcePlan {
 
 /// Target side of a plan: tree-ordered targets, their batches, and the
 /// MAC-driven interaction lists — one `InteractionLists` per source piece,
-/// in piece order (the serial solver has exactly one). With `per_target_mac`
-/// each lists entry holds one interaction list per target *particle* and
-/// `batches` is empty.
+/// in piece order (the serial solver has exactly one).
 struct TargetPlan {
   const OrderedParticles* particles = nullptr;
   const std::vector<TargetBatch>* batches = nullptr;
   std::span<const InteractionLists> lists;
-  bool per_target_mac = false;
   TraversalMode traversal = TraversalMode::kBatched;
   /// Dual-traversal extras (kDual only, null/empty otherwise): the target
   /// cluster tree, its per-node Chebyshev grids at every ladder degree
@@ -250,7 +244,6 @@ struct TargetPlanState {
   OrderedParticles particles;
   std::vector<TargetBatch> batches;
   std::vector<InteractionLists> lists;  ///< one per source piece, in order
-  bool per_target_mac = false;
   TraversalMode traversal = TraversalMode::kBatched;
   /// Boundary handling (see SourcePlanState): wrapped targets, wrap-aware
   /// plan matching, and the one shift table every traversal and engine of
@@ -269,9 +262,8 @@ struct TargetPlanState {
   static TargetPlanState plan(const Cloud& targets,
                               const TreecodeParams& params);
 
-  /// Traverse `source_tree` with the planned batches (per-target under the
-  /// per-target MAC, pairwise against the target tree under the dual
-  /// traversal) and append the resulting lists; returns the piece index the
+  /// Traverse `source_tree` with the planned batches (pairwise against the
+  /// target tree under the dual traversal) and append the resulting lists; returns the piece index the
   /// lists belong to. `self` (dual traversal only) asserts that the source
   /// tree is identical to the target tree — same particles, same order,
   /// same node indexing — enabling the symmetric mutual traversal.
@@ -304,7 +296,6 @@ struct TargetPlanState {
     plan.particles = &particles;
     plan.batches = &batches;
     plan.lists = lists;
-    plan.per_target_mac = per_target_mac;
     plan.traversal = traversal;
     if (traversal == TraversalMode::kDual) {
       plan.tree = &tree;

@@ -16,16 +16,7 @@ namespace bltc {
 
 Solver::Solver(SolverConfig config) : config_(std::move(config)) {
   config_.params.validate();
-  // The Ewald split is a property of 1/r alone: the erfc near field and the
-  // reciprocal-space Gaussian far field recombine to the Coulomb lattice sum
-  // and to nothing else.
-  if (config_.params.mesh() &&
-      config_.kernel.type != KernelType::kCoulomb) {
-    throw std::invalid_argument(
-        "Solver: BoundaryConditions::kPeriodicMesh applies the Ewald "
-        "split of the Coulomb kernel; use KernelSpec::coulomb() (other "
-        "kernels run under kPeriodic image sums)");
-  }
+  require_boundary_kernel(config_.params, config_.kernel);
   engine_ = make_engine(config_.backend, config_.gpu);
   exec_ = std::make_unique<ExecContext>();
 }
@@ -57,13 +48,6 @@ void Solver::set_sources(const Cloud& sources) {
   // A NaN coordinate corrupts the tree bounds silently; reject at the
   // boundary with the offending index instead.
   require_finite(sources, "Solver::set_sources");
-  // Conditionally convergent kernels (Coulomb) are only meaningful on
-  // neutral systems under kPeriodic image sums; reject before any planning.
-  // The Ewald-split mesh mode is exempt: its tinfoil/uniform-background
-  // convention gives non-neutral systems a well-defined potential.
-  if (config_.params.periodic() && !config_.params.mesh()) {
-    require_periodic_neutrality(sources.q, config_.kernel);
-  }
   have_sources_ = true;
   // Interaction lists reference the source tree; any cached target plan
   // must be re-listed against the new tree.
@@ -92,9 +76,6 @@ void Solver::update_charges(std::span<const double> charges) {
         "Solver::update_charges: charge count does not match the sources");
   }
   require_finite(charges, "Solver::update_charges", "charge");
-  if (config_.params.periodic() && !config_.params.mesh()) {
-    require_periodic_neutrality(charges, config_.kernel);
-  }
   if (source_.size() == 0) return;
   // Charges arrive in caller order; the plan stores tree order.
   WallTimer timer;
@@ -117,9 +98,6 @@ void Solver::update_positions(const Cloud& sources) {
     return;
   }
   require_finite(sources, "Solver::update_positions");
-  if (config_.params.periodic() && !config_.params.mesh()) {
-    require_periodic_neutrality(sources.q, config_.kernel);
-  }
   WallTimer timer;
   PositionUpdate update;
   bool patched = false;
@@ -228,11 +206,6 @@ bool Solver::begin_evaluation(const Cloud& targets, RunStats& stats,
     stats = RunStats{};
     return false;
   }
-  if (config_.params.per_target_mac && !engine_->supports_per_target_mac()) {
-    throw std::invalid_argument(
-        "per_target_mac is a CPU-backend ablation; the GPU engine batches "
-        "by construction");
-  }
   WallTimer timer;
   fresh_targets = !(targets_valid_ && targets_.matches(targets));
   if (fresh_targets) plan_targets(targets);
@@ -265,7 +238,6 @@ bool Solver::begin_evaluation(const Cloud& targets, RunStats& stats,
 void Solver::finish_stats(RunStats& stats) const {
   stats.num_clusters = source_.tree.num_nodes();
   stats.num_leaves = source_.tree.num_leaves();
-  stats.per_target_mac = config_.params.per_target_mac;
   if (config_.params.traversal == TraversalMode::kDual) {
     const DualInteractionLists& lists = targets_.dual_lists.front();
     stats.dual_traversal = true;

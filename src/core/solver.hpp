@@ -93,16 +93,10 @@ struct RunStats {
   // Structure counts.
   std::size_t num_clusters = 0;
   std::size_t num_leaves = 0;
-  /// Number of interaction lists executed: target batches normally, target
-  /// *particles* when the per-target MAC ablation is active (see
-  /// `per_target_mac` below).
+  /// Number of interaction lists executed (target batches).
   std::size_t num_batches = 0;
   std::size_t approx_interactions = 0;  ///< MAC-accepted list-cluster pairs
   std::size_t direct_interactions = 0;  ///< direct list-cluster pairs
-  /// True when the per-target MAC ablation produced these counts: the
-  /// interaction counts are then target-cluster pairs, not batch-cluster
-  /// pairs, and are not comparable with batched-run counts pair-for-pair.
-  bool per_target_mac = false;
   /// True when the dual traversal produced these counts: num_batches is the
   /// target tree's leaf count, approx_interactions counts PC pairs, and the
   /// cp_/cc_ fields below are populated.
@@ -127,8 +121,8 @@ struct RunStats {
   double fp64_evals = 0.0;
   std::size_t precision_demotions = 0;
   /// Launch granularity: how many (list, cluster) kernel invocations the
-  /// engine executed — batch-cluster pairs normally, target-cluster pairs
-  /// under the per-target MAC. Together with the eval counts this tells
+  /// engine executed — batch-cluster pairs (target-cluster pairs at
+  /// max_batch = 1). Together with the eval counts this tells
   /// benches how much work each launch amortizes.
   std::size_t approx_launches = 0;
   std::size_t direct_launches = 0;

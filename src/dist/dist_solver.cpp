@@ -133,13 +133,6 @@ DistSolver::DistSolver(DistConfig config) : config_(std::move(config)) {
         "with no rank decomposition. Use BoundaryConditions::kOpen here, "
         "or the serial Solver for periodic domains.");
   }
-  if (config_.params.treecode.per_target_mac &&
-      !ranks_.front()->engine->supports_per_target_mac()) {
-    throw std::invalid_argument(
-        "DistSolver: per_target_mac requires an engine that can execute "
-        "per-target interaction lists; the GpuSim backend batches by "
-        "construction — use Backend::kCpu");
-  }
 }
 
 DistSolver::~DistSolver() {

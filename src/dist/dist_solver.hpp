@@ -124,9 +124,9 @@ struct DistConfig {
 class DistSolver {
  public:
   /// Validates the configuration (throws std::invalid_argument on bad
-  /// treecode parameters, nranks < 1, or a per-target MAC request the
-  /// backend's engine cannot execute) and instantiates one Engine per rank
-  /// through the core registry.
+  /// treecode parameters, nranks < 1, the dual traversal, or periodic
+  /// boundaries) and instantiates one Engine per rank through the core
+  /// registry.
   explicit DistSolver(DistConfig config);
   ~DistSolver();
   DistSolver(DistSolver&&) noexcept;

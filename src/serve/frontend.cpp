@@ -58,24 +58,6 @@ std::exception_ptr cancel_error() {
       RequestCancelled("request cancelled before execution"));
 }
 
-/// Solver-equivalent periodic admission check, against the plan's stored
-/// charges (verification guarantees they equal the request's). Mesh mode
-/// accepts non-neutral clouds (uniform-background convention) but serves
-/// the Coulomb kernel only — mirroring the Solver constructor.
-void check_neutrality(const CachedPlan& plan, const KernelSpec& kernel) {
-  if (plan.params.mesh()) {
-    if (kernel.type != KernelType::kCoulomb) {
-      throw std::invalid_argument(
-          "BoundaryConditions::kPeriodicMesh serves the Coulomb kernel only");
-    }
-    return;
-  }
-  if (!plan.params.periodic()) return;
-  const AlignedVector& q = plan.source.particles.q;
-  require_periodic_neutrality(std::span<const double>(q.data(), q.size()),
-                              kernel);
-}
-
 /// The kernel the engines actually execute for `plan`: mesh-mode plans run
 /// the screened erfc(alpha r)/r near field through the treecode while the
 /// user-facing kernel stays KernelSpec::coulomb().
@@ -207,6 +189,7 @@ std::future<ServeResponse> ServeFrontend::submit(ServeRequest request) {
     throw std::invalid_argument("ServeFrontend::submit: null source cloud");
   }
   request.params.validate();
+  require_boundary_kernel(request.params, request.kernel);
   require_finite(*request.sources, "ServeFrontend::submit sources");
   if (request.targets != nullptr) {
     require_finite(*request.targets, "ServeFrontend::submit targets");
@@ -512,7 +495,6 @@ void ServeFrontend::execute_group(std::vector<Pending>& group) {
         item.hit = hit;
         return plan;
       });
-      check_neutrality(*item.plan, pending.request.kernel);
       item.targets = item.plan->target_plan(targets);
       // Tier decision: an explicit per-request override wins; otherwise
       // degrade only while the overload detector is tripped.
@@ -621,7 +603,6 @@ void ServeFrontend::execute_group(std::vector<Pending>& group) {
           view.particles = &fused.particles;
           view.batches = &fused.batches;
           view.lists = std::span<const InteractionLists>(&fused.lists, 1);
-          view.per_target_mac = plan->params.per_target_mac;
           view.traversal = TraversalMode::kBatched;
           // Every member plan shares one shift table (same params).
           view.shifts = plan->params.periodic()
@@ -724,6 +705,7 @@ ServeResponse ServeFrontend::evaluate_now(const ServeRequest& request) {
         "ServeFrontend::evaluate_now: null source cloud");
   }
   request.params.validate();
+  require_boundary_kernel(request.params, request.kernel);
   require_finite(*request.sources, "ServeFrontend::evaluate_now sources");
   if (request.targets != nullptr) {
     require_finite(*request.targets, "ServeFrontend::evaluate_now targets");
@@ -739,7 +721,6 @@ ServeResponse ServeFrontend::evaluate_now(const ServeRequest& request) {
   } else {
     PlanPtr plan =
         cache_.get_or_build(sources, request.params, request.backend, &hit);
-    check_neutrality(*plan, request.kernel);
     const auto target_plan = plan->target_plan(targets);
     const std::size_t tier =
         request.degrade_tier >= 0

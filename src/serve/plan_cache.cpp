@@ -38,7 +38,7 @@ bool params_equal(const TreecodeParams& a, const TreecodeParams& b) {
   return a.theta == b.theta && a.degree == b.degree &&
          a.max_leaf == b.max_leaf && a.max_batch == b.max_batch &&
          a.moment_algorithm == b.moment_algorithm &&
-         a.per_target_mac == b.per_target_mac && a.traversal == b.traversal &&
+         a.traversal == b.traversal &&
          a.boundary == b.boundary && a.image_shells == b.image_shells &&
          a.mesh_order == b.mesh_order && a.mesh_spacing == b.mesh_spacing &&
          a.ewald_alpha == b.ewald_alpha &&
@@ -178,7 +178,6 @@ std::uint64_t params_fingerprint(const TreecodeParams& params) {
   fnv.add_u64(params.max_leaf);
   fnv.add_u64(params.max_batch);
   fnv.add_u64(static_cast<std::uint64_t>(params.moment_algorithm));
-  fnv.add_u64(params.per_target_mac ? 1 : 0);
   fnv.add_u64(static_cast<std::uint64_t>(params.traversal));
   fnv.add_u64(static_cast<std::uint64_t>(params.boundary));
   fnv.add_u64(static_cast<std::uint64_t>(params.image_shells));

@@ -54,8 +54,8 @@ Cloud dumbbell(std::size_t n, std::uint64_t seed, double separation = 6.0);
 /// alternating charges (-1)^(i+j+k), optionally jittered by a uniform
 /// displacement of up to `jitter` * (half the site spacing) per axis
 /// (seeded, deterministic). `cells` is rounded up to the next even number
-/// so the lattice is exactly charge neutral — the Coulomb-periodic
-/// requirement. Returns cells^3 particles.
+/// so the lattice is exactly charge neutral, like a real rock-salt crystal.
+/// Returns cells^3 particles.
 Cloud ionic_lattice(std::size_t cells, std::uint64_t seed, double box = 1.0,
                     double jitter = 0.0);
 
@@ -68,10 +68,10 @@ Cloud screened_plasma(std::size_t n, std::uint64_t seed, double box = 1.0);
 /// Non-neutral ionic melt: n particles uniform in [0, box)^3 carrying a
 /// 2:1 mix of +2 and -1 charges (think a molten-salt cell holding only the
 /// cations of a divalent species plus half the compensating anions), so the
-/// cell carries net charge n - floor(n/3)*3-dependent surplus > 0. Legal
-/// only under BoundaryConditions::kPeriodicMesh, whose tinfoil /
-/// uniform-background convention neutralizes the net monopole on the mesh
-/// (legacy kPeriodic rejects it). Coordinates are quantized like the other
+/// cell carries net charge n - floor(n/3)*3-dependent surplus > 0. Its
+/// periodic Coulomb potential is defined under
+/// BoundaryConditions::kPeriodicMesh, whose tinfoil / uniform-background
+/// convention neutralizes the net monopole on the mesh. Coordinates are quantized like the other
 /// periodic workloads so lattice translations stay exact.
 Cloud ionic_melt(std::size_t n, std::uint64_t seed, double box = 1.0);
 

@@ -1,11 +1,12 @@
 // Parity suite for the blocked evaluation core (core/cpu_kernels.hpp):
-// every host path — {potential, field} x {batched MAC, per-target MAC} x
-// all five kernel families — must match a naive scalar reference built on
-// the independent evaluate_kernel / evaluate_kernel_gradient helpers to
-// ~1e-12 relative error. The geometry is chosen adversarially: batch sizes
-// that are not a multiple of the tile width (edge tiles), single-target
-// lists (the nt == 1 path), coincident targets and sources (the singular
-// skip convention), and duplicated source points.
+// both host paths — {potential, field} x all five kernel families, each at
+// the test's batch cap and at max_batch = 1 (the per-target MAC) — must
+// match a naive scalar reference built on the independent evaluate_kernel /
+// evaluate_kernel_gradient helpers to ~1e-12 relative error. The geometry
+// is chosen adversarially: batch sizes that are not a multiple of the tile
+// width (edge tiles), single-target lists (the nt == 1 path), coincident
+// targets and sources (the singular skip convention), and duplicated
+// source points.
 #include "core/cpu_kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -32,8 +33,8 @@ std::vector<KernelSpec> all_kernels() {
           KernelSpec::inverse_square()};
 }
 
-/// Shared plan for one (targets, sources) pair: batched and per-target
-/// interaction lists over the same source tree.
+/// Shared plan for one (targets, sources) pair: batched interaction lists
+/// over the source tree.
 struct EvalPlan {
   OrderedParticles src;
   ClusterTree tree;
@@ -41,8 +42,6 @@ struct EvalPlan {
   OrderedParticles tgt;          ///< permuted by batch construction
   std::vector<TargetBatch> batches;
   InteractionLists lists;
-  OrderedParticles tgt_pt;       ///< caller order (per-target MAC path)
-  InteractionLists pt_lists;
 
   EvalPlan(const Cloud& targets, const Cloud& sources, double theta, int degree,
         std::size_t max_leaf, std::size_t max_batch) {
@@ -54,8 +53,6 @@ struct EvalPlan {
     tgt = OrderedParticles::from_cloud(targets);
     batches = build_target_batches(tgt, max_batch);
     lists = build_interaction_lists(batches, tree, theta, degree);
-    tgt_pt = OrderedParticles::from_cloud(targets);
-    pt_lists = build_interaction_lists_per_target(tgt_pt, tree, theta, degree);
   }
 };
 
@@ -122,20 +119,6 @@ RefResult ref_batched(const KernelSpec& spec, const EvalPlan& s) {
   return out;
 }
 
-RefResult ref_per_target(const KernelSpec& spec, const EvalPlan& s) {
-  RefResult out;
-  const std::size_t n = s.tgt_pt.size();
-  out.phi.assign(n, 0.0);
-  out.ex.assign(n, 0.0);
-  out.ey.assign(n, 0.0);
-  out.ez.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    ref_accumulate(spec, s.tgt_pt, i, s.pt_lists.per_batch[i], s.tree, s.src,
-                   s.moments, out.phi[i], out.ex[i], out.ey[i], out.ez[i]);
-  }
-  return out;
-}
-
 void expect_close(const std::vector<double>& got,
                   const std::vector<double>& want, const char* what,
                   const std::string& kernel) {
@@ -146,11 +129,10 @@ void expect_close(const std::vector<double>& got,
   }
 }
 
-/// All four blocked paths against the reference, one kernel at a time.
+/// Both blocked paths against the reference, one kernel at a time.
 void check_all_paths(const EvalPlan& s, const KernelSpec& spec) {
   const std::string name = spec.name();
   const RefResult rb = ref_batched(spec, s);
-  const RefResult rp = ref_per_target(spec, s);
 
   EngineCounters counters;
   const auto phi = cpu_evaluate(s.tgt, s.batches, s.lists, s.tree, s.src,
@@ -165,18 +147,6 @@ void check_all_paths(const EvalPlan& s, const KernelSpec& spec) {
   expect_close(f.ex, rb.ex, "batched field ex", name);
   expect_close(f.ey, rb.ey, "batched field ey", name);
   expect_close(f.ez, rb.ez, "batched field ez", name);
-
-  const auto phi_pt = cpu_evaluate_per_target(s.tgt_pt, s.pt_lists, s.tree,
-                                              s.src, s.moments, spec);
-  expect_close(phi_pt, rp.phi, "per-target potential", name);
-
-  const auto f_pt = cpu_evaluate_field_per_target(s.tgt_pt, s.pt_lists,
-                                                  s.tree, s.src, s.moments,
-                                                  spec);
-  expect_close(f_pt.phi, rp.phi, "per-target field phi", name);
-  expect_close(f_pt.ex, rp.ex, "per-target field ex", name);
-  expect_close(f_pt.ey, rp.ey, "per-target field ey", name);
-  expect_close(f_pt.ez, rp.ez, "per-target field ez", name);
 }
 
 TEST(CpuKernels, ParityDisjointCloudsEdgeTiles) {
@@ -184,10 +154,12 @@ TEST(CpuKernels, ParityDisjointCloudsEdgeTiles) {
   // none is a multiple of the tile width.
   const Cloud targets = uniform_cube(403, 11);
   const Cloud sources = uniform_cube(500, 12);
-  const EvalPlan s(targets, sources, 0.7, 3, 64, 37);
-  ASSERT_GT(s.lists.total_approx, 0u);
-  ASSERT_GT(s.lists.total_direct, 0u);
-  for (const KernelSpec& spec : all_kernels()) check_all_paths(s, spec);
+  for (const std::size_t max_batch : {37, 1}) {
+    const EvalPlan s(targets, sources, 0.7, 3, 64, max_batch);
+    ASSERT_GT(s.lists.total_approx, 0u);
+    ASSERT_GT(s.lists.total_direct, 0u);
+    for (const KernelSpec& spec : all_kernels()) check_all_paths(s, spec);
+  }
 }
 
 TEST(CpuKernels, ParityCoincidentTargetsAndSources) {
@@ -201,9 +173,11 @@ TEST(CpuKernels, ParityCoincidentTargetsAndSources) {
     c.y[i + 100] = c.y[i];
     c.z[i + 100] = c.z[i];
   }
-  const EvalPlan s(c, c, 0.6, 2, 32, 41);
-  ASSERT_GT(s.lists.total_direct, 0u);
-  for (const KernelSpec& spec : all_kernels()) check_all_paths(s, spec);
+  for (const std::size_t max_batch : {41, 1}) {
+    const EvalPlan s(c, c, 0.6, 2, 32, max_batch);
+    ASSERT_GT(s.lists.total_direct, 0u);
+    for (const KernelSpec& spec : all_kernels()) check_all_paths(s, spec);
+  }
 }
 
 TEST(CpuKernels, ParitySingleTargetLists) {

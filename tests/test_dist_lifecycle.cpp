@@ -1,8 +1,8 @@
 // Lifecycle tests for the plan/execute DistSolver handle: single-rank
 // parity with the serial Solver, distributed field evaluation, plan-reuse
 // amortization (zero RMA, zero tree work on repeat evaluations),
-// charge-only LET refreshes, position re-plans, and the per-target-MAC
-// routing through the engine capability flags.
+// charge-only LET refreshes, position re-plans, and one-target batches
+// (the per-target MAC) through the distributed wrapper.
 #include "dist/dist_solver.hpp"
 
 #include <gtest/gtest.h>
@@ -223,39 +223,11 @@ TEST(DistLifecycle, UpdatePositionsReplansAndRepartitions) {
   EXPECT_LT(relative_l2_error(ref, phi), 1e-5);
 }
 
-TEST(DistLifecycle, PerTargetMacRunsDistributedOnCpu) {
-  // The per-target MAC ablation routes through the engine capability flag:
-  // the CPU engine executes per-target lists on every rank.
-  const Cloud c = uniform_cube(6000, 29);
-  DistConfig config = base_config(3);
-  config.params.treecode.per_target_mac = true;
-  config.params.treecode.degree = 4;
-  DistSolver solver(config);
-  solver.set_sources(c);
-  const auto phi = solver.evaluate();
-  const auto ref = direct_sum(c, c, KernelSpec::coulomb());
-  EXPECT_LT(relative_l2_error(ref, phi), 1e-3);  // degree-4 interpolation
-}
-
-TEST(DistLifecycle, PerTargetMacOnGpuBackendIsPrecise) {
-  DistConfig config = base_config(2, Backend::kGpuSim);
-  config.params.treecode.per_target_mac = true;
-  try {
-    DistSolver solver(config);
-    FAIL() << "per_target_mac on the GpuSim backend must be rejected";
-  } catch (const std::invalid_argument& e) {
-    // The error names the capability and the working alternative instead of
-    // a blanket "distributed is serial-only" rejection.
-    const std::string message = e.what();
-    EXPECT_NE(message.find("per_target_mac"), std::string::npos);
-    EXPECT_NE(message.find("kCpu"), std::string::npos);
-  }
-}
-
-TEST(DistLifecycle, WrapperSupportsPerTargetMacOnCpu) {
+TEST(DistLifecycle, WrapperRunsOneTargetBatches) {
+  // max_batch = 1 (the per-target MAC) through the distributed wrapper.
   const Cloud c = uniform_cube(4000, 30);
   DistParams params = base_config(2).params;
-  params.treecode.per_target_mac = true;
+  params.treecode.max_batch = 1;
   params.treecode.degree = 4;
   const DistResult res =
       compute_potential_distributed(c, KernelSpec::coulomb(), params, 2);

@@ -243,12 +243,6 @@ TEST(DualTraversal, SelfModeHalvesDirectEvals) {
   EXPECT_LT(self_stats.direct_evals, 0.65 * asym_stats.direct_evals);
 }
 
-TEST(DualTraversal, ValidateRejectsDualWithPerTargetMac) {
-  TreecodeParams params = dual_params();
-  params.per_target_mac = true;
-  EXPECT_THROW(params.validate(), std::invalid_argument);
-}
-
 TEST(DualTraversal, DistSolverRejectsDualWithPreciseError) {
   dist::DistConfig config;
   config.kernel = KernelSpec::coulomb();

@@ -166,9 +166,9 @@ TEST(Fields, DisjointTargetsAndSources) {
   EXPECT_LT(relative_l2_error(ref.ex, f.ex), 1e-6);
 }
 
-TEST(Fields, PerTargetMacFieldMatchesDirect) {
-  // The per-target MAC ablation runs through the same unified evaluator as
-  // the batched path, fields included.
+TEST(Fields, OneTargetBatchFieldMatchesDirect) {
+  // max_batch = 1 (the per-target MAC) runs through the same evaluator as
+  // any other batch size, fields included.
   const Cloud c = uniform_cube(2000, 21);
   const FieldResult ref = direct_field(c, c, KernelSpec::coulomb());
   SolverConfig config;
@@ -176,13 +176,12 @@ TEST(Fields, PerTargetMacFieldMatchesDirect) {
   config.params.theta = 0.6;
   config.params.degree = 6;
   config.params.max_leaf = 300;
-  config.params.max_batch = 300;
-  config.params.per_target_mac = true;
+  config.params.max_batch = 1;
   Solver solver(config);
   solver.set_sources(c);
   RunStats stats;
   const FieldResult f = solver.evaluate_field(c, &stats);
-  EXPECT_TRUE(stats.per_target_mac);
+  EXPECT_EQ(stats.num_batches, c.size());
   EXPECT_GT(stats.approx_launches + stats.direct_launches, 0u);
   EXPECT_LT(relative_l2_error(ref.phi, f.phi), 1e-5);
   EXPECT_LT(relative_l2_error(ref.ex, f.ex), 1e-4);

@@ -66,19 +66,5 @@ TEST(Mac, HigherDegreeNeedsBiggerClusters) {
             MacResult::kClusterSmall);
 }
 
-TEST(Mac, PerTargetVariantUsesZeroBatchRadius) {
-  // A point target passes where a fat batch at the same center fails.
-  const std::array<double, 3> cc{2.0, 0, 0};
-  EXPECT_EQ(evaluate_mac_point({0, 0, 0}, cc, 0.9, 10000, 0.5, 8),
-            MacResult::kApprox);
-  EXPECT_EQ(evaluate_mac({0, 0, 0}, 0.9, cc, 0.9, 10000, 0.5, 8),
-            MacResult::kTooClose);
-}
-
-TEST(Mac, PointTargetInsideClusterFails) {
-  EXPECT_EQ(evaluate_mac_point({0, 0, 0}, {0.1, 0, 0}, 0.5, 10000, 0.7, 8),
-            MacResult::kTooClose);
-}
-
 }  // namespace
 }  // namespace bltc

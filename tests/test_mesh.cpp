@@ -255,22 +255,6 @@ TEST(MeshNonNeutral, MeltCloudAcceptedAndMatchesOracle) {
   EXPECT_LT(relative_l2_error(oracle, phi), error_bar(params));
 }
 
-TEST(MeshNonNeutral, LegacyPeriodicStillRejectsNonNeutralCoulomb) {
-  TreecodeParams params = mesh_params();
-  params.boundary = BoundaryConditions::kPeriodic;
-  params.image_shells = 1;
-  Solver solver = make_solver(params);
-  EXPECT_THROW(solver.set_sources(ionic_melt(300, 7, kBox)),
-               std::invalid_argument);
-}
-
-TEST(MeshNonNeutral, MeshModeRejectsNonCoulombKernels) {
-  SolverConfig config;
-  config.kernel = KernelSpec::yukawa(2.0);
-  config.params = mesh_params();
-  EXPECT_THROW(Solver{std::move(config)}, std::invalid_argument);
-}
-
 // ---- Alpha / spacing invariance ------------------------------------------
 
 // The converged answer must not depend on where the Ewald split is placed

@@ -1,12 +1,14 @@
 // Periodic-boundary test suite: parity against the periodic direct-sum
-// oracle over the identical image set (Coulomb-neutral + Yukawa, batched +
-// dual traversals, CPU + simulated-GPU engines), bit-for-bit translation
-// invariance, the Coulomb neutrality guard, open-vs-periodic consistency at
-// zero shells, the one-shared-source-plan structural assertions, and the
-// DistSolver guard.
+// oracle over the identical image set (Yukawa + Gaussian, batched + dual
+// traversals, CPU + simulated-GPU engines), bit-for-bit translation
+// invariance, the boundary-mode/kernel rule (Coulomb runs under
+// kPeriodicMesh, not image sums) at every entry point, open-vs-periodic
+// consistency at zero shells, the one-shared-source-plan structural
+// assertions, and the DistSolver guard.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "core/periodic.hpp"
 #include "core/solver.hpp"
 #include "dist/dist_solver.hpp"
+#include "serve/frontend.hpp"
 #include "util/stats.hpp"
 #include "util/workloads.hpp"
 
@@ -48,22 +51,17 @@ Solver make_solver(const TreecodeParams& params, const KernelSpec& kernel,
   return Solver(std::move(config));
 }
 
-/// The two headline periodic workload/kernel pairings: a neutral ionic
-/// lattice under Coulomb and a screened plasma under Yukawa.
+/// The headline periodic workload/kernel pairing: a screened plasma under
+/// Yukawa.
 struct ParityCase {
   const char* name;
   KernelSpec kernel;
-  bool ionic;
 };
 
 class PeriodicParity
     : public ::testing::TestWithParam<std::tuple<ParityCase, TraversalMode>> {
  protected:
-  Cloud cloud() const {
-    const ParityCase& pc = std::get<0>(GetParam());
-    return pc.ionic ? ionic_lattice(12, 3, kBox, 0.6)
-                    : screened_plasma(2000, 3, kBox);
-  }
+  Cloud cloud() const { return screened_plasma(2000, 3, kBox); }
 };
 
 /// Explicit 27-copy replication of `c` over the image set — what the
@@ -158,8 +156,7 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, PeriodicParity,
     ::testing::Combine(
         ::testing::Values(
-            ParityCase{"coulomb_ionic", KernelSpec::coulomb(), true},
-            ParityCase{"yukawa_plasma", KernelSpec::yukawa(2.0), false}),
+            ParityCase{"yukawa_plasma", KernelSpec::yukawa(2.0)}),
         ::testing::Values(TraversalMode::kBatched, TraversalMode::kDual)),
     [](const auto& info) {
       return std::string(std::get<0>(info.param).name) +
@@ -173,7 +170,7 @@ TEST(Periodic, PerTargetMacMatchesPeriodicOracle) {
   const auto oracle =
       direct_sum_periodic(c, c, kernel, Box3::cube(0.0, kBox), kShells);
   TreecodeParams params = periodic_params();
-  params.per_target_mac = true;
+  params.max_batch = 1;  // the per-target MAC
   Solver solver = make_solver(params, kernel);
   solver.set_sources(c);
   EXPECT_LT(relative_l2_error(oracle, solver.evaluate(c)), 1e-5);
@@ -206,9 +203,9 @@ TEST(Periodic, TranslationByLatticeVectorIsBitForBit) {
 
   for (const TraversalMode mode :
        {TraversalMode::kBatched, TraversalMode::kDual}) {
-    Solver a = make_solver(periodic_params(mode), KernelSpec::coulomb());
+    Solver a = make_solver(periodic_params(mode), KernelSpec::yukawa(2.0));
     a.set_sources(c);
-    Solver b = make_solver(periodic_params(mode), KernelSpec::coulomb());
+    Solver b = make_solver(periodic_params(mode), KernelSpec::yukawa(2.0));
     b.set_sources(shifted);
     const FieldResult fa = a.evaluate_field(c);
     const FieldResult fb = b.evaluate_field(shifted);
@@ -230,7 +227,7 @@ TEST(Periodic, TranslatedCloudHitsTheCachedTargetPlan) {
   Cloud shifted = c;
   for (std::size_t i = 0; i < c.size(); ++i) shifted.x[i] += kBox;
 
-  Solver solver = make_solver(periodic_params(), KernelSpec::coulomb());
+  Solver solver = make_solver(periodic_params(), KernelSpec::yukawa(2.0));
   solver.set_sources(c);
   const auto phi = solver.evaluate(c);
   RunStats stats;
@@ -262,22 +259,51 @@ TEST(Periodic, ZeroShellsMatchesOpenBitForBit) {
   }
 }
 
-TEST(Periodic, CoulombRequiresNeutrality) {
-  Cloud c = screened_plasma(100, 41, kBox);
-  c.q.assign(c.size(), 1.0);  // uniformly charged: not neutral
-  Solver solver = make_solver(periodic_params(), KernelSpec::coulomb());
-  EXPECT_THROW(solver.set_sources(c), std::invalid_argument);
-
-  // The guard also covers the incremental charge path.
-  const Cloud neutral = screened_plasma(100, 41, kBox);
-  Solver ok = make_solver(periodic_params(), KernelSpec::coulomb());
-  ok.set_sources(neutral);
-  EXPECT_THROW(ok.update_charges(std::vector<double>(neutral.size(), 1.0)),
-               std::invalid_argument);
-
-  // Yukawa converges absolutely: non-neutral systems are fine.
-  Solver yukawa = make_solver(periodic_params(), KernelSpec::yukawa(1.0));
-  EXPECT_NO_THROW(yukawa.set_sources(c));
+TEST(Periodic, BoundaryKernelMismatchNamesTheModeToUse) {
+  // Coulomb image sums are only conditionally convergent (periodic Coulomb
+  // runs under kPeriodicMesh), and the Ewald split serves Coulomb alone.
+  // Both rules hold at Solver construction and at ServeFrontend admission,
+  // for neutral and non-neutral clouds alike: no path scans the charges.
+  struct Mismatch {
+    BoundaryConditions boundary;
+    KernelSpec kernel;
+    const char* use;
+  };
+  const Mismatch cases[] = {
+      {BoundaryConditions::kPeriodic, KernelSpec::coulomb(),
+       "use BoundaryConditions::kPeriodicMesh"},
+      {BoundaryConditions::kPeriodicMesh, KernelSpec::yukawa(2.0),
+       "use BoundaryConditions::kPeriodic image sums"},
+  };
+  Cloud neutral = screened_plasma(200, 71, kBox);
+  Cloud charged = neutral;
+  charged.q.assign(charged.size(), 1.0);
+  serve::PlanCache cache;
+  serve::ServeFrontend frontend(cache);
+  for (const Mismatch& m : cases) {
+    TreecodeParams params = periodic_params();
+    params.boundary = m.boundary;
+    const auto expect_rejected = [&](const std::function<void()>& call,
+                                     const char* path) {
+      try {
+        call();
+        ADD_FAILURE() << path << " accepted " << m.kernel.name();
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(m.use), std::string::npos)
+            << path << ": " << e.what();
+      }
+    };
+    expect_rejected([&] { (void)make_solver(params, m.kernel); }, "Solver");
+    for (const Cloud* cloud : {&neutral, &charged}) {
+      serve::ServeRequest request;
+      request.sources = cloud;
+      request.params = params;
+      request.kernel = m.kernel;
+      expect_rejected([&] { (void)frontend.evaluate_now(request); },
+                      "evaluate_now");
+      expect_rejected([&] { (void)frontend.submit(request); }, "submit");
+    }
+  }
 }
 
 TEST(Periodic, ValidateRejectsBadDomainAndShells) {
@@ -368,7 +394,7 @@ TEST(Periodic, DualListsCarryImageInteractions) {
 
 TEST(Periodic, DistSolverRejectsPeriodicWithPreciseError) {
   dist::DistConfig config;
-  config.kernel = KernelSpec::coulomb();
+  config.kernel = KernelSpec::yukawa(2.0);
   config.params.treecode = periodic_params();
   config.nranks = 2;
   try {
@@ -384,7 +410,7 @@ TEST(Periodic, DistSolverRejectsPeriodicWithPreciseError) {
 
 TEST(Periodic, RepeatEvaluationIsIdentical) {
   const Cloud c = ionic_lattice(8, 59, kBox, 0.4);
-  Solver solver = make_solver(periodic_params(), KernelSpec::coulomb());
+  Solver solver = make_solver(periodic_params(), KernelSpec::yukawa(2.0));
   solver.set_sources(c);
   const auto phi1 = solver.evaluate(c);
   const auto phi2 = solver.evaluate(c);

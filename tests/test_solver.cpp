@@ -146,7 +146,7 @@ TEST(Solver, BatchMacIsMoreConservativeThanPerTargetMac) {
   const auto batch_phi =
       compute_potential(c, KernelSpec::coulomb(), p, Backend::kCpu,
                         &batch_stats);
-  p.per_target_mac = true;
+  p.max_batch = 1;  // the per-target MAC: r_B = 0
   const auto point_phi =
       compute_potential(c, KernelSpec::coulomb(), p, Backend::kCpu,
                         &point_stats);
@@ -157,15 +157,6 @@ TEST(Solver, BatchMacIsMoreConservativeThanPerTargetMac) {
   // Per-target traversal does no more direct work per target than batch.
   EXPECT_LE(point_stats.direct_evals / static_cast<double>(c.size()),
             batch_stats.direct_evals / static_cast<double>(c.size()) * 1.05);
-}
-
-TEST(Solver, PerTargetMacRejectedOnGpuBackend) {
-  const Cloud c = uniform_cube(100, 10);
-  TreecodeParams p = small_params();
-  p.per_target_mac = true;
-  EXPECT_THROW(
-      compute_potential(c, KernelSpec::coulomb(), p, Backend::kGpuSim),
-      std::invalid_argument);
 }
 
 TEST(Solver, ParameterValidation) {

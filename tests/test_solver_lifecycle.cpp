@@ -237,10 +237,10 @@ TEST(SolverLifecycle, EmptyThenRealSourcesRecovers) {
   EXPECT_LT(relative_l2_error(ref, phi), 1e-4);
 }
 
-TEST(SolverLifecycle, PerTargetMacStatsAreFlagged) {
+TEST(SolverLifecycle, OneTargetBatchesCountOneListPerTarget) {
   const Cloud c = uniform_cube(4000, 17);
   SolverConfig config = base_config();
-  config.params.per_target_mac = true;
+  config.params.max_batch = 1;
   // Clusters must outweigh (n+1)^3 interpolation points for the MAC to
   // accept approximations; degree 4 keeps that true with 300-particle
   // leaves.
@@ -249,7 +249,6 @@ TEST(SolverLifecycle, PerTargetMacStatsAreFlagged) {
   solver.set_sources(c);
   RunStats stats;
   solver.evaluate(c, &stats);
-  EXPECT_TRUE(stats.per_target_mac);
   // One interaction list per target particle, and the counts refer to them.
   EXPECT_EQ(stats.num_batches, c.size());
   EXPECT_GT(stats.approx_interactions, 0u);

@@ -113,7 +113,7 @@ TEST(Workloads, IonicLatticeIsNeutralAndInBox) {
 
 TEST(Workloads, IonicLatticeRoundsOddSideUpToEven) {
   // Odd sides cannot be neutral ((-1)^(i+j+k) sums to +-1); the generator
-  // rounds up so downstream Coulomb-periodic runs never trip the guard.
+  // rounds up so the lattice is always exactly neutral.
   const Cloud c = ionic_lattice(3, 7);
   EXPECT_EQ(c.size(), 64u);
 }
