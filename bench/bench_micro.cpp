@@ -104,14 +104,15 @@ int main(int argc, char** argv) {
   {
     const Cloud c = uniform_cube(direct_n, 7);
     EvalSetup s(c, c, 0.05, 8);
-    EngineCounters counters;
+    RunStats stats;
     CpuWorkspace ws;
     const double sec = time_call([&] {
+      stats = RunStats{};  // the evaluators add into it
       g_sink += cpu_evaluate(s.tgt, s.batches, s.lists, s.tree, s.src,
                              s.moments, KernelSpec::coulomb(), nullptr,
-                             &counters, &ws)[0];
+                             &stats, &ws)[0];
     });
-    row("direct_interactions", sec, counters.direct_evals, "inter");
+    row("direct_interactions", sec, stats.direct_evals, "inter");
   }
 
   // --- Blocked approx rate (Eq. 11): far-away targets, every cluster
@@ -123,39 +124,42 @@ int main(int argc, char** argv) {
     for (auto& v : far.y) v += 6.0;
     for (auto& v : far.z) v += 6.0;
     EvalSetup s(far, c, 0.8, 8);
-    EngineCounters counters;
+    RunStats stats;
     CpuWorkspace ws;
     const double sec = time_call([&] {
+      stats = RunStats{};  // the evaluators add into it
       g_sink += cpu_evaluate(s.tgt, s.batches, s.lists, s.tree, s.src,
                              s.moments, KernelSpec::coulomb(), nullptr,
-                             &counters, &ws)[0];
+                             &stats, &ws)[0];
     });
-    row("approx_interactions", sec, counters.approx_evals, "inter");
+    row("approx_interactions", sec, stats.approx_evals, "inter");
 
     // Same pattern through the field evaluator (potential + E).
-    EngineCounters fcounters;
+    RunStats fstats;
     const double fsec = time_call([&] {
+      fstats = RunStats{};
       g_sink += cpu_evaluate_field(s.tgt, s.batches, s.lists, s.tree, s.src,
                                    s.moments, KernelSpec::coulomb(), nullptr,
-                                   &fcounters, &ws)
+                                   &fstats, &ws)
                     .ex[0];
     });
-    row("approx_field_interactions", fsec, fcounters.approx_evals, "inter");
+    row("approx_field_interactions", fsec, fstats.approx_evals, "inter");
   }
 
   // --- Field direct rate.
   {
     const Cloud c = uniform_cube(direct_n, 7);
     EvalSetup s(c, c, 0.05, 8);
-    EngineCounters counters;
+    RunStats stats;
     CpuWorkspace ws;
     const double sec = time_call([&] {
+      stats = RunStats{};
       g_sink += cpu_evaluate_field(s.tgt, s.batches, s.lists, s.tree, s.src,
                                    s.moments, KernelSpec::coulomb(), nullptr,
-                                   &counters, &ws)
+                                   &stats, &ws)
                     .ex[0];
     });
-    row("direct_field_interactions", sec, counters.direct_evals, "inter");
+    row("direct_field_interactions", sec, stats.direct_evals, "inter");
   }
 
   // --- Kernel evaluations (scalar dispatch form, per 1000 calls).

@@ -379,9 +379,8 @@ int main(int argc, char** argv) {
     dist::DistParams dp;
     dp.treecode = params;
     dp.backend = backend;
-    const dist::DistResult res =
-        dist::compute_potential_distributed(cloud, kernel, dp, ranks);
-    phi = res.potential;
+    dist::DistStats res;
+    phi = dist::compute_potential_distributed(cloud, kernel, dp, ranks, &res);
     std::printf("wall time: %.3f s\n", timer.seconds());
     std::printf("modeled phases (max over ranks): setup %.4f s, precompute "
                 "%.4f s, compute %.4f s\n",

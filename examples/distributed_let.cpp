@@ -26,7 +26,7 @@ void print_rank_table(const char* title, const bltc::dist::DistStats& stats) {
   for (std::size_t r = 0; r < stats.per_rank.size(); ++r) {
     const bltc::dist::RankStats& st = stats.per_rank[r];
     std::printf("%-5zu %-10zu %-9zu %-12zu %-13zu %-9zu %-9.1f %-11.1f %-6zu\n",
-                r, st.local_particles, st.local_clusters,
+                r, st.local_particles, st.num_clusters,
                 st.let_remote_clusters, st.let_remote_particles, st.rma_gets,
                 static_cast<double>(st.rma_bytes) / 1024.0,
                 static_cast<double>(st.let_charge_bytes) / 1024.0,

@@ -7,23 +7,6 @@
 #include "serve/exec_context.hpp"
 
 namespace bltc {
-namespace {
-
-void fill_stats(const EngineCounters& counters, RunStats& stats) {
-  stats.approx_evals = counters.approx_evals;
-  stats.direct_evals = counters.direct_evals;
-  stats.approx_launches = counters.approx_launches;
-  stats.direct_launches = counters.direct_launches;
-  stats.cp_evals = counters.cp_evals;
-  stats.cc_evals = counters.cc_evals;
-  stats.cp_launches = counters.cp_launches;
-  stats.cc_launches = counters.cc_launches;
-  stats.fp32_evals = counters.fp32_evals;
-  stats.fp64_evals = counters.fp64_evals;
-}
-
-}  // namespace
-
 void CpuEngine::prepare_sources(const SourcePlan& plan,
                                 const TreecodeParams& params,
                                 bool charges_only) {
@@ -242,24 +225,23 @@ void CpuEngine::attach_let_pieces(std::span<const LetPiece> pieces,
   let_.assign(pieces.begin(), pieces.end());
 }
 
-std::vector<double> CpuEngine::evaluate_potential(const SourcePlan& sources,
-                                                  const TargetPlan& targets,
-                                                  const KernelSpec& kernel,
-                                                  bool /*fresh_targets*/,
-                                                  RunStats& stats,
-                                                  ExecContext* ctx) const {
+template <bool Field>
+CpuEngine::Result<Field> CpuEngine::evaluate(const SourcePlan& sources,
+                                             const TargetPlan& targets,
+                                             const KernelSpec& kernel,
+                                             RunStats& stats,
+                                             ExecContext* ctx) const {
   const bool dual = targets.traversal == TraversalMode::kDual;
   const std::size_t npieces =
       dual ? targets.dual_lists.size() : targets.lists.size();
   if (npieces != 1 + let_.size()) {
     throw std::logic_error(
-        "CpuEngine::evaluate_potential: one interaction list per source "
-        "piece expected");
+        "CpuEngine: one interaction list per source piece expected");
   }
   CpuWorkspace* const workspace =
       ctx != nullptr ? &ctx->cpu_workspace() : nullptr;
-  EngineCounters total;
-  const auto eval_piece = [&](const SourcePlan& piece, std::size_t index) {
+  const auto eval_piece = [&](const SourcePlan& piece,
+                              std::size_t index) -> Result<Field> {
     const ClusterMoments& moments =
         piece.moments != nullptr ? *piece.moments : moments_;
     // fp32 shadow resolution mirrors the moments': cached serve plans carry
@@ -269,8 +251,6 @@ std::vector<double> CpuEngine::evaluate_potential(const SourcePlan& sources,
         piece.fp32 != nullptr
             ? piece.fp32
             : (piece.moments == nullptr ? &shadow_ : nullptr);
-    EngineCounters counters;
-    std::vector<double> phi;
     if (dual) {
       // The pairs reference moments at every ladder degree: caller-owned
       // ladders (serving-layer cached plans) ride in piece.moment_levels;
@@ -285,27 +265,46 @@ std::vector<double> CpuEngine::evaluate_potential(const SourcePlan& sources,
             "moments requires the full moment ladder "
             "(SourcePlan::moment_levels)");
       }
-      phi = cpu_evaluate_dual(*targets.particles, *targets.tree,
-                              targets.grids, targets.dual_lists[index],
-                              *piece.tree, *piece.particles, levels, kernel,
-                              targets.shifts, &counters, workspace, fp32);
-    } else {
-      phi = cpu_evaluate(*targets.particles, *targets.batches,
-                         targets.lists[index], *piece.tree, *piece.particles,
-                         moments, kernel, targets.shifts, &counters,
-                         workspace, fp32);
+      if constexpr (Field) {
+        return cpu_evaluate_dual_field(
+            *targets.particles, *targets.tree, targets.grids,
+            targets.dual_lists[index], *piece.tree, *piece.particles, levels,
+            kernel, targets.shifts, &stats, workspace, fp32);
+      } else {
+        return cpu_evaluate_dual(
+            *targets.particles, *targets.tree, targets.grids,
+            targets.dual_lists[index], *piece.tree, *piece.particles, levels,
+            kernel, targets.shifts, &stats, workspace, fp32);
+      }
     }
-    accumulate_counters(total, counters);
-    return phi;
+    if constexpr (Field) {
+      return cpu_evaluate_field(*targets.particles, *targets.batches,
+                                targets.lists[index], *piece.tree,
+                                *piece.particles, moments, kernel,
+                                targets.shifts, &stats, workspace, fp32);
+    } else {
+      return cpu_evaluate(*targets.particles, *targets.batches,
+                          targets.lists[index], *piece.tree, *piece.particles,
+                          moments, kernel, targets.shifts, &stats, workspace,
+                          fp32);
+    }
   };
   // Local piece first, then the attached LET pieces in piece order: the
   // fixed accumulation order keeps the result deterministic.
-  std::vector<double> phi = eval_piece(sources, 0);
+  Result<Field> out = eval_piece(sources, 0);
   for (std::size_t p = 0; p < let_.size(); ++p) {
-    add_into(phi, eval_piece(let_[p].plan, 1 + p));
+    add_into(out, eval_piece(let_[p].plan, 1 + p));
   }
-  fill_stats(total, stats);
-  return phi;
+  return out;
+}
+
+std::vector<double> CpuEngine::evaluate_potential(const SourcePlan& sources,
+                                                  const TargetPlan& targets,
+                                                  const KernelSpec& kernel,
+                                                  bool /*fresh_targets*/,
+                                                  RunStats& stats,
+                                                  ExecContext* ctx) const {
+  return evaluate<false>(sources, targets, kernel, stats, ctx);
 }
 
 FieldResult CpuEngine::evaluate_field(const SourcePlan& sources,
@@ -313,61 +312,7 @@ FieldResult CpuEngine::evaluate_field(const SourcePlan& sources,
                                       const KernelSpec& kernel,
                                       bool /*fresh_targets*/, RunStats& stats,
                                       ExecContext* ctx) const {
-  const bool dual = targets.traversal == TraversalMode::kDual;
-  const std::size_t npieces =
-      dual ? targets.dual_lists.size() : targets.lists.size();
-  if (npieces != 1 + let_.size()) {
-    throw std::logic_error(
-        "CpuEngine::evaluate_field: one interaction list per source piece "
-        "expected");
-  }
-  CpuWorkspace* const workspace =
-      ctx != nullptr ? &ctx->cpu_workspace() : nullptr;
-  EngineCounters total;
-  const auto eval_piece = [&](const SourcePlan& piece, std::size_t index) {
-    const ClusterMoments& moments =
-        piece.moments != nullptr ? *piece.moments : moments_;
-    const Fp32Shadow* fp32 =
-        piece.fp32 != nullptr
-            ? piece.fp32
-            : (piece.moments == nullptr ? &shadow_ : nullptr);
-    EngineCounters counters;
-    FieldResult out;
-    if (dual) {
-      const std::span<const ClusterMoments> levels =
-          !piece.moment_levels.empty()
-              ? piece.moment_levels
-              : std::span<const ClusterMoments>(dual_levels_);
-      if (piece.moments != nullptr && piece.moment_levels.empty()) {
-        throw std::logic_error(
-            "CpuEngine: dual-traversal evaluation of externally-provided "
-            "moments requires the full moment ladder "
-            "(SourcePlan::moment_levels)");
-      }
-      out = cpu_evaluate_dual_field(*targets.particles, *targets.tree,
-                                    targets.grids, targets.dual_lists[index],
-                                    *piece.tree, *piece.particles, levels,
-                                    kernel, targets.shifts, &counters,
-                                    workspace, fp32);
-    } else {
-      out = cpu_evaluate_field(*targets.particles, *targets.batches,
-                               targets.lists[index], *piece.tree,
-                               *piece.particles, moments, kernel,
-                               targets.shifts, &counters, workspace, fp32);
-    }
-    accumulate_counters(total, counters);
-    return out;
-  };
-  FieldResult out = eval_piece(sources, 0);
-  for (std::size_t p = 0; p < let_.size(); ++p) {
-    const FieldResult piece = eval_piece(let_[p].plan, 1 + p);
-    add_into(out.phi, piece.phi);
-    add_into(out.ex, piece.ex);
-    add_into(out.ey, piece.ey);
-    add_into(out.ez, piece.ez);
-  }
-  fill_stats(total, stats);
-  return out;
+  return evaluate<true>(sources, targets, kernel, stats, ctx);
 }
 
 }  // namespace bltc

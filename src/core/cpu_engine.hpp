@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/cpu_kernels.hpp"
@@ -71,6 +72,14 @@ class CpuEngine final : public Engine {
   bool has_fp32_shadow() const { return !shadow_.empty(); }
 
  private:
+  template <bool Field>
+  using Result = std::conditional_t<Field, FieldResult, std::vector<double>>;
+  /// The one body behind evaluate_potential and evaluate_field.
+  template <bool Field>
+  Result<Field> evaluate(const SourcePlan& sources, const TargetPlan& targets,
+                         const KernelSpec& kernel, RunStats& stats,
+                         ExecContext* ctx) const;
+
   ClusterMoments moments_;
   /// Dual traversal only: moments at every ladder degree ([0] is the
   /// nominal degree, lower degrees are exact restrictions of it).

@@ -207,7 +207,7 @@ void run_lists(const OrderedParticles& targets,
                K k, CpuWorkspace& ws, const ShiftTable* shifts,
                const Fp32Shadow* shadow, double* __restrict phi,
                double* __restrict ex, double* __restrict ey,
-               double* __restrict ez, EngineCounters* counters) {
+               double* __restrict ez, RunStats* stats) {
   const bool have_shadow = shadow != nullptr && !shadow->empty();
   const std::size_t nlists = lists.per_batch.size();
   const double ppc = static_cast<double>(moments.points_per_cluster());
@@ -304,13 +304,13 @@ void run_lists(const OrderedParticles& targets,
     }
   }
 
-  if (counters != nullptr) {
-    counters->approx_evals = approx_evals;
-    counters->direct_evals = direct_evals;
-    counters->approx_launches = approx_launches;
-    counters->direct_launches = direct_launches;
-    counters->fp32_evals = fp32_evals;
-    counters->fp64_evals = approx_evals + direct_evals - fp32_evals;
+  if (stats != nullptr) {
+    stats->approx_evals += approx_evals;
+    stats->direct_evals += direct_evals;
+    stats->approx_launches += approx_launches;
+    stats->direct_launches += direct_launches;
+    stats->fp32_evals += fp32_evals;
+    stats->fp64_evals += approx_evals + direct_evals - fp32_evals;
   }
 }
 
@@ -406,7 +406,7 @@ void run_dual(const OrderedParticles& targets, const ClusterTree& ttree,
               const ShiftTable* shifts, const Fp32Shadow* shadow,
               double* __restrict phi, double* __restrict ex,
               double* __restrict ey, double* __restrict ez,
-              EngineCounters* counters) {
+              RunStats* stats) {
   const std::size_t nn = ttree.num_nodes();
   const std::size_t nlevels = tgrids.size();
   // fp32 pair tags only fire when the shadow mirrors every ladder level the
@@ -764,17 +764,17 @@ void run_dual(const OrderedParticles& targets, const ClusterTree& ttree,
     }
   }
 
-  if (counters != nullptr) {
-    counters->approx_evals = approx_evals;
-    counters->direct_evals = direct_evals;
-    counters->approx_launches = approx_launches;
-    counters->direct_launches = direct_launches;
-    counters->cp_evals = cp_evals;
-    counters->cc_evals = cc_evals;
-    counters->cp_launches = cp_launches;
-    counters->cc_launches = cc_launches;
-    counters->fp32_evals = fp32_evals;
-    counters->fp64_evals =
+  if (stats != nullptr) {
+    stats->approx_evals += approx_evals;
+    stats->direct_evals += direct_evals;
+    stats->approx_launches += approx_launches;
+    stats->direct_launches += direct_launches;
+    stats->cp_evals += cp_evals;
+    stats->cc_evals += cc_evals;
+    stats->cp_launches += cp_launches;
+    stats->cc_launches += cc_launches;
+    stats->fp32_evals += fp32_evals;
+    stats->fp64_evals +=
         approx_evals + direct_evals + cp_evals + cc_evals - fp32_evals;
   }
 }
@@ -789,7 +789,7 @@ std::vector<double> cpu_evaluate(const OrderedParticles& targets,
                                  const ClusterMoments& moments,
                                  const KernelSpec& kernel,
                                  const ShiftTable* shifts,
-                                 EngineCounters* counters,
+                                 RunStats* stats,
                                  CpuWorkspace* workspace,
                                  const Fp32Shadow* fp32) {
   std::vector<double> phi(targets.size(), 0.0);
@@ -798,7 +798,7 @@ std::vector<double> cpu_evaluate(const OrderedParticles& targets,
   with_kernel(kernel, [&](auto k) {
     run_lists<false>(targets, batches, lists, tree, sources, moments, k, ws,
                      shifts, fp32, phi.data(), nullptr, nullptr, nullptr,
-                     counters);
+                     stats);
   });
   return phi;
 }
@@ -811,7 +811,7 @@ FieldResult cpu_evaluate_field(const OrderedParticles& targets,
                                const ClusterMoments& moments,
                                const KernelSpec& kernel,
                                const ShiftTable* shifts,
-                               EngineCounters* counters,
+                               RunStats* stats,
                                CpuWorkspace* workspace,
                                const Fp32Shadow* fp32) {
   FieldResult out;
@@ -824,7 +824,7 @@ FieldResult cpu_evaluate_field(const OrderedParticles& targets,
   with_grad_kernel(kernel, [&](auto k) {
     run_lists<true>(targets, batches, lists, tree, sources, moments, k, ws,
                     shifts, fp32, out.phi.data(), out.ex.data(),
-                    out.ey.data(), out.ez.data(), counters);
+                    out.ey.data(), out.ez.data(), stats);
   });
   return out;
 }
@@ -835,7 +835,7 @@ std::vector<double> cpu_evaluate_dual(
     const DualInteractionLists& lists, const ClusterTree& source_tree,
     const OrderedParticles& sources,
     std::span<const ClusterMoments> moment_levels, const KernelSpec& kernel,
-    const ShiftTable* shifts, EngineCounters* counters,
+    const ShiftTable* shifts, RunStats* stats,
     CpuWorkspace* workspace, const Fp32Shadow* fp32) {
   std::vector<double> phi(targets.size(), 0.0);
   CpuWorkspace local;
@@ -843,7 +843,7 @@ std::vector<double> cpu_evaluate_dual(
   with_kernel(kernel, [&](auto k) {
     run_dual<false>(targets, target_tree, target_grids, lists, source_tree,
                     sources, moment_levels, k, ws, shifts, fp32, phi.data(),
-                    nullptr, nullptr, nullptr, counters);
+                    nullptr, nullptr, nullptr, stats);
   });
   return phi;
 }
@@ -854,7 +854,7 @@ FieldResult cpu_evaluate_dual_field(
     const DualInteractionLists& lists, const ClusterTree& source_tree,
     const OrderedParticles& sources,
     std::span<const ClusterMoments> moment_levels, const KernelSpec& kernel,
-    const ShiftTable* shifts, EngineCounters* counters,
+    const ShiftTable* shifts, RunStats* stats,
     CpuWorkspace* workspace, const Fp32Shadow* fp32) {
   FieldResult out;
   out.phi.assign(targets.size(), 0.0);
@@ -867,7 +867,7 @@ FieldResult cpu_evaluate_dual_field(
     run_dual<true>(targets, target_tree, target_grids, lists, source_tree,
                    sources, moment_levels, k, ws, shifts, fp32,
                    out.phi.data(), out.ex.data(), out.ey.data(),
-                   out.ez.data(), counters);
+                   out.ez.data(), stats);
   });
   return out;
 }

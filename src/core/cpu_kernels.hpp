@@ -33,13 +33,13 @@
 #include <span>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "core/fields.hpp"
 #include "core/interaction_lists.hpp"
 #include "core/kernels.hpp"
 #include "core/moments.hpp"
 #include "core/particles.hpp"
 #include "core/precision.hpp"
+#include "core/solver.hpp"
 #include "core/tree.hpp"
 
 #if defined(__AVX512F__)
@@ -1146,6 +1146,9 @@ void dual_transfer_apply(const double* parent, double* child,
                          double* tmp2);
 
 // ---- List-driven evaluators (implemented in cpu_kernels.cpp) -------------
+//
+// Each evaluator adds its eval and launch counts (and the fp32/fp64 split)
+// into a non-null `stats`, so multi-piece callers sum pieces in place.
 
 /// Evaluate potentials (tree order) for batched targets. A non-null `fp32`
 /// shadow routes interactions tagged fp32-eligible through the fp32 tiles
@@ -1158,7 +1161,7 @@ std::vector<double> cpu_evaluate(const OrderedParticles& targets,
                                  const ClusterMoments& moments,
                                  const KernelSpec& kernel,
                                  const ShiftTable* shifts = nullptr,
-                                 EngineCounters* counters = nullptr,
+                                 RunStats* stats = nullptr,
                                  CpuWorkspace* workspace = nullptr,
                                  const Fp32Shadow* fp32 = nullptr);
 
@@ -1172,7 +1175,7 @@ FieldResult cpu_evaluate_field(const OrderedParticles& targets,
                                const ClusterMoments& moments,
                                const KernelSpec& kernel,
                                const ShiftTable* shifts = nullptr,
-                               EngineCounters* counters = nullptr,
+                               RunStats* stats = nullptr,
                                CpuWorkspace* workspace = nullptr,
                                const Fp32Shadow* fp32 = nullptr);
 
@@ -1188,7 +1191,7 @@ std::vector<double> cpu_evaluate_dual(
     const DualInteractionLists& lists, const ClusterTree& source_tree,
     const OrderedParticles& sources,
     std::span<const ClusterMoments> moment_levels, const KernelSpec& kernel,
-    const ShiftTable* shifts = nullptr, EngineCounters* counters = nullptr,
+    const ShiftTable* shifts = nullptr, RunStats* stats = nullptr,
     CpuWorkspace* workspace = nullptr, const Fp32Shadow* fp32 = nullptr);
 
 /// Dual-traversal potential + field evaluation: CP/CC accumulate the field
@@ -1201,7 +1204,7 @@ FieldResult cpu_evaluate_dual_field(
     const DualInteractionLists& lists, const ClusterTree& source_tree,
     const OrderedParticles& sources,
     std::span<const ClusterMoments> moment_levels, const KernelSpec& kernel,
-    const ShiftTable* shifts = nullptr, EngineCounters* counters = nullptr,
+    const ShiftTable* shifts = nullptr, RunStats* stats = nullptr,
     CpuWorkspace* workspace = nullptr, const Fp32Shadow* fp32 = nullptr);
 
 }  // namespace bltc

@@ -1,8 +1,6 @@
 #include "core/engine.hpp"
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/cpu_engine.hpp"
@@ -11,45 +9,17 @@
 #include "util/timer.hpp"
 
 namespace bltc {
-namespace {
-
-std::mutex& registry_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::map<Backend, EngineFactory>& registry() {
-  static std::map<Backend, EngineFactory> r = {
-      {Backend::kCpu,
-       [](const GpuOptions&) -> std::unique_ptr<Engine> {
-         return std::make_unique<CpuEngine>();
-       }},
-      {Backend::kGpuSim,
-       [](const GpuOptions& gpu) -> std::unique_ptr<Engine> {
-         return std::make_unique<GpuSimEngine>(gpu);
-       }},
-  };
-  return r;
-}
-
-}  // namespace
-
-void accumulate_counters(EngineCounters& total, const EngineCounters& piece) {
-  total.approx_evals += piece.approx_evals;
-  total.direct_evals += piece.direct_evals;
-  total.approx_launches += piece.approx_launches;
-  total.direct_launches += piece.direct_launches;
-  total.cp_evals += piece.cp_evals;
-  total.cc_evals += piece.cc_evals;
-  total.cp_launches += piece.cp_launches;
-  total.cc_launches += piece.cc_launches;
-  total.fp32_evals += piece.fp32_evals;
-  total.fp64_evals += piece.fp64_evals;
-}
 
 void add_into(std::vector<double>& acc,
               const std::vector<double>& contribution) {
   for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += contribution[i];
+}
+
+void add_into(FieldResult& acc, const FieldResult& contribution) {
+  add_into(acc.phi, contribution.phi);
+  add_into(acc.ex, contribution.ex);
+  add_into(acc.ey, contribution.ey);
+  add_into(acc.ez, contribution.ez);
 }
 
 void Engine::update_sources(const SourcePlan& plan,
@@ -95,23 +65,14 @@ void Engine::mesh_far_field(const mesh::MeshPlan& plan,
   stats.mesh_points = plan.grid_points();
 }
 
-void register_engine(Backend backend, EngineFactory factory) {
-  std::scoped_lock lock(registry_mutex());
-  registry()[backend] = factory;
-}
-
 std::unique_ptr<Engine> make_engine(Backend backend, const GpuOptions& gpu) {
-  EngineFactory factory = nullptr;
-  {
-    std::scoped_lock lock(registry_mutex());
-    const auto it = registry().find(backend);
-    if (it != registry().end()) factory = it->second;
+  switch (backend) {
+    case Backend::kCpu:
+      return std::make_unique<CpuEngine>();
+    case Backend::kGpuSim:
+      return std::make_unique<GpuSimEngine>(gpu);
   }
-  if (factory == nullptr) {
-    throw std::invalid_argument("make_engine: no engine registered for the "
-                                "requested backend");
-  }
-  return factory(gpu);
+  throw std::invalid_argument("make_engine: unknown backend");
 }
 
 }  // namespace bltc

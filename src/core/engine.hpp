@@ -12,8 +12,7 @@
 // remote halves of its locally essential tree as extra source pieces
 // (`attach_let_pieces`). Evaluation then sums the contribution of every
 // piece in piece order, with one interaction list per piece carried by the
-// TargetPlan. New backends register a factory at load time instead of
-// growing a switch in the solvers.
+// TargetPlan.
 #pragma once
 
 #include <cstddef>
@@ -37,40 +36,11 @@ namespace mesh {
 class MeshPlan;  // FFT far field of the Ewald split (src/mesh/mesh.hpp)
 }  // namespace mesh
 
-/// Operation counters shared by the engines; these feed the performance
-/// model (evals are G(x,y) evaluations; the approximation counts one eval
-/// per target-Chebyshev-point pair because Eq. 11 has direct-sum form).
-struct EngineCounters {
-  double direct_evals = 0.0;
-  double approx_evals = 0.0;  ///< particle-cluster (Eq. 11) evaluations
-  std::size_t direct_launches = 0;
-  std::size_t approx_launches = 0;
-  /// Dual-traversal interaction classes (zero under the batched traversal):
-  /// CP evaluates source particles at target grid points, CC evaluates
-  /// source proxy charges at target grid points.
-  double cp_evals = 0.0;
-  double cc_evals = 0.0;
-  std::size_t cp_launches = 0;
-  std::size_t cc_launches = 0;
-  /// Mixed-precision split (core/precision.hpp): evaluations executed
-  /// through fp32 tiles vs fp64 tiles. fp32 + fp64 == total_evals(); both
-  /// zero under PrecisionPolicy::kFp64 except fp64_evals == total.
-  double fp32_evals = 0.0;
-  double fp64_evals = 0.0;
-
-  double total_evals() const {
-    return direct_evals + approx_evals + cp_evals + cc_evals;
-  }
-};
-
-/// Accumulate one piece's counters into a running total (multi-piece LET
-/// evaluation sums one EngineCounters per piece).
-void accumulate_counters(EngineCounters& total, const EngineCounters& piece);
-
 /// Elementwise `acc += contribution` (piece contributions sum into the
 /// first piece's result; sizes must match).
 void add_into(std::vector<double>& acc,
               const std::vector<double>& contribution);
+void add_into(FieldResult& acc, const FieldResult& contribution);
 
 /// One remote piece of a locally essential tree, handed to
 /// `Engine::attach_let_pieces`. `plan.moments` is always non-null (the
@@ -183,8 +153,9 @@ class Engine {
   /// prepared sources (targets.lists[0]) and every attached LET piece
   /// (targets.lists[1 + i]) in piece order. `fresh_targets` marks a target
   /// plan the engine has not executed yet (device engines stage target data
-  /// exactly then). Engines fill the work/device/modeled fields of `stats`;
-  /// the solvers fill phase seconds and structure counts.
+  /// exactly then). Engines add their work counts (evals, launches, the
+  /// fp32/fp64 split) and device/modeled deltas into `stats`; the solvers
+  /// fill phase seconds and structure counts.
   ///
   /// Re-entrancy contract (the serving layer depends on it): evaluation is
   /// `const`, and all mutable per-call scratch lives in `ctx` (null falls
@@ -220,23 +191,14 @@ class Engine {
   /// re-entrant like evaluation (the serving layer gathers from one shared
   /// solved mesh concurrently). The default implementation gathers on the
   /// host; device engines override to model the device-resident mesh
-  /// pipeline. Fills the mesh_* fields of `stats`.
+  /// pipeline. Adds into the mesh_* fields of `stats`.
   virtual void mesh_far_field(const mesh::MeshPlan& plan,
                               const TargetPlan& targets,
                               std::vector<double>& phi, FieldResult* field,
                               RunStats& stats) const;
 };
 
-/// Engine factory: builds a fresh engine for one solver handle.
-using EngineFactory = std::unique_ptr<Engine> (*)(const GpuOptions& gpu);
-
-/// Register (or replace) the factory serving `backend`. The two built-in
-/// engines self-register; out-of-tree backends call this before building
-/// their first Solver.
-void register_engine(Backend backend, EngineFactory factory);
-
-/// Instantiate the engine registered for `backend`. Throws
-/// std::invalid_argument when no factory is registered.
+/// Instantiate the engine for `backend`.
 std::unique_ptr<Engine> make_engine(Backend backend, const GpuOptions& gpu);
 
 }  // namespace bltc

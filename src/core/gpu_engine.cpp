@@ -476,19 +476,19 @@ std::vector<double> GpuSimEngine::evaluate_potential(
   // Modeled times on the paper's hardware: host-side setup work plus all
   // PCIe transfers since the last report are attributed to the setup phase
   // (the paper's setup includes data movement); kernel time splits by phase.
-  stats.modeled.setup =
+  stats.modeled.setup +=
       gpusim::host_setup_seconds(options_.host,
                                  pending_host_setup_particles_) +
       (after.transfer_seconds - reported_marker_.transfer_seconds);
-  stats.modeled.precompute = pending_modeled_precompute_;
-  stats.modeled.compute = after.kernel_seconds - before.kernel_seconds;
+  stats.modeled.precompute += pending_modeled_precompute_;
+  stats.modeled.compute += after.kernel_seconds - before.kernel_seconds;
   pending_modeled_precompute_ = 0.0;
   pending_host_setup_particles_ = 0;
 
   // Device counters are cumulative; report deltas for this evaluation.
-  stats.gpu_launches = device_.launches() - reported_launches_;
-  stats.bytes_to_device = device_.bytes_to_device() - reported_bytes_htd_;
-  stats.bytes_to_host = device_.bytes_to_host() - reported_bytes_dth_;
+  stats.gpu_launches += device_.launches() - reported_launches_;
+  stats.bytes_to_device += device_.bytes_to_device() - reported_bytes_htd_;
+  stats.bytes_to_host += device_.bytes_to_host() - reported_bytes_dth_;
   reported_marker_ = after;
   reported_launches_ = device_.launches();
   reported_bytes_htd_ = device_.bytes_to_device();

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/solver.hpp"
 #include "mesh/mesh.hpp"
 #include "util/failpoints.hpp"
 
@@ -360,6 +361,27 @@ std::size_t TargetPlanState::append_lists(const ClusterTree& source_tree,
                                           params.degree, table,
                                           params.precision, cutoff));
   return lists.size() - 1;
+}
+
+void TargetPlanState::add_counts(RunStats& stats) const {
+  if (traversal == TraversalMode::kDual) {
+    stats.dual_traversal = true;
+    stats.num_batches += tree.num_leaves();
+    for (const DualInteractionLists& piece : dual_lists) {
+      stats.approx_interactions += piece.total_pc;
+      stats.direct_interactions += piece.total_direct;
+      stats.cp_interactions += piece.total_cp;
+      stats.cc_interactions += piece.total_cc;
+      stats.precision_demotions += piece.precision_demotions;
+    }
+    return;
+  }
+  stats.num_batches += batches.size();
+  for (const InteractionLists& piece : lists) {
+    stats.approx_interactions += piece.total_approx;
+    stats.direct_interactions += piece.total_direct;
+    stats.precision_demotions += piece.precision_demotions;
+  }
 }
 
 bool TargetPlanState::matches(const Cloud& targets) const {

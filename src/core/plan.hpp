@@ -32,6 +32,8 @@
 
 namespace bltc {
 
+struct RunStats;  // core/solver.hpp
+
 /// How the interaction lists are built (and therefore what kinds of
 /// interactions the engines execute).
 enum class TraversalMode {
@@ -290,6 +292,11 @@ struct TargetPlanState {
                              bool source_rebucketed,
                              std::vector<std::pair<std::size_t, std::size_t>>&
                                  moved_ranges);
+
+  /// Add the plan's structure counts — batches (target leaves under the
+  /// dual traversal), interaction pairs per class, and precision demotions,
+  /// summed over every source piece — into `stats`.
+  void add_counts(RunStats& stats) const;
 
   TargetPlan view() const {
     TargetPlan plan;

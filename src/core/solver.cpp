@@ -31,17 +31,19 @@ void Solver::plan_sources(const Cloud& sources) {
   if (config_.params.mesh()) {
     // Spread the (wrapped, tree-ordered) charges onto the far-field grid;
     // the k-space solve itself is deferred to the first evaluation.
+    WallTimer mesh_timer;
     mesh_ = std::make_unique<mesh::MeshPlan>(source_.particles,
                                              config_.params);
+    pending_.mesh_spread_seconds += mesh_timer.seconds();
   } else {
     mesh_.reset();
   }
-  pending_setup_seconds_ += timer.seconds();
+  pending_.setup_seconds += timer.seconds();
 
   timer.reset();
   engine_->prepare_sources(source_.view(), config_.params,
                            /*charges_only=*/false);
-  pending_precompute_seconds_ += timer.seconds();
+  pending_.precompute_seconds += timer.seconds();
 }
 
 void Solver::set_sources(const Cloud& sources) {
@@ -53,12 +55,11 @@ void Solver::set_sources(const Cloud& sources) {
   // must be re-listed against the new tree.
   targets_valid_ = false;
   targets_follow_sources_ = false;
-  // A full re-plan supersedes whatever incremental bookkeeping was pending.
-  pending_incremental_ = false;
-  pending_moved_ = 0;
-  pending_rebucketed_ = 0;
-  pending_dirty_clusters_ = 0;
-  pending_lists_reused_ = 0;
+  // A full re-plan supersedes whatever incremental bookkeeping was pending;
+  // the seconds already paid still land on the next evaluation.
+  pending_.incremental_update = false;
+  pending_.moved_particles = pending_.rebucketed_particles = 0;
+  pending_.dirty_clusters = pending_.lists_reused = 0;
   if (sources.size() == 0) {
     source_ = SourcePlanState{};
     mesh_.reset();
@@ -82,8 +83,12 @@ void Solver::update_charges(std::span<const double> charges) {
   source_.set_charges(charges);
   engine_->prepare_sources(source_.view(), config_.params,
                            /*charges_only=*/true);
-  if (mesh_ != nullptr) mesh_->update_charges(source_.particles);
-  pending_precompute_seconds_ += timer.seconds();
+  if (mesh_ != nullptr) {
+    WallTimer mesh_timer;
+    mesh_->update_charges(source_.particles);
+    pending_.mesh_spread_seconds += mesh_timer.seconds();
+  }
+  pending_.precompute_seconds += timer.seconds();
 }
 
 void Solver::update_positions(const Cloud& sources) {
@@ -108,11 +113,13 @@ void Solver::update_positions(const Cloud& sources) {
     // positions were not applied — fall through to the full rebuild.
     patched = false;
   }
+  // A rejected attempt is setup work too: it lands on the next evaluation
+  // ahead of the full re-plan's own cost.
+  pending_.setup_seconds += timer.seconds();
   if (!patched) {
     set_sources(sources);
     return;
   }
-  pending_setup_seconds_ += timer.seconds();
 
   timer.reset();
   SourceUpdate delta;
@@ -124,30 +131,33 @@ void Solver::update_positions(const Cloud& sources) {
   } catch (const TransientError&) {
     // The host plan already holds the new positions; a full re-plan from the
     // caller's cloud restores engine coherence from scratch.
+    pending_.precompute_seconds += timer.seconds();
     set_sources(sources);
     return;
   }
   if (mesh_ != nullptr) {
     // O(moved) grid patch: only the moved tree-order ranges re-spread (the
     // k-space re-solve happens lazily at the next evaluation).
+    WallTimer mesh_timer;
     mesh_->update_positions(source_.particles, update.moved_ranges);
+    pending_.mesh_spread_seconds += mesh_timer.seconds();
   }
-  pending_precompute_seconds_ += timer.seconds();
+  pending_.precompute_seconds += timer.seconds();
 
-  pending_incremental_ = true;
-  pending_moved_ += update.moved;
-  pending_rebucketed_ += update.rebucketed;
-  pending_dirty_clusters_ += update.dirty_clusters.size();
+  pending_.incremental_update = true;
+  pending_.moved_particles += update.moved;
+  pending_.rebucketed_particles += update.rebucketed;
+  pending_.dirty_clusters += update.dirty_clusters.size();
   // The source-side interaction-list set survives verbatim: fat-box geometry
   // is unchanged, so every MAC admission still holds and node ranges are
   // read live from the (re-bucketed) tree.
-  ++pending_lists_reused_;
+  ++pending_.lists_reused;
 
   if (!targets_valid_) return;
   if (!targets_follow_sources_) {
     // Fixed targets: they did not move, and their cached lists reference
     // source nodes whose fat geometry is unchanged — the plan stays valid.
-    ++pending_lists_reused_;
+    ++pending_.lists_reused;
     return;
   }
   // Self-targets (targets == sources): carry the cached target plan along by
@@ -156,22 +166,24 @@ void Solver::update_positions(const Cloud& sources) {
   // evaluate re-plans the targets.
   timer.reset();
   std::vector<std::pair<std::size_t, std::size_t>> target_moved;
-  const bool kept = targets_.update_positions_self(
+  bool kept = targets_.update_positions_self(
       sources, config_.params, update.rebucketed > 0, target_moved);
+  if (kept) {
+    try {
+      engine_->update_targets(targets_.view(), target_moved);
+    } catch (const TransientError&) {
+      // Host-side target plan is consistent but the staged device targets
+      // are in an unknown state; drop the cache so the next evaluate
+      // restages.
+      kept = false;
+    }
+  }
+  pending_.setup_seconds += timer.seconds();
   if (!kept) {
     targets_valid_ = false;
     return;
   }
-  try {
-    engine_->update_targets(targets_.view(), target_moved);
-  } catch (const TransientError&) {
-    // Host-side target plan is consistent but the staged device targets are
-    // in an unknown state; drop the cache so the next evaluate restages.
-    targets_valid_ = false;
-    return;
-  }
-  pending_setup_seconds_ += timer.seconds();
-  ++pending_lists_reused_;
+  ++pending_.lists_reused;
 }
 
 void Solver::plan_targets(const Cloud& targets) {
@@ -209,51 +221,23 @@ bool Solver::begin_evaluation(const Cloud& targets, RunStats& stats,
   WallTimer timer;
   fresh_targets = !(targets_valid_ && targets_.matches(targets));
   if (fresh_targets) plan_targets(targets);
-  stats = RunStats{};
-  if (mesh_ != nullptr) {
-    WallTimer solve_timer;
-    if (!mesh_->solved()) mesh_->solve();
-    pending_precompute_seconds_ += solve_timer.seconds();
-    mesh_->take_pending_seconds(&stats.mesh_spread_seconds,
-                                &stats.fft_seconds);
-    stats.mesh_points = mesh_->grid_points();
+  pending_.setup_seconds += timer.seconds();
+  if (mesh_ != nullptr && !mesh_->solved()) {
+    timer.reset();
+    mesh_->solve();
+    const double solve_seconds = timer.seconds();
+    pending_.fft_seconds += solve_seconds;
+    pending_.precompute_seconds += solve_seconds;
   }
-  stats.setup_seconds = pending_setup_seconds_ + timer.seconds();
-  stats.precompute_seconds = pending_precompute_seconds_;
-  stats.incremental_update = pending_incremental_;
-  stats.moved_particles = pending_moved_;
-  stats.rebucketed_particles = pending_rebucketed_;
-  stats.dirty_clusters = pending_dirty_clusters_;
-  stats.lists_reused = pending_lists_reused_;
-  pending_setup_seconds_ = 0.0;
-  pending_precompute_seconds_ = 0.0;
-  pending_incremental_ = false;
-  pending_moved_ = 0;
-  pending_rebucketed_ = 0;
-  pending_dirty_clusters_ = 0;
-  pending_lists_reused_ = 0;
+  stats = std::exchange(pending_, RunStats{});
+  if (mesh_ != nullptr) stats.mesh_points = mesh_->grid_points();
   return true;
 }
 
 void Solver::finish_stats(RunStats& stats) const {
   stats.num_clusters = source_.tree.num_nodes();
   stats.num_leaves = source_.tree.num_leaves();
-  if (config_.params.traversal == TraversalMode::kDual) {
-    const DualInteractionLists& lists = targets_.dual_lists.front();
-    stats.dual_traversal = true;
-    stats.num_batches = targets_.tree.num_leaves();
-    stats.approx_interactions = lists.total_pc;
-    stats.direct_interactions = lists.total_direct;
-    stats.cp_interactions = lists.total_cp;
-    stats.cc_interactions = lists.total_cc;
-    stats.precision_demotions = lists.precision_demotions;
-    return;
-  }
-  const InteractionLists& lists = targets_.lists.front();
-  stats.num_batches = lists.per_batch.size();
-  stats.approx_interactions = lists.total_approx;
-  stats.direct_interactions = lists.total_direct;
-  stats.precision_demotions = lists.precision_demotions;
+  targets_.add_counts(stats);
 }
 
 std::vector<double> Solver::evaluate(const Cloud& targets, RunStats* stats) {

@@ -63,9 +63,6 @@ struct GpuOptions {
   /// Host CPU model for the phases that stay on the host (tree, batches,
   /// lists, LET assembly), feeding the modeled setup seconds.
   gpusim::HostSpec host = gpusim::HostSpec::comet_haswell();
-  // Execution precision is no longer a device flag: set
-  // TreecodeParams::precision (core/precision.hpp) — the engine derives
-  // per-launch precision from the interaction tags.
 };
 
 /// Modeled wall-clock on the paper's hardware (GpuSim backend only).
@@ -76,11 +73,15 @@ struct ModeledTimes {
   double total() const { return setup + precompute + compute; }
 };
 
-/// Measured and modeled statistics for one evaluation. Phase costs paid in
-/// an earlier lifecycle stage (set_sources / update_charges) are attributed
-/// to the first evaluation that uses them; a repeat evaluation on an
-/// unchanged plan reports setup_seconds and precompute_seconds near zero
-/// and, on the GpuSim backend, zero fresh host-to-device source bytes.
+/// Measured and modeled statistics for one evaluation: the one record of
+/// its work counts, phase seconds, and device deltas. Producers add into it
+/// directly — the CPU kernels and engines their eval/launch counts and
+/// device deltas, the solvers phase seconds and structure counts (the
+/// distributed RankStats / DistStats extend it). Costs paid in an earlier
+/// lifecycle call (set_sources / update_charges / update_positions) are
+/// attributed to the first evaluation that uses them; a repeat evaluation
+/// on an unchanged plan reports setup_seconds and precompute_seconds near
+/// zero and, on the GpuSim backend, zero fresh host-to-device source bytes.
 struct RunStats {
   // Measured on this machine, paper phase boundaries (§4).
   double setup_seconds = 0.0;
@@ -104,7 +105,8 @@ struct RunStats {
   std::size_t cp_interactions = 0;  ///< cluster-particle pairs (dual only)
   std::size_t cc_interactions = 0;  ///< cluster-cluster pairs (dual only)
 
-  // Work counts (kernel evaluations).
+  // Work counts: G(x,y) evaluations. The approximation counts one per
+  // target-Chebyshev-point pair, because Eq. 11 has direct-sum form.
   double approx_evals = 0.0;
   double direct_evals = 0.0;
   double cp_evals = 0.0;  ///< dual traversal: source particles x target grid
@@ -183,7 +185,7 @@ struct SolverConfig {
 class Solver {
  public:
   /// Validates `config` (throws std::invalid_argument) and instantiates the
-  /// backend engine through the registry (core/engine.hpp).
+  /// backend engine (core/engine.hpp).
   explicit Solver(SolverConfig config);
   ~Solver();
   Solver(Solver&&) noexcept;
@@ -233,8 +235,8 @@ class Solver {
   void plan_sources(const Cloud& sources);
   void plan_targets(const Cloud& targets);
   /// Shared front half of evaluate/evaluate_field: empty handling, target
-  /// planning, pending-phase bookkeeping. Returns false when the result is
-  /// trivially zero (stats already written).
+  /// planning, the lazy mesh solve, and taking over `pending_`. Returns
+  /// false when the result is trivially zero (stats already written).
   bool begin_evaluation(const Cloud& targets, RunStats& stats,
                         bool& fresh_targets);
   void finish_stats(RunStats& stats) const;
@@ -265,15 +267,9 @@ class Solver {
   /// incremental update_positions can carry the target plan along.
   bool targets_follow_sources_ = false;
 
-  // Phase seconds paid in lifecycle calls, attributed to the next evaluate.
-  double pending_setup_seconds_ = 0.0;
-  double pending_precompute_seconds_ = 0.0;
-  // Incremental-update accounting, attributed to the next evaluate.
-  bool pending_incremental_ = false;
-  std::size_t pending_moved_ = 0;
-  std::size_t pending_rebucketed_ = 0;
-  std::size_t pending_dirty_clusters_ = 0;
-  std::size_t pending_lists_reused_ = 0;
+  /// Costs paid in lifecycle calls (phase and mesh seconds, incremental-
+  /// update accounting); the next evaluation takes them over.
+  RunStats pending_;
 };
 
 /// One-shot convenience wrapper (deprecated for hot paths): builds a

@@ -58,13 +58,10 @@ struct DistSolver::RankState {
   std::unique_ptr<simmpi::Window<double>> tree_win, qhat_win, coord_win,
       charge_win;
 
-  // Structure counts for the current plan.
-  RankStats structure;
-
-  // Phase costs paid in lifecycle calls, attributed to the next evaluate.
-  double pending_setup_seconds = 0.0;
-  double pending_precompute_seconds = 0.0;
-  std::size_t pending_tree_builds = 0;
+  /// Costs paid in lifecycle calls (phase seconds, tree builds); the next
+  /// evaluation takes them over.
+  RankStats pending;
+  /// Charge bytes of the most recent LET exchange or refresh.
   std::size_t let_charge_bytes = 0;
 
   // Snapshots of the cumulative per-rank communication counters.
@@ -208,14 +205,14 @@ void DistSolver::plan(const Cloud& cloud) {
     s.source = SourcePlanState::build(local, tc);
     s.targets = TargetPlanState::plan(local, tc);
     s.targets.append_lists(s.source.tree, tc);
-    s.pending_tree_builds += 1;
-    s.pending_setup_seconds += timer.seconds();
+    s.pending.tree_builds += 1;
+    s.pending.setup_seconds += timer.seconds();
 
     // ---- Local precompute: modified charges for every local cluster
     // (device-resident on the GpuSim backend).
     timer.reset();
     s.engine->prepare_sources(s.source.view(), tc, /*charges_only=*/false);
-    s.pending_precompute_seconds += timer.seconds();
+    s.pending.precompute_seconds += timer.seconds();
 
     // ---- Exposure: serialize the local tree and expose tree blob,
     // modified charges, tree-ordered coordinates, and tree-ordered charges
@@ -251,8 +248,6 @@ void DistSolver::plan(const Cloud& cloud) {
     s.pieces.clear();
     s.let_charge_bytes = 0;
     s.remotes.reserve(static_cast<std::size_t>(nranks) - 1);
-    std::size_t let_remote_clusters = 0;
-    std::size_t let_remote_particles = 0;
     for (int r = 0; r < nranks; ++r) {
       if (r == rank) continue;
       RankState::Remote rem;
@@ -310,8 +305,6 @@ void DistSolver::plan(const Cloud& cloud) {
         s.let_charge_bytes += count * sizeof(double);
         rem.fetched_particles += count;
       }
-      let_remote_particles += rem.fetched_particles;
-      let_remote_clusters += rem.clusters_in_let;
       s.remotes.push_back(std::move(rem));
     }
 
@@ -323,16 +316,10 @@ void DistSolver::plan(const Cloud& cloud) {
           rem.fetched_particles});
     }
     s.engine->attach_let_pieces(s.pieces, tc, /*charges_only=*/false);
-    s.pending_setup_seconds += timer.seconds();
+    s.pending.setup_seconds += timer.seconds();
 
     // Exposures must stay readable until every rank finished fetching.
     comm.barrier();
-
-    s.structure = RankStats{};
-    s.structure.local_particles = s.owned.size();
-    s.structure.local_clusters = s.source.tree.num_nodes();
-    s.structure.let_remote_clusters = let_remote_clusters;
-    s.structure.let_remote_particles = let_remote_particles;
   });
   targets_fresh_ = true;
 }
@@ -370,7 +357,7 @@ void DistSolver::update_charges(std::span<const double> charges) {
     }
     s.source.set_charges(local_q);
     s.engine->prepare_sources(s.source.view(), tc, /*charges_only=*/true);
-    s.pending_precompute_seconds += timer.seconds();
+    s.pending.precompute_seconds += timer.seconds();
 
     // Every rank's exposures must be refreshed before anyone re-fetches.
     comm.barrier();
@@ -398,7 +385,7 @@ void DistSolver::update_charges(std::span<const double> charges) {
       }
     }
     s.engine->attach_let_pieces(s.pieces, tc, /*charges_only=*/true);
-    s.pending_setup_seconds += timer.seconds();
+    s.pending.setup_seconds += timer.seconds();
 
     // Fetches must complete before any rank mutates its exposures again.
     comm.barrier();
@@ -438,7 +425,7 @@ void DistSolver::update_positions(const Cloud& cloud) {
       ok = false;
     }
     if (!ok) fallback.store(true, std::memory_order_relaxed);
-    s.pending_setup_seconds += timer.seconds();
+    s.pending.setup_seconds += timer.seconds();
     comm.barrier();
     if (fallback.load(std::memory_order_relaxed)) return;
 
@@ -474,7 +461,7 @@ void DistSolver::update_positions(const Cloud& cloud) {
         s.coords[3 * i + 2] = src.z[i];
       }
     }
-    s.pending_precompute_seconds += timer.seconds();
+    s.pending.precompute_seconds += timer.seconds();
     // Every rank's exposures must be coherent before anyone re-fetches.
     comm.barrier();
     if (fallback.load(std::memory_order_relaxed)) return;
@@ -518,7 +505,7 @@ void DistSolver::update_positions(const Cloud& cloud) {
     } catch (const TransientError&) {
       fallback.store(true, std::memory_order_relaxed);
     }
-    s.pending_setup_seconds += timer.seconds();
+    s.pending.setup_seconds += timer.seconds();
     // Fetches must complete before any rank mutates its exposures again.
     comm.barrier();
   });
@@ -529,55 +516,67 @@ void DistSolver::update_positions(const Cloud& cloud) {
   }
 }
 
-void DistSolver::finish_rank_stats(RankState& s, RankStats& st) const {
-  st.setup_seconds += s.pending_setup_seconds;
-  st.precompute_seconds += s.pending_precompute_seconds;
-  st.tree_builds = s.pending_tree_builds;
-  s.pending_setup_seconds = 0.0;
-  s.pending_precompute_seconds = 0.0;
-  s.pending_tree_builds = 0;
-
-  const std::size_t gets = team_->context().gets_issued(s.rank);
-  const std::size_t bytes = team_->context().bytes_gotten(s.rank);
-  st.rma_gets = gets - s.reported_gets;
-  st.rma_bytes = bytes - s.reported_bytes;
-  s.reported_gets = gets;
-  s.reported_bytes = bytes;
-  st.let_charge_bytes = s.let_charge_bytes;
-}
-
-void DistSolver::reduce_stats(DistStats& stats) const {
-  for (const RankStats& st : stats.per_rank) {
-    stats.modeled.setup = std::max(stats.modeled.setup, st.modeled.setup);
-    stats.modeled.precompute =
-        std::max(stats.modeled.precompute, st.modeled.precompute);
-    stats.modeled.compute =
-        std::max(stats.modeled.compute, st.modeled.compute);
-    stats.setup_seconds = std::max(stats.setup_seconds, st.setup_seconds);
-    stats.precompute_seconds =
-        std::max(stats.precompute_seconds, st.precompute_seconds);
-    stats.compute_seconds =
-        std::max(stats.compute_seconds, st.compute_seconds);
-  }
-}
-
 void DistSolver::run_evaluation(
     DistStats& stats,
     const std::function<void(RankState&, RankStats&)>& execute) {
   const bool on_gpu = config_.params.backend == Backend::kGpuSim;
   team_->run([&](simmpi::Comm& comm) {
     RankState& s = *ranks_[static_cast<std::size_t>(comm.rank())];
-    RankStats st = s.structure;
+    RankStats st = std::exchange(s.pending, RankStats{});
     execute(s, st);
-    finish_rank_stats(s, st);
+
+    st.local_particles = s.owned.size();
+    st.num_clusters = s.source.tree.num_nodes();
+    st.num_leaves = s.source.tree.num_leaves();
+    s.targets.add_counts(st);
+    for (const RankState::Remote& rem : s.remotes) {
+      st.let_remote_clusters += rem.clusters_in_let;
+      st.let_remote_particles += rem.fetched_particles;
+    }
+    st.let_charge_bytes = s.let_charge_bytes;
+
+    const std::size_t gets = team_->context().gets_issued(s.rank);
+    const std::size_t bytes = team_->context().bytes_gotten(s.rank);
+    st.rma_gets = gets - s.reported_gets;
+    st.rma_bytes = bytes - s.reported_bytes;
+    s.reported_gets = gets;
+    s.reported_bytes = bytes;
     if (on_gpu) {
       st.modeled.setup += gpusim::comm_seconds(config_.params.network,
                                                st.rma_gets, st.rma_bytes);
     }
-    stats.per_rank[static_cast<std::size_t>(comm.rank())] = st;
+    stats.per_rank[static_cast<std::size_t>(comm.rank())] = std::move(st);
   });
   targets_fresh_ = false;
-  reduce_stats(stats);
+
+  // Bulk-synchronous view: the slowest rank sets each phase's time, counts
+  // add up over ranks (the distributed path is batched-only and open: no
+  // CP/CC pairs, no mesh).
+  for (const RankStats& st : stats.per_rank) {
+    stats.setup_seconds = std::max(stats.setup_seconds, st.setup_seconds);
+    stats.precompute_seconds =
+        std::max(stats.precompute_seconds, st.precompute_seconds);
+    stats.compute_seconds = std::max(stats.compute_seconds, st.compute_seconds);
+    stats.modeled.setup = std::max(stats.modeled.setup, st.modeled.setup);
+    stats.modeled.precompute =
+        std::max(stats.modeled.precompute, st.modeled.precompute);
+    stats.modeled.compute = std::max(stats.modeled.compute, st.modeled.compute);
+    stats.num_clusters += st.num_clusters;
+    stats.num_leaves += st.num_leaves;
+    stats.num_batches += st.num_batches;
+    stats.approx_interactions += st.approx_interactions;
+    stats.direct_interactions += st.direct_interactions;
+    stats.precision_demotions += st.precision_demotions;
+    stats.approx_evals += st.approx_evals;
+    stats.direct_evals += st.direct_evals;
+    stats.fp32_evals += st.fp32_evals;
+    stats.fp64_evals += st.fp64_evals;
+    stats.approx_launches += st.approx_launches;
+    stats.direct_launches += st.direct_launches;
+    stats.gpu_launches += st.gpu_launches;
+    stats.bytes_to_device += st.bytes_to_device;
+    stats.bytes_to_host += st.bytes_to_host;
+  }
 }
 
 std::vector<double> DistSolver::evaluate(DistStats* stats) {
@@ -593,15 +592,11 @@ std::vector<double> DistSolver::evaluate(DistStats* stats) {
   }
 
   run_evaluation(local, [&](RankState& s, RankStats& st) {
-    RunStats run;
     WallTimer timer;
     const std::vector<double> phi = s.engine->evaluate_potential(
-        s.source.view(), s.targets.view(), config_.kernel, targets_fresh_,
-        run, &s.exec);
+        s.source.view(), s.targets.view(), config_.kernel, targets_fresh_, st,
+        &s.exec);
     st.compute_seconds = timer.seconds();
-    st.bytes_to_device = run.bytes_to_device;
-    st.bytes_to_host = run.bytes_to_host;
-    st.modeled = run.modeled;
 
     // ---- Scatter: local tree-order potentials back to the caller's
     // original indices (ranks own disjoint index sets).
@@ -638,15 +633,11 @@ FieldResult DistSolver::evaluate_field(DistStats* stats) {
   }
 
   run_evaluation(local, [&](RankState& s, RankStats& st) {
-    RunStats run;
     WallTimer timer;
     const FieldResult tree_order = s.engine->evaluate_field(
-        s.source.view(), s.targets.view(), config_.kernel, targets_fresh_,
-        run, &s.exec);
+        s.source.view(), s.targets.view(), config_.kernel, targets_fresh_, st,
+        &s.exec);
     st.compute_seconds = timer.seconds();
-    st.bytes_to_device = run.bytes_to_device;
-    st.bytes_to_host = run.bytes_to_host;
-    st.modeled = run.modeled;
 
     const OrderedParticles& tgt = s.targets.particles;
     const std::vector<double> phi = tgt.scatter_to_original(tree_order.phi);
@@ -664,22 +655,18 @@ FieldResult DistSolver::evaluate_field(DistStats* stats) {
   return result;
 }
 
-DistResult compute_potential_distributed(const Cloud& cloud,
-                                         const KernelSpec& kernel,
-                                         const DistParams& params,
-                                         int nranks) {
+std::vector<double> compute_potential_distributed(const Cloud& cloud,
+                                                  const KernelSpec& kernel,
+                                                  const DistParams& params,
+                                                  int nranks,
+                                                  DistStats* stats) {
   DistConfig config;
   config.kernel = kernel;
   config.params = params;
   config.nranks = nranks;
   DistSolver solver(std::move(config));
   solver.set_sources(cloud);
-  DistStats stats;
-  DistResult result;
-  result.potential = solver.evaluate(&stats);
-  result.per_rank = std::move(stats.per_rank);
-  result.modeled = stats.modeled;
-  return result;
+  return solver.evaluate(stats);
 }
 
 }  // namespace bltc::dist

@@ -16,12 +16,16 @@
 //   solver.update_positions(moved);     // LET window refresh when
 //                                       // position_slack > 0, else re-plan
 //
-// Each rank owns one Engine from the core registry, so the distributed
+// Each rank owns one Engine (core/engine.hpp), so the distributed
 // path inherits the blocked CPU kernels and the simulated-GPU persistent-
 // residency model: a rank's LET (local sources, remote trees, fetched
 // charges and particles) is staged on its device once and repeat
 // evaluations move nothing but results. `compute_potential_distributed`
 // remains the one-shot wrapper.
+//
+// Statistics extend the serial RunStats: each rank reports a RankStats (its
+// own eval counts, phase seconds, and device deltas plus its LET traffic),
+// and DistStats is the bulk-synchronous view over all ranks.
 #pragma once
 
 #include <cstddef>
@@ -55,24 +59,20 @@ struct DistParams {
   gpusim::NetworkSpec network = gpusim::NetworkSpec::comet_infiniband();
 };
 
-/// Per-rank accounting. Structure counts describe the current plan; the
-/// phase seconds, RMA counters, and device bytes are *deltas* for one
-/// evaluation — costs paid in a lifecycle call (set_sources,
-/// update_charges) are attributed to the first evaluation that uses them,
-/// mirroring the serial RunStats. A repeat evaluation on an unchanged plan
-/// therefore reports zero RMA gets, zero tree builds, and near-zero
-/// setup/precompute seconds.
-struct RankStats {
-  // Structure counts (stable while the plan is unchanged).
+/// One rank's statistics for one evaluation: the RunStats its engine and
+/// plan produced (eval and launch counts, structure counts of the local
+/// plan summed over its pieces, phase seconds, device deltas) plus the LET
+/// fields RunStats lacks. As in RunStats, phase seconds, RMA counters, tree
+/// builds and device bytes are deltas — costs paid in a lifecycle call land
+/// on the first evaluation that uses them — so a repeat evaluation on an
+/// unchanged plan reports zero RMA gets, zero tree builds, and near-zero
+/// setup/precompute seconds. The incremental-update fields stay zero; an
+/// incremental update_positions shows as tree_builds == 0.
+struct RankStats : RunStats {
+  // Structure of the rank's LET (stable while the plan is unchanged).
   std::size_t local_particles = 0;
-  std::size_t local_clusters = 0;
   std::size_t let_remote_clusters = 0;   ///< remote clusters in this rank's LET
   std::size_t let_remote_particles = 0;  ///< remote particles actually fetched
-
-  // Measured phase seconds (paper phase boundaries, §4), per evaluation.
-  double setup_seconds = 0.0;
-  double precompute_seconds = 0.0;
-  double compute_seconds = 0.0;
 
   // LET refresh deltas for this evaluation.
   std::size_t tree_builds = 0;  ///< local tree constructions paid here
@@ -83,30 +83,13 @@ struct RankStats {
   /// direct-fetched ranges. After update_charges, rma_bytes equals exactly
   /// this (no tree geometry or coordinates cross the network again).
   std::size_t let_charge_bytes = 0;
-
-  // Device accounting deltas (GpuSim backend).
-  std::size_t bytes_to_device = 0;
-  std::size_t bytes_to_host = 0;
-  ModeledTimes modeled;
 };
 
-/// Aggregate statistics for one distributed evaluation: per-rank detail
-/// plus the bulk-synchronous view (per-phase maximum over ranks).
-struct DistStats {
+/// Statistics for one distributed evaluation. The inherited RunStats is the
+/// bulk-synchronous view: phase seconds and modeled times are the maximum
+/// over ranks, counts (evals, launches, structure, device bytes) the sum.
+struct DistStats : RunStats {
   std::vector<RankStats> per_rank;
-  ModeledTimes modeled;
-  double setup_seconds = 0.0;
-  double precompute_seconds = 0.0;
-  double compute_seconds = 0.0;
-};
-
-/// Result of a one-shot distributed solve.
-struct DistResult {
-  /// Potentials for every particle, in the caller's order.
-  std::vector<double> potential;
-  std::vector<RankStats> per_rank;
-  /// Bulk-synchronous phase times: per-phase maximum over ranks.
-  ModeledTimes modeled;
 };
 
 /// Everything needed to construct a DistSolver.
@@ -125,8 +108,7 @@ class DistSolver {
  public:
   /// Validates the configuration (throws std::invalid_argument on bad
   /// treecode parameters, nranks < 1, the dual traversal, or periodic
-  /// boundaries) and instantiates one Engine per rank through the core
-  /// registry.
+  /// boundaries) and instantiates one Engine per rank.
   explicit DistSolver(DistConfig config);
   ~DistSolver();
   DistSolver(DistSolver&&) noexcept;
@@ -182,12 +164,11 @@ class DistSolver {
 
   void plan(const Cloud& cloud);
   void release_plan();  ///< collective teardown of windows + per-rank state
-  void finish_rank_stats(RankState& rank, RankStats& st) const;
-  void reduce_stats(DistStats& stats) const;
-  /// Shared back half of evaluate/evaluate_field: run `execute` (engine
-  /// call + result scatter, filling the compute/device fields of its
-  /// RankStats) on every rank, then fill the delta accounting, consume the
-  /// fresh-targets flag, and reduce the bulk-synchronous view.
+  /// Shared back half of evaluate/evaluate_field: on every rank, take over
+  /// the pending lifecycle costs and run `execute` (engine call + result
+  /// scatter, adding into the rank's RankStats), then fill the RMA deltas
+  /// and LET counts, consume the fresh-targets flag, and reduce the
+  /// bulk-synchronous view.
   void run_evaluation(DistStats& stats,
                       const std::function<void(RankState&, RankStats&)>&
                           execute);
@@ -201,13 +182,15 @@ class DistSolver {
 };
 
 /// Compute potentials of `cloud` on itself across `nranks` in-process ranks
-/// (targets == sources, the paper's distributed configuration). One rank
-/// degenerates to the serial pipeline with no communication. One-shot
-/// wrapper over a temporary DistSolver; drivers that evaluate repeatedly
-/// should hold a DistSolver instead.
-DistResult compute_potential_distributed(const Cloud& cloud,
-                                         const KernelSpec& kernel,
-                                         const DistParams& params,
-                                         int nranks);
+/// (targets == sources, the paper's distributed configuration), in the
+/// caller's order; fills `stats` when non-null. One rank degenerates to the
+/// serial pipeline with no communication. One-shot wrapper over a temporary
+/// DistSolver; drivers that evaluate repeatedly should hold a DistSolver
+/// instead.
+std::vector<double> compute_potential_distributed(const Cloud& cloud,
+                                                  const KernelSpec& kernel,
+                                                  const DistParams& params,
+                                                  int nranks,
+                                                  DistStats* stats = nullptr);
 
 }  // namespace bltc::dist

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "core/precision.hpp"
-#include "util/timer.hpp"
 
 namespace bltc::mesh {
 namespace {
@@ -150,7 +149,6 @@ KernelSpec mesh_near_kernel(const TreecodeParams& params) {
 MeshPlan::MeshPlan(const OrderedParticles& sources,
                    const TreecodeParams& params)
     : tuning_(tune_mesh(params)), domain_(params.domain) {
-  WallTimer timer;
   nx_ = tuning_.nx;
   ny_ = tuning_.ny;
   nz_ = tuning_.nz;
@@ -209,7 +207,6 @@ MeshPlan::MeshPlan(const OrderedParticles& sources,
   for (std::size_t i = 0; i < n; ++i) cache_slot(i, sources);
   rebuild_buckets();
   accumulate_all();
-  pending_spread_seconds_ += timer.seconds();
 }
 
 void MeshPlan::cache_slot(std::size_t slot, const OrderedParticles& sources) {
@@ -312,7 +309,6 @@ void MeshPlan::apply_slot_deltas(std::span<const std::uint32_t> slots,
 }
 
 void MeshPlan::update_charges(const OrderedParticles& sources) {
-  WallTimer timer;
   for (std::size_t i = 0; i < charge_.size(); ++i) {
     charge_[i] = sources.q[i];
   }
@@ -321,23 +317,18 @@ void MeshPlan::update_charges(const OrderedParticles& sources) {
   accumulate_all();
   dirty_ = true;
   ++version_;
-  pending_spread_seconds_ += timer.seconds();
 }
 
 void MeshPlan::update_positions(
     const OrderedParticles& sources,
     std::span<const std::pair<std::size_t, std::size_t>> moved_ranges) {
-  WallTimer timer;
   std::vector<std::uint32_t> slots;
   for (const auto& [begin, end] : moved_ranges) {
     for (std::size_t i = begin; i < end; ++i) {
       slots.push_back(static_cast<std::uint32_t>(i));
     }
   }
-  if (slots.empty()) {
-    pending_spread_seconds_ += timer.seconds();
-    return;
-  }
+  if (slots.empty()) return;
   // Repeated subtract/add deltas accumulate rounding drift in the grid;
   // periodically (and whenever most slots moved anyway) fall back to the
   // canonical full re-accumulation, which resets the grid to the
@@ -368,12 +359,10 @@ void MeshPlan::update_positions(
   }
   dirty_ = true;
   ++version_;
-  pending_spread_seconds_ += timer.seconds();
 }
 
 void MeshPlan::solve() {
   if (!dirty_) return;
-  WallTimer timer;
   fft_.forward(rho_.data(), spec_.data());
   const std::size_t bins = fft_.spectrum_bins();
 #pragma omp parallel for schedule(static)
@@ -412,7 +401,6 @@ void MeshPlan::solve() {
   coincident_.resize(out);
 
   dirty_ = false;
-  pending_fft_seconds_ += timer.seconds();
 }
 
 double MeshPlan::coincident_charge(double x, double y, double z) const {
@@ -548,14 +536,6 @@ std::size_t MeshPlan::bytes() const {
     total += bucket.capacity() * sizeof(std::uint32_t);
   }
   return total;
-}
-
-void MeshPlan::take_pending_seconds(double* spread_seconds,
-                                    double* fft_seconds) {
-  if (spread_seconds != nullptr) *spread_seconds += pending_spread_seconds_;
-  if (fft_seconds != nullptr) *fft_seconds += pending_fft_seconds_;
-  pending_spread_seconds_ = 0.0;
-  pending_fft_seconds_ = 0.0;
 }
 
 }  // namespace bltc::mesh

@@ -111,10 +111,6 @@ class MeshPlan {
   /// Heap footprint (cache budget accounting).
   std::size_t bytes() const;
 
-  /// Drain the spread/FFT seconds accumulated by lifecycle calls since the
-  /// last drain (attributed by the Solver to its next evaluation).
-  void take_pending_seconds(double* spread_seconds, double* fft_seconds);
-
  private:
   struct Coincident {
     std::array<std::uint64_t, 3> key;
@@ -156,8 +152,6 @@ class MeshPlan {
   bool dirty_ = true;
   std::uint64_t version_ = 0;
   std::size_t updates_since_rebuild_ = 0;
-  double pending_spread_seconds_ = 0.0;
-  double pending_fft_seconds_ = 0.0;
 };
 
 }  // namespace bltc::mesh

@@ -134,12 +134,12 @@ void check_all_paths(const EvalPlan& s, const KernelSpec& spec) {
   const std::string name = spec.name();
   const RefResult rb = ref_batched(spec, s);
 
-  EngineCounters counters;
+  RunStats stats;
   const auto phi = cpu_evaluate(s.tgt, s.batches, s.lists, s.tree, s.src,
-                                s.moments, spec, nullptr, &counters);
+                                s.moments, spec, nullptr, &stats);
   expect_close(phi, rb.phi, "batched potential", name);
-  EXPECT_EQ(counters.approx_launches, s.lists.total_approx);
-  EXPECT_EQ(counters.direct_launches, s.lists.total_direct);
+  EXPECT_EQ(stats.approx_launches, s.lists.total_approx);
+  EXPECT_EQ(stats.direct_launches, s.lists.total_direct);
 
   const auto f = cpu_evaluate_field(s.tgt, s.batches, s.lists, s.tree, s.src,
                                     s.moments, spec);

@@ -1,12 +1,14 @@
 // Lifecycle tests for the plan/execute DistSolver handle: single-rank
 // parity with the serial Solver, distributed field evaluation, plan-reuse
 // amortization (zero RMA, zero tree work on repeat evaluations),
-// charge-only LET refreshes, position re-plans, and one-target batches
-// (the per-target MAC) through the distributed wrapper.
+// charge-only LET refreshes, position re-plans, one-target batches (the
+// per-target MAC) through the distributed wrapper, and per-rank work counts
+// with their bulk-synchronous reduction.
 #include "dist/dist_solver.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -229,10 +231,10 @@ TEST(DistLifecycle, WrapperRunsOneTargetBatches) {
   DistParams params = base_config(2).params;
   params.treecode.max_batch = 1;
   params.treecode.degree = 4;
-  const DistResult res =
+  const std::vector<double> phi =
       compute_potential_distributed(c, KernelSpec::coulomb(), params, 2);
   const auto ref = direct_sum(c, c, KernelSpec::coulomb());
-  EXPECT_LT(relative_l2_error(ref, res.potential), 1e-3);
+  EXPECT_LT(relative_l2_error(ref, phi), 1e-3);
 }
 
 TEST(DistLifecycle, GpuFieldEvaluationIsPrecise) {
@@ -270,9 +272,9 @@ TEST(DistLifecycle, WrapperMatchesHandle) {
   DistSolver solver(config);
   solver.set_sources(c);
   const auto held = solver.evaluate();
-  const DistResult oneshot = compute_potential_distributed(
+  const std::vector<double> oneshot = compute_potential_distributed(
       c, config.kernel, config.params, config.nranks);
-  EXPECT_EQ(held, oneshot.potential);
+  EXPECT_EQ(held, oneshot);
 }
 
 TEST(DistLifecycle, FieldSharesThePlanWithPotential) {
@@ -292,6 +294,70 @@ TEST(DistLifecycle, FieldSharesThePlanWithPotential) {
   // accuracy.
   const auto phi = solver.evaluate();
   EXPECT_LT(max_abs_difference(phi, f.phi), 1e-10 * scale);
+}
+
+TEST(DistLifecycle, RankStatsCarryWorkCounts) {
+  const Cloud c = uniform_cube(5000, 35);
+  for (const Backend backend : {Backend::kCpu, Backend::kGpuSim}) {
+    // One rank: the rank's work counts are the serial solver's.
+    const DistConfig one = base_config(1, backend);
+    Solver serial(serial_config(one));
+    serial.set_sources(c);
+    RunStats want;
+    (void)serial.evaluate(c, &want);
+    DistSolver single(one);
+    single.set_sources(c);
+    DistStats got;
+    (void)single.evaluate(&got);
+    ASSERT_EQ(got.per_rank.size(), 1u);
+    const RankStats& rank = got.per_rank[0];
+    EXPECT_EQ(rank.approx_evals, want.approx_evals);
+    EXPECT_EQ(rank.direct_evals, want.direct_evals);
+    EXPECT_EQ(rank.fp64_evals, want.fp64_evals);
+    EXPECT_EQ(rank.approx_launches, want.approx_launches);
+    EXPECT_EQ(rank.direct_launches, want.direct_launches);
+    EXPECT_EQ(rank.gpu_launches, want.gpu_launches);
+    EXPECT_EQ(rank.num_clusters, want.num_clusters);
+    EXPECT_EQ(rank.num_batches, want.num_batches);
+    EXPECT_EQ(rank.approx_interactions, want.approx_interactions);
+    EXPECT_EQ(rank.direct_interactions, want.direct_interactions);
+
+    // Two ranks: the bulk-synchronous view sums counts over ranks and takes
+    // the slowest rank's phase seconds.
+    DistSolver pair(base_config(2, backend));
+    pair.set_sources(c);
+    DistStats stats;
+    (void)pair.evaluate(&stats);
+    ASSERT_EQ(stats.per_rank.size(), 2u);
+    RunStats reduced;
+    for (const RankStats& st : stats.per_rank) {
+      EXPECT_GT(st.approx_evals + st.direct_evals, 0.0);
+      reduced.approx_evals += st.approx_evals;
+      reduced.direct_evals += st.direct_evals;
+      reduced.approx_launches += st.approx_launches;
+      reduced.direct_launches += st.direct_launches;
+      reduced.gpu_launches += st.gpu_launches;
+      reduced.num_clusters += st.num_clusters;
+      reduced.setup_seconds =
+          std::max(reduced.setup_seconds, st.setup_seconds);
+      reduced.precompute_seconds =
+          std::max(reduced.precompute_seconds, st.precompute_seconds);
+      reduced.compute_seconds =
+          std::max(reduced.compute_seconds, st.compute_seconds);
+      reduced.modeled.compute =
+          std::max(reduced.modeled.compute, st.modeled.compute);
+    }
+    EXPECT_EQ(stats.approx_evals, reduced.approx_evals);
+    EXPECT_EQ(stats.direct_evals, reduced.direct_evals);
+    EXPECT_EQ(stats.approx_launches, reduced.approx_launches);
+    EXPECT_EQ(stats.direct_launches, reduced.direct_launches);
+    EXPECT_EQ(stats.gpu_launches, reduced.gpu_launches);
+    EXPECT_EQ(stats.num_clusters, reduced.num_clusters);
+    EXPECT_EQ(stats.setup_seconds, reduced.setup_seconds);
+    EXPECT_EQ(stats.precompute_seconds, reduced.precompute_seconds);
+    EXPECT_EQ(stats.compute_seconds, reduced.compute_seconds);
+    EXPECT_EQ(stats.modeled.compute, reduced.modeled.compute);
+  }
 }
 
 }  // namespace

@@ -181,8 +181,7 @@ ModelSnapshot first_evaluation(const TreecodeParams& params,
 /// The pinned configurations, in table order: batched, dual (kMixed,
 /// symmetric self mode), periodic (one image shell), the evaluation after
 /// one slack-fattened update_positions, and each rank of a 2-rank
-/// DistSolver (RankStats carries no launch count, so those rows pin bytes
-/// and seconds only).
+/// DistSolver (those rows pin bytes and seconds only).
 std::vector<ModelSnapshot> pinned_model_runs() {
   std::vector<ModelSnapshot> out;
   const Cloud c = uniform_cube(3000, 7);
@@ -218,8 +217,8 @@ std::vector<ModelSnapshot> pinned_model_runs() {
   dp.treecode = small_params();
   dp.backend = Backend::kGpuSim;
   dp.device = slow_device();
-  const dist::DistResult res =
-      dist::compute_potential_distributed(c, KernelSpec::coulomb(), dp, 2);
+  dist::DistStats res;
+  dist::compute_potential_distributed(c, KernelSpec::coulomb(), dp, 2, &res);
   for (const dist::RankStats& st : res.per_rank) {
     out.push_back({0, st.bytes_to_device, st.bytes_to_host, st.modeled.setup,
                    st.modeled.precompute, st.modeled.compute});

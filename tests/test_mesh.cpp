@@ -3,7 +3,8 @@
 // against the converged classical Ewald oracle for potentials and fields on
 // both traversals and both engines, non-neutral acceptance (the
 // uniform-background convention), alpha/spacing invariance of the split,
-// lock-step update_charges / update_positions parity, and serve-layer
+// lock-step update_charges / update_positions parity, mesh seconds landing
+// on the evaluation after each lifecycle call, and serve-layer
 // cache-hit bit-identity with zero extra mesh builds.
 #include <gtest/gtest.h>
 
@@ -364,6 +365,38 @@ TEST(MeshLifecycle, IncrementalDriftKeepsOracleAccuracy) {
     EXPECT_LT(relative_l2_error(oracle, phi), error_bar(params))
         << "step " << step;
   }
+}
+
+TEST(MeshLifecycle, MeshSecondsLandOnTheNextEvaluation) {
+  // Spread and FFT seconds paid by set_sources, update_charges and
+  // update_positions are reported by the evaluation after each; a repeat
+  // evaluation on an unchanged mesh solves nothing.
+  TreecodeParams params = mesh_params();
+  params.position_slack = 0.1;
+  Cloud c = ionic_lattice(8, 19, kBox, 0.5);
+  Solver solver = make_solver(params);
+  solver.set_sources(c);
+  RunStats stats;
+  (void)solver.evaluate(c, &stats);
+  EXPECT_GT(stats.fft_seconds, 0.0);
+  EXPECT_GT(stats.mesh_spread_seconds, 0.0);
+  EXPECT_GT(stats.mesh_points, 0u);
+
+  (void)solver.evaluate(c, &stats);
+  EXPECT_EQ(stats.fft_seconds, 0.0);
+  EXPECT_GT(stats.mesh_spread_seconds, 0.0);  // the per-call gather
+
+  std::vector<double> charges = c.q;
+  for (double& q : charges) q *= 0.5;
+  solver.update_charges(charges);
+  (void)solver.evaluate(c, &stats);
+  EXPECT_GT(stats.fft_seconds, 0.0);
+
+  for (std::size_t i = 0; i < c.size(); i += 5) c.x[i] += 1e-4;
+  solver.update_positions(c);
+  (void)solver.evaluate(c, &stats);
+  EXPECT_TRUE(stats.incremental_update);
+  EXPECT_GT(stats.fft_seconds, 0.0);
 }
 
 // ---- Serving layer -------------------------------------------------------

@@ -57,7 +57,7 @@ TEST(Robustness, DistributedSolverIsDeterministic) {
                                                      p, 4);
   const auto b = dist::compute_potential_distributed(c, KernelSpec::coulomb(),
                                                      p, 4);
-  EXPECT_EQ(a.potential, b.potential);
+  EXPECT_EQ(a, b);
 }
 
 TEST(Robustness, DuplicateParticlesMatchDirectSumConvention) {
@@ -616,7 +616,7 @@ TEST(FailpointDist, RmaFaultDuringExchangeFailsCleanlyWithoutHang) {
   // A fresh team after the fault reproduces the original answer exactly.
   const auto again =
       dist::compute_potential_distributed(cloud, KernelSpec::coulomb(), dp, 4);
-  EXPECT_EQ(good.potential, again.potential);
+  EXPECT_EQ(good, again);
 }
 
 // ---- Retry convergence ---------------------------------------------------
