@@ -40,24 +40,11 @@ void CpuEngine::prepare_sources(const SourcePlan& plan,
                                                                  moments_, d));
     }
   };
-  // The fp32 shadow mirrors whichever moment set evaluation reads: the
-  // full ladder under the dual traversal, the single nominal level
-  // otherwise. Under kFp64 it stays empty — the empty shadow is what makes
-  // that policy execute the byte-identical all-fp64 path.
-  const auto shadow_levels = [&]() -> std::span<const ClusterMoments> {
-    if (params.traversal == TraversalMode::kDual) return dual_levels_;
-    return {&moments_, 1};
-  };
   if (!charges_only) {
     moments_ = ClusterMoments::compute(tree, sources, params.degree,
                                        params.moment_algorithm);
     delta_patched_.assign(tree.num_nodes(), 0);
     build_ladder(false);
-    if (params.precision != PrecisionPolicy::kFp64) {
-      shadow_ = Fp32Shadow::build(sources, shadow_levels());
-    } else {
-      shadow_.clear();
-    }
     // New source geometry orphans whatever LET pieces were attached (their
     // lists referenced the old trees); the caller re-attaches after the
     // exchange.
@@ -70,31 +57,10 @@ void CpuEngine::prepare_sources(const SourcePlan& plan,
   const std::size_t nc = tree.num_nodes();
 #pragma omp parallel for schedule(dynamic)
   for (std::size_t c = 0; c < nc; ++c) {
-    const int ci = static_cast<int>(c);
-    const MomentAlgorithm algorithm = resolve_moment_algorithm(
-        params.moment_algorithm, tree.node(ci).count(), params.degree);
-    if (algorithm == MomentAlgorithm::kDirect) {
-      ClusterMoments::compute_cluster_direct(
-          tree, sources, params.degree, ci, moments_.grid(ci, 0),
-          moments_.grid(ci, 1), moments_.grid(ci, 2),
-          moments_.qhat_mutable(ci));
-    } else {
-      ClusterMoments::compute_cluster_factorized(
-          tree, sources, params.degree, ci, moments_.grid(ci, 0),
-          moments_.grid(ci, 1), moments_.grid(ci, 2),
-          moments_.qhat_mutable(ci));
-    }
+    ClusterMoments::recompute_cluster(tree, sources, params.moment_algorithm,
+                                      static_cast<int>(c), moments_);
   }
   build_ladder(true);
-  if (params.precision != PrecisionPolicy::kFp64) {
-    if (shadow_.empty()) {
-      shadow_ = Fp32Shadow::build(sources, shadow_levels());
-    } else {
-      shadow_.refresh_charges(sources, shadow_levels());
-    }
-  } else {
-    shadow_.clear();
-  }
 }
 
 void CpuEngine::update_sources(const SourcePlan& plan,
@@ -157,19 +123,8 @@ void CpuEngine::update_sources(const SourcePlan& plan,
       continue;
     }
     delta_patched_[static_cast<std::size_t>(ci)] = 0;
-    const MomentAlgorithm algorithm = resolve_moment_algorithm(
-        params.moment_algorithm, tree.node(ci).count(), params.degree);
-    if (algorithm == MomentAlgorithm::kDirect) {
-      ClusterMoments::compute_cluster_direct(
-          tree, sources, params.degree, ci, moments_.grid(ci, 0),
-          moments_.grid(ci, 1), moments_.grid(ci, 2),
-          moments_.qhat_mutable(ci));
-    } else {
-      ClusterMoments::compute_cluster_factorized(
-          tree, sources, params.degree, ci, moments_.grid(ci, 0),
-          moments_.grid(ci, 1), moments_.grid(ci, 2),
-          moments_.qhat_mutable(ci));
-    }
+    ClusterMoments::recompute_cluster(tree, sources, params.moment_algorithm,
+                                      ci, moments_);
   }
   // Dual ladder: level 0 copies the dirty charges, lower levels restrict
   // them — per dirty cluster, never a full pass.
@@ -184,17 +139,6 @@ void CpuEngine::update_sources(const SourcePlan& plan,
         ClusterMoments::restrict_cluster(moments_, ci, dual_levels_[l]);
       }
     }
-  }
-  // Float shadow follows the same dirty sets: re-narrow exactly the moved
-  // particle slots and the dirty clusters' q̂ per level, keeping the
-  // incremental path O(moved) for mixed precision too.
-  if (params.precision != PrecisionPolicy::kFp64 && !shadow_.empty()) {
-    const std::span<const ClusterMoments> levels =
-        params.traversal == TraversalMode::kDual
-            ? std::span<const ClusterMoments>(dual_levels_)
-            : std::span<const ClusterMoments>(&moments_, 1);
-    shadow_.patch_positions(sources, update.moved_ranges,
-                            update.dirty_clusters, levels);
   }
 }
 
@@ -244,13 +188,6 @@ CpuEngine::Result<Field> CpuEngine::evaluate(const SourcePlan& sources,
                               std::size_t index) -> Result<Field> {
     const ClusterMoments& moments =
         piece.moments != nullptr ? *piece.moments : moments_;
-    // fp32 shadow resolution mirrors the moments': cached serve plans carry
-    // their own (piece.fp32), the engine-owned piece uses the prepared one,
-    // and LET pieces run fp64 (a null shadow demotes their tagged tiles).
-    const Fp32Shadow* fp32 =
-        piece.fp32 != nullptr
-            ? piece.fp32
-            : (piece.moments == nullptr ? &shadow_ : nullptr);
     if (dual) {
       // The pairs reference moments at every ladder degree: caller-owned
       // ladders (serving-layer cached plans) ride in piece.moment_levels;
@@ -269,24 +206,25 @@ CpuEngine::Result<Field> CpuEngine::evaluate(const SourcePlan& sources,
         return cpu_evaluate_dual_field(
             *targets.particles, *targets.tree, targets.grids,
             targets.dual_lists[index], *piece.tree, *piece.particles, levels,
-            kernel, targets.shifts, &stats, workspace, fp32);
+            kernel, targets.shifts, &stats, workspace, piece.fp32);
       } else {
         return cpu_evaluate_dual(
             *targets.particles, *targets.tree, targets.grids,
             targets.dual_lists[index], *piece.tree, *piece.particles, levels,
-            kernel, targets.shifts, &stats, workspace, fp32);
+            kernel, targets.shifts, &stats, workspace, piece.fp32);
       }
     }
     if constexpr (Field) {
       return cpu_evaluate_field(*targets.particles, *targets.batches,
                                 targets.lists[index], *piece.tree,
                                 *piece.particles, moments, kernel,
-                                targets.shifts, &stats, workspace, fp32);
+                                targets.shifts, &stats, workspace,
+                                piece.fp32);
     } else {
       return cpu_evaluate(*targets.particles, *targets.batches,
                           targets.lists[index], *piece.tree, *piece.particles,
                           moments, kernel, targets.shifts, &stats, workspace,
-                          fp32);
+                          piece.fp32);
     }
   };
   // Local piece first, then the attached LET pieces in piece order: the

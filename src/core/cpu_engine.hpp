@@ -24,7 +24,6 @@
 #include "core/kernels.hpp"
 #include "core/moments.hpp"
 #include "core/particles.hpp"
-#include "core/precision.hpp"
 
 namespace bltc {
 
@@ -67,9 +66,6 @@ class CpuEngine final : public Engine {
     if (!dual_levels_.empty()) return dual_levels_;
     return {&moments_, 1};
   }
-  /// Whether tiles tagged fp32-eligible in the engine-owned piece execute
-  /// fp32 (a shadow exists under every non-fp64 precision policy).
-  bool has_fp32_shadow() const { return !shadow_.empty(); }
 
  private:
   template <bool Field>
@@ -85,11 +81,6 @@ class CpuEngine final : public Engine {
   /// nominal degree, lower degrees are exact restrictions of it).
   std::vector<ClusterMoments> dual_levels_;
   std::vector<LetPiece> let_;  ///< attached remote pieces (caller-owned data)
-  /// Float mirrors of the prepared source streams, maintained only when
-  /// `params.precision != kFp64` and patched in lock-step with the fp64
-  /// masters (charges-only refresh, O(moved) position patches). Empty under
-  /// kFp64, which is what keeps that policy bit-identical.
-  Fp32Shadow shadow_;
   /// Per-cluster count of particles patched into the moments by delta
   /// updates since the last full recompute of that cluster. Once it
   /// approaches the cluster's size, the cluster is recomputed outright —

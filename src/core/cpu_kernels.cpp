@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <type_traits>
 
 #include "core/barycentric.hpp"
 #include "core/chebyshev.hpp"
@@ -22,8 +23,8 @@ void CpuWorkspace::ensure_threads() {
   // Expansion caches are only valid within one evaluation: the modified
   // charges behind a cached cluster id may have been rewritten since.
   for (CpuScratch& s : per_thread_) {
-    s.cached_cluster = -1;
-    s.fcached_cluster = -1;
+    s.f64.cached_cluster = -1;
+    s.f32.cached_cluster = -1;
     s.cached_target = -1;
   }
 }
@@ -38,177 +39,148 @@ CpuScratch& CpuWorkspace::scratch() {
 
 namespace {
 
+/// One staged source stream a tile call consumes: `n` weighted points of
+/// element type `T`.
+template <typename T>
+struct SourceStream {
+  const T* x;
+  const T* y;
+  const T* z;
+  const T* q;
+  std::size_t n;
+};
+
 /// Expand cluster `ci`'s tensor-product Chebyshev grid into contiguous
 /// point streams, adding the entry's lattice shift to the coordinates (the
-/// cached moments serve every image; only the staged grid moves). Done once
-/// per (list, cluster, shift) visit — hoisted out of the target loop, and
-/// amortized over every target tile of the list. `level` is the ladder
-/// level `moments` belongs to (0 outside the dual traversal); level and
-/// shift id are part of the cache key.
-std::size_t expand_cluster_points(const ClusterMoments& moments, int ci,
-                                  CpuScratch& scratch, int level = 0,
-                                  const ResolvedShift& shift = {}) {
-  if (scratch.cached_cluster == ci && scratch.cached_cluster_level == level &&
-      scratch.cached_cluster_shift == shift.id) {
-    return moments.points_per_cluster();
-  }
-  const auto gx = moments.grid(ci, 0);
-  const auto gy = moments.grid(ci, 1);
-  const auto gz = moments.grid(ci, 2);
-  const auto qhat = moments.qhat(ci);
-  const std::size_t m = gx.size();
-  const std::size_t ppc = m * m * m;
-  scratch.ensure(ppc);
-  double* __restrict px = scratch.px.data();
-  double* __restrict py = scratch.py.data();
-  double* __restrict pz = scratch.pz.data();
-  double* __restrict pq = scratch.pq.data();
-  std::size_t p = 0;
-  for (std::size_t k1 = 0; k1 < m; ++k1) {
-    for (std::size_t k2 = 0; k2 < m; ++k2) {
-      const double* __restrict qrow = qhat.data() + (k1 * m + k2) * m;
-      for (std::size_t k3 = 0; k3 < m; ++k3) {
-        px[p] = gx[k1] + shift.x;
-        py[p] = gy[k2] + shift.y;
-        pz[p] = gz[k3] + shift.z;
-        pq[p] = qrow[k3];
-        ++p;
-      }
-    }
-  }
-  scratch.cached_cluster = ci;
-  scratch.cached_cluster_level = level;
-  scratch.cached_cluster_shift = shift.id;
-  return ppc;
-}
-
-/// fp32 twin of expand_cluster_points: stages the cluster's Chebyshev grid
-/// and modified charges as float streams, reading the Fp32Shadow's mirrors
-/// of the flat per-level arrays. `moments` supplies only the layout (the
-/// shadow mirrors its all_grids()/all_qhat() storage one-to-one, so span
-/// offsets translate directly); the numeric data comes from the shadow.
-std::size_t expand_cluster_points_f32(const ClusterMoments& moments,
-                                      const Fp32Shadow& shadow,
-                                      std::size_t level, int ci,
-                                      CpuScratch& scratch,
-                                      const ResolvedShift& shift = {}) {
+/// cached moments serve every image; only the staged grid moves). Every
+/// value is narrowed to `T` before the shift add. Done once per (list,
+/// cluster, shift) visit — hoisted out of the target loop, and amortized
+/// over every target tile of the list. `level` is the ladder level
+/// `moments` belongs to (0 outside the dual traversal); level and shift id
+/// are part of the cache key.
+template <typename T>
+SourceStream<T> expand_cluster_points(const ClusterMoments& moments, int ci,
+                                      StagedSources<T>& staged, int level,
+                                      const ResolvedShift& shift) {
   const std::size_t ppc = moments.points_per_cluster();
-  if (scratch.fcached_cluster == ci &&
-      scratch.fcached_cluster_level == static_cast<int>(level) &&
-      scratch.fcached_cluster_shift == shift.id) {
-    return ppc;
-  }
-  const auto gx = moments.grid(ci, 0);
-  const auto gy = moments.grid(ci, 1);
-  const auto gz = moments.grid(ci, 2);
-  const std::size_t m = gx.size();
-  const double* gbase = moments.all_grids().data();
-  const float* fg = shadow.grids[level].data();
-  const float* fgx = fg + (gx.data() - gbase);
-  const float* fgy = fg + (gy.data() - gbase);
-  const float* fgz = fg + (gz.data() - gbase);
-  const float* fqhat =
-      shadow.qhat[level].data() +
-      (moments.qhat(ci).data() - moments.all_qhat().data());
-  const float shx = static_cast<float>(shift.x);
-  const float shy = static_cast<float>(shift.y);
-  const float shz = static_cast<float>(shift.z);
-  scratch.ensure_f32(ppc);
-  float* __restrict px = scratch.fpx.data();
-  float* __restrict py = scratch.fpy.data();
-  float* __restrict pz = scratch.fpz.data();
-  float* __restrict pq = scratch.fpq.data();
-  std::size_t p = 0;
-  for (std::size_t k1 = 0; k1 < m; ++k1) {
-    for (std::size_t k2 = 0; k2 < m; ++k2) {
-      const float* __restrict qrow = fqhat + (k1 * m + k2) * m;
-      for (std::size_t k3 = 0; k3 < m; ++k3) {
-        px[p] = fgx[k1] + shx;
-        py[p] = fgy[k2] + shy;
-        pz[p] = fgz[k3] + shz;
-        pq[p] = qrow[k3];
-        ++p;
+  if (staged.cached_cluster != ci || staged.cached_cluster_level != level ||
+      staged.cached_cluster_shift != shift.id) {
+    const auto gx = moments.grid(ci, 0);
+    const auto gy = moments.grid(ci, 1);
+    const auto gz = moments.grid(ci, 2);
+    const auto qhat = moments.qhat(ci);
+    const std::size_t m = gx.size();
+    const T shx = static_cast<T>(shift.x);
+    const T shy = static_cast<T>(shift.y);
+    const T shz = static_cast<T>(shift.z);
+    staged.ensure(ppc);
+    T* __restrict px = staged.px.data();
+    T* __restrict py = staged.py.data();
+    T* __restrict pz = staged.pz.data();
+    T* __restrict pq = staged.pq.data();
+    std::size_t p = 0;
+    for (std::size_t k1 = 0; k1 < m; ++k1) {
+      for (std::size_t k2 = 0; k2 < m; ++k2) {
+        const double* __restrict qrow = qhat.data() + (k1 * m + k2) * m;
+        for (std::size_t k3 = 0; k3 < m; ++k3) {
+          px[p] = static_cast<T>(gx[k1]) + shx;
+          py[p] = static_cast<T>(gy[k2]) + shy;
+          pz[p] = static_cast<T>(gz[k3]) + shz;
+          pq[p] = static_cast<T>(qrow[k3]);
+          ++p;
+        }
       }
     }
+    staged.cached_cluster = ci;
+    staged.cached_cluster_level = level;
+    staged.cached_cluster_shift = shift.id;
   }
-  scratch.fcached_cluster = ci;
-  scratch.fcached_cluster_level = static_cast<int>(level);
-  scratch.fcached_cluster_shift = shift.id;
-  return ppc;
+  return {staged.px.data(), staged.py.data(), staged.pz.data(),
+          staged.pq.data(), ppc};
 }
 
-/// Pointers to one direct-range source stream: the raw arrays for the home
-/// cell, or a staged copy with the lattice shift added for an image entry
-/// (the charges always stream from the raw array).
-struct DirectStream {
-  const double* x;
-  const double* y;
-  const double* z;
-  const double* q;
-};
-
-/// fp32 twin of DirectStream, streaming from an Fp32Shadow's particle
-/// mirrors (used by CP pairs tagged fp32-eligible).
-struct DirectStreamF32 {
-  const float* x;
-  const float* y;
-  const float* z;
-  const float* q;
-};
-
-DirectStreamF32 direct_stream_f32(const Fp32Shadow& shadow, std::size_t begin,
-                                  std::size_t count,
-                                  const ResolvedShift& shift,
-                                  CpuScratch& scratch) {
-  if (shift.id == 0) {
-    return {shadow.x.data() + begin, shadow.y.data() + begin,
-            shadow.z.data() + begin, shadow.q.data() + begin};
+/// One direct-range source stream: the raw arrays for an fp64 home-cell
+/// range, otherwise a staged copy narrowed to `T` with the lattice shift
+/// added for an image entry.
+template <typename T>
+SourceStream<T> direct_stream(const OrderedParticles& sources,
+                              std::size_t begin, std::size_t count,
+                              const ResolvedShift& shift,
+                              StagedSources<T>& staged) {
+  if constexpr (std::is_same_v<T, double>) {
+    if (shift.id == 0) {
+      return {sources.x.data() + begin, sources.y.data() + begin,
+              sources.z.data() + begin, sources.q.data() + begin, count};
+    }
   }
-  scratch.ensure_shifted_sources_f32(count);
-  float* __restrict sx = scratch.fssx.data();
-  float* __restrict sy = scratch.fssy.data();
-  float* __restrict sz = scratch.fssz.data();
-  const float shx = static_cast<float>(shift.x);
-  const float shy = static_cast<float>(shift.y);
-  const float shz = static_cast<float>(shift.z);
+  staged.ensure_direct(count);
+  T* __restrict sx = staged.sx.data();
+  T* __restrict sy = staged.sy.data();
+  T* __restrict sz = staged.sz.data();
+  T* __restrict sq = staged.sq.data();
   for (std::size_t j = 0; j < count; ++j) {
-    sx[j] = shadow.x[begin + j] + shx;
-    sy[j] = shadow.y[begin + j] + shy;
-    sz[j] = shadow.z[begin + j] + shz;
+    sx[j] = static_cast<T>(sources.x[begin + j]);
+    sy[j] = static_cast<T>(sources.y[begin + j]);
+    sz[j] = static_cast<T>(sources.z[begin + j]);
+    sq[j] = static_cast<T>(sources.q[begin + j]);
   }
-  return {sx, sy, sz, shadow.q.data() + begin};
+  if (shift.id != 0) {
+    const T shx = static_cast<T>(shift.x);
+    const T shy = static_cast<T>(shift.y);
+    const T shz = static_cast<T>(shift.z);
+    for (std::size_t j = 0; j < count; ++j) {
+      sx[j] += shx;
+      sy[j] += shy;
+      sz[j] += shz;
+    }
+  }
+  return {sx, sy, sz, sq, count};
 }
 
-DirectStream direct_stream(const OrderedParticles& sources, std::size_t begin,
-                           std::size_t count, const ResolvedShift& shift,
-                           CpuScratch& scratch) {
-  if (shift.id == 0) {
-    return {sources.x.data() + begin, sources.y.data() + begin,
-            sources.z.data() + begin, sources.q.data() + begin};
-  }
-  scratch.ensure_shifted_sources(count);
-  double* __restrict sx = scratch.ssx.data();
-  double* __restrict sy = scratch.ssy.data();
-  double* __restrict sz = scratch.ssz.data();
-  for (std::size_t j = 0; j < count; ++j) {
-    sx[j] = sources.x[begin + j] + shift.x;
-    sy[j] = sources.y[begin + j] + shift.y;
-    sz[j] = sources.z[begin + j] + shift.z;
-  }
-  return {sx, sy, sz, sources.q.data() + begin};
+/// Run `f` on the calling thread's staged buffers of the tile precision an
+/// interaction executes in: fp32 when tagged and allowed, else fp64.
+template <typename F>
+decltype(auto) with_staged(bool f32, CpuScratch& scratch, F&& f) {
+  return f32 ? f(scratch.f32) : f(scratch.f64);
 }
 
-/// The one list-execution driver behind both batched host paths.
+/// Sweep targets [begin, end) tile by tile against one staged stream; the
+/// stream's element type selects the fp64 or the fp32 tile. Returns the
+/// stream length (the evals per target).
+template <bool Field, typename T, typename K>
+inline std::size_t sweep_targets(const double* tx, const double* ty,
+                                 const double* tz, std::size_t begin,
+                                 std::size_t end, const SourceStream<T>& src,
+                                 K k, double* phi, double* ex, double* ey,
+                                 double* ez) {
+  for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
+    const std::size_t nt = std::min(kTargetTile, end - t0);
+    if constexpr (std::is_same_v<T, float>) {
+      accumulate_tile_f32<Field, true>(
+          tx + t0, ty + t0, tz + t0, nt, src.x, src.y, src.z, src.q, src.n,
+          k, phi + t0, Field ? ex + t0 : nullptr, Field ? ey + t0 : nullptr,
+          Field ? ez + t0 : nullptr);
+    } else {
+      accumulate_tile<Field, true>(
+          tx + t0, ty + t0, tz + t0, nt, src.x, src.y, src.z, src.q, src.n,
+          k, phi + t0, Field ? ex + t0 : nullptr, Field ? ey + t0 : nullptr,
+          Field ? ez + t0 : nullptr);
+    }
+  }
+  return src.n;
+}
+
+/// The one list-execution driver behind both batched host paths. `fp32`
+/// lets interactions tagged fp32-eligible run the fp32 tile.
 template <bool Field, typename K>
 void run_lists(const OrderedParticles& targets,
                const std::vector<TargetBatch>& batches,
                const InteractionLists& lists, const ClusterTree& tree,
                const OrderedParticles& sources, const ClusterMoments& moments,
-               K k, CpuWorkspace& ws, const ShiftTable* shifts,
-               const Fp32Shadow* shadow, double* __restrict phi,
-               double* __restrict ex, double* __restrict ey,
-               double* __restrict ez, RunStats* stats) {
-  const bool have_shadow = shadow != nullptr && !shadow->empty();
+               K k, CpuWorkspace& ws, const ShiftTable* shifts, bool fp32,
+               double* __restrict phi, double* __restrict ex,
+               double* __restrict ey, double* __restrict ez,
+               RunStats* stats) {
   const std::size_t nlists = lists.per_batch.size();
   const double ppc = static_cast<double>(moments.points_per_cluster());
 
@@ -253,52 +225,28 @@ void run_lists(const OrderedParticles& targets,
     const double* tz = targets.z.data();
 
     for (std::size_t e = 0; e < bi.approx.size(); ++e) {
-      const int ci = bi.approx[e];
       const ResolvedShift shift = resolve_shift(shifts, bi.approx_shift, e);
-      const bool use_f32 = have_shadow && e < bi.approx_fp32.size() &&
-                           bi.approx_fp32[e] != 0;
-      if (use_f32) {
-        const std::size_t npts =
-            expand_cluster_points_f32(moments, *shadow, 0, ci, scratch, shift);
-        for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
-          const std::size_t nt = std::min(kTargetTile, end - t0);
-          accumulate_tile_f32<Field, true>(
-              tx + t0, ty + t0, tz + t0, nt, scratch.fpx.data(),
-              scratch.fpy.data(), scratch.fpz.data(), scratch.fpq.data(),
-              npts, k, phi + t0, Field ? ex + t0 : nullptr,
-              Field ? ey + t0 : nullptr, Field ? ez + t0 : nullptr);
-        }
-        approx_evals += count * static_cast<double>(npts);
-        fp32_evals += count * static_cast<double>(npts);
-        ++approx_launches;
-        continue;
-      }
-      const std::size_t npts =
-          expand_cluster_points(moments, ci, scratch, 0, shift);
-      for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
-        const std::size_t nt = std::min(kTargetTile, end - t0);
-        accumulate_tile<Field, true>(
-            tx + t0, ty + t0, tz + t0, nt, scratch.px.data(),
-            scratch.py.data(), scratch.pz.data(), scratch.pq.data(), npts, k,
-            phi + t0, Field ? ex + t0 : nullptr, Field ? ey + t0 : nullptr,
-            Field ? ez + t0 : nullptr);
-      }
-      approx_evals += count * static_cast<double>(npts);
+      const bool f32 =
+          fp32 && e < bi.approx_fp32.size() && bi.approx_fp32[e] != 0;
+      const std::size_t npts = with_staged(f32, scratch, [&](auto& staged) {
+        return sweep_targets<Field>(
+            tx, ty, tz, begin, end,
+            expand_cluster_points(moments, bi.approx[e], staged, 0, shift), k,
+            phi, ex, ey, ez);
+      });
+      const double evals = count * static_cast<double>(npts);
+      approx_evals += evals;
+      if (f32) fp32_evals += evals;
       ++approx_launches;
     }
 
     for (std::size_t e = 0; e < bi.direct.size(); ++e) {
       const ClusterNode& node = tree.node(bi.direct[e]);
       const ResolvedShift shift = resolve_shift(shifts, bi.direct_shift, e);
-      const DirectStream src =
-          direct_stream(sources, node.begin, node.count(), shift, scratch);
-      for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
-        const std::size_t nt = std::min(kTargetTile, end - t0);
-        accumulate_tile<Field, true>(
-            tx + t0, ty + t0, tz + t0, nt, src.x, src.y, src.z, src.q,
-            node.count(), k, phi + t0, Field ? ex + t0 : nullptr,
-            Field ? ey + t0 : nullptr, Field ? ez + t0 : nullptr);
-      }
+      sweep_targets<Field>(tx, ty, tz, begin, end,
+                           direct_stream(sources, node.begin, node.count(),
+                                         shift, scratch.f64),
+                           k, phi, ex, ey, ez);
       direct_evals += count * static_cast<double>(node.count());
       ++direct_launches;
     }
@@ -403,16 +351,11 @@ void run_dual(const OrderedParticles& targets, const ClusterTree& ttree,
               const DualInteractionLists& lists, const ClusterTree& stree,
               const OrderedParticles& sources,
               std::span<const ClusterMoments> mlevels, K k, CpuWorkspace& ws,
-              const ShiftTable* shifts, const Fp32Shadow* shadow,
-              double* __restrict phi, double* __restrict ex,
-              double* __restrict ey, double* __restrict ez,
-              RunStats* stats) {
+              const ShiftTable* shifts, bool fp32, double* __restrict phi,
+              double* __restrict ex, double* __restrict ey,
+              double* __restrict ez, RunStats* stats) {
   const std::size_t nn = ttree.num_nodes();
   const std::size_t nlevels = tgrids.size();
-  // fp32 pair tags only fire when the shadow mirrors every ladder level the
-  // lists index (a plan piece without a shadow executes all-fp64).
-  const bool have_shadow = shadow != nullptr && !shadow->empty() &&
-                           shadow->qhat.size() >= mlevels.size();
 
   // Per-level grid-potential storage: level l's hat rows live at
   // hat_off[l] + node * lppc[l].
@@ -471,65 +414,26 @@ void run_dual(const OrderedParticles& targets, const ClusterTree& ttree,
       double* hz = Field ? hats.ez.data() + row : nullptr;
 
       const ResolvedShift shift = resolve_pair_shift(shifts, pair);
-      const bool use_f32 = have_shadow && pair.fp32 != 0;
-      if (pair.kind == DualKind::kCC) {
-        if (use_f32) {
-          const std::size_t npts = expand_cluster_points_f32(
-              mlevels[level], *shadow, level, pair.source, scratch, shift);
-          for (std::size_t t0 = 0; t0 < p; t0 += kTargetTile) {
-            const std::size_t nt = std::min(kTargetTile, p - t0);
-            accumulate_tile_f32<Field, true>(
-                tx + t0, ty + t0, tz + t0, nt, scratch.fpx.data(),
-                scratch.fpy.data(), scratch.fpz.data(), scratch.fpq.data(),
-                npts, k, hp + t0, Field ? hx + t0 : nullptr,
-                Field ? hy + t0 : nullptr, Field ? hz + t0 : nullptr);
-          }
-          fp32_evals += static_cast<double>(p) * static_cast<double>(npts);
-          cc_evals += static_cast<double>(p) * static_cast<double>(npts);
-          ++cc_launches;
-          continue;
-        }
-        const std::size_t npts =
-            expand_cluster_points(mlevels[level], pair.source, scratch,
-                                  static_cast<int>(level), shift);
-        for (std::size_t t0 = 0; t0 < p; t0 += kTargetTile) {
-          const std::size_t nt = std::min(kTargetTile, p - t0);
-          accumulate_tile<Field, true>(
-              tx + t0, ty + t0, tz + t0, nt, scratch.px.data(),
-              scratch.py.data(), scratch.pz.data(), scratch.pq.data(), npts,
-              k, hp + t0, Field ? hx + t0 : nullptr,
-              Field ? hy + t0 : nullptr, Field ? hz + t0 : nullptr);
-        }
-        cc_evals += static_cast<double>(p) * static_cast<double>(npts);
-        ++cc_launches;
-      } else {  // kCP: source particles evaluated at the target grid
+      const bool f32 = fp32 && pair.fp32 != 0;
+      const std::size_t npts = with_staged(f32, scratch, [&](auto& staged) {
+        // kCC: the source cluster's proxy points; kCP: its particles, both
+        // evaluated at the target grid.
         const ClusterNode& s = stree.node(pair.source);
-        if (use_f32) {
-          const DirectStreamF32 src =
-              direct_stream_f32(*shadow, s.begin, s.count(), shift, scratch);
-          for (std::size_t t0 = 0; t0 < p; t0 += kTargetTile) {
-            const std::size_t nt = std::min(kTargetTile, p - t0);
-            accumulate_tile_f32<Field, true>(
-                tx + t0, ty + t0, tz + t0, nt, src.x, src.y, src.z, src.q,
-                s.count(), k, hp + t0, Field ? hx + t0 : nullptr,
-                Field ? hy + t0 : nullptr, Field ? hz + t0 : nullptr);
-          }
-          fp32_evals +=
-              static_cast<double>(p) * static_cast<double>(s.count());
-          cp_evals += static_cast<double>(p) * static_cast<double>(s.count());
-          ++cp_launches;
-          continue;
-        }
-        const DirectStream src =
-            direct_stream(sources, s.begin, s.count(), shift, scratch);
-        for (std::size_t t0 = 0; t0 < p; t0 += kTargetTile) {
-          const std::size_t nt = std::min(kTargetTile, p - t0);
-          accumulate_tile<Field, true>(
-              tx + t0, ty + t0, tz + t0, nt, src.x, src.y, src.z, src.q,
-              s.count(), k, hp + t0, Field ? hx + t0 : nullptr,
-              Field ? hy + t0 : nullptr, Field ? hz + t0 : nullptr);
-        }
-        cp_evals += static_cast<double>(p) * static_cast<double>(s.count());
+        return sweep_targets<Field>(
+            tx, ty, tz, 0, p,
+            pair.kind == DualKind::kCC
+                ? expand_cluster_points(mlevels[level], pair.source, staged,
+                                        static_cast<int>(level), shift)
+                : direct_stream(sources, s.begin, s.count(), shift, staged),
+            k, hp, hx, hy, hz);
+      });
+      const double evals = static_cast<double>(p) * static_cast<double>(npts);
+      if (f32) fp32_evals += evals;
+      if (pair.kind == DualKind::kCC) {
+        cc_evals += evals;
+        ++cc_launches;
+      } else {
+        cp_evals += evals;
         ++cp_launches;
       }
     }
@@ -671,48 +575,26 @@ void run_dual(const OrderedParticles& targets, const ClusterTree& ttree,
          ++e) {
       const DualPair& pair = lists.leaf_pairs[e];
       if (pair.kind == DualKind::kPC) {
-        if (have_shadow && pair.fp32 != 0) {
-          const std::size_t npts = expand_cluster_points_f32(
-              mlevels[pair.level], *shadow, pair.level, pair.source, scratch,
-              resolve_pair_shift(shifts, pair));
-          for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
-            const std::size_t nt = std::min(kTargetTile, end - t0);
-            accumulate_tile_f32<Field, true>(
-                tx + t0, ty + t0, tz + t0, nt, scratch.fpx.data(),
-                scratch.fpy.data(), scratch.fpz.data(), scratch.fpq.data(),
-                npts, k, phi + t0, Field ? ex + t0 : nullptr,
-                Field ? ey + t0 : nullptr, Field ? ez + t0 : nullptr);
-          }
-          approx_evals += count * static_cast<double>(npts);
-          fp32_evals += count * static_cast<double>(npts);
-          ++approx_launches;
-          continue;
-        }
-        const std::size_t npts = expand_cluster_points(
-            mlevels[pair.level], pair.source, scratch,
-            static_cast<int>(pair.level), resolve_pair_shift(shifts, pair));
-        for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
-          const std::size_t nt = std::min(kTargetTile, end - t0);
-          accumulate_tile<Field, true>(
-              tx + t0, ty + t0, tz + t0, nt, scratch.px.data(),
-              scratch.py.data(), scratch.pz.data(), scratch.pq.data(), npts,
-              k, phi + t0, Field ? ex + t0 : nullptr,
-              Field ? ey + t0 : nullptr, Field ? ez + t0 : nullptr);
-        }
-        approx_evals += count * static_cast<double>(npts);
+        const bool f32 = fp32 && pair.fp32 != 0;
+        const std::size_t npts = with_staged(f32, scratch, [&](auto& staged) {
+          return sweep_targets<Field>(
+              tx, ty, tz, begin, end,
+              expand_cluster_points(mlevels[pair.level], pair.source, staged,
+                                    static_cast<int>(pair.level),
+                                    resolve_pair_shift(shifts, pair)),
+              k, phi, ex, ey, ez);
+        });
+        const double evals = count * static_cast<double>(npts);
+        approx_evals += evals;
+        if (f32) fp32_evals += evals;
         ++approx_launches;
       } else if (!lists.self) {  // one-directional direct
         const ClusterNode& s = stree.node(pair.source);
-        const DirectStream src =
-            direct_stream(sources, s.begin, s.count(),
-                          resolve_pair_shift(shifts, pair), scratch);
-        for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
-          const std::size_t nt = std::min(kTargetTile, end - t0);
-          accumulate_tile<Field, true>(
-              tx + t0, ty + t0, tz + t0, nt, src.x, src.y, src.z, src.q,
-              s.count(), k, phi + t0, Field ? ex + t0 : nullptr,
-              Field ? ey + t0 : nullptr, Field ? ez + t0 : nullptr);
-        }
+        sweep_targets<Field>(tx, ty, tz, begin, end,
+                             direct_stream(sources, s.begin, s.count(),
+                                           resolve_pair_shift(shifts, pair),
+                                           scratch.f64),
+                             k, phi, ex, ey, ez);
         direct_evals += count * static_cast<double>(s.count());
         ++direct_launches;
       } else if (pair.source == lists.leaf_nodes[g]) {
@@ -791,7 +673,7 @@ std::vector<double> cpu_evaluate(const OrderedParticles& targets,
                                  const ShiftTable* shifts,
                                  RunStats* stats,
                                  CpuWorkspace* workspace,
-                                 const Fp32Shadow* fp32) {
+                                 bool fp32) {
   std::vector<double> phi(targets.size(), 0.0);
   CpuWorkspace local;
   CpuWorkspace& ws = workspace != nullptr ? *workspace : local;
@@ -813,7 +695,7 @@ FieldResult cpu_evaluate_field(const OrderedParticles& targets,
                                const ShiftTable* shifts,
                                RunStats* stats,
                                CpuWorkspace* workspace,
-                               const Fp32Shadow* fp32) {
+                               bool fp32) {
   FieldResult out;
   out.phi.assign(targets.size(), 0.0);
   out.ex.assign(targets.size(), 0.0);
@@ -836,7 +718,7 @@ std::vector<double> cpu_evaluate_dual(
     const OrderedParticles& sources,
     std::span<const ClusterMoments> moment_levels, const KernelSpec& kernel,
     const ShiftTable* shifts, RunStats* stats,
-    CpuWorkspace* workspace, const Fp32Shadow* fp32) {
+    CpuWorkspace* workspace, bool fp32) {
   std::vector<double> phi(targets.size(), 0.0);
   CpuWorkspace local;
   CpuWorkspace& ws = workspace != nullptr ? *workspace : local;
@@ -855,7 +737,7 @@ FieldResult cpu_evaluate_dual_field(
     const OrderedParticles& sources,
     std::span<const ClusterMoments> moment_levels, const KernelSpec& kernel,
     const ShiftTable* shifts, RunStats* stats,
-    CpuWorkspace* workspace, const Fp32Shadow* fp32) {
+    CpuWorkspace* workspace, bool fp32) {
   FieldResult out;
   out.phi.assign(targets.size(), 0.0);
   out.ex.assign(targets.size(), 0.0);

@@ -38,7 +38,6 @@
 #include "core/kernels.hpp"
 #include "core/moments.hpp"
 #include "core/particles.hpp"
-#include "core/precision.hpp"
 #include "core/solver.hpp"
 #include "core/tree.hpp"
 
@@ -58,53 +57,54 @@ inline constexpr std::size_t kTargetTile = 16;
 /// into fp64" half of the mixed-precision contract.
 inline constexpr std::size_t kF32FlushInterval = 128;
 
-/// Per-thread scratch: one cluster's Chebyshev grid expanded to contiguous
-/// point streams (coordinates + modified charges), reused across clusters,
-/// lists, and evaluate() calls. `cached_cluster` skips re-expansion when
-/// consecutive lists on one thread visit the same cluster (the common case
-/// at max_batch = 1, where a list holds a single target); it is
-/// only valid within one evaluation — the driver invalidates it on entry
-/// because the modified charges can change between calls.
-struct CpuScratch {
-  AlignedVector px, py, pz, pq;
+/// One tile element type's staged source streams: a cluster's Chebyshev
+/// grid expanded to contiguous points (coordinates + modified charges), and
+/// a direct particle range copied with its lattice shift added. Values are
+/// narrowed from the fp64 sources to `T` while staging, so fp32 tiles read
+/// the same source state as fp64 tiles.
+/// `cached_cluster` skips re-expansion when consecutive lists on one thread
+/// visit the same cluster (the common case at max_batch = 1, where a list
+/// holds a single target); it is only valid within one evaluation — the
+/// driver invalidates it on entry because the modified charges can change
+/// between calls.
+template <typename T>
+struct StagedSources {
+  using Buffer = std::vector<T, AlignedAllocator<T>>;
+
+  Buffer px, py, pz, pq;
   int cached_cluster = -1;
   int cached_cluster_level = 0;  ///< ladder level of the cached expansion
   int cached_cluster_shift = 0;  ///< lattice shift id of the cached expansion
 
-  /// fp32 mirror of the expanded cluster stream, staged from an Fp32Shadow
-  /// for tiles tagged fp32-eligible. Separate cache key: one thread can
-  /// alternate between fp64 and fp32 expansions of different clusters.
-  std::vector<float> fpx, fpy, fpz, fpq;
-  int fcached_cluster = -1;
-  int fcached_cluster_level = 0;
-  int fcached_cluster_shift = 0;
+  /// A direct range's staged copy: lattice-shifted images, and under fp32
+  /// every range (fp64 home-cell ranges stream the raw source arrays).
+  Buffer sx, sy, sz, sq;
 
-  /// fp32 staging for lattice-shifted direct-range images (the fp32 twin of
-  /// `ssx`/`ssy`/`ssz` below).
-  std::vector<float> fssx, fssy, fssz;
-
-  void ensure_f32(std::size_t n) {
-    if (fpx.size() < n) {
-      fpx.resize(n);
-      fpy.resize(n);
-      fpz.resize(n);
-      fpq.resize(n);
+  void ensure(std::size_t n) {
+    if (px.size() < n) {
+      px.resize(n);
+      py.resize(n);
+      pz.resize(n);
+      pq.resize(n);
     }
   }
 
-  void ensure_shifted_sources_f32(std::size_t n) {
-    if (fssx.size() < n) {
-      fssx.resize(n);
-      fssy.resize(n);
-      fssz.resize(n);
+  void ensure_direct(std::size_t n) {
+    if (sx.size() < n) {
+      sx.resize(n);
+      sy.resize(n);
+      sz.resize(n);
+      sq.resize(n);
     }
   }
+};
 
-  /// Periodic boundaries: a direct-range image is the source particle
-  /// stream with a lattice shift added to the coordinates (charges pass
-  /// through untouched). Staged here per (list, cluster, shift) visit; the
-  /// home cell keeps streaming the raw source arrays.
-  AlignedVector ssx, ssy, ssz;
+/// Per-thread scratch, reused across clusters, lists, and evaluate() calls.
+struct CpuScratch {
+  /// Staged sources per tile element type. Separate cache keys: one thread
+  /// can alternate between fp64 and fp32 expansions of different clusters.
+  StagedSources<double> f64;
+  StagedSources<float> f32;
 
   /// Dual traversal: one *target* node's Chebyshev grid expanded to
   /// contiguous point streams (the "targets" of CP/CC tile calls).
@@ -124,23 +124,6 @@ struct CpuScratch {
       mex.assign(n, 0.0);
       mey.assign(n, 0.0);
       mez.assign(n, 0.0);
-    }
-  }
-
-  void ensure(std::size_t n) {
-    if (px.size() < n) {
-      px.resize(n);
-      py.resize(n);
-      pz.resize(n);
-      pq.resize(n);
-    }
-  }
-
-  void ensure_shifted_sources(std::size_t n) {
-    if (ssx.size() < n) {
-      ssx.resize(n);
-      ssy.resize(n);
-      ssz.resize(n);
     }
   }
 
@@ -932,7 +915,7 @@ inline void accumulate_single_f32(double tx, double ty, double tz,
 
 /// fp32 twin of accumulate_tile for tagged far-field interactions: fp64
 /// target coordinates are narrowed once per tile (<= 16 conversions against
-/// an O(ns) inner loop), sources stream as floats from an Fp32Shadow, and
+/// an O(ns) inner loop), sources stream as floats narrowed while staging, and
 /// float partial sums are widened into the fp64 outputs every
 /// kF32FlushInterval sources.
 template <bool Field, bool Fast, typename K>
@@ -1150,9 +1133,10 @@ void dual_transfer_apply(const double* parent, double* child,
 // Each evaluator adds its eval and launch counts (and the fp32/fp64 split)
 // into a non-null `stats`, so multi-piece callers sum pieces in place.
 
-/// Evaluate potentials (tree order) for batched targets. A non-null `fp32`
-/// shadow routes interactions tagged fp32-eligible through the fp32 tiles
-/// (null, or empty per-batch tags, executes everything fp64).
+/// Evaluate potentials (tree order) for batched targets. `fp32` routes
+/// interactions tagged fp32-eligible through the fp32 tiles, which narrow
+/// the fp64 sources as they stage them (false, or empty per-batch tags,
+/// executes everything fp64).
 std::vector<double> cpu_evaluate(const OrderedParticles& targets,
                                  const std::vector<TargetBatch>& batches,
                                  const InteractionLists& lists,
@@ -1163,7 +1147,7 @@ std::vector<double> cpu_evaluate(const OrderedParticles& targets,
                                  const ShiftTable* shifts = nullptr,
                                  RunStats* stats = nullptr,
                                  CpuWorkspace* workspace = nullptr,
-                                 const Fp32Shadow* fp32 = nullptr);
+                                 bool fp32 = false);
 
 /// Potential + field evaluation (tree order) for batched targets, using the
 /// analytic gradient of the barycentric approximation (core/fields.hpp).
@@ -1177,7 +1161,7 @@ FieldResult cpu_evaluate_field(const OrderedParticles& targets,
                                const ShiftTable* shifts = nullptr,
                                RunStats* stats = nullptr,
                                CpuWorkspace* workspace = nullptr,
-                               const Fp32Shadow* fp32 = nullptr);
+                               bool fp32 = false);
 
 /// Dual-traversal potential evaluation (tree order): executes CC/CP pairs
 /// onto target-node grids (parallel over grid groups), runs the downward
@@ -1192,7 +1176,7 @@ std::vector<double> cpu_evaluate_dual(
     const OrderedParticles& sources,
     std::span<const ClusterMoments> moment_levels, const KernelSpec& kernel,
     const ShiftTable* shifts = nullptr, RunStats* stats = nullptr,
-    CpuWorkspace* workspace = nullptr, const Fp32Shadow* fp32 = nullptr);
+    CpuWorkspace* workspace = nullptr, bool fp32 = false);
 
 /// Dual-traversal potential + field evaluation: CP/CC accumulate the field
 /// at the target grid points and the downward pass interpolates each
@@ -1205,6 +1189,6 @@ FieldResult cpu_evaluate_dual_field(
     const OrderedParticles& sources,
     std::span<const ClusterMoments> moment_levels, const KernelSpec& kernel,
     const ShiftTable* shifts = nullptr, RunStats* stats = nullptr,
-    CpuWorkspace* workspace = nullptr, const Fp32Shadow* fp32 = nullptr);
+    CpuWorkspace* workspace = nullptr, bool fp32 = false);
 
 }  // namespace bltc

@@ -452,21 +452,19 @@ std::vector<double> GpuSimEngine::evaluate_potential(
   // Model the launches over the lists the host just executed: the local
   // piece first, then the attached LET pieces in piece order. fp32 is
   // charged exactly where the host ran fp32 tiles — tagged interactions of
-  // the engine-owned piece when it carries a shadow; LET pieces run fp64.
+  // a piece whose SourcePlan::fp32 is set.
   const double weight = kernel_eval_weight(kernel, /*on_gpu=*/true);
-  const bool fp32 = host_.has_fp32_shadow();
   const gpusim::TimeMarker before = device_.marker();
   if (dual) {
-    model_dual(targets, *sources.tree, weight, fp32);
+    model_dual(targets, *sources.tree, weight, sources.fp32);
   } else {
     model_batched(*targets.batches, targets.lists[0], *sources.tree,
                   host_.prepared_levels().front().points_per_cluster(),
-                  weight, fp32);
+                  weight, sources.fp32);
     for (std::size_t p = 0; p < let_.size(); ++p) {
       const SourcePlan& piece = let_[p].plan;
       model_batched(*targets.batches, targets.lists[1 + p], *piece.tree,
-                    piece.moments->points_per_cluster(), weight,
-                    /*fp32=*/false);
+                    piece.moments->points_per_cluster(), weight, piece.fp32);
     }
   }
   // DtH: final potentials (every evaluation downloads its results).

@@ -268,19 +268,27 @@ ClusterMoments ClusterMoments::compute(const ClusterTree& tree,
   const std::size_t nc = m.num_clusters_;
 #pragma omp parallel for schedule(dynamic)
   for (std::size_t c = 0; c < nc; ++c) {
-    const int ci = static_cast<int>(c);
-    std::span<double> out{m.qhat_.data() + c * m.ppc_, m.ppc_};
-    const MomentAlgorithm chosen =
-        resolve_moment_algorithm(algorithm, tree.node(ci).count(), degree);
-    if (chosen == MomentAlgorithm::kDirect) {
-      compute_cluster_direct(tree, sources, degree, ci, m.grid(ci, 0),
-                             m.grid(ci, 1), m.grid(ci, 2), out);
-    } else {
-      compute_cluster_factorized(tree, sources, degree, ci, m.grid(ci, 0),
-                                 m.grid(ci, 1), m.grid(ci, 2), out);
-    }
+    recompute_cluster(tree, sources, algorithm, static_cast<int>(c), m);
   }
   return m;
+}
+
+void ClusterMoments::recompute_cluster(const ClusterTree& tree,
+                                       const OrderedParticles& sources,
+                                       MomentAlgorithm algorithm, int cluster,
+                                       ClusterMoments& moments) {
+  const int degree = moments.degree_;
+  const auto gx = moments.grid(cluster, 0);
+  const auto gy = moments.grid(cluster, 1);
+  const auto gz = moments.grid(cluster, 2);
+  const std::span<double> out = moments.qhat_mutable(cluster);
+  if (resolve_moment_algorithm(algorithm, tree.node(cluster).count(),
+                               degree) == MomentAlgorithm::kDirect) {
+    compute_cluster_direct(tree, sources, degree, cluster, gx, gy, gz, out);
+  } else {
+    compute_cluster_factorized(tree, sources, degree, cluster, gx, gy, gz,
+                               out);
+  }
 }
 
 }  // namespace bltc

@@ -102,6 +102,15 @@ class ClusterMoments {
                                          std::span<const double> gz,
                                          std::span<double> out);
 
+  /// Recompute cluster `cluster`'s modified charges in place with the
+  /// formulation `algorithm` resolves to for that cluster's size — the one
+  /// per-cluster body behind `compute` and the engines' charges-only and
+  /// position refreshes.
+  static void recompute_cluster(const ClusterTree& tree,
+                                const OrderedParticles& sources,
+                                MomentAlgorithm algorithm, int cluster,
+                                ClusterMoments& moments);
+
   /// Accumulate one particle's signed contribution q * L_k1(x) L_k2(y)
   /// L_k3(z) into a cluster's modified charges in place. With a negative
   /// `q` this subtracts a stale contribution, which is the whole delta

@@ -130,12 +130,13 @@ struct SourcePlan {
   /// engine-owned pieces — the engine then uses the ladder it computed in
   /// prepare_sources.
   std::span<const ClusterMoments> moment_levels;
-  /// Float mirrors backing the fp32 tiles for a piece with caller-owned
-  /// moments (the serving layer's cached plans build one next to the moment
-  /// ladder). Null means "no shadow": an engine-owned piece falls back to
-  /// the engine's own shadow, and a piece with neither (a distributed LET
-  /// piece) executes fp64 regardless of interaction tags.
-  const Fp32Shadow* fp32 = nullptr;
+  /// Whether interactions tagged fp32-eligible run the fp32 tiles for this
+  /// piece (they narrow its fp64 sources while staging them). True for a
+  /// plan state's `view()`: the engine-owned piece, and a cached plan at
+  /// its nominal tier. False for every other piece: a degraded serve tier
+  /// executes a deeper ladder level than the tags were proved against, and
+  /// distributed LET pieces stay all-fp64.
+  bool fp32 = false;
 };
 
 /// Target side of a plan: tree-ordered targets, their batches, and the
@@ -234,7 +235,8 @@ struct SourcePlanState {
                         PositionUpdate& out);
 
   std::size_t size() const { return particles.size(); }
-  SourcePlan view() const { return {&particles, &tree, nullptr}; }
+  /// The piece at its nominal degree, fp32 tags honoured.
+  SourcePlan view() const { return {&particles, &tree, nullptr, {}, true}; }
 };
 
 /// Owning storage behind `TargetPlan`: target batching plus the interaction

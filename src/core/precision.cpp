@@ -1,7 +1,5 @@
 #include "core/precision.hpp"
 
-#include <algorithm>
-
 namespace bltc {
 
 const char* precision_policy_name(PrecisionPolicy policy) {
@@ -14,74 +12,6 @@ const char* precision_policy_name(PrecisionPolicy policy) {
       return "fp32far";
   }
   return "unknown";
-}
-
-namespace {
-
-void mirror(std::span<const double> src, std::vector<float>& dst) {
-  dst.resize(src.size());
-  std::transform(src.begin(), src.end(), dst.begin(),
-                 [](double v) { return static_cast<float>(v); });
-}
-
-}  // namespace
-
-void Fp32Shadow::clear() {
-  x.clear();
-  y.clear();
-  z.clear();
-  q.clear();
-  qhat.clear();
-  grids.clear();
-}
-
-Fp32Shadow Fp32Shadow::build(const OrderedParticles& particles,
-                             std::span<const ClusterMoments> levels) {
-  Fp32Shadow shadow;
-  mirror(particles.x, shadow.x);
-  mirror(particles.y, shadow.y);
-  mirror(particles.z, shadow.z);
-  mirror(particles.q, shadow.q);
-  shadow.qhat.resize(levels.size());
-  shadow.grids.resize(levels.size());
-  for (std::size_t l = 0; l < levels.size(); ++l) {
-    mirror(levels[l].all_qhat(), shadow.qhat[l]);
-    mirror(levels[l].all_grids(), shadow.grids[l]);
-  }
-  return shadow;
-}
-
-void Fp32Shadow::refresh_charges(const OrderedParticles& particles,
-                                 std::span<const ClusterMoments> levels) {
-  mirror(particles.q, q);
-  for (std::size_t l = 0; l < levels.size() && l < qhat.size(); ++l) {
-    mirror(levels[l].all_qhat(), qhat[l]);
-  }
-}
-
-void Fp32Shadow::patch_positions(
-    const OrderedParticles& particles,
-    std::span<const std::pair<std::size_t, std::size_t>> moved_ranges,
-    std::span<const std::size_t> dirty_clusters,
-    std::span<const ClusterMoments> levels) {
-  for (const auto& [begin, end] : moved_ranges) {
-    for (std::size_t i = begin; i < end; ++i) {
-      x[i] = static_cast<float>(particles.x[i]);
-      y[i] = static_cast<float>(particles.y[i]);
-      z[i] = static_cast<float>(particles.z[i]);
-      q[i] = static_cast<float>(particles.q[i]);
-    }
-  }
-  for (std::size_t l = 0; l < levels.size() && l < qhat.size(); ++l) {
-    const std::size_t ppc = levels[l].points_per_cluster();
-    const std::span<const double> all = levels[l].all_qhat();
-    for (const std::size_t c : dirty_clusters) {
-      const std::size_t off = c * ppc;
-      for (std::size_t k = 0; k < ppc; ++k) {
-        qhat[l][off + k] = static_cast<float>(all[off + k]);
-      }
-    }
-  }
 }
 
 }  // namespace bltc

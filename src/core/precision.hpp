@@ -12,22 +12,15 @@
 // always stay fp64: they carry no truncation budget to hide the float
 // floor in, and they contain the near-singular pairs.
 //
-// The fp32 tiles read float mirrors of the hot source-side streams — the
-// `Fp32Shadow` below: ordered particles, every ladder level's modified
-// charges q̂, and the Chebyshev grids. Engines build the shadow at prepare
-// time and patch it with exactly the dirty sets `update_charges`/
-// `update_positions` already produce, so the incremental path keeps its
-// amortized-O(moved) cost. Accumulation is always fp64.
+// The fp32 tiles read the same fp64 source state as the fp64 tiles — the
+// ordered particles and every ladder level's q̂ and Chebyshev grids — and
+// narrow it to float while staging it into per-thread scratch
+// (core/cpu_kernels.cpp). Mixed precision therefore keeps no second copy of
+// the sources, and update_charges/update_positions need no extra work for
+// it. Accumulation is always fp64.
 #pragma once
 
 #include <cmath>
-#include <cstddef>
-#include <span>
-#include <utility>
-#include <vector>
-
-#include "core/moments.hpp"
-#include "core/particles.hpp"
 
 namespace bltc {
 
@@ -72,39 +65,5 @@ inline bool fp32_admissible(PrecisionPolicy policy, double kappa,
   return truncation + kFp32TileError <= nominal_error_bound(theta,
                                                             nominal_degree);
 }
-
-/// Float mirrors of the source-side streams the fp32 tiles read: ordered
-/// particles plus, per moment-ladder level ([0] is the nominal degree), the
-/// flattened modified charges and Chebyshev grids in the ClusterMoments
-/// layouts. Owned by the engine (or by a cached serve plan) and patched in
-/// lock-step with the fp64 masters; an empty shadow means "execute fp64".
-struct Fp32Shadow {
-  std::vector<float> x, y, z, q;           ///< ordered particles
-  std::vector<std::vector<float>> qhat;    ///< per level, all_qhat layout
-  std::vector<std::vector<float>> grids;   ///< per level, all_grids layout
-
-  bool empty() const { return x.empty(); }
-  void clear();
-
-  /// Build from the ordered particles and the moment ladder ([0] nominal;
-  /// a single-element span is the batched traversal's one level).
-  static Fp32Shadow build(const OrderedParticles& particles,
-                          std::span<const ClusterMoments> levels);
-
-  /// Charges-only refresh: re-mirror q and every level's q̂ (grids depend
-  /// only on the tree geometry and are untouched).
-  void refresh_charges(const OrderedParticles& particles,
-                       std::span<const ClusterMoments> levels);
-
-  /// Incremental position patch: re-mirror exactly the rewritten particle
-  /// slots (half-open tree-order ranges) and the dirty clusters' q̂ per
-  /// level — the same dirty sets the fp64 masters were patched with, so the
-  /// cost stays O(moved).
-  void patch_positions(
-      const OrderedParticles& particles,
-      std::span<const std::pair<std::size_t, std::size_t>> moved_ranges,
-      std::span<const std::size_t> dirty_clusters,
-      std::span<const ClusterMoments> levels);
-};
 
 }  // namespace bltc

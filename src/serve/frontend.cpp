@@ -675,8 +675,9 @@ void ServeFrontend::execute_group(std::vector<Pending>& group) {
         response.degrade_tier = static_cast<int>(unit.tier);
         response.degree = plan->tier_degree(unit.tier);
         response.error_bound = plan->tier_error_bound(unit.tier);
-        response.precision = unit.tier == 0 ? plan->params.precision
-                                            : PrecisionPolicy::kFp64;
+        response.precision = plan->source_view(unit.tier).fp32
+                                 ? plan->params.precision
+                                 : PrecisionPolicy::kFp64;
         if (unit.tier > 0) ++degraded_responses;
         fulfill.emplace_back(&item.pending->promise, std::move(response));
       }
@@ -734,8 +735,9 @@ ServeResponse ServeFrontend::evaluate_now(const ServeRequest& request) {
     response.degrade_tier = static_cast<int>(tier);
     response.degree = plan->tier_degree(tier);
     response.error_bound = plan->tier_error_bound(tier);
-    response.precision =
-        tier == 0 ? plan->params.precision : PrecisionPolicy::kFp64;
+    response.precision = plan->source_view(tier).fp32
+                             ? plan->params.precision
+                             : PrecisionPolicy::kFp64;
   }
   response.execute_seconds = timer.seconds();
   {

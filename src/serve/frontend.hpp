@@ -104,9 +104,9 @@ struct ServeResponse {
   /// (theta^(degree+1) / (1 - theta)); callers know what they got.
   double error_bound = 0.0;
   /// Precision actually executed for this response. Degraded tiers always
-  /// report kFp64: only the nominal tier carries the plan's fp32 shadow
-  /// (a degraded tier's moments no longer match the shadow's mirror), so
-  /// tier > 0 executions run all-double regardless of the request policy.
+  /// report kFp64: the fp32 tags were proved against the nominal degree's
+  /// error bound, which a deeper ladder level does not meet, so tier > 0
+  /// executions run all-double regardless of the request policy.
   PrecisionPolicy precision = PrecisionPolicy::kFp64;
 };
 

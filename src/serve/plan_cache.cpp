@@ -206,12 +206,6 @@ std::size_t cached_plan_bytes(const CachedPlan& plan) {
   std::size_t b = particles_bytes(plan.source.particles) +
                   plan.source.tree.num_nodes() * sizeof(ClusterNode);
   for (const ClusterMoments& m : plan.moment_levels) b += moments_bytes(m);
-  if (!plan.fp32_shadow.empty()) {
-    std::size_t floats = 4 * plan.fp32_shadow.x.size();
-    for (const auto& v : plan.fp32_shadow.qhat) floats += v.size();
-    for (const auto& v : plan.fp32_shadow.grids) floats += v.size();
-    b += floats * sizeof(float);
-  }
   if (plan.self_targets != nullptr) b += target_plan_bytes(*plan.self_targets);
   if (plan.gpu_engine != nullptr) {
     // Device-resident stand-in for host moments: per-cluster grids
@@ -232,11 +226,10 @@ SourcePlan CachedPlan::source_view(std::size_t tier) const {
     view.moments = &moment_levels[tier];
     view.moment_levels = moment_levels;
   }
-  // Tagged fp32 tiles execute only at the nominal tier: a degraded tier
-  // already trades accuracy for latency through a deeper ladder level, and
-  // its moments no longer match the shadow's level-0 mirror — null shadow
-  // means those evaluations run all-fp64.
-  if (tier == 0 && !fp32_shadow.empty()) view.fp32 = &fp32_shadow;
+  // Tagged fp32 tiles execute only at the nominal tier: the tags were
+  // proved against the nominal degree's truncation bound, which a deeper
+  // ladder level does not meet, so a degraded tier runs all-fp64.
+  view.fp32 = tier == 0;
   return view;
 }
 
@@ -326,10 +319,6 @@ PlanPtr PlanCache::build_plan(const Cloud& sources,
     for (std::size_t l = 1; l < ladder.size(); ++l) {
       plan->moment_levels.push_back(ClusterMoments::restrict_from(
           plan->source.tree, plan->moment_levels.front(), ladder[l]));
-    }
-    if (params.precision != PrecisionPolicy::kFp64) {
-      plan->fp32_shadow = Fp32Shadow::build(plan->source.particles,
-                                            plan->moment_levels);
     }
   } else {
     // The GpuSim plan's compiled artifact is a prepared engine: sources,

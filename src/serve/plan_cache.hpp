@@ -38,7 +38,6 @@
 #include "core/engine.hpp"
 #include "core/moments.hpp"
 #include "core/plan.hpp"
-#include "core/precision.hpp"
 #include "core/solver.hpp"
 #include "util/workloads.hpp"
 
@@ -66,15 +65,10 @@ struct CachedPlan {
   /// executes through the whole ladder; the batched traversal executes [0]
   /// nominally and a deeper level when the frontend serves a *degraded
   /// tier* under overload (the interaction lists are degree-independent, so
-  /// no rebuild). Empty on GpuSim — the prepared engine keeps its moments
-  /// device-resident.
+  /// no rebuild). Under a non-fp64 policy the nominal tier's fp32 tiles
+  /// narrow these same arrays while staging them. Empty on GpuSim — the
+  /// prepared engine keeps its moments device-resident.
   std::vector<ClusterMoments> moment_levels;
-
-  /// CPU backends under a non-fp64 precision policy: float mirrors of the
-  /// particle streams and the whole moment ladder (core/precision.hpp),
-  /// built once with the plan so re-entrant evaluations of this immutable
-  /// artifact can execute tagged fp32 tiles. Empty under kFp64.
-  Fp32Shadow fp32_shadow;
 
   /// GpuSim only: the engine whose device-resident state this plan is.
   std::unique_ptr<Engine> gpu_engine;

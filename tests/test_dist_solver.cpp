@@ -50,9 +50,10 @@ TEST(DistSolver, GpuBackendMatchesCpuBackend) {
 }
 
 TEST(DistSolver, GpuBackendMatchesCpuBackendUnderMixedPrecision) {
-  // Under kMixed the local piece runs its tagged far-field tiles fp32 from
-  // the shadow and the LET pieces run fp64 — on both backends. N is large
-  // enough that each rank's local tree has far-field pairs of its own.
+  // Under kMixed the local piece runs its tagged far-field tiles fp32
+  // (SourcePlan::fp32) and the LET pieces run fp64 — on both backends. N
+  // is large enough that each rank's local tree has far-field pairs of its
+  // own.
   const Cloud c = uniform_cube(20000, 4);
   DistParams pc = cpu_params();
   pc.treecode.precision = PrecisionPolicy::kMixed;

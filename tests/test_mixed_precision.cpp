@@ -1,6 +1,6 @@
 // Conformance suite for per-interaction mixed-precision execution
-// (core/precision.hpp): the error-ladder tagging, the fp32 shadow
-// lifecycle, and the policy contracts.
+// (core/precision.hpp): the error-ladder tagging, fp32 execution through
+// the update paths, and the policy contracts.
 //
 //   * under kMixed the end-to-end error stays within the nominal (theta, n)
 //     target across kernels, traversals, boundaries, and backends, while
@@ -9,8 +9,8 @@
 //   * kFp64 is bit-identical to the untagged execution, and a kMixed
 //     configuration whose ladder demotes every tile is bit-identical too
 //     (the demotion counter proves the ladder was consulted);
-//   * the fp32 shadows stay in lock-step with the fp64 masters through
-//     update_charges and slack-fattened update_positions;
+//   * fp32 tiles narrow the live fp64 sources, so update_charges and
+//     slack-fattened update_positions match a fresh solver;
 //   * the serving layer keys plans by precision policy and reports the
 //     precision each response actually executed.
 #include <gtest/gtest.h>
@@ -278,11 +278,12 @@ TEST(MixedPrecision, DirectTilesStayFp64UnderFp32Far) {
   }
 }
 
-// ---- Shadow lifecycle ----------------------------------------------------
+// ---- Update paths --------------------------------------------------------
 
-TEST(MixedPrecision, UpdateChargesRefreshesShadow) {
+TEST(MixedPrecision, UpdateChargesMatchesFreshSolver) {
   // Charges-only refresh: the patched solver must match a fresh solver of
-  // the recharged cloud bit-for-bit (same tree, same tags, same shadow).
+  // the recharged cloud bit-for-bit (same tree, same tags, and fp32 tiles
+  // narrowing the same refreshed charges).
   const Cloud start = uniform_cube(8000, 17);
   Cloud recharged = start;
   SplitMix64 rng(99);
@@ -305,38 +306,43 @@ TEST(MixedPrecision, UpdateChargesRefreshesShadow) {
   }
 }
 
-TEST(MixedPrecision, UpdatePositionsPatchesShadow) {
-  // Slack-fattened incremental update under kMixed: the shadow is patched
-  // with the same dirty sets as the fp64 masters, so the patched solver
-  // matches a fresh solver of the moved cloud at mixed tolerance (the trees
-  // differ — fat boxes are kept — so bitwise equality is not expected).
-  const Cloud start = uniform_cube(8000, 18);
-  Cloud moved = start;
-  SplitMix64 rng(7);
-  for (std::size_t i = 0; i < moved.size(); i += 8) {
-    moved.x[i] += 1e-3 * (2.0 * rng.next_double() - 1.0);
-    moved.y[i] += 1e-3 * (2.0 * rng.next_double() - 1.0);
-    moved.z[i] += 1e-3 * (2.0 * rng.next_double() - 1.0);
-  }
-  SolverConfig config;
-  config.kernel = KernelSpec::coulomb();
-  config.params = params_for(TraversalMode::kBatched,
-                             PrecisionPolicy::kMixed);
-  config.params.position_slack = 0.2;
-  Solver patched(config);
-  patched.set_sources(start);
-  (void)patched.evaluate(start);
-  patched.update_positions(moved);
-  RunStats stats;
-  const auto phi_patched = patched.evaluate(moved, &stats);
-  EXPECT_TRUE(stats.incremental_update);
-  EXPECT_GT(stats.fp32_evals, 0.0);
+TEST(MixedPrecision, UpdatePositionsMatchesFreshSolver) {
+  // Slack-fattened incremental update under kMixed: the fp32 tiles narrow
+  // the patched fp64 particles and moments, so the patched solver matches a
+  // fresh solver of the moved cloud at mixed tolerance (the trees differ —
+  // fat boxes are kept — so bitwise equality is not expected). The dual
+  // traversal needs a larger cloud: its fattened target boxes admit no
+  // far-field pair at the batched case's size.
+  for (const auto& [traversal, n] :
+       {std::pair{TraversalMode::kBatched, std::size_t{8000}},
+        std::pair{TraversalMode::kDual, std::size_t{24000}}}) {
+    const Cloud start = uniform_cube(n, 18);
+    Cloud moved = start;
+    SplitMix64 rng(7);
+    for (std::size_t i = 0; i < moved.size(); i += 8) {
+      moved.x[i] += 1e-3 * (2.0 * rng.next_double() - 1.0);
+      moved.y[i] += 1e-3 * (2.0 * rng.next_double() - 1.0);
+      moved.z[i] += 1e-3 * (2.0 * rng.next_double() - 1.0);
+    }
+    SolverConfig config;
+    config.kernel = KernelSpec::coulomb();
+    config.params = params_for(traversal, PrecisionPolicy::kMixed);
+    config.params.position_slack = 0.2;
+    Solver patched(config);
+    patched.set_sources(start);
+    (void)patched.evaluate(start);
+    patched.update_positions(moved);
+    RunStats stats;
+    const auto phi_patched = patched.evaluate(moved, &stats);
+    EXPECT_TRUE(stats.incremental_update);
+    EXPECT_GT(stats.fp32_evals, 0.0);
 
-  Solver fresh(config);
-  fresh.set_sources(moved);
-  const auto phi_fresh = fresh.evaluate(moved);
-  EXPECT_LT(relative_l2_error(phi_fresh, phi_patched),
-            10.0 * kFp32TileError);
+    Solver fresh(config);
+    fresh.set_sources(moved);
+    const auto phi_fresh = fresh.evaluate(moved);
+    EXPECT_LT(relative_l2_error(phi_fresh, phi_patched),
+              10.0 * kFp32TileError);
+  }
 }
 
 // ---- Serving layer -------------------------------------------------------
@@ -361,8 +367,10 @@ TEST(MixedPrecision, CacheKeysDistinguishPrecisionPolicies) {
   p.precision = PrecisionPolicy::kMixed;
   const auto plan_mixed = cache.get_or_build(c, p);
   EXPECT_NE(plan_fp64.get(), plan_mixed.get());
-  EXPECT_TRUE(plan_fp64->fp32_shadow.empty());
-  EXPECT_FALSE(plan_mixed->fp32_shadow.empty());
+  // fp32 tiles narrow the plan's fp64 arrays while staging them, so a mixed
+  // plan holds no more state than the fp64 plan of the same cloud.
+  EXPECT_EQ(serve::cached_plan_bytes(*plan_mixed),
+            serve::cached_plan_bytes(*plan_fp64));
   bool hit = false;
   (void)cache.get_or_build(c, p, Backend::kCpu, &hit);
   EXPECT_TRUE(hit);
@@ -384,8 +392,9 @@ TEST(MixedPrecision, ServeReportsExecutedPrecision) {
   EXPECT_EQ(nominal.precision, PrecisionPolicy::kMixed);
   EXPECT_EQ(nominal.degrade_tier, 0);
 
-  // A degraded tier executes a deeper ladder level all-fp64 and must say
-  // so, whatever the request's policy.
+  // A degraded tier executes a deeper ladder level all-fp64 (the fp32 tags
+  // were proved against the nominal degree) and must say so, whatever the
+  // request's policy.
   request.degrade_tier = 1;
   const serve::ServeResponse degraded = frontend.evaluate_now(request);
   ASSERT_GT(degraded.degrade_tier, 0);
