@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <type_traits>
 
 #include "core/barycentric.hpp"
@@ -342,6 +343,90 @@ void dual_transfer_apply(const double* __restrict parent,
 
 namespace {
 
+/// Number of work blocks the self-mode leaf phase splits its leaf groups
+/// into. A constant, not a function of the thread count: the blocks fix
+/// the mirror accumulation order, so the results are the same at any
+/// thread count.
+inline constexpr std::size_t kMirrorBlocks = 8;
+
+/// The leaf phase's work blocks. Block b runs leaf groups
+/// [group[b], group[b+1]) start to finish on one thread. In self mode its
+/// mirror slot holds rows [slot[b], slot[b+1]) of the workspace's
+/// DualMirror, standing for source particles from lo[b] on (`lo` and
+/// `slot` stay empty otherwise).
+struct LeafBlocks {
+  std::vector<std::size_t> group;
+  std::vector<std::size_t> lo;
+  std::vector<std::size_t> slot;
+  std::size_t size() const { return group.size() - 1; }
+};
+
+/// One block per leaf group, or in self mode at most kMirrorBlocks
+/// contiguous blocks of about equal leaf-phase kernel evaluations, each
+/// with a mirror slot spanning the source ranges of its symmetric direct
+/// pairs. Depends on the lists and trees alone.
+LeafBlocks plan_leaf_blocks(const DualInteractionLists& lists,
+                            const ClusterTree& ttree,
+                            const ClusterTree& stree,
+                            const std::vector<std::size_t>& lppc) {
+  const std::size_t nleaf = lists.leaf_nodes.size();
+  LeafBlocks blocks;
+  if (!lists.self) {
+    blocks.group.resize(nleaf + 1);
+    for (std::size_t g = 0; g <= nleaf; ++g) blocks.group[g] = g;
+    return blocks;
+  }
+
+  std::vector<double> work(nleaf, 0.0);
+  double total = 0.0;
+  for (std::size_t g = 0; g < nleaf; ++g) {
+    const double count =
+        static_cast<double>(ttree.node(lists.leaf_nodes[g]).count());
+    for (std::size_t e = lists.leaf_offsets[g]; e < lists.leaf_offsets[g + 1];
+         ++e) {
+      const DualPair& pair = lists.leaf_pairs[e];
+      work[g] += count * static_cast<double>(
+                             pair.kind == DualKind::kPC
+                                 ? lppc[pair.level]
+                                 : stree.node(pair.source).count());
+    }
+    total += work[g];
+  }
+  const std::size_t nblocks = std::min(kMirrorBlocks, nleaf);
+  blocks.group.push_back(0);
+  double done = 0.0;
+  for (std::size_t g = 0; g < nleaf && blocks.group.size() < nblocks; ++g) {
+    done += work[g];
+    if (done >= total * static_cast<double>(blocks.group.size()) /
+                    static_cast<double>(nblocks)) {
+      blocks.group.push_back(g + 1);
+    }
+  }
+  blocks.group.push_back(nleaf);
+
+  blocks.slot.push_back(0);
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    std::size_t lo = std::numeric_limits<std::size_t>::max(), hi = 0;
+    for (std::size_t g = blocks.group[b]; g < blocks.group[b + 1]; ++g) {
+      for (std::size_t e = lists.leaf_offsets[g];
+           e < lists.leaf_offsets[g + 1]; ++e) {
+        const DualPair& pair = lists.leaf_pairs[e];
+        if (pair.kind != DualKind::kDirect ||
+            pair.source == lists.leaf_nodes[g]) {
+          continue;
+        }
+        const ClusterNode& s = stree.node(pair.source);
+        lo = std::min(lo, s.begin);
+        hi = std::max(hi, s.end);
+      }
+    }
+    if (hi < lo) lo = hi = 0;
+    blocks.lo.push_back(lo);
+    blocks.slot.push_back(blocks.slot.back() + (hi - lo));
+  }
+  return blocks;
+}
+
 /// The dual-traversal driver behind cpu_evaluate_dual{,_field}: CC/CP onto
 /// target grids (parallel over disjoint grid groups), downward pass, then
 /// PC/direct per target leaf (parallel over disjoint particle ranges).
@@ -543,24 +628,28 @@ void run_dual(const OrderedParticles& targets, const ClusterTree& ttree,
   }
 
   // --- Phase 4: PC/direct pairs straight onto target particles, grouped by
-  // target leaf (disjoint ranges; race-free in parallel). In self mode,
+  // target leaf and run in blocks of whole groups (disjoint ranges;
+  // race-free in parallel). In self mode,
   // direct pairs are symmetric: the target-side writes stay group-local,
-  // the source-side (mirror) writes go to per-thread accumulators reduced
-  // below — the one place the accumulation order depends on scheduling.
+  // the source-side (mirror) writes go to the mirror slot of the fixed
+  // block that runs the group, and the slots are folded into the outputs
+  // in block order — so every particle's sum runs in the same order at any
+  // thread count.
+  const LeafBlocks blocks = plan_leaf_blocks(lists, ttree, stree, lppc);
+  auto& mirror = ws.mirror();
   if (lists.self) {
-    for (std::size_t t = 0; t < ws.num_scratch(); ++t) {
-      ws.scratch_at(t).ensure_mirror(targets.size(), Field);
+    mirror.phi.assign(blocks.slot.back(), 0.0);
+    if constexpr (Field) {
+      mirror.ex.assign(blocks.slot.back(), 0.0);
+      mirror.ey.assign(blocks.slot.back(), 0.0);
+      mirror.ez.assign(blocks.slot.back(), 0.0);
     }
   }
-  const std::size_t nleaf = lists.leaf_nodes.size();
-#pragma omp parallel for schedule(guided) \
+  const std::size_t nblocks = blocks.size();
+#pragma omp parallel for schedule(dynamic) \
     reduction(+ : approx_evals, direct_evals, fp32_evals, approx_launches, \
                   direct_launches)
-  for (std::size_t g = 0; g < nleaf; ++g) {
-    const ClusterNode& node = ttree.node(lists.leaf_nodes[g]);
-    const std::size_t begin = node.begin;
-    const std::size_t end = node.end;
-    const double count = static_cast<double>(end - begin);
+  for (std::size_t b = 0; b < nblocks; ++b) {
     CpuScratch& scratch = ws.scratch();
     const double* tx = targets.x.data();
     const double* ty = targets.y.data();
@@ -571,76 +660,88 @@ void run_dual(const OrderedParticles& targets, const ClusterTree& ttree,
     // the target-side charges from the live source array.
     const double* tq = lists.self ? sources.q.data() : targets.q.data();
 
-    for (std::size_t e = lists.leaf_offsets[g]; e < lists.leaf_offsets[g + 1];
-         ++e) {
-      const DualPair& pair = lists.leaf_pairs[e];
-      if (pair.kind == DualKind::kPC) {
-        const bool f32 = fp32 && pair.fp32 != 0;
-        const std::size_t npts = with_staged(f32, scratch, [&](auto& staged) {
-          return sweep_targets<Field>(
-              tx, ty, tz, begin, end,
-              expand_cluster_points(mlevels[pair.level], pair.source, staged,
-                                    static_cast<int>(pair.level),
-                                    resolve_pair_shift(shifts, pair)),
-              k, phi, ex, ey, ez);
-        });
-        const double evals = count * static_cast<double>(npts);
-        approx_evals += evals;
-        if (f32) fp32_evals += evals;
-        ++approx_launches;
-      } else if (!lists.self) {  // one-directional direct
-        const ClusterNode& s = stree.node(pair.source);
-        sweep_targets<Field>(tx, ty, tz, begin, end,
-                             direct_stream(sources, s.begin, s.count(),
-                                           resolve_pair_shift(shifts, pair),
-                                           scratch.f64),
-                             k, phi, ex, ey, ez);
-        direct_evals += count * static_cast<double>(s.count());
-        ++direct_launches;
-      } else if (pair.source == lists.leaf_nodes[g]) {
-        // Diagonal self-pair: triangular sum within the leaf.
-        accumulate_range_self<Field>(
-            tx + begin, ty + begin, tz + begin, tq + begin, end - begin, k,
-            phi + begin, Field ? ex + begin : nullptr,
-            Field ? ey + begin : nullptr, Field ? ez + begin : nullptr);
-        direct_evals += count * (count - 1.0) / 2.0;
-        ++direct_launches;
-      } else {
-        // Symmetric off-diagonal direct: each G feeds both leaves.
-        const ClusterNode& s = stree.node(pair.source);
-        for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
-          const std::size_t nt = std::min(kTargetTile, end - t0);
-          accumulate_tile_mutual<Field>(
-              tx + t0, ty + t0, tz + t0, tq + t0, nt,
-              sources.x.data() + s.begin, sources.y.data() + s.begin,
-              sources.z.data() + s.begin, sources.q.data() + s.begin,
-              s.count(), k, phi + t0, Field ? ex + t0 : nullptr,
-              Field ? ey + t0 : nullptr, Field ? ez + t0 : nullptr,
-              scratch.mphi.data() + s.begin,
-              Field ? scratch.mex.data() + s.begin : nullptr,
-              Field ? scratch.mey.data() + s.begin : nullptr,
-              Field ? scratch.mez.data() + s.begin : nullptr);
+    for (std::size_t g = blocks.group[b]; g < blocks.group[b + 1]; ++g) {
+      const ClusterNode& node = ttree.node(lists.leaf_nodes[g]);
+      const std::size_t begin = node.begin;
+      const std::size_t end = node.end;
+      const double count = static_cast<double>(end - begin);
+
+      for (std::size_t e = lists.leaf_offsets[g];
+           e < lists.leaf_offsets[g + 1]; ++e) {
+        const DualPair& pair = lists.leaf_pairs[e];
+        if (pair.kind == DualKind::kPC) {
+          const bool f32 = fp32 && pair.fp32 != 0;
+          const std::size_t npts =
+              with_staged(f32, scratch, [&](auto& staged) {
+                return sweep_targets<Field>(
+                    tx, ty, tz, begin, end,
+                    expand_cluster_points(mlevels[pair.level], pair.source,
+                                          staged,
+                                          static_cast<int>(pair.level),
+                                          resolve_pair_shift(shifts, pair)),
+                    k, phi, ex, ey, ez);
+              });
+          const double evals = count * static_cast<double>(npts);
+          approx_evals += evals;
+          if (f32) fp32_evals += evals;
+          ++approx_launches;
+        } else if (!lists.self) {  // one-directional direct
+          const ClusterNode& s = stree.node(pair.source);
+          sweep_targets<Field>(tx, ty, tz, begin, end,
+                               direct_stream(sources, s.begin, s.count(),
+                                             resolve_pair_shift(shifts, pair),
+                                             scratch.f64),
+                               k, phi, ex, ey, ez);
+          direct_evals += count * static_cast<double>(s.count());
+          ++direct_launches;
+        } else if (pair.source == lists.leaf_nodes[g]) {
+          // Diagonal self-pair: triangular sum within the leaf.
+          accumulate_range_self<Field>(
+              tx + begin, ty + begin, tz + begin, tq + begin, end - begin, k,
+              phi + begin, Field ? ex + begin : nullptr,
+              Field ? ey + begin : nullptr, Field ? ez + begin : nullptr);
+          direct_evals += count * (count - 1.0) / 2.0;
+          ++direct_launches;
+        } else {
+          // Symmetric off-diagonal direct: each G feeds both leaves; the
+          // source side lands in this block's mirror slot.
+          const ClusterNode& s = stree.node(pair.source);
+          const std::size_t m0 = blocks.slot[b] + (s.begin - blocks.lo[b]);
+          for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
+            const std::size_t nt = std::min(kTargetTile, end - t0);
+            accumulate_tile_mutual<Field>(
+                tx + t0, ty + t0, tz + t0, tq + t0, nt,
+                sources.x.data() + s.begin, sources.y.data() + s.begin,
+                sources.z.data() + s.begin, sources.q.data() + s.begin,
+                s.count(), k, phi + t0, Field ? ex + t0 : nullptr,
+                Field ? ey + t0 : nullptr, Field ? ez + t0 : nullptr,
+                mirror.phi.data() + m0,
+                Field ? mirror.ex.data() + m0 : nullptr,
+                Field ? mirror.ey.data() + m0 : nullptr,
+                Field ? mirror.ez.data() + m0 : nullptr);
+          }
+          direct_evals += count * static_cast<double>(s.count());
+          ++direct_launches;
         }
-        direct_evals += count * static_cast<double>(s.count());
-        ++direct_launches;
       }
     }
   }
 
-  // Mirror reduction (self mode): fold every thread's source-side
-  // accumulators into the outputs.
+  // Mirror fold (self mode): every particle adds the slots that cover it,
+  // in block order.
   if (lists.self) {
     const std::size_t n = targets.size();
-    const std::size_t nth = ws.num_scratch();
 #pragma omp parallel for schedule(static)
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t t = 0; t < nth; ++t) {
-        CpuScratch& s = ws.scratch_at(t);
-        phi[i] += s.mphi[i];
+      for (std::size_t b = 0; b < nblocks; ++b) {
+        if (i < blocks.lo[b]) continue;
+        const std::size_t r = blocks.slot[b] + (i - blocks.lo[b]);
+        if (r >= blocks.slot[b + 1]) continue;
+        phi[i] += mirror.phi[r];
         if constexpr (Field) {
-          ex[i] += s.mex[i];
-          ey[i] += s.mey[i];
-          ez[i] += s.mez[i];
+          ex[i] += mirror.ex[r];
+          ey[i] += mirror.ey[r];
+          ez[i] += mirror.ez[r];
         }
       }
     }

@@ -112,21 +112,6 @@ struct CpuScratch {
   int cached_target = -1;
   int cached_target_level = 0;
 
-  /// Self-mode dual traversal: per-thread mirror accumulators for the
-  /// source-side writes of symmetric direct pairs (the mirror leaf belongs
-  /// to another thread's group, so it cannot be written directly). Reduced
-  /// into the output arrays after the leaf phase.
-  AlignedVector mphi, mex, mey, mez;
-
-  void ensure_mirror(std::size_t n, bool field) {
-    mphi.assign(n, 0.0);
-    if (field) {
-      mex.assign(n, 0.0);
-      mey.assign(n, 0.0);
-      mez.assign(n, 0.0);
-    }
-  }
-
   void ensure_target(std::size_t n) {
     if (tgx.size() < n) {
       tgx.resize(n);
@@ -149,10 +134,6 @@ class CpuWorkspace {
   /// Calling thread's scratch entry (valid inside the parallel region).
   CpuScratch& scratch();
 
-  /// Scratch-table iteration (mirror-buffer setup and reduction).
-  std::size_t num_scratch() const { return per_thread_.size(); }
-  CpuScratch& scratch_at(std::size_t i) { return per_thread_[i]; }
-
   std::vector<std::size_t>& order() { return order_; }
   std::vector<double>& cost() { return cost_; }
 
@@ -165,11 +146,23 @@ class CpuWorkspace {
   };
   DualHats& hats() { return hats_; }
 
+  /// Self-mode dual traversal: the mirror slots of the leaf phase. Each
+  /// fixed block of leaf groups owns one slot for the source-side writes of
+  /// its symmetric direct pairs (the mirror leaf belongs to another block,
+  /// so it cannot be written directly); the slots are folded into the
+  /// outputs in block order, so the sums do not depend on scheduling.
+  /// Zeroed at the start of every self-mode evaluation but allocated once.
+  struct DualMirror {
+    AlignedVector phi, ex, ey, ez;
+  };
+  DualMirror& mirror() { return mirror_; }
+
  private:
   std::vector<CpuScratch> per_thread_;
   std::vector<std::size_t> order_;  ///< cost-sorted list execution order
   std::vector<double> cost_;        ///< per-list work estimate
   DualHats hats_;
+  DualMirror mirror_;
 };
 
 /// ISA-specific tile kernels. The primary template reports "none"; opt-in
@@ -182,7 +175,7 @@ struct TileSimd {
 
 /// ISA-specific *mutual* tiles (symmetric self-mode direct interactions):
 /// same contract as TileSimd plus the target charges and the source-side
-/// mirror accumulators.
+/// accumulators (a block's mirror slot, indexed by source position).
 template <bool Field, typename K>
 struct TileSimdMutual {
   static constexpr bool kAvailable = false;
@@ -998,7 +991,8 @@ inline void accumulate_tile_f32(const double* __restrict tx,
 /// ranges of the *same* particle set. Every kernel value is computed once
 /// and accumulated into both sides (Newton's third law), halving the
 /// near-field kernel evaluations. Source-side results go to the mirror
-/// accumulators `sphi`/`sex`/`sey`/`sez` (indexed by source position).
+/// accumulators `sphi`/`sex`/`sey`/`sez` (indexed by source position; the
+/// driver points them into the calling block's mirror slot).
 template <bool Field, typename K>
 inline void accumulate_tile_mutual(
     const double* __restrict tx, const double* __restrict ty,

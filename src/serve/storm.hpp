@@ -14,9 +14,10 @@ namespace bltc::serve {
 
 /// Treecode/kernel presets for the three storm mix classes. Defaults are
 /// serving-sized (small leaves/batches for small clouds). The dual preset
-/// keeps max_leaf != max_batch deliberately: that avoids the symmetric
-/// self mode, whose mirror reduction is scheduling-dependent, so storm
-/// results stay bit-reproducible under concurrency.
+/// keeps max_leaf != max_batch deliberately: that keeps the storm's dual
+/// requests on the asymmetric traversal even when they target their own
+/// sources, which is the path the serving benchmarks built on these
+/// presets have always measured.
 struct StormParams {
   TreecodeParams open;      ///< batched, open boundaries
   TreecodeParams dual;      ///< dual traversal, open boundaries

@@ -18,6 +18,10 @@
 #include "util/stats.hpp"
 #include "util/workloads.hpp"
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace bltc {
 namespace {
 
@@ -136,6 +140,44 @@ TEST(DualTraversal, RepeatEvaluationIsIdentical) {
   for (std::size_t i = 0; i < phi1.size(); ++i) {
     EXPECT_DOUBLE_EQ(phi1[i], phi2[i]) << "index " << i;
   }
+}
+
+TEST(DualTraversal, SelfModeBitIdenticalAcrossThreadCounts) {
+  // Symmetric self mode writes each direct pair to both leaves; the mirror
+  // half must still be summed in an order fixed by the lists, not by the
+  // OpenMP schedule.
+  const Cloud c = uniform_cube(8000, 29);
+  TreecodeParams params = dual_params();
+  params.max_leaf = 100;  // many leaf groups, so every thread gets work
+  params.max_batch = 100;
+  Solver dual = make_solver(params, KernelSpec::coulomb());
+  dual.set_sources(c);
+
+#ifdef _OPENMP
+  const int previous = omp_get_max_threads();
+#endif
+  std::vector<double> phi_ref;
+  FieldResult field_ref;
+  for (const int threads : {1, 2, 4}) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#endif
+    const auto phi = dual.evaluate(c);
+    const FieldResult field = dual.evaluate_field(c);
+    if (threads == 1) {
+      phi_ref = phi;
+      field_ref = field;
+      continue;
+    }
+    EXPECT_EQ(phi, phi_ref) << threads << " threads";
+    EXPECT_EQ(field.phi, field_ref.phi) << threads << " threads";
+    EXPECT_EQ(field.ex, field_ref.ex) << threads << " threads";
+    EXPECT_EQ(field.ey, field_ref.ey) << threads << " threads";
+    EXPECT_EQ(field.ez, field_ref.ez) << threads << " threads";
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(previous);
+#endif
 }
 
 TEST(DualTraversal, UpdateChargesMatchesFreshSolverAndOracle) {
@@ -273,16 +315,15 @@ TEST(DualTraversal, GpuSimMatchesCpuAndStaysResident) {
   const Cloud targets = uniform_cube(3000, 44, -1.5, 1.5);
   EXPECT_EQ(cpu.evaluate(targets), gpu.evaluate(targets));
 
-  // Symmetric self mode: the per-thread mirror reduction is
-  // scheduling-dependent above one OpenMP thread (ROADMAP.md open item 1),
-  // so two runs agree to rounding only.
+  // Symmetric self mode: the mirror writes are folded in a fixed block
+  // order at any thread count, so the backends agree bit for bit here too.
   const auto phi_cpu = cpu.evaluate(c);
   RunStats first;
   const auto phi_gpu = gpu.evaluate(c, &first);
   EXPECT_GT(first.cc_launches + first.cp_launches, 0u);
   EXPECT_GT(first.gpu_launches, 0u);
   EXPECT_GT(first.bytes_to_device, 0u);
-  EXPECT_LT(relative_l2_error(phi_cpu, phi_gpu), 1e-12);
+  EXPECT_EQ(phi_cpu, phi_gpu);
 
   // Repeat evaluation: everything is device resident, only results move.
   RunStats repeat;

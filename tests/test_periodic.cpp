@@ -115,14 +115,10 @@ TEST_P(PeriodicParity, PotentialMatchesPeriodicOracleOnBothEngines) {
     const auto phi = solver.evaluate(c, &stats);
     if (backend == Backend::kCpu) {
       phi_cpu = phi;
-    } else if (mode == TraversalMode::kBatched) {
-      // GpuSim models launches over the host numerics: bitwise parity.
-      EXPECT_EQ(phi, phi_cpu) << pc.name;
     } else {
-      // Dual symmetric self mode: the per-thread mirror reduction is
-      // scheduling-dependent above one OpenMP thread (ROADMAP.md open
-      // item 1), so two runs agree to rounding only.
-      EXPECT_LT(relative_l2_error(phi_cpu, phi), 1e-12) << pc.name;
+      // GpuSim models launches over the host numerics, and both traversals
+      // sum in an order fixed by their lists: bitwise parity.
+      EXPECT_EQ(phi, phi_cpu) << pc.name;
     }
     const double err = relative_l2_error(oracle, phi);
     // The trees differ (one tree over 27N replicated particles vs 27
