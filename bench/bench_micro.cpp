@@ -18,7 +18,6 @@
 
 #include "bench_common.hpp"
 #include "core/barycentric.hpp"
-#include "core/batches.hpp"
 #include "core/chebyshev.hpp"
 #include "core/cpu_kernels.hpp"
 #include "core/direct_sum.hpp"
@@ -53,13 +52,13 @@ double time_call(const std::function<void()>& fn, double min_seconds = 0.2) {
   return elapsed / static_cast<double>(reps);
 }
 
-/// Tree + batches + lists + moments for one (targets, sources) pair.
+/// Source and target trees + batched lists + moments for one (targets,
+/// sources) pair, executed through the one list driver.
 struct EvalSetup {
   OrderedParticles src, tgt;
-  ClusterTree tree;
+  ClusterTree tree, target_tree;
   ClusterMoments moments;
-  std::vector<TargetBatch> batches;
-  InteractionLists lists;
+  DualInteractionLists lists;
 
   EvalSetup(const Cloud& targets, const Cloud& sources, double theta,
             int degree) {
@@ -69,8 +68,19 @@ struct EvalSetup {
     tree = ClusterTree::build(src, tp);
     moments = ClusterMoments::compute(tree, src, degree);
     tgt = OrderedParticles::from_cloud(targets);
-    batches = build_target_batches(tgt, 2000);
-    lists = build_interaction_lists(batches, tree, theta, degree);
+    target_tree = ClusterTree::build(tgt, tp);
+    lists = build_interaction_lists(target_tree, tree, theta, degree);
+  }
+
+  std::vector<double> potential(RunStats& stats, CpuWorkspace& ws) const {
+    return cpu_evaluate_dual(tgt, target_tree, {}, lists, tree, src,
+                             {&moments, 1}, KernelSpec::coulomb(), nullptr,
+                             &stats, &ws);
+  }
+  FieldResult field(RunStats& stats, CpuWorkspace& ws) const {
+    return cpu_evaluate_dual_field(tgt, target_tree, {}, lists, tree, src,
+                                   {&moments, 1}, KernelSpec::coulomb(),
+                                   nullptr, &stats, &ws);
   }
 };
 
@@ -108,9 +118,7 @@ int main(int argc, char** argv) {
     CpuWorkspace ws;
     const double sec = time_call([&] {
       stats = RunStats{};  // the evaluators add into it
-      g_sink += cpu_evaluate(s.tgt, s.batches, s.lists, s.tree, s.src,
-                             s.moments, KernelSpec::coulomb(), nullptr,
-                             &stats, &ws)[0];
+      g_sink += s.potential(stats, ws)[0];
     });
     row("direct_interactions", sec, stats.direct_evals, "inter");
   }
@@ -128,9 +136,7 @@ int main(int argc, char** argv) {
     CpuWorkspace ws;
     const double sec = time_call([&] {
       stats = RunStats{};  // the evaluators add into it
-      g_sink += cpu_evaluate(s.tgt, s.batches, s.lists, s.tree, s.src,
-                             s.moments, KernelSpec::coulomb(), nullptr,
-                             &stats, &ws)[0];
+      g_sink += s.potential(stats, ws)[0];
     });
     row("approx_interactions", sec, stats.approx_evals, "inter");
 
@@ -138,10 +144,7 @@ int main(int argc, char** argv) {
     RunStats fstats;
     const double fsec = time_call([&] {
       fstats = RunStats{};
-      g_sink += cpu_evaluate_field(s.tgt, s.batches, s.lists, s.tree, s.src,
-                                   s.moments, KernelSpec::coulomb(), nullptr,
-                                   &fstats, &ws)
-                    .ex[0];
+      g_sink += s.field(fstats, ws).ex[0];
     });
     row("approx_field_interactions", fsec, fstats.approx_evals, "inter");
   }
@@ -154,10 +157,7 @@ int main(int argc, char** argv) {
     CpuWorkspace ws;
     const double sec = time_call([&] {
       stats = RunStats{};
-      g_sink += cpu_evaluate_field(s.tgt, s.batches, s.lists, s.tree, s.src,
-                                   s.moments, KernelSpec::coulomb(), nullptr,
-                                   &stats, &ws)
-                    .ex[0];
+      g_sink += s.field(stats, ws).ex[0];
     });
     row("direct_field_interactions", sec, stats.direct_evals, "inter");
   }
@@ -244,11 +244,11 @@ int main(int argc, char** argv) {
     tp.max_leaf = 500;
     const ClusterTree tree = ClusterTree::build(src, tp);
     OrderedParticles tgt = OrderedParticles::from_cloud(c);
-    const auto batches = build_target_batches(tgt, 500);
+    const ClusterTree target_tree = ClusterTree::build(tgt, tp);
     const double sec = time_call([&] {
-      const InteractionLists lists =
-          build_interaction_lists(batches, tree, 0.8, 8);
-      g_sink += static_cast<double>(lists.total_approx);
+      const DualInteractionLists lists =
+          build_interaction_lists(target_tree, tree, 0.8, 8);
+      g_sink += static_cast<double>(lists.total_pc);
     });
     row("traversal_30k", sec, 1.0, "call");
 

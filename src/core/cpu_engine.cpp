@@ -175,10 +175,7 @@ CpuEngine::Result<Field> CpuEngine::evaluate(const SourcePlan& sources,
                                              const KernelSpec& kernel,
                                              RunStats& stats,
                                              ExecContext* ctx) const {
-  const bool dual = targets.traversal == TraversalMode::kDual;
-  const std::size_t npieces =
-      dual ? targets.dual_lists.size() : targets.lists.size();
-  if (npieces != 1 + let_.size()) {
+  if (targets.lists.size() != 1 + let_.size()) {
     throw std::logic_error(
         "CpuEngine: one interaction list per source piece expected");
   }
@@ -186,45 +183,32 @@ CpuEngine::Result<Field> CpuEngine::evaluate(const SourcePlan& sources,
       ctx != nullptr ? &ctx->cpu_workspace() : nullptr;
   const auto eval_piece = [&](const SourcePlan& piece,
                               std::size_t index) -> Result<Field> {
-    const ClusterMoments& moments =
-        piece.moments != nullptr ? *piece.moments : moments_;
-    if (dual) {
-      // The pairs reference moments at every ladder degree: caller-owned
-      // ladders (serving-layer cached plans) ride in piece.moment_levels;
-      // the engine-owned piece falls back to the prepare_sources ladder.
-      const std::span<const ClusterMoments> levels =
-          !piece.moment_levels.empty()
-              ? piece.moment_levels
-              : std::span<const ClusterMoments>(dual_levels_);
-      if (piece.moments != nullptr && piece.moment_levels.empty()) {
-        throw std::logic_error(
-            "CpuEngine: dual-traversal evaluation of externally-provided "
-            "moments requires the full moment ladder "
-            "(SourcePlan::moment_levels)");
-      }
-      if constexpr (Field) {
-        return cpu_evaluate_dual_field(
-            *targets.particles, *targets.tree, targets.grids,
-            targets.dual_lists[index], *piece.tree, *piece.particles, levels,
-            kernel, targets.shifts, &stats, workspace, piece.fp32);
-      } else {
-        return cpu_evaluate_dual(
-            *targets.particles, *targets.tree, targets.grids,
-            targets.dual_lists[index], *piece.tree, *piece.particles, levels,
-            kernel, targets.shifts, &stats, workspace, piece.fp32);
-      }
+    // The moment ladder the pairs' levels index: caller-owned ladders
+    // (serving-layer cached plans) ride in piece.moment_levels, a LET piece
+    // carries its one fetched level, and the engine-owned piece uses what
+    // prepare_sources built.
+    const std::span<const ClusterMoments> levels =
+        !piece.moment_levels.empty() ? piece.moment_levels
+        : piece.moments != nullptr
+            ? std::span<const ClusterMoments>(piece.moments, 1)
+            : prepared_levels();
+    const DualInteractionLists& lists = targets.lists[index];
+    if (lists.ladder.size() > levels.size()) {
+      throw std::logic_error(
+          "CpuEngine: the lists reference more moment-ladder levels than "
+          "the source piece provides (dual-traversal pieces with external "
+          "moments need SourcePlan::moment_levels)");
     }
     if constexpr (Field) {
-      return cpu_evaluate_field(*targets.particles, *targets.batches,
-                                targets.lists[index], *piece.tree,
-                                *piece.particles, moments, kernel,
-                                targets.shifts, &stats, workspace,
-                                piece.fp32);
+      return cpu_evaluate_dual_field(
+          *targets.particles, *targets.tree, targets.grids, lists, *piece.tree,
+          *piece.particles, levels, kernel, targets.shifts, &stats, workspace,
+          piece.fp32);
     } else {
-      return cpu_evaluate(*targets.particles, *targets.batches,
-                          targets.lists[index], *piece.tree, *piece.particles,
-                          moments, kernel, targets.shifts, &stats, workspace,
-                          piece.fp32);
+      return cpu_evaluate_dual(*targets.particles, *targets.tree,
+                               targets.grids, lists, *piece.tree,
+                               *piece.particles, levels, kernel,
+                               targets.shifts, &stats, workspace, piece.fp32);
     }
   };
   // Local piece first, then the attached LET pieces in piece order: the

@@ -1,8 +1,8 @@
 // Host potential-evaluation engine — the paper's CPU comparator (§4). Both
-// batched host paths (potential and field) and the dual paths execute
-// through the blocked kernel core in core/cpu_kernels.hpp; `CpuEngine`
-// wraps those free evaluation functions behind the Engine interface and
-// keeps the modified charges alive across evaluate() calls. Evaluation
+// traversals' lists (potential and field) execute through the one list
+// driver in core/cpu_kernels.hpp; `CpuEngine` wraps its free evaluation
+// functions behind the Engine interface and keeps the modified charges
+// alive across evaluate() calls. Evaluation
 // itself is const and re-entrant: all mutable scratch lives in the caller's
 // ExecContext (serve/exec_context.hpp), so the serving layer runs many
 // concurrent evaluations of one cached plan through one engine — each call

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <numeric>
 #include <type_traits>
 
 #include "core/barycentric.hpp"
@@ -171,98 +172,6 @@ inline std::size_t sweep_targets(const double* tx, const double* ty,
   return src.n;
 }
 
-/// The one list-execution driver behind both batched host paths. `fp32`
-/// lets interactions tagged fp32-eligible run the fp32 tile.
-template <bool Field, typename K>
-void run_lists(const OrderedParticles& targets,
-               const std::vector<TargetBatch>& batches,
-               const InteractionLists& lists, const ClusterTree& tree,
-               const OrderedParticles& sources, const ClusterMoments& moments,
-               K k, CpuWorkspace& ws, const ShiftTable* shifts, bool fp32,
-               double* __restrict phi, double* __restrict ex,
-               double* __restrict ey, double* __restrict ez,
-               RunStats* stats) {
-  const std::size_t nlists = lists.per_batch.size();
-  const double ppc = static_cast<double>(moments.points_per_cluster());
-
-  // Cost-weighted execution order: largest lists first, so with guided
-  // scheduling the parallel tail is made of the cheapest lists instead of
-  // whichever heavyweight a dynamic chunk-1 schedule dealt last.
-  auto& order = ws.order();
-  auto& cost = ws.cost();
-  order.resize(nlists);
-  cost.resize(nlists);
-  for (std::size_t b = 0; b < nlists; ++b) {
-    const BatchInteractions& bi = lists.per_batch[b];
-    const double count = static_cast<double>(batches[b].count());
-    double work = static_cast<double>(bi.approx.size()) * ppc;
-    for (const int ci : bi.direct) {
-      work += static_cast<double>(tree.node(ci).count());
-    }
-    cost[b] = count * work;
-    order[b] = b;
-  }
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return cost[a] > cost[b]; });
-
-  ws.ensure_threads();
-  double approx_evals = 0.0, direct_evals = 0.0;
-  double fp32_evals = 0.0;
-  std::size_t approx_launches = 0, direct_launches = 0;
-
-#pragma omp parallel for schedule(guided) \
-    reduction(+ : approx_evals, direct_evals, fp32_evals, approx_launches, \
-                  direct_launches)
-  for (std::size_t s = 0; s < nlists; ++s) {
-    const std::size_t b = order[s];
-    const BatchInteractions& bi = lists.per_batch[b];
-    const std::size_t begin = batches[b].begin;
-    const std::size_t end = batches[b].end;
-    const double count = static_cast<double>(end - begin);
-    CpuScratch& scratch = ws.scratch();
-
-    const double* tx = targets.x.data();
-    const double* ty = targets.y.data();
-    const double* tz = targets.z.data();
-
-    for (std::size_t e = 0; e < bi.approx.size(); ++e) {
-      const ResolvedShift shift = resolve_shift(shifts, bi.approx_shift, e);
-      const bool f32 =
-          fp32 && e < bi.approx_fp32.size() && bi.approx_fp32[e] != 0;
-      const std::size_t npts = with_staged(f32, scratch, [&](auto& staged) {
-        return sweep_targets<Field>(
-            tx, ty, tz, begin, end,
-            expand_cluster_points(moments, bi.approx[e], staged, 0, shift), k,
-            phi, ex, ey, ez);
-      });
-      const double evals = count * static_cast<double>(npts);
-      approx_evals += evals;
-      if (f32) fp32_evals += evals;
-      ++approx_launches;
-    }
-
-    for (std::size_t e = 0; e < bi.direct.size(); ++e) {
-      const ClusterNode& node = tree.node(bi.direct[e]);
-      const ResolvedShift shift = resolve_shift(shifts, bi.direct_shift, e);
-      sweep_targets<Field>(tx, ty, tz, begin, end,
-                           direct_stream(sources, node.begin, node.count(),
-                                         shift, scratch.f64),
-                           k, phi, ex, ey, ez);
-      direct_evals += count * static_cast<double>(node.count());
-      ++direct_launches;
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->approx_evals += approx_evals;
-    stats->direct_evals += direct_evals;
-    stats->approx_launches += approx_launches;
-    stats->direct_launches += direct_launches;
-    stats->fp32_evals += fp32_evals;
-    stats->fp64_evals += approx_evals + direct_evals - fp32_evals;
-  }
-}
-
 /// Expand target node `ti`'s tensor-product Chebyshev grid into contiguous
 /// coordinate streams (the "targets" a CP/CC tile call consumes).
 std::size_t expand_target_grid(const ClusterMoments& grids, int ti,
@@ -353,30 +262,27 @@ inline constexpr std::size_t kMirrorBlocks = 8;
 /// [group[b], group[b+1]) start to finish on one thread. In self mode its
 /// mirror slot holds rows [slot[b], slot[b+1]) of the workspace's
 /// DualMirror, standing for source particles from lo[b] on (`lo` and
-/// `slot` stay empty otherwise).
+/// `slot` stay empty otherwise). `order` lists the blocks largest
+/// leaf-phase work first, so the parallel tail is made of the cheapest
+/// blocks instead of whichever heavyweight the schedule dealt last.
 struct LeafBlocks {
   std::vector<std::size_t> group;
   std::vector<std::size_t> lo;
   std::vector<std::size_t> slot;
+  std::vector<std::size_t> order;
   std::size_t size() const { return group.size() - 1; }
 };
 
 /// One block per leaf group, or in self mode at most kMirrorBlocks
 /// contiguous blocks of about equal leaf-phase kernel evaluations, each
 /// with a mirror slot spanning the source ranges of its symmetric direct
-/// pairs. Depends on the lists and trees alone.
+/// pairs. PC pairs cost their source ladder level's points per cluster.
+/// Depends on the lists, trees and ladder alone.
 LeafBlocks plan_leaf_blocks(const DualInteractionLists& lists,
                             const ClusterTree& ttree,
                             const ClusterTree& stree,
-                            const std::vector<std::size_t>& lppc) {
+                            std::span<const ClusterMoments> mlevels) {
   const std::size_t nleaf = lists.leaf_nodes.size();
-  LeafBlocks blocks;
-  if (!lists.self) {
-    blocks.group.resize(nleaf + 1);
-    for (std::size_t g = 0; g <= nleaf; ++g) blocks.group[g] = g;
-    return blocks;
-  }
-
   std::vector<double> work(nleaf, 0.0);
   double total = 0.0;
   for (std::size_t g = 0; g < nleaf; ++g) {
@@ -387,49 +293,68 @@ LeafBlocks plan_leaf_blocks(const DualInteractionLists& lists,
       const DualPair& pair = lists.leaf_pairs[e];
       work[g] += count * static_cast<double>(
                              pair.kind == DualKind::kPC
-                                 ? lppc[pair.level]
+                                 ? mlevels[pair.level].points_per_cluster()
                                  : stree.node(pair.source).count());
     }
     total += work[g];
   }
-  const std::size_t nblocks = std::min(kMirrorBlocks, nleaf);
-  blocks.group.push_back(0);
-  double done = 0.0;
-  for (std::size_t g = 0; g < nleaf && blocks.group.size() < nblocks; ++g) {
-    done += work[g];
-    if (done >= total * static_cast<double>(blocks.group.size()) /
-                    static_cast<double>(nblocks)) {
-      blocks.group.push_back(g + 1);
-    }
-  }
-  blocks.group.push_back(nleaf);
 
-  blocks.slot.push_back(0);
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    std::size_t lo = std::numeric_limits<std::size_t>::max(), hi = 0;
-    for (std::size_t g = blocks.group[b]; g < blocks.group[b + 1]; ++g) {
-      for (std::size_t e = lists.leaf_offsets[g];
-           e < lists.leaf_offsets[g + 1]; ++e) {
-        const DualPair& pair = lists.leaf_pairs[e];
-        if (pair.kind != DualKind::kDirect ||
-            pair.source == lists.leaf_nodes[g]) {
-          continue;
-        }
-        const ClusterNode& s = stree.node(pair.source);
-        lo = std::min(lo, s.begin);
-        hi = std::max(hi, s.end);
+  LeafBlocks blocks;
+  std::vector<double> cost;
+  if (!lists.self) {
+    blocks.group.resize(nleaf + 1);
+    std::iota(blocks.group.begin(), blocks.group.end(), std::size_t{0});
+    cost = std::move(work);
+  } else {
+    const std::size_t nblocks = std::min(kMirrorBlocks, nleaf);
+    blocks.group.push_back(0);
+    double done = 0.0;
+    for (std::size_t g = 0; g < nleaf && blocks.group.size() < nblocks; ++g) {
+      done += work[g];
+      if (done >= total * static_cast<double>(blocks.group.size()) /
+                      static_cast<double>(nblocks)) {
+        blocks.group.push_back(g + 1);
       }
     }
-    if (hi < lo) lo = hi = 0;
-    blocks.lo.push_back(lo);
-    blocks.slot.push_back(blocks.slot.back() + (hi - lo));
+    blocks.group.push_back(nleaf);
+
+    blocks.slot.push_back(0);
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      std::size_t lo = std::numeric_limits<std::size_t>::max(), hi = 0;
+      double block_work = 0.0;
+      for (std::size_t g = blocks.group[b]; g < blocks.group[b + 1]; ++g) {
+        block_work += work[g];
+        for (std::size_t e = lists.leaf_offsets[g];
+             e < lists.leaf_offsets[g + 1]; ++e) {
+          const DualPair& pair = lists.leaf_pairs[e];
+          if (pair.kind != DualKind::kDirect ||
+              pair.source == lists.leaf_nodes[g]) {
+            continue;
+          }
+          const ClusterNode& s = stree.node(pair.source);
+          lo = std::min(lo, s.begin);
+          hi = std::max(hi, s.end);
+        }
+      }
+      if (hi < lo) lo = hi = 0;
+      blocks.lo.push_back(lo);
+      blocks.slot.push_back(blocks.slot.back() + (hi - lo));
+      cost.push_back(block_work);
+    }
   }
+  blocks.order.resize(blocks.size());
+  std::iota(blocks.order.begin(), blocks.order.end(), std::size_t{0});
+  std::stable_sort(blocks.order.begin(), blocks.order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cost[a] > cost[b];
+                   });
   return blocks;
 }
 
-/// The dual-traversal driver behind cpu_evaluate_dual{,_field}: CC/CP onto
-/// target grids (parallel over disjoint grid groups), downward pass, then
+/// The list driver behind cpu_evaluate_dual{,_field}: CC/CP onto target
+/// grids (parallel over disjoint grid groups), downward pass, then
 /// PC/direct per target leaf (parallel over disjoint particle ranges).
+/// Batched lists hold no grid pairs, so only the leaf phase runs.
 template <bool Field, typename K>
 void run_dual(const OrderedParticles& targets, const ClusterTree& ttree,
               std::span<const ClusterMoments> tgrids,
@@ -635,7 +560,7 @@ void run_dual(const OrderedParticles& targets, const ClusterTree& ttree,
   // block that runs the group, and the slots are folded into the outputs
   // in block order — so every particle's sum runs in the same order at any
   // thread count.
-  const LeafBlocks blocks = plan_leaf_blocks(lists, ttree, stree, lppc);
+  const LeafBlocks blocks = plan_leaf_blocks(lists, ttree, stree, mlevels);
   auto& mirror = ws.mirror();
   if (lists.self) {
     mirror.phi.assign(blocks.slot.back(), 0.0);
@@ -649,7 +574,8 @@ void run_dual(const OrderedParticles& targets, const ClusterTree& ttree,
 #pragma omp parallel for schedule(dynamic) \
     reduction(+ : approx_evals, direct_evals, fp32_evals, approx_launches, \
                   direct_launches)
-  for (std::size_t b = 0; b < nblocks; ++b) {
+  for (std::size_t o = 0; o < nblocks; ++o) {
+    const std::size_t b = blocks.order[o];
     CpuScratch& scratch = ws.scratch();
     const double* tx = targets.x.data();
     const double* ty = targets.y.data();
@@ -763,54 +689,6 @@ void run_dual(const OrderedParticles& targets, const ClusterTree& ttree,
 }
 
 }  // namespace
-
-std::vector<double> cpu_evaluate(const OrderedParticles& targets,
-                                 const std::vector<TargetBatch>& batches,
-                                 const InteractionLists& lists,
-                                 const ClusterTree& tree,
-                                 const OrderedParticles& sources,
-                                 const ClusterMoments& moments,
-                                 const KernelSpec& kernel,
-                                 const ShiftTable* shifts,
-                                 RunStats* stats,
-                                 CpuWorkspace* workspace,
-                                 bool fp32) {
-  std::vector<double> phi(targets.size(), 0.0);
-  CpuWorkspace local;
-  CpuWorkspace& ws = workspace != nullptr ? *workspace : local;
-  with_kernel(kernel, [&](auto k) {
-    run_lists<false>(targets, batches, lists, tree, sources, moments, k, ws,
-                     shifts, fp32, phi.data(), nullptr, nullptr, nullptr,
-                     stats);
-  });
-  return phi;
-}
-
-FieldResult cpu_evaluate_field(const OrderedParticles& targets,
-                               const std::vector<TargetBatch>& batches,
-                               const InteractionLists& lists,
-                               const ClusterTree& tree,
-                               const OrderedParticles& sources,
-                               const ClusterMoments& moments,
-                               const KernelSpec& kernel,
-                               const ShiftTable* shifts,
-                               RunStats* stats,
-                               CpuWorkspace* workspace,
-                               bool fp32) {
-  FieldResult out;
-  out.phi.assign(targets.size(), 0.0);
-  out.ex.assign(targets.size(), 0.0);
-  out.ey.assign(targets.size(), 0.0);
-  out.ez.assign(targets.size(), 0.0);
-  CpuWorkspace local;
-  CpuWorkspace& ws = workspace != nullptr ? *workspace : local;
-  with_grad_kernel(kernel, [&](auto k) {
-    run_lists<true>(targets, batches, lists, tree, sources, moments, k, ws,
-                    shifts, fp32, out.phi.data(), out.ex.data(),
-                    out.ey.data(), out.ez.data(), stats);
-  });
-  return out;
-}
 
 std::vector<double> cpu_evaluate_dual(
     const OrderedParticles& targets, const ClusterTree& target_tree,

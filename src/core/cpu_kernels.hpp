@@ -22,11 +22,11 @@
 //     their original scalar form so their results are bit-stable.
 //
 // One templated driver (`cpu_kernels.cpp`) executes interaction lists
-// through these tiles for both batched host paths, potential and field.
+// through these tiles for both traversals, potential and field.
 // Per-cluster grids are expanded once per (list, cluster) visit into
 // per-thread scratch that persists across evaluations (owned by CpuEngine),
-// and lists are executed largest-first under guided scheduling so the
-// parallel tail is made of cheap lists.
+// and target-leaf work blocks are executed largest-first so the parallel
+// tail is made of cheap blocks.
 #pragma once
 
 #include <cstddef>
@@ -134,9 +134,6 @@ class CpuWorkspace {
   /// Calling thread's scratch entry (valid inside the parallel region).
   CpuScratch& scratch();
 
-  std::vector<std::size_t>& order() { return order_; }
-  std::vector<double>& cost() { return cost_; }
-
   /// Dual-traversal accumulators: per-target-node grid potentials (and, for
   /// field runs, grid fields), zeroed at the start of every dual evaluation
   /// but allocated once. `flag[n]` marks nodes whose grid holds data.
@@ -159,8 +156,6 @@ class CpuWorkspace {
 
  private:
   std::vector<CpuScratch> per_thread_;
-  std::vector<std::size_t> order_;  ///< cost-sorted list execution order
-  std::vector<double> cost_;        ///< per-list work estimate
   DualHats hats_;
   DualMirror mirror_;
 };
@@ -1127,42 +1122,15 @@ void dual_transfer_apply(const double* parent, double* child,
 // Each evaluator adds its eval and launch counts (and the fp32/fp64 split)
 // into a non-null `stats`, so multi-piece callers sum pieces in place.
 
-/// Evaluate potentials (tree order) for batched targets. `fp32` routes
-/// interactions tagged fp32-eligible through the fp32 tiles, which narrow
-/// the fp64 sources as they stage them (false, or empty per-batch tags,
-/// executes everything fp64).
-std::vector<double> cpu_evaluate(const OrderedParticles& targets,
-                                 const std::vector<TargetBatch>& batches,
-                                 const InteractionLists& lists,
-                                 const ClusterTree& tree,
-                                 const OrderedParticles& sources,
-                                 const ClusterMoments& moments,
-                                 const KernelSpec& kernel,
-                                 const ShiftTable* shifts = nullptr,
-                                 RunStats* stats = nullptr,
-                                 CpuWorkspace* workspace = nullptr,
-                                 bool fp32 = false);
-
-/// Potential + field evaluation (tree order) for batched targets, using the
-/// analytic gradient of the barycentric approximation (core/fields.hpp).
-FieldResult cpu_evaluate_field(const OrderedParticles& targets,
-                               const std::vector<TargetBatch>& batches,
-                               const InteractionLists& lists,
-                               const ClusterTree& tree,
-                               const OrderedParticles& sources,
-                               const ClusterMoments& moments,
-                               const KernelSpec& kernel,
-                               const ShiftTable* shifts = nullptr,
-                               RunStats* stats = nullptr,
-                               CpuWorkspace* workspace = nullptr,
-                               bool fp32 = false);
-
-/// Dual-traversal potential evaluation (tree order): executes CC/CP pairs
-/// onto target-node grids (parallel over grid groups), runs the downward
-/// pass (parent grids propagate to child grids, leaves interpolate to
-/// particles), and executes PC/direct pairs per target leaf — all four
+/// Potential evaluation (tree order) of either traversal's lists: executes
+/// CC/CP pairs onto target-node grids (parallel over grid groups), runs the
+/// downward pass (parent grids propagate to child grids, leaves interpolate
+/// to particles), and executes PC/direct pairs per target leaf — all four
 /// kinds through the same blocked tile core. `target_grids` and
-/// `moment_levels` hold one entry per ladder degree (DualPair::level).
+/// `moment_levels` hold one entry per ladder degree (DualPair::level);
+/// batched lists need no target grids and one moment level. `fp32` routes
+/// pairs tagged fp32-eligible through the fp32 tiles, which narrow the fp64
+/// sources as they stage them (false executes everything fp64).
 std::vector<double> cpu_evaluate_dual(
     const OrderedParticles& targets, const ClusterTree& target_tree,
     std::span<const ClusterMoments> target_grids,
@@ -1172,7 +1140,8 @@ std::vector<double> cpu_evaluate_dual(
     const ShiftTable* shifts = nullptr, RunStats* stats = nullptr,
     CpuWorkspace* workspace = nullptr, bool fp32 = false);
 
-/// Dual-traversal potential + field evaluation: CP/CC accumulate the field
+/// Potential + field evaluation, using the analytic gradient of the
+/// barycentric approximation (core/fields.hpp): CP/CC accumulate the field
 /// at the target grid points and the downward pass interpolates each
 /// component (the interpolant of the field converges at the same rate as
 /// the field of the interpolant).

@@ -271,48 +271,15 @@ void GpuSimEngine::attach_let_pieces(std::span<const LetPiece> pieces,
   host_.attach_let_pieces(pieces, params, charges_only);
 }
 
-void GpuSimEngine::model_batched(const std::vector<TargetBatch>& batches,
-                                 const InteractionLists& lists,
-                                 const ClusterTree& tree, std::size_t ppc,
-                                 double weight, bool fp32) const {
+void GpuSimEngine::model_lists(const TargetPlan& targets,
+                               const DualInteractionLists& lists,
+                               const ClusterTree& source_tree,
+                               std::span<const ClusterMoments> levels,
+                               double weight, bool fp32) const {
   // The CPU walks the interaction lists and queues one kernel per
-  // batch-cluster interaction, cycling the stream id (§3.2 asynchronous
-  // streams); each launch runs one target per block.
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    const TargetBatch& batch = batches[b];
-    const BatchInteractions& bi = lists.per_batch[b];
-    const double count = static_cast<double>(batch.count());
-    for (std::size_t e = 0; e < bi.approx.size(); ++e) {
-      // Batch-cluster approximation kernel (Eq. 11), threads over the
-      // cluster's Chebyshev points.
-      const bool f32 =
-          fp32 && e < bi.approx_fp32.size() && bi.approx_fp32[e] != 0;
-      gpusim::KernelCost cost;
-      cost.evals = weight * precision_factor(f32) *
-                   (count * static_cast<double>(ppc));
-      cost.blocks = batch.count();
-      device_.launch(device_.next_stream(), cost);
-    }
-    for (const int ci : bi.direct) {
-      // Batch-cluster direct sum kernel (Eq. 9), threads over the cluster's
-      // source particles; direct launches run fp64 under every policy.
-      gpusim::KernelCost cost;
-      cost.evals =
-          weight * count * static_cast<double>(tree.node(ci).count());
-      cost.blocks = batch.count();
-      device_.launch(device_.next_stream(), cost);
-    }
-  }
-  device_.synchronize();
-}
-
-void GpuSimEngine::model_dual(const TargetPlan& targets,
-                              const ClusterTree& source_tree, double weight,
-                              bool fp32) const {
+  // interaction, cycling the stream id (§3.2 asynchronous streams).
   const ClusterTree& target_tree = *targets.tree;
-  const DualInteractionLists& lists = targets.dual_lists[0];
   const std::span<const ClusterMoments> grids = targets.grids;
-  const std::span<const ClusterMoments> levels = host_.prepared_levels();
   const std::size_t nn = target_tree.num_nodes();
   std::vector<unsigned char> flag(grids.size() * nn, 0);
 
@@ -367,8 +334,10 @@ void GpuSimEngine::model_dual(const TargetPlan& targets,
   }
 
   // PC / direct kernels with target leaves as batches: the batch-cluster
-  // launch shapes (Eqs. 9 and 11). Self mode evaluates each direct pair
-  // once for both sides, and the diagonal pair is a triangular sum.
+  // launch shapes (Eqs. 9 and 11), one target per block, threads over the
+  // cluster's Chebyshev points or source particles; direct launches run
+  // fp64 under every policy. Self mode evaluates each direct pair once for
+  // both sides, and the diagonal pair is a triangular sum.
   for (std::size_t g = 0; g < lists.leaf_nodes.size(); ++g) {
     const ClusterNode& leaf = target_tree.node(lists.leaf_nodes[g]);
     const double count = static_cast<double>(leaf.count());
@@ -405,18 +374,10 @@ std::vector<double> GpuSimEngine::evaluate_potential(
   // callers (the serving layer) serialize here rather than interleaving
   // the staged target state or the delta-reported device counters.
   std::lock_guard<std::mutex> lock(eval_mutex_);
-  const bool dual = targets.traversal == TraversalMode::kDual;
-  const std::size_t npieces =
-      dual ? targets.dual_lists.size() : targets.lists.size();
-  if (npieces != 1 + let_.size()) {
+  if (targets.lists.size() != 1 + let_.size()) {
     throw std::logic_error(
         "GpuSimEngine::evaluate_potential: one interaction list per source "
         "piece expected");
-  }
-  if (dual && !let_.empty()) {
-    throw std::invalid_argument(
-        "GpuSimEngine: dual-traversal evaluation of attached LET pieces is "
-        "not supported (DistSolver rejects TraversalMode::kDual)");
   }
   const std::size_t nt = targets.particles->size();
   if (fresh_targets || !targets_staged_) {
@@ -433,7 +394,7 @@ std::vector<double> GpuSimEngine::evaluate_potential(
     // Dual traversal: the target cluster grids (every ladder level) ride
     // along with the targets; the per-node grid potentials the CC/CP
     // kernels accumulate into are a device-side allocation (no transfer).
-    if (dual) {
+    if (!targets.grids.empty()) {
       std::size_t grid_doubles = 0;
       for (const ClusterMoments& g : targets.grids) {
         grid_doubles += g.all_grids().size();
@@ -455,17 +416,12 @@ std::vector<double> GpuSimEngine::evaluate_potential(
   // a piece whose SourcePlan::fp32 is set.
   const double weight = kernel_eval_weight(kernel, /*on_gpu=*/true);
   const gpusim::TimeMarker before = device_.marker();
-  if (dual) {
-    model_dual(targets, *sources.tree, weight, sources.fp32);
-  } else {
-    model_batched(*targets.batches, targets.lists[0], *sources.tree,
-                  host_.prepared_levels().front().points_per_cluster(),
-                  weight, sources.fp32);
-    for (std::size_t p = 0; p < let_.size(); ++p) {
-      const SourcePlan& piece = let_[p].plan;
-      model_batched(*targets.batches, targets.lists[1 + p], *piece.tree,
-                    piece.moments->points_per_cluster(), weight, piece.fp32);
-    }
+  model_lists(targets, targets.lists[0], *sources.tree,
+              host_.prepared_levels(), weight, sources.fp32);
+  for (std::size_t p = 0; p < let_.size(); ++p) {
+    const SourcePlan& piece = let_[p].plan;
+    model_lists(targets, targets.lists[1 + p], *piece.tree,
+                {piece.moments, 1}, weight, piece.fp32);
   }
   // DtH: final potentials (every evaluation downloads its results).
   device_.device_to_host(phi.size() * sizeof(double));

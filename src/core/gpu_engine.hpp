@@ -103,13 +103,14 @@ class GpuSimEngine final : public Engine {
   /// `clusters` clusters (the whole tree on prepare, the dirty set on
   /// update).
   void model_restrictions(std::size_t clusters);
-  /// Model the batch-cluster launches of one source piece's lists.
-  void model_batched(const std::vector<TargetBatch>& batches,
-                     const InteractionLists& lists, const ClusterTree& tree,
-                     std::size_t ppc, double weight, bool fp32) const;
-  /// Model the dual-traversal launches of the engine-owned piece.
-  void model_dual(const TargetPlan& targets, const ClusterTree& source_tree,
-                  double weight, bool fp32) const;
+  /// Model the launches of one source piece's lists: CC/CP pairs and the
+  /// downward pass (dual lists only), then the batch-cluster PC/direct
+  /// launches per target leaf. `levels` is the piece's moment ladder.
+  void model_lists(const TargetPlan& targets,
+                   const DualInteractionLists& lists,
+                   const ClusterTree& source_tree,
+                   std::span<const ClusterMoments> levels, double weight,
+                   bool fp32) const;
   void stage_piece_particles(const LetPiece& piece, bool charges_only);
 
   // Deliberate `mutable` audit: evaluation is const under the Engine

@@ -11,19 +11,23 @@ namespace {
 
 /// One lattice image of the source tree: the shift vector added to every
 /// cluster center during the MAC test, and the shift id stamped on emitted
-/// entries. The home cell (and the whole open-boundary path) is the zero
-/// shift with `tag == false`, which leaves the per-entry shift arrays empty.
+/// pairs. The home cell (and the whole open-boundary path) is the zero
+/// shift with id 0.
 struct ImageShift {
   double x = 0.0, y = 0.0, z = 0.0;
   std::uint16_t id = 0;
-  bool tag = false;
 };
 
-void traverse(const ClusterTree& tree, int ci,
-              const std::array<double, 3>& center, double radius,
-              double theta, int degree, const ImageShift& shift,
+/// One target leaf's batched-traversal output, each kind in emission order.
+struct BatchPairs {
+  std::vector<DualPair> pc;
+  std::vector<DualPair> direct;
+};
+
+void traverse(const ClusterTree& tree, int ci, const ClusterNode& batch,
+              int leaf, double theta, int degree, const ImageShift& shift,
               PrecisionPolicy precision, double range_cutoff,
-              BatchInteractions& out) {
+              BatchPairs& out) {
   const ClusterNode& cluster = tree.node(ci);
   if (cluster.count() == 0) return;
   const std::array<double, 3> shifted{cluster.center[0] + shift.x,
@@ -32,37 +36,36 @@ void traverse(const ClusterTree& tree, int ci,
   // Range-limited kernels (the kPeriodicMesh erfc near field): no particle
   // of this subtree can come closer than the sphere-to-sphere gap.
   if (range_cutoff != std::numeric_limits<double>::infinity() &&
-      distance(center, shifted) - radius - cluster.radius > range_cutoff) {
+      distance(batch.center, shifted) - batch.radius - cluster.radius >
+          range_cutoff) {
     return;
   }
-  const auto emit = [&](std::vector<int>& nodes,
-                        std::vector<std::uint16_t>& ids) {
-    nodes.push_back(ci);
-    if (shift.tag) ids.push_back(shift.id);
-  };
-  switch (evaluate_mac(center, radius, shifted, cluster.radius,
+  const DualPair direct{DualKind::kDirect, 0, 0, leaf, ci, shift.id};
+  switch (evaluate_mac(batch.center, batch.radius, shifted, cluster.radius,
                        cluster.count(), theta, degree)) {
-    case MacResult::kApprox:
-      emit(out.approx, out.approx_shift);
+    case MacResult::kApprox: {
+      // The admitted interaction's own opening ratio decides whether its
+      // truncation budget can absorb the fp32 tile floor.
+      std::uint8_t fp32 = 0;
       if (precision != PrecisionPolicy::kFp64) {
-        // The admitted interaction's own opening ratio decides whether its
-        // truncation budget can absorb the fp32 tile floor.
-        const double kappa = (radius + cluster.radius) /
-                             distance(center, shifted);
-        out.approx_fp32.push_back(
-            fp32_admissible(precision, kappa, degree, theta, degree) ? 1 : 0);
+        const double kappa = (batch.radius + cluster.radius) /
+                             distance(batch.center, shifted);
+        fp32 = fp32_admissible(precision, kappa, degree, theta, degree) ? 1
+                                                                        : 0;
       }
+      out.pc.push_back({DualKind::kPC, 0, fp32, leaf, ci, shift.id});
       return;
+    }
     case MacResult::kClusterSmall:
-      emit(out.direct, out.direct_shift);
+      out.direct.push_back(direct);
       return;
     case MacResult::kTooClose:
       if (cluster.is_leaf()) {
-        emit(out.direct, out.direct_shift);
+        out.direct.push_back(direct);
       } else {
         for (int c = 0; c < cluster.num_children; ++c) {
-          traverse(tree, cluster.children[static_cast<std::size_t>(c)], center,
-                   radius, theta, degree, shift, precision, range_cutoff, out);
+          traverse(tree, cluster.children[static_cast<std::size_t>(c)], batch,
+                   leaf, theta, degree, shift, precision, range_cutoff, out);
         }
       }
       return;
@@ -70,49 +73,76 @@ void traverse(const ClusterTree& tree, int ci,
 }
 
 /// Expand `shifts` into per-image traversal descriptors. A null or
-/// single-entry table yields the one untagged home cell, which keeps the
-/// open-boundary lists (and their byte-for-byte comparisons) unchanged.
+/// single-entry table yields the one home cell.
 std::vector<ImageShift> image_shifts(const ShiftTable* shifts) {
   if (shifts == nullptr || shifts->size() <= 1) return {ImageShift{}};
   std::vector<ImageShift> images(shifts->size());
   for (std::size_t s = 0; s < shifts->size(); ++s) {
     images[s] = {shifts->sx[s], shifts->sy[s], shifts->sz[s],
-                 static_cast<std::uint16_t>(s), true};
+                 static_cast<std::uint16_t>(s)};
   }
   return images;
 }
 
-/// Aggregate totals of the batched lists; under kMixed every untagged
-/// approx entry is a demotion (it wanted fp32 but failed the bound).
-void finish_totals(InteractionLists& lists, PrecisionPolicy precision) {
-  for (const auto& bi : lists.per_batch) {
-    lists.total_approx += bi.approx.size();
-    lists.total_direct += bi.direct.size();
-    for (const std::uint8_t tag : bi.approx_fp32) lists.total_fp32 += tag;
-  }
-  if (precision == PrecisionPolicy::kMixed) {
-    lists.precision_demotions = lists.total_approx - lists.total_fp32;
-  }
-}
-
 }  // namespace
 
-InteractionLists build_interaction_lists(
-    const std::vector<TargetBatch>& batches, const ClusterTree& tree,
-    double theta, int degree, const ShiftTable* shifts,
-    PrecisionPolicy precision, double range_cutoff) {
-  InteractionLists lists;
-  lists.per_batch.resize(batches.size());
-  if (tree.num_nodes() == 0) return lists;
-  const std::vector<ImageShift> images = image_shifts(shifts);
-#pragma omp parallel for schedule(dynamic)
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    for (const ImageShift& image : images) {
-      traverse(tree, tree.root(), batches[b].center, batches[b].radius, theta,
-               degree, image, precision, range_cutoff, lists.per_batch[b]);
+DualInteractionLists build_interaction_lists(const ClusterTree& ttree,
+                                             const ClusterTree& stree,
+                                             double theta, int degree,
+                                             const ShiftTable* shifts,
+                                             PrecisionPolicy precision,
+                                             double range_cutoff) {
+  DualInteractionLists lists;
+  lists.grid_offsets.assign(1, 0);
+  lists.leaf_offsets.assign(1, 0);
+  lists.ladder = {degree};
+  for (const int li : ttree.leaf_indices()) {
+    if (ttree.node(li).count() > 0) lists.leaf_nodes.push_back(li);
+  }
+  const std::size_t nleaf = lists.leaf_nodes.size();
+  std::vector<std::vector<DualPair>> groups(nleaf);
+  if (stree.num_nodes() > 0) {
+    const std::vector<ImageShift> images = image_shifts(shifts);
+#pragma omp parallel
+    {
+      BatchPairs pairs;  // per-thread scratch, reused across leaves
+#pragma omp for schedule(dynamic)
+      for (std::size_t g = 0; g < nleaf; ++g) {
+        const int leaf = lists.leaf_nodes[g];
+        pairs.pc.clear();
+        pairs.direct.clear();
+        for (const ImageShift& image : images) {
+          traverse(stree, stree.root(), ttree.node(leaf), leaf, theta, degree,
+                   image, precision, range_cutoff, pairs);
+        }
+        std::vector<DualPair>& group = groups[g];
+        group.reserve(pairs.pc.size() + pairs.direct.size());
+        group.insert(group.end(), pairs.pc.begin(), pairs.pc.end());
+        group.insert(group.end(), pairs.direct.begin(), pairs.direct.end());
+      }
     }
   }
-  finish_totals(lists, precision);
+
+  std::size_t total = 0;
+  for (const auto& group : groups) total += group.size();
+  lists.leaf_pairs.reserve(total);
+  for (std::vector<DualPair>& group : groups) {
+    for (const DualPair& p : group) {
+      if (p.kind == DualKind::kPC) {
+        ++lists.total_pc;
+        lists.total_fp32 += p.fp32;
+      } else {
+        ++lists.total_direct;
+      }
+    }
+    lists.leaf_pairs.insert(lists.leaf_pairs.end(), group.begin(),
+                            group.end());
+    lists.leaf_offsets.push_back(lists.leaf_pairs.size());
+    std::vector<DualPair>().swap(group);
+  }
+  if (precision == PrecisionPolicy::kMixed) {
+    lists.precision_demotions = lists.total_pc - lists.total_fp32;
+  }
   return lists;
 }
 

@@ -1,9 +1,11 @@
-// Dual traversal (BLTC algorithm lines 8-20): every target batch descends
-// the source tree once. The traversal is separated from potential evaluation
-// so that the same interaction lists can be executed by the host engine, the
-// simulated-GPU engine, or shipped across ranks during LET construction —
-// exactly the structure the paper's implementation uses (the CPU builds the
-// lists, the GPU consumes them).
+// Interaction lists (BLTC algorithm lines 8-20): the MAC traversals that
+// decide, for every target leaf, which source clusters it approximates and
+// which it sums directly. The traversal is separated from potential
+// evaluation so that the same interaction lists can be executed by the host
+// engine, the simulated-GPU engine, or shipped across ranks during LET
+// construction — exactly the structure the paper's implementation uses (the
+// CPU builds the lists, the GPU consumes them). Both traversals, the paper's
+// batched one and the pairwise dual one, emit the one list format below.
 #pragma once
 
 #include <cstddef>
@@ -11,7 +13,6 @@
 #include <limits>
 #include <vector>
 
-#include "core/batches.hpp"
 #include "core/mac.hpp"
 #include "core/periodic.hpp"
 #include "core/precision.hpp"
@@ -19,62 +20,11 @@
 
 namespace bltc {
 
-/// Interaction lists for one target batch: clusters to evaluate via the
-/// barycentric approximation (Eq. 11) and clusters to sum directly (Eq. 9).
-/// Under periodic boundary conditions each entry additionally carries a
-/// compact shift id into the plan's shared ShiftTable — the cluster is
-/// interacted with at its lattice-image position (grid/particle coordinates
-/// plus the shift vector), against the *same* cached moments. The shift
-/// arrays are parallel to `approx`/`direct` when filled and empty under
-/// open boundaries (executors treat empty as all-home-cell, keeping the
-/// open path untouched).
-struct BatchInteractions {
-  std::vector<int> approx;  ///< cluster indices, MAC passed
-  std::vector<int> direct;  ///< cluster indices, direct summation
-  std::vector<std::uint16_t> approx_shift;  ///< shift ids (periodic only)
-  std::vector<std::uint16_t> direct_shift;  ///< shift ids (periodic only)
-  /// Per-interaction fp32 tags parallel to `approx` (core/precision.hpp):
-  /// 1 = the tile may execute fp32 (its truncation bound plus the fp32
-  /// floor meets the nominal target). Empty under PrecisionPolicy::kFp64 —
-  /// executors treat empty as all-fp64, keeping that path byte-identical.
-  /// Direct entries carry no tags; they are always fp64.
-  std::vector<std::uint8_t> approx_fp32;
-};
-
-/// Lists for all batches plus aggregate counts used by benches and the
-/// performance model.
-struct InteractionLists {
-  std::vector<BatchInteractions> per_batch;
-  std::size_t total_approx = 0;
-  std::size_t total_direct = 0;
-  std::size_t total_fp32 = 0;  ///< approx entries tagged fp32-eligible
-  /// Interactions that wanted fp32 under kMixed but failed the error bound
-  /// (always 0 under kFp64/kFp32Far).
-  std::size_t precision_demotions = 0;
-};
-
-/// Build interaction lists with the batch-level MAC (the paper's default).
-/// A non-null `shifts` table (periodic boundaries) descends one copy of the
-/// source tree per lattice shift, testing the MAC against shifted cluster
-/// centers and tagging every emitted entry with its shift id; entries are
-/// shift-major per batch, home cell first, so the ordering is deterministic.
-/// `range_cutoff` (kPeriodicMesh near field): prune any subtree whose
-/// closest possible point to the batch sphere exceeds the cutoff —
-/// min-distance(batch sphere, cluster sphere) > range_cutoff. Sound for
-/// range-limited kernels because every particle of a cluster lies inside its
-/// bounding sphere; the default (infinity) prunes nothing.
-InteractionLists build_interaction_lists(
-    const std::vector<TargetBatch>& batches, const ClusterTree& tree,
-    double theta, int degree, const ShiftTable* shifts = nullptr,
-    PrecisionPolicy precision = PrecisionPolicy::kFp64,
-    double range_cutoff = std::numeric_limits<double>::infinity());
-
-// ---- Dual traversal (BLDTT) ----------------------------------------------
-
-/// Interaction kinds the dual traversal emits for an admissible (target
-/// node, source node) pair. Which kind applies follows the size logic of
-/// Eq. (13) applied to each side: a side is interpolated only when it holds
-/// more particles than interpolation points.
+/// Interaction kinds of an admissible (target node, source node) pair. The
+/// batched traversal emits kPC and kDirect only; the dual traversal emits
+/// all four. Which kind applies follows the size logic of Eq. (13) applied
+/// to each side: a side is interpolated only when it holds more particles
+/// than interpolation points.
 enum class DualKind : std::uint8_t {
   kPC,      ///< source proxy charges -> target particles (Eq. 11)
   kCP,      ///< source particles -> target Chebyshev grid
@@ -108,8 +58,8 @@ struct DualPair {
   std::uint16_t shift = 0;  ///< lattice shift id (0 = home cell / open)
 };
 
-/// Interaction lists of one dual traversal, pre-grouped by target node so
-/// both engines can execute groups in parallel without write conflicts:
+/// Interaction lists of one traversal, pre-grouped by target node so both
+/// engines can execute groups in parallel without write conflicts:
 /// grid groups accumulate onto per-node Chebyshev grids (disjoint rows),
 /// leaf groups accumulate onto leaf particle ranges (disjoint ranges).
 /// Group order and in-group pair order are deterministic (independent of
@@ -136,8 +86,8 @@ struct DualInteractionLists {
   /// Pairs that wanted fp32 under kMixed but failed the error bound.
   std::size_t precision_demotions = 0;
 
-  /// The degree ladder the pairs' `level` fields index (dual_degree_ladder
-  /// of the traversal's nominal degree).
+  /// The degree ladder the pairs' `level` fields index: dual_degree_ladder
+  /// of the nominal degree, or just {degree} for the batched traversal.
   std::vector<int> ladder;
 
   /// Self-interaction (mutual) traversal: targets and sources are the same
@@ -167,8 +117,28 @@ DualInteractionLists build_dual_interaction_lists(
     PrecisionPolicy precision = PrecisionPolicy::kFp64,
     double range_cutoff = std::numeric_limits<double>::infinity());
 
-/// Resolve a dual pair's lattice shift (see ResolvedShift in
-/// core/periodic.hpp; both engines execute pairs through this).
+/// The paper's batched traversal: every non-empty leaf of `ttree` (a target
+/// batch of at most N_B targets) descends `stree` under the batch-level MAC
+/// (Eq. 13). The lists hold one leaf group per non-empty target leaf, in
+/// leaf_indices() order; each group holds all its kPC pairs, then all its
+/// kDirect pairs, at ladder level 0 (`ladder = {degree}`, no grid pairs).
+/// A non-null `shifts` table (periodic boundaries) descends one copy of the
+/// source tree per lattice shift, testing the MAC against shifted cluster
+/// centers and tagging every pair with its shift id; within each kind the
+/// pairs are shift-major, home cell first, so the ordering is
+/// deterministic. `range_cutoff` (kPeriodicMesh near field): prune any
+/// subtree whose closest possible point to the batch sphere exceeds the
+/// cutoff — min-distance(batch sphere, cluster sphere) > range_cutoff. Sound
+/// for range-limited kernels because every particle of a cluster lies
+/// inside its bounding sphere; the default (infinity) prunes nothing.
+DualInteractionLists build_interaction_lists(
+    const ClusterTree& ttree, const ClusterTree& stree, double theta,
+    int degree, const ShiftTable* shifts = nullptr,
+    PrecisionPolicy precision = PrecisionPolicy::kFp64,
+    double range_cutoff = std::numeric_limits<double>::infinity());
+
+/// Resolve a pair's lattice shift (see ResolvedShift in core/periodic.hpp;
+/// both engines execute pairs through this).
 inline ResolvedShift resolve_pair_shift(const ShiftTable* shifts,
                                         const DualPair& pair) {
   if (shifts == nullptr || pair.shift == 0) return {};

@@ -246,19 +246,6 @@ ClusterMoments ClusterMoments::restrict_from(const ClusterTree& tree,
   return coarse;
 }
 
-MomentAlgorithm resolve_moment_algorithm(MomentAlgorithm algorithm,
-                                         std::size_t cluster_count,
-                                         int degree) {
-  if (algorithm != MomentAlgorithm::kAuto) return algorithm;
-  // Per particle, the factorized form pays 3 denominator sums + 3(n+1)
-  // divisions up front to make the (n+1)^3 accumulation pure multiply-add,
-  // while the direct form normalizes three bases but then branches on zero
-  // terms inside the accumulation. The setup only amortizes once both the
-  // cluster and the grid are non-trivial.
-  return (cluster_count >= 32 && degree >= 3) ? MomentAlgorithm::kFactorized
-                                              : MomentAlgorithm::kDirect;
-}
-
 ClusterMoments ClusterMoments::compute(const ClusterTree& tree,
                                        const OrderedParticles& sources,
                                        int degree,
@@ -282,8 +269,7 @@ void ClusterMoments::recompute_cluster(const ClusterTree& tree,
   const auto gy = moments.grid(cluster, 1);
   const auto gz = moments.grid(cluster, 2);
   const std::span<double> out = moments.qhat_mutable(cluster);
-  if (resolve_moment_algorithm(algorithm, tree.node(cluster).count(),
-                               degree) == MomentAlgorithm::kDirect) {
+  if (algorithm == MomentAlgorithm::kDirect) {
     compute_cluster_direct(tree, sources, degree, cluster, gx, gy, gz, out);
   } else {
     compute_cluster_factorized(tree, sources, degree, cluster, gx, gy, gz,

@@ -20,17 +20,9 @@
 
 namespace bltc {
 
-/// Which algebraic formulation computes the modified charges. kAuto lets
-/// `ClusterMoments::compute` pick the faster variant per cluster from its
-/// size and the degree (the factorized form's per-particle setup only pays
-/// off once the accumulation loop dominates).
-enum class MomentAlgorithm { kDirect, kFactorized, kAuto };
-
-/// Resolve kAuto to a concrete variant for one cluster (size/degree
-/// heuristic); concrete inputs pass through unchanged.
-MomentAlgorithm resolve_moment_algorithm(MomentAlgorithm algorithm,
-                                         std::size_t cluster_count,
-                                         int degree);
+/// Which algebraic formulation computes the modified charges. Both are
+/// exact; they differ only in cost.
+enum class MomentAlgorithm { kDirect, kFactorized };
 
 /// Per-cluster interpolation grids and modified charges for a whole tree.
 /// Storage is flat: cluster c owns grid coords [c*3*(n+1), ...) and modified

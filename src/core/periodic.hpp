@@ -82,21 +82,12 @@ struct ShiftTable {
 /// One interaction-list entry's lattice shift, resolved from the shared
 /// table by its compact id. The zero shift (id 0) is the home cell and the
 /// whole open-boundary path; executors on every backend resolve through
-/// these helpers so the id semantics live in exactly one place.
+/// resolve_pair_shift (core/interaction_lists.hpp), so the id semantics
+/// live in exactly one place.
 struct ResolvedShift {
   double x = 0.0, y = 0.0, z = 0.0;
   int id = 0;
 };
-
-/// Resolve entry `entry` of a parallel shift-id array (empty array — the
-/// open/home-cell convention — and null table both resolve to zero).
-inline ResolvedShift resolve_shift(const ShiftTable* shifts,
-                                   const std::vector<std::uint16_t>& ids,
-                                   std::size_t entry) {
-  if (shifts == nullptr || ids.empty()) return {};
-  const std::size_t s = ids[entry];
-  return {shifts->sx[s], shifts->sy[s], shifts->sz[s], static_cast<int>(s)};
-}
 
 /// Wrap one coordinate into the half-open interval [lo, lo + len). Exact
 /// (bit-for-bit inverse of adding a lattice vector) whenever the lattice

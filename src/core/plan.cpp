@@ -313,7 +313,6 @@ TargetPlanState TargetPlanState::plan(const Cloud& targets,
                                       const TreecodeParams& params) {
   TargetPlanState state;
   state.particles = OrderedParticles::from_cloud(targets);
-  state.traversal = params.traversal;
   state.boundary = params.boundary;
   state.domain = params.domain;
   if (params.periodic()) {
@@ -324,20 +323,18 @@ TargetPlanState TargetPlanState::plan(const Cloud& targets,
     state.shifts = ShiftTable::build(state.domain,
                                      params.mesh() ? 1 : params.image_shells);
   }
+  // The target tree's non-empty leaves are the target batches (N_B). The
+  // dual traversal walks the whole tree and additionally needs per-node
+  // Chebyshev grids at every ladder degree for the CP/CC accumulation and
+  // the downward pass.
+  TreeParams tree_params;
+  tree_params.max_leaf = params.max_batch;
+  tree_params.slack = params.position_slack;
+  state.tree = ClusterTree::build(state.particles, tree_params);
   if (params.traversal == TraversalMode::kDual) {
-    // The dual traversal needs a full target cluster tree (its leaves play
-    // the batch role, N_B) plus per-node Chebyshev grids at every ladder
-    // degree for the CP/CC accumulation and the downward pass.
-    TreeParams tree_params;
-    tree_params.max_leaf = params.max_batch;
-    tree_params.slack = params.position_slack;
-    state.tree = ClusterTree::build(state.particles, tree_params);
     for (const int d : dual_degree_ladder(params.degree)) {
       state.grids.push_back(ClusterMoments::grids_only(state.tree, d));
     }
-  } else {
-    state.batches = build_target_batches(state.particles, params.max_batch,
-                                         params.position_slack);
   }
   return state;
 }
@@ -351,35 +348,27 @@ std::size_t TargetPlanState::append_lists(const ClusterTree& source_tree,
   const double cutoff = params.mesh()
                             ? mesh::tune_mesh(params).r_cut
                             : std::numeric_limits<double>::infinity();
-  if (traversal == TraversalMode::kDual) {
-    dual_lists.push_back(build_dual_interaction_lists(
-        tree, source_tree, params.theta, params.degree, self, table,
-        params.precision, cutoff));
-    return dual_lists.size() - 1;
-  }
-  lists.push_back(build_interaction_lists(batches, source_tree, params.theta,
-                                          params.degree, table,
-                                          params.precision, cutoff));
+  lists.push_back(
+      params.traversal == TraversalMode::kDual
+          ? build_dual_interaction_lists(tree, source_tree, params.theta,
+                                         params.degree, self, table,
+                                         params.precision, cutoff)
+          : build_interaction_lists(tree, source_tree, params.theta,
+                                    params.degree, table, params.precision,
+                                    cutoff));
   return lists.size() - 1;
 }
 
 void TargetPlanState::add_counts(RunStats& stats) const {
-  if (traversal == TraversalMode::kDual) {
-    stats.dual_traversal = true;
-    stats.num_batches += tree.num_leaves();
-    for (const DualInteractionLists& piece : dual_lists) {
-      stats.approx_interactions += piece.total_pc;
-      stats.direct_interactions += piece.total_direct;
-      stats.cp_interactions += piece.total_cp;
-      stats.cc_interactions += piece.total_cc;
-      stats.precision_demotions += piece.precision_demotions;
-    }
-    return;
+  if (!grids.empty()) stats.dual_traversal = true;
+  for (const int li : tree.leaf_indices()) {
+    if (tree.node(li).count() > 0) ++stats.num_batches;
   }
-  stats.num_batches += batches.size();
-  for (const InteractionLists& piece : lists) {
-    stats.approx_interactions += piece.total_approx;
+  for (const DualInteractionLists& piece : lists) {
+    stats.approx_interactions += piece.total_pc;
     stats.direct_interactions += piece.total_direct;
+    stats.cp_interactions += piece.total_cp;
+    stats.cc_interactions += piece.total_cc;
     stats.precision_demotions += piece.precision_demotions;
   }
 }
@@ -389,15 +378,18 @@ bool TargetPlanState::matches(const Cloud& targets) const {
 }
 
 bool TargetPlanState::update_positions_self(
-    const Cloud& targets, const TreecodeParams& params, bool source_rebucketed,
+    const Cloud& targets, bool source_rebucketed,
     std::vector<std::pair<std::size_t, std::size_t>>& moved_ranges) {
-  (void)params;
   const std::size_t n = particles.size();
   if (targets.size() != n) return false;
-  // The dual self lists rely on the source and target trees being the same
-  // tree (same particles, same order, same node indexing); a source
+  // Symmetric self lists rely on the source and target trees being the
+  // same tree (same particles, same order, same node indexing); a source
   // re-bucket breaks that identity.
-  if (traversal == TraversalMode::kDual && source_rebucketed) return false;
+  if (source_rebucketed &&
+      std::any_of(lists.begin(), lists.end(),
+                  [](const DualInteractionLists& l) { return l.self; })) {
+    return false;
+  }
   const bool periodic = boundary != BoundaryConditions::kOpen;
   const auto len = domain.lengths();
 
@@ -431,18 +423,12 @@ bool TargetPlanState::update_positions_self(
     }
     return true;
   };
-  if (traversal == TraversalMode::kDual) {
-    for (const int li : tree.leaf_indices()) {
-      const ClusterNode& leaf = tree.node(li);
-      if (!contained(leaf.box, leaf.begin, leaf.end)) return false;
-    }
-  } else {
-    for (const TargetBatch& b : batches) {
-      if (!contained(b.box, b.begin, b.end)) return false;
-    }
+  for (const int li : tree.leaf_indices()) {
+    const ClusterNode& leaf = tree.node(li);
+    if (!contained(leaf.box, leaf.begin, leaf.end)) return false;
   }
 
-  // Phase 2, mutation: in-place coordinate rewrite; the batches, trees,
+  // Phase 2, mutation: in-place coordinate rewrite; the trees,
   // grids, and lists all stay valid because every target remains inside
   // the fat geometry the lists were built over.
   for (std::size_t i = 0; i < n; ++i) {

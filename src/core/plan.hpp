@@ -1,14 +1,15 @@
 // Shared plan-construction layer: the paper's setup phase as a reusable
 // subsystem. A "plan" is everything the engines need before any kernel
-// runs — tree-ordered particles, the source cluster tree, target batches,
-// and the MAC-driven interaction lists — and both public handles build it
+// runs — tree-ordered particles, the source cluster tree, the target tree
+// whose leaves are the target batches, and the MAC-driven interaction lists
+// — and both public handles build it
 // through this file:
 //
 //   * the serial `Solver` (core/solver.hpp) plans one source piece against
 //     one target set;
 //   * the distributed `dist::DistSolver` plans one *local* source piece per
 //     rank plus one locally-essential remote piece per peer rank, re-listing
-//     the same target batches against every piece's tree.
+//     the same target leaves against every piece's tree.
 //
 // `SourcePlanState` / `TargetPlanState` own the storage; the `SourcePlan` /
 // `TargetPlan` structs are non-owning views handed to the engines for the
@@ -20,7 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "core/batches.hpp"
 #include "core/interaction_lists.hpp"
 #include "core/moments.hpp"
 #include "core/particles.hpp"
@@ -44,8 +44,10 @@ enum class TraversalMode {
   /// MAC is applied to (target node, source node) pairs, and well-separated
   /// work is emitted as cluster-cluster / cluster-particle / particle-
   /// cluster interactions plus direct leaf-leaf pairs. Far-field work
-  /// collapses from O(N log N) toward O(N). Serial Solver only for now
-  /// (DistSolver's LET exchange is batched-PC shaped and rejects it).
+  /// collapses from O(N log N) toward O(N). Serial Solver only for now:
+  /// DistSolver's LET fetch rule pulls modified charges for PC pairs and
+  /// particles for direct pairs, but has no rule for the CP/CC pairs'
+  /// target grids, so it rejects this mode.
   kDual,
 };
 
@@ -124,11 +126,11 @@ struct SourcePlan {
   const OrderedParticles* particles = nullptr;
   const ClusterTree* tree = nullptr;
   const ClusterMoments* moments = nullptr;
-  /// Dual traversal with caller-owned moments (the serving layer's cached
-  /// plans): the moment ladder, one entry per dual degree ([0] is the
-  /// nominal degree, lower degrees its exact restrictions). Empty for
-  /// engine-owned pieces — the engine then uses the ladder it computed in
-  /// prepare_sources.
+  /// Caller-owned moment ladder (the serving layer's cached plans) that the
+  /// pairs' levels index: [0] is the executed degree — the nominal one, or
+  /// a degraded serve tier's — and lower degrees its exact restrictions.
+  /// Empty for engine-owned pieces (the engine uses the ladder it computed
+  /// in prepare_sources) and for LET pieces (their one level is `moments`).
   std::span<const ClusterMoments> moment_levels;
   /// Whether interactions tagged fp32-eligible run the fp32 tiles for this
   /// piece (they narrow its fp64 sources while staging them). True for a
@@ -139,21 +141,18 @@ struct SourcePlan {
   bool fp32 = false;
 };
 
-/// Target side of a plan: tree-ordered targets, their batches, and the
-/// MAC-driven interaction lists — one `InteractionLists` per source piece,
-/// in piece order (the serial solver has exactly one).
+/// Target side of a plan: tree-ordered targets, their cluster tree (its
+/// non-empty leaves are the target batches, N_B), and the MAC-driven
+/// interaction lists — one list set per source piece, in piece order (the
+/// serial solver has exactly one).
 struct TargetPlan {
   const OrderedParticles* particles = nullptr;
-  const std::vector<TargetBatch>* batches = nullptr;
-  std::span<const InteractionLists> lists;
-  TraversalMode traversal = TraversalMode::kBatched;
-  /// Dual-traversal extras (kDual only, null/empty otherwise): the target
-  /// cluster tree, its per-node Chebyshev grids at every ladder degree
-  /// (grids[l] matches DualPair::level l), and one dual list set per source
-  /// piece.
   const ClusterTree* tree = nullptr;
+  /// Dual traversal only (empty otherwise): the target tree's per-node
+  /// Chebyshev grids at every ladder degree (grids[l] matches
+  /// DualPair::level l).
   std::span<const ClusterMoments> grids;
-  std::span<const DualInteractionLists> dual_lists;
+  std::span<const DualInteractionLists> lists;
   /// Lattice shift table the list entries' shift ids index (kPeriodic only,
   /// null under open boundaries). Owned by the target plan state; one table
   /// is shared by every list of the plan.
@@ -239,38 +238,36 @@ struct SourcePlanState {
   SourcePlan view() const { return {&particles, &tree, nullptr, {}, true}; }
 };
 
-/// Owning storage behind `TargetPlan`: target batching plus the interaction
+/// Owning storage behind `TargetPlan`: the target tree plus the interaction
 /// lists of every source tree the targets interact with. `plan()` builds the
-/// geometry half once; `append_lists()` runs the dual traversal against one
-/// source tree per call, so the distributed path can list the same batches
-/// against its local tree and every remote LET tree.
+/// geometry half once; `append_lists()` runs the configured traversal
+/// (batched or dual) against one source tree per call, so the distributed
+/// path can list the same target leaves against its local tree and every
+/// remote LET tree.
 struct TargetPlanState {
   OrderedParticles particles;
-  std::vector<TargetBatch> batches;
-  std::vector<InteractionLists> lists;  ///< one per source piece, in order
-  TraversalMode traversal = TraversalMode::kBatched;
   /// Boundary handling (see SourcePlanState): wrapped targets, wrap-aware
   /// plan matching, and the one shift table every traversal and engine of
   /// this plan shares.
   BoundaryConditions boundary = BoundaryConditions::kOpen;
   Box3 domain{};
   ShiftTable shifts;
-  /// Dual traversal only: the target cluster tree (leaf size N_B), its
-  /// per-node Chebyshev grids per ladder degree, and one dual list set per
-  /// source piece.
+  /// The target cluster tree (leaf size N_B) and, under the dual traversal
+  /// only, its per-node Chebyshev grids per ladder degree.
   ClusterTree tree;
   std::vector<ClusterMoments> grids;
-  std::vector<DualInteractionLists> dual_lists;
+  std::vector<DualInteractionLists> lists;  ///< one per source piece
 
-  /// Tree-order the targets and build their batches (no lists yet).
+  /// Tree-order the targets and build their tree (no lists yet).
   static TargetPlanState plan(const Cloud& targets,
                               const TreecodeParams& params);
 
-  /// Traverse `source_tree` with the planned batches (pairwise against the
-  /// target tree under the dual traversal) and append the resulting lists; returns the piece index the
-  /// lists belong to. `self` (dual traversal only) asserts that the source
-  /// tree is identical to the target tree — same particles, same order,
-  /// same node indexing — enabling the symmetric mutual traversal.
+  /// Traverse `source_tree` from the target leaves (pairwise against the
+  /// whole target tree under the dual traversal) and append the resulting
+  /// lists; returns the piece index the lists belong to. `self` (dual
+  /// traversal only) asserts that the source tree is identical to the
+  /// target tree — same particles, same order, same node indexing —
+  /// enabling the symmetric mutual traversal.
   std::size_t append_lists(const ClusterTree& source_tree,
                            const TreecodeParams& params, bool self = false);
 
@@ -280,37 +277,29 @@ struct TargetPlanState {
   bool matches(const Cloud& targets) const;
 
   /// Incremental position update for the targets == sources case: rewrite
-  /// the stored target coordinates in place, keeping batches, trees,
-  /// grids, and every interaction list. Valid only while each target stays
-  /// inside its batch's fat box (batched traversal) or its target-tree
-  /// leaf's fat box (dual traversal); under the dual traversal the plan
-  /// additionally dies whenever the source side re-bucketed (`self` lists
-  /// rely on identical source/target trees). Returns false — state
-  /// untouched — when the plan cannot be preserved; the caller then
-  /// invalidates the target plan. On success appends the changed
-  /// tree-order slot ranges (target ordering) to `moved_ranges`.
-  bool update_positions_self(const Cloud& targets,
-                             const TreecodeParams& params,
-                             bool source_rebucketed,
+  /// the stored target coordinates in place, keeping the tree, grids, and
+  /// every interaction list. Valid only while each target stays inside its
+  /// target leaf's fat box; a plan holding symmetric self lists
+  /// additionally dies whenever the source side re-bucketed (they rely on
+  /// identical source/target trees). Returns false — state untouched — when
+  /// the plan cannot be preserved; the caller then invalidates the target
+  /// plan. On success appends the changed tree-order slot ranges (target
+  /// ordering) to `moved_ranges`.
+  bool update_positions_self(const Cloud& targets, bool source_rebucketed,
                              std::vector<std::pair<std::size_t, std::size_t>>&
                                  moved_ranges);
 
-  /// Add the plan's structure counts — batches (target leaves under the
-  /// dual traversal), interaction pairs per class, and precision demotions,
-  /// summed over every source piece — into `stats`.
+  /// Add the plan's structure counts — batches (non-empty target leaves),
+  /// interaction pairs per class, and precision demotions, summed over
+  /// every source piece — into `stats`.
   void add_counts(RunStats& stats) const;
 
   TargetPlan view() const {
     TargetPlan plan;
     plan.particles = &particles;
-    plan.batches = &batches;
+    plan.tree = &tree;
+    plan.grids = grids;
     plan.lists = lists;
-    plan.traversal = traversal;
-    if (traversal == TraversalMode::kDual) {
-      plan.tree = &tree;
-      plan.grids = grids;
-      plan.dual_lists = dual_lists;
-    }
     if (boundary != BoundaryConditions::kOpen) plan.shifts = &shifts;
     return plan;
   }

@@ -167,7 +167,7 @@ void Solver::update_positions(const Cloud& sources) {
   timer.reset();
   std::vector<std::pair<std::size_t, std::size_t>> target_moved;
   bool kept = targets_.update_positions_self(
-      sources, config_.params, update.rebucketed > 0, target_moved);
+      sources, update.rebucketed > 0, target_moved);
   if (kept) {
     try {
       engine_->update_targets(targets_.view(), target_moved);

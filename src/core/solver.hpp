@@ -94,13 +94,12 @@ struct RunStats {
   // Structure counts.
   std::size_t num_clusters = 0;
   std::size_t num_leaves = 0;
-  /// Number of interaction lists executed (target batches).
+  /// Number of target batches: the target tree's non-empty leaves.
   std::size_t num_batches = 0;
   std::size_t approx_interactions = 0;  ///< MAC-accepted list-cluster pairs
   std::size_t direct_interactions = 0;  ///< direct list-cluster pairs
-  /// True when the dual traversal produced these counts: num_batches is the
-  /// target tree's leaf count, approx_interactions counts PC pairs, and the
-  /// cp_/cc_ fields below are populated.
+  /// True when the dual traversal produced these counts: the cp_/cc_
+  /// fields below are populated.
   bool dual_traversal = false;
   std::size_t cp_interactions = 0;  ///< cluster-particle pairs (dual only)
   std::size_t cc_interactions = 0;  ///< cluster-cluster pairs (dual only)

@@ -114,10 +114,10 @@ DistSolver::DistSolver(DistConfig config) : config_(std::move(config)) {
   if (config_.params.treecode.traversal == TraversalMode::kDual) {
     throw std::invalid_argument(
         "DistSolver: TraversalMode::kDual is not supported in the "
-        "distributed solver yet — the LET exchange serializes trees and "
-        "fetches charges for batched particle-cluster lists only, and has "
-        "no target-grid (CP/CC) transfer path. Use TraversalMode::kBatched "
-        "here, or the serial Solver for the dual traversal.");
+        "distributed solver yet — the LET fetches modified charges for PC "
+        "pairs and particles for direct pairs, and has no fetch rule for "
+        "the CP/CC pairs' target grids. Use TraversalMode::kBatched here, "
+        "or the serial Solver for the dual traversal.");
   }
   if (config_.params.treecode.periodic()) {
     throw std::invalid_argument(
@@ -262,11 +262,11 @@ void DistSolver::plan(const Cloud& cloud) {
       rem.tree = deserialize_tree(rblob);
 
       const std::size_t piece = s.targets.append_lists(rem.tree, tc);
-      const InteractionLists& rlists = s.targets.lists[piece];
+      const DualInteractionLists& rlists = s.targets.lists[piece];
 
-      rem.approx_nodes = collect_unique_nodes(rlists, /*approx=*/true);
+      rem.approx_nodes = collect_unique_nodes(rlists, DualKind::kPC);
       const std::vector<int> direct_nodes =
-          collect_unique_nodes(rlists, /*approx=*/false);
+          collect_unique_nodes(rlists, DualKind::kDirect);
       rem.clusters_in_let = rem.approx_nodes.size() + direct_nodes.size();
 
       // Grids are geometry-determined: recompute locally from the remote
@@ -443,7 +443,7 @@ void DistSolver::update_positions(const Cloud& cloud) {
       // or a moved source sits epsilon away from its stale target twin and
       // the singular self-interaction guard (exact r == 0) stops firing.
       std::vector<std::pair<std::size_t, std::size_t>> target_moved;
-      if (s.targets.update_positions_self(local, tc,
+      if (s.targets.update_positions_self(local,
                                           /*source_rebucketed=*/false,
                                           target_moved)) {
         s.engine->update_targets(s.targets.view(), target_moved);

@@ -70,12 +70,11 @@ ClusterTree deserialize_tree(const std::vector<double>& blob) {
   return ClusterTree::from_nodes(std::move(nodes));
 }
 
-std::vector<int> collect_unique_nodes(const InteractionLists& lists,
-                                      bool approx) {
+std::vector<int> collect_unique_nodes(const DualInteractionLists& lists,
+                                      DualKind kind) {
   std::vector<int> out;
-  for (const BatchInteractions& bi : lists.per_batch) {
-    const std::vector<int>& src = approx ? bi.approx : bi.direct;
-    out.insert(out.end(), src.begin(), src.end());
+  for (const DualPair& pair : lists.leaf_pairs) {
+    if (pair.kind == kind) out.push_back(pair.source);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

@@ -27,10 +27,10 @@ std::vector<double> serialize_tree(const ClusterTree& tree);
 /// malformed input (empty, or size inconsistent with the node count).
 ClusterTree deserialize_tree(const std::vector<double>& blob);
 
-/// Sorted, deduplicated cluster indices appearing in the lists' approx
-/// (`approx == true`) or direct entries across all batches.
-std::vector<int> collect_unique_nodes(const InteractionLists& lists,
-                                      bool approx);
+/// Sorted, deduplicated source cluster indices of the lists' leaf pairs of
+/// `kind` (kPC: modified charges to fetch; kDirect: particle ranges).
+std::vector<int> collect_unique_nodes(const DualInteractionLists& lists,
+                                      DualKind kind);
 
 /// Coalesce the particle ranges of `nodes` into a minimal set of disjoint
 /// [begin, end) ranges (overlapping and adjacent ranges merge; empty nodes

@@ -66,32 +66,41 @@ KernelSpec exec_kernel(const CachedPlan& plan, const KernelSpec& kernel) {
 }
 
 /// One fused multi-target execution: the concatenation of several target
-/// plans into a single TargetPlan. Every source batch keeps its own
-/// interaction list and its own contiguous output range, so each member's
-/// slice of the fused result is bit-identical to executing its plan alone.
+/// plans into a single TargetPlan. The member trees become one forest (node
+/// ids and particle ranges offset), and every member leaf keeps its own
+/// pairs and its own contiguous output range, so each member's slice of the
+/// fused result is bit-identical to executing its plan alone.
 struct FusedTargets {
   OrderedParticles particles;
-  std::vector<TargetBatch> batches;
-  InteractionLists lists;
+  ClusterTree forest;
+  DualInteractionLists lists;
   std::vector<std::size_t> offsets;  ///< member start index, parallel input
 };
 
 FusedTargets fuse_targets(
     const std::vector<const TargetPlanState*>& members) {
   FusedTargets fused;
-  std::size_t total = 0, nbatches = 0, nlists = 0;
+  std::size_t total = 0, nnodes = 0, nleaves = 0, npairs = 0;
   for (const TargetPlanState* t : members) {
     total += t->particles.size();
-    nbatches += t->batches.size();
-    nlists += t->lists.front().per_batch.size();
+    nnodes += t->tree.num_nodes();
+    nleaves += t->lists.front().leaf_nodes.size();
+    npairs += t->lists.front().leaf_pairs.size();
   }
   fused.particles.x.reserve(total);
   fused.particles.y.reserve(total);
   fused.particles.z.reserve(total);
   fused.particles.q.reserve(total);
   fused.particles.original_index.reserve(total);
-  fused.batches.reserve(nbatches);
-  fused.lists.per_batch.reserve(nlists);
+  std::vector<ClusterNode> nodes;
+  nodes.reserve(nnodes);
+  DualInteractionLists& lists = fused.lists;
+  lists.grid_offsets.assign(1, 0);
+  lists.leaf_offsets.assign(1, 0);
+  lists.leaf_offsets.reserve(nleaves + 1);
+  lists.leaf_nodes.reserve(nleaves);
+  lists.leaf_pairs.reserve(npairs);
+  lists.ladder = members.front()->lists.front().ladder;
   fused.offsets.reserve(members.size());
 
   std::size_t offset = 0;
@@ -107,19 +116,33 @@ FusedTargets fuse_targets(
     for (std::size_t i = 0; i < p.size(); ++i) {
       fused.particles.original_index.push_back(offset + i);
     }
-    for (TargetBatch batch : t->batches) {
-      batch.begin += offset;
-      batch.end += offset;
-      fused.batches.push_back(batch);
+    const int base = static_cast<int>(nodes.size());
+    const auto rebase = [base](int& id) {
+      if (id >= 0) id += base;
+    };
+    for (ClusterNode node : t->tree.nodes()) {
+      node.begin += offset;
+      node.end += offset;
+      rebase(node.parent);
+      for (int& c : node.children) rebase(c);
+      for (int& c : node.child_by_code) rebase(c);
+      nodes.push_back(node);
     }
-    const InteractionLists& lists = t->lists.front();
-    fused.lists.per_batch.insert(fused.lists.per_batch.end(),
-                                 lists.per_batch.begin(),
-                                 lists.per_batch.end());
-    fused.lists.total_approx += lists.total_approx;
-    fused.lists.total_direct += lists.total_direct;
+    const DualInteractionLists& member = t->lists.front();
+    const std::size_t pair_base = lists.leaf_pairs.size();
+    for (const int leaf : member.leaf_nodes) lists.leaf_nodes.push_back(leaf + base);
+    for (std::size_t g = 1; g < member.leaf_offsets.size(); ++g) {
+      lists.leaf_offsets.push_back(pair_base + member.leaf_offsets[g]);
+    }
+    for (DualPair pair : member.leaf_pairs) {
+      pair.target += base;
+      lists.leaf_pairs.push_back(pair);
+    }
+    lists.total_pc += member.total_pc;
+    lists.total_direct += member.total_direct;
     offset += p.size();
   }
+  fused.forest = ClusterTree::from_nodes(std::move(nodes));
   return fused;
 }
 
@@ -601,9 +624,8 @@ void ServeFrontend::execute_group(std::vector<Pending>& group) {
 
           TargetPlan view;
           view.particles = &fused.particles;
-          view.batches = &fused.batches;
-          view.lists = std::span<const InteractionLists>(&fused.lists, 1);
-          view.traversal = TraversalMode::kBatched;
+          view.tree = &fused.forest;
+          view.lists = std::span<const DualInteractionLists>(&fused.lists, 1);
           // Every member plan shares one shift table (same params).
           view.shifts = plan->params.periodic()
                             ? &unique_targets.front()->shifts

@@ -11,13 +11,13 @@
 //   * requests sharing identical target coordinates share one execution
 //     (and one result vector) outright;
 //   * distinct target sets under the batched traversal are *fused*: their
-//     tree-ordered particles, offset-shifted batches, and per-batch
-//     interaction lists are concatenated into one TargetPlan (the same
-//     span-of-lists machinery the distributed LET uses), executed in a
-//     single engine call, and sliced back per request. Because every batch
-//     keeps its own lists and its own contiguous output range, each
-//     request's potentials are bit-identical to an individual evaluate()
-//     of its own plan;
+//     tree-ordered particles are concatenated, their target trees joined
+//     into one forest (node ids and particle ranges offset), and their
+//     leaf groups concatenated into one TargetPlan, executed in a single
+//     engine call, and sliced back per request. Because every leaf keeps
+//     its own pairs and its own contiguous output range, each request's
+//     potentials are bit-identical to an individual evaluate() of its own
+//     plan;
 //   * dual-traversal and GpuSim-backend groups execute per unique target
 //     set (their accumulation structure is global per target tree / staged
 //     per device), still sharing the cached plan and deduped results.

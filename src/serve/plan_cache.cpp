@@ -92,17 +92,7 @@ std::size_t moments_bytes(const ClusterMoments& m) {
   return (m.all_grids().size() + m.all_qhat().size()) * sizeof(double);
 }
 
-std::size_t lists_bytes(const InteractionLists& l) {
-  std::size_t b = l.per_batch.size() * sizeof(BatchInteractions);
-  for (const BatchInteractions& bi : l.per_batch) {
-    b += (bi.approx.size() + bi.direct.size()) * sizeof(int) +
-         (bi.approx_shift.size() + bi.direct_shift.size()) *
-             sizeof(std::uint16_t);
-  }
-  return b;
-}
-
-std::size_t dual_lists_bytes(const DualInteractionLists& l) {
+std::size_t lists_bytes(const DualInteractionLists& l) {
   return (l.grid_pairs.size() + l.leaf_pairs.size()) * sizeof(DualPair) +
          (l.grid_offsets.size() + l.leaf_offsets.size()) *
              sizeof(std::size_t) +
@@ -111,13 +101,10 @@ std::size_t dual_lists_bytes(const DualInteractionLists& l) {
 }
 
 std::size_t target_plan_bytes(const TargetPlanState& t) {
-  std::size_t b = particles_bytes(t.particles) +
-                  t.batches.size() * sizeof(TargetBatch) +
-                  t.shifts.bytes();
-  for (const InteractionLists& l : t.lists) b += lists_bytes(l);
-  b += t.tree.num_nodes() * sizeof(ClusterNode);
+  std::size_t b = particles_bytes(t.particles) + t.shifts.bytes() +
+                  t.tree.num_nodes() * sizeof(ClusterNode);
   for (const ClusterMoments& g : t.grids) b += moments_bytes(g);
-  for (const DualInteractionLists& l : t.dual_lists) b += dual_lists_bytes(l);
+  for (const DualInteractionLists& l : t.lists) b += lists_bytes(l);
   return b;
 }
 
@@ -222,9 +209,12 @@ SourcePlan CachedPlan::source_view() const { return source_view(0); }
 SourcePlan CachedPlan::source_view(std::size_t tier) const {
   SourcePlan view = source.view();
   if (!moment_levels.empty()) {
+    // A degraded tier executes the batched lists' level-0 pairs against
+    // a deeper ladder level.
     tier = std::min(tier, moment_levels.size() - 1);
     view.moments = &moment_levels[tier];
-    view.moment_levels = moment_levels;
+    view.moment_levels = std::span<const ClusterMoments>(moment_levels)
+                             .subspan(tier);
   }
   // Tagged fp32 tiles execute only at the nominal tier: the tags were
   // proved against the nominal degree's truncation bound, which a deeper

@@ -62,10 +62,11 @@ struct CachedPlan {
 
   /// CPU backends: caller-owned moments, [0] at the nominal degree and
   /// exact restrictions below it ({n, n-1, ..., 2}). The dual traversal
-  /// executes through the whole ladder; the batched traversal executes [0]
-  /// nominally and a deeper level when the frontend serves a *degraded
-  /// tier* under overload (the interaction lists are degree-independent, so
-  /// no rebuild). Under a non-fp64 policy the nominal tier's fp32 tiles
+  /// executes through the whole ladder; the batched traversal's level-0
+  /// pairs execute [0] nominally and a deeper level when the frontend
+  /// serves a *degraded tier* under overload (source_view(tier) passes the
+  /// ladder from that level on; the lists are degree-independent, so no
+  /// rebuild). Under a non-fp64 policy the nominal tier's fp32 tiles
   /// narrow these same arrays while staging them. Empty on GpuSim — the
   /// prepared engine keeps its moments device-resident.
   std::vector<ClusterMoments> moment_levels;

@@ -1,12 +1,12 @@
-// Parity suite for the blocked evaluation core (core/cpu_kernels.hpp):
-// both host paths — {potential, field} x all five kernel families, each at
-// the test's batch cap and at max_batch = 1 (the per-target MAC) — must
-// match a naive scalar reference built on the independent evaluate_kernel /
-// evaluate_kernel_gradient helpers to ~1e-12 relative error. The geometry
-// is chosen adversarially: batch sizes that are not a multiple of the tile
-// width (edge tiles), single-target lists (the nt == 1 path), coincident
-// targets and sources (the singular skip convention), and duplicated
-// source points.
+// Parity suite for the blocked evaluation core (core/cpu_kernels.hpp): the
+// list driver over batched lists — {potential, field} x all five kernel
+// families, each at the test's batch cap and at max_batch = 1 (the
+// per-target MAC) — must match a naive scalar reference built on the
+// independent evaluate_kernel / evaluate_kernel_gradient helpers to ~1e-12
+// relative error. The geometry is chosen adversarially: batch sizes that
+// are not a multiple of the tile width (edge tiles), single-target lists
+// (the nt == 1 path), coincident targets and sources (the singular skip
+// convention), and duplicated source points.
 #include "core/cpu_kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <cmath>
 #include <vector>
 
-#include "core/batches.hpp"
 #include "core/fields.hpp"
 #include "core/interaction_lists.hpp"
 #include "core/kernels.hpp"
@@ -34,14 +33,14 @@ std::vector<KernelSpec> all_kernels() {
 }
 
 /// Shared plan for one (targets, sources) pair: batched interaction lists
-/// over the source tree.
+/// from the target tree's leaves over the source tree.
 struct EvalPlan {
   OrderedParticles src;
   ClusterTree tree;
   ClusterMoments moments;
-  OrderedParticles tgt;          ///< permuted by batch construction
-  std::vector<TargetBatch> batches;
-  InteractionLists lists;
+  OrderedParticles tgt;  ///< permuted by target-tree construction
+  ClusterTree target_tree;
+  DualInteractionLists lists;
 
   EvalPlan(const Cloud& targets, const Cloud& sources, double theta, int degree,
         std::size_t max_leaf, std::size_t max_batch) {
@@ -51,21 +50,45 @@ struct EvalPlan {
     tree = ClusterTree::build(src, tp);
     moments = ClusterMoments::compute(tree, src, degree);
     tgt = OrderedParticles::from_cloud(targets);
-    batches = build_target_batches(tgt, max_batch);
-    lists = build_interaction_lists(batches, tree, theta, degree);
+    tp.max_leaf = max_batch;
+    target_tree = ClusterTree::build(tgt, tp);
+    lists = build_interaction_lists(target_tree, tree, theta, degree);
+  }
+
+  std::vector<double> potential(const KernelSpec& spec, RunStats* stats,
+                                CpuWorkspace* ws = nullptr) const {
+    return cpu_evaluate_dual(tgt, target_tree, {}, lists, tree, src,
+                             {&moments, 1}, spec, nullptr, stats, ws);
   }
 };
 
-/// Naive scalar reference: accumulate one interaction list into target i,
-/// through the scalar kernel helpers (independent of the blocked core).
+/// Naive scalar reference: accumulate one leaf group's pairs (`begin` to
+/// `end` of the lists' leaf pairs) into target i, through the scalar kernel
+/// helpers (independent of the blocked core).
 void ref_accumulate(const KernelSpec& spec, const OrderedParticles& targets,
-                    std::size_t i, const BatchInteractions& bi,
+                    std::size_t i, const DualInteractionLists& lists,
+                    std::size_t begin, std::size_t end,
                     const ClusterTree& tree, const OrderedParticles& src,
                     const ClusterMoments& moments, double& phi, double& ex,
                     double& ey, double& ez) {
   const double txi = targets.x[i], tyi = targets.y[i], tzi = targets.z[i];
   double g3[3];
-  for (const int ci : bi.approx) {
+  for (std::size_t e = begin; e < end; ++e) {
+    const DualPair& pair = lists.leaf_pairs[e];
+    const int ci = pair.source;
+    if (pair.kind == DualKind::kDirect) {
+      const ClusterNode& node = tree.node(ci);
+      for (std::size_t j = node.begin; j < node.end; ++j) {
+        const double q = src.q[j];
+        phi += evaluate_kernel_gradient(spec, txi, tyi, tzi, src.x[j],
+                                        src.y[j], src.z[j], g3) *
+               q;
+        ex -= g3[0] * q;
+        ey -= g3[1] * q;
+        ez -= g3[2] * q;
+      }
+      continue;
+    }
     const auto gx = moments.grid(ci, 0);
     const auto gy = moments.grid(ci, 1);
     const auto gz = moments.grid(ci, 2);
@@ -85,18 +108,6 @@ void ref_accumulate(const KernelSpec& spec, const OrderedParticles& targets,
       }
     }
   }
-  for (const int ci : bi.direct) {
-    const ClusterNode& node = tree.node(ci);
-    for (std::size_t j = node.begin; j < node.end; ++j) {
-      const double q = src.q[j];
-      phi += evaluate_kernel_gradient(spec, txi, tyi, tzi, src.x[j],
-                                      src.y[j], src.z[j], g3) *
-             q;
-      ex -= g3[0] * q;
-      ey -= g3[1] * q;
-      ez -= g3[2] * q;
-    }
-  }
 }
 
 struct RefResult {
@@ -110,10 +121,12 @@ RefResult ref_batched(const KernelSpec& spec, const EvalPlan& s) {
   out.ex.assign(n, 0.0);
   out.ey.assign(n, 0.0);
   out.ez.assign(n, 0.0);
-  for (std::size_t b = 0; b < s.batches.size(); ++b) {
-    for (std::size_t i = s.batches[b].begin; i < s.batches[b].end; ++i) {
-      ref_accumulate(spec, s.tgt, i, s.lists.per_batch[b], s.tree, s.src,
-                     s.moments, out.phi[i], out.ex[i], out.ey[i], out.ez[i]);
+  for (std::size_t g = 0; g < s.lists.leaf_nodes.size(); ++g) {
+    const ClusterNode& leaf = s.target_tree.node(s.lists.leaf_nodes[g]);
+    for (std::size_t i = leaf.begin; i < leaf.end; ++i) {
+      ref_accumulate(spec, s.tgt, i, s.lists, s.lists.leaf_offsets[g],
+                     s.lists.leaf_offsets[g + 1], s.tree, s.src, s.moments,
+                     out.phi[i], out.ex[i], out.ey[i], out.ez[i]);
     }
   }
   return out;
@@ -135,14 +148,13 @@ void check_all_paths(const EvalPlan& s, const KernelSpec& spec) {
   const RefResult rb = ref_batched(spec, s);
 
   RunStats stats;
-  const auto phi = cpu_evaluate(s.tgt, s.batches, s.lists, s.tree, s.src,
-                                s.moments, spec, nullptr, &stats);
+  const auto phi = s.potential(spec, &stats);
   expect_close(phi, rb.phi, "batched potential", name);
-  EXPECT_EQ(stats.approx_launches, s.lists.total_approx);
+  EXPECT_EQ(stats.approx_launches, s.lists.total_pc);
   EXPECT_EQ(stats.direct_launches, s.lists.total_direct);
 
-  const auto f = cpu_evaluate_field(s.tgt, s.batches, s.lists, s.tree, s.src,
-                                    s.moments, spec);
+  const auto f = cpu_evaluate_dual_field(s.tgt, s.target_tree, {}, s.lists,
+                                         s.tree, s.src, {&s.moments, 1}, spec);
   expect_close(f.phi, rb.phi, "batched field phi", name);
   expect_close(f.ex, rb.ex, "batched field ex", name);
   expect_close(f.ey, rb.ey, "batched field ey", name);
@@ -156,7 +168,7 @@ TEST(CpuKernels, ParityDisjointCloudsEdgeTiles) {
   const Cloud sources = uniform_cube(500, 12);
   for (const std::size_t max_batch : {37, 1}) {
     const EvalPlan s(targets, sources, 0.7, 3, 64, max_batch);
-    ASSERT_GT(s.lists.total_approx, 0u);
+    ASSERT_GT(s.lists.total_pc, 0u);
     ASSERT_GT(s.lists.total_direct, 0u);
     for (const KernelSpec& spec : all_kernels()) check_all_paths(s, spec);
   }
@@ -195,12 +207,8 @@ TEST(CpuKernels, WorkspaceReuseIsDeterministic) {
   const Cloud c = uniform_cube(300, 16);
   const EvalPlan s(c, c, 0.7, 4, 64, 48);
   CpuWorkspace ws;
-  const auto a = cpu_evaluate(s.tgt, s.batches, s.lists, s.tree, s.src,
-                              s.moments, KernelSpec::coulomb(), nullptr,
-                              nullptr, &ws);
-  const auto b = cpu_evaluate(s.tgt, s.batches, s.lists, s.tree, s.src,
-                              s.moments, KernelSpec::coulomb(), nullptr,
-                              nullptr, &ws);
+  const auto a = s.potential(KernelSpec::coulomb(), nullptr, &ws);
+  const auto b = s.potential(KernelSpec::coulomb(), nullptr, &ws);
   EXPECT_EQ(a, b);
 }
 

@@ -93,8 +93,8 @@ TEST(GpuEngine, OneLaunchPerBatchClusterInteraction) {
                                KernelSpec::coulomb(), true, first, nullptr);
   (void)gpu.evaluate_potential(plan.sources.view(), plan.targets.view(),
                                KernelSpec::coulomb(), false, repeat, nullptr);
-  const InteractionLists& lists = plan.targets.lists[0];
-  EXPECT_EQ(repeat.gpu_launches, lists.total_approx + lists.total_direct);
+  const DualInteractionLists& lists = plan.targets.lists[0];
+  EXPECT_EQ(repeat.gpu_launches, lists.total_pc + lists.total_direct);
   // Everything stays resident: a repeat moves only the potentials.
   EXPECT_EQ(repeat.bytes_to_device, 0u);
   EXPECT_EQ(repeat.bytes_to_host,

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/batches.hpp"
 #include "util/workloads.hpp"
 
 namespace bltc::dist {
@@ -60,38 +59,40 @@ TEST(Let, DeserializeRejectsMalformedBlobs) {
 TEST(Let, RemoteTraversalOnDeserializedTreeMatchesOriginal) {
   OrderedParticles p;
   const ClusterTree tree = build_tree(4000, 200, p, 2);
-  const Cloud tc = uniform_cube(1000, 3);
-  OrderedParticles targets = OrderedParticles::from_cloud(tc);
-  const auto batches = build_target_batches(targets, 200);
+  OrderedParticles targets;
+  const ClusterTree target_tree = build_tree(1000, 200, targets, 3);
 
-  const InteractionLists direct_lists =
-      build_interaction_lists(batches, tree, 0.7, 4);
+  const DualInteractionLists direct_lists =
+      build_interaction_lists(target_tree, tree, 0.7, 4);
   const ClusterTree remote = deserialize_tree(serialize_tree(tree));
-  const InteractionLists remote_lists =
-      build_interaction_lists(batches, remote, 0.7, 4);
+  const DualInteractionLists remote_lists =
+      build_interaction_lists(target_tree, remote, 0.7, 4);
 
-  ASSERT_EQ(direct_lists.per_batch.size(), remote_lists.per_batch.size());
-  EXPECT_EQ(direct_lists.total_approx, remote_lists.total_approx);
+  EXPECT_EQ(direct_lists.total_pc, remote_lists.total_pc);
   EXPECT_EQ(direct_lists.total_direct, remote_lists.total_direct);
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    EXPECT_EQ(direct_lists.per_batch[b].approx,
-              remote_lists.per_batch[b].approx);
-    EXPECT_EQ(direct_lists.per_batch[b].direct,
-              remote_lists.per_batch[b].direct);
+  EXPECT_EQ(direct_lists.leaf_nodes, remote_lists.leaf_nodes);
+  EXPECT_EQ(direct_lists.leaf_offsets, remote_lists.leaf_offsets);
+  ASSERT_EQ(direct_lists.leaf_pairs.size(), remote_lists.leaf_pairs.size());
+  for (std::size_t e = 0; e < direct_lists.leaf_pairs.size(); ++e) {
+    const DualPair& a = direct_lists.leaf_pairs[e];
+    const DualPair& b = remote_lists.leaf_pairs[e];
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.target, b.target);
+    EXPECT_EQ(a.source, b.source);
   }
 }
 
 TEST(Let, CollectUniqueNodesDeduplicatesAcrossBatches) {
-  InteractionLists lists;
-  lists.per_batch.resize(3);
-  lists.per_batch[0].approx = {5, 2, 9};
-  lists.per_batch[1].approx = {2, 5};
-  lists.per_batch[2].approx = {9, 1};
-  lists.per_batch[0].direct = {4};
-  lists.per_batch[1].direct = {4, 3};
-  const auto approx = collect_unique_nodes(lists, true);
+  DualInteractionLists lists;
+  for (const int ci : {5, 2, 9, 2, 5, 9, 1}) {
+    lists.leaf_pairs.push_back({DualKind::kPC, 0, 0, 10 + ci % 3, ci});
+  }
+  for (const int ci : {4, 4, 3}) {
+    lists.leaf_pairs.push_back({DualKind::kDirect, 0, 0, 10 + ci % 2, ci});
+  }
+  const auto approx = collect_unique_nodes(lists, DualKind::kPC);
   EXPECT_EQ(approx, (std::vector<int>{1, 2, 5, 9}));
-  const auto direct = collect_unique_nodes(lists, false);
+  const auto direct = collect_unique_nodes(lists, DualKind::kDirect);
   EXPECT_EQ(direct, (std::vector<int>{3, 4}));
 }
 

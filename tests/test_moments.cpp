@@ -113,23 +113,6 @@ TEST_P(MomentAlgorithmEquivalence, FactorizedMatchesDirect) {
 INSTANTIATE_TEST_SUITE_P(Degrees, MomentAlgorithmEquivalence,
                          ::testing::Values(1, 3, 6, 9));
 
-TEST(Moments, AutoMatchesConcreteVariants) {
-  // kAuto must be algebraically equivalent — it only picks the faster of
-  // the two exact formulations per cluster.
-  const Harness s = make_setup(2500, 120, 4);
-  const ClusterMoments direct =
-      ClusterMoments::compute(s.tree, s.sources, 6, MomentAlgorithm::kDirect);
-  const ClusterMoments autom =
-      ClusterMoments::compute(s.tree, s.sources, 6, MomentAlgorithm::kAuto);
-  double scale = 0.0;
-  for (const double v : direct.all_qhat()) {
-    scale = std::fmax(scale, std::fabs(v));
-  }
-  for (std::size_t i = 0; i < direct.all_qhat().size(); ++i) {
-    ASSERT_NEAR(direct.all_qhat()[i], autom.all_qhat()[i], 1e-11 * scale);
-  }
-}
-
 TEST(Moments, RestrictionIsExactPolynomialTransfer) {
   // Restricting degree-n modified charges to degree n' <= n must equal
   // recomputing Eq. (12) directly at the coarse degree: degree-n

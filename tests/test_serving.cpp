@@ -374,57 +374,66 @@ TEST(Serving, ExecContextPoolRecycles) {
 // ---- Batching frontend ---------------------------------------------------
 
 TEST(Frontend, FusedGroupIsBitIdenticalToIndividualEvaluates) {
-  const Cloud sources = uniform_cube(1200, 31);
-  std::vector<Cloud> target_clouds;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    target_clouds.push_back(uniform_cube(200, 100 + i));
-  }
-  const TreecodeParams params = serving_params();
-  const KernelSpec kernel = KernelSpec::coulomb();
+  // Open Coulomb, image-periodic Yukawa (the fused forest carries the
+  // pairs' shift ids) and kPeriodicMesh (the fused targets gather the mesh
+  // far field).
+  TreecodeParams mesh = serving_params();
+  mesh.boundary = BoundaryConditions::kPeriodicMesh;
+  mesh.domain = Box3::cube(0.0, 1.0);
+  const std::vector<std::pair<TreecodeParams, KernelSpec>> cases{
+      {serving_params(), KernelSpec::coulomb()},
+      {periodic_params(), KernelSpec::yukawa(2.0)},
+      {mesh, KernelSpec::coulomb()}};
+  for (const auto& [params, kernel] : cases) {
+    const Cloud sources = uniform_cube(1200, 31, 0.0, 1.0);
+    std::vector<Cloud> target_clouds;
+    for (std::uint64_t i = 0; i < 5; ++i) {
+      target_clouds.push_back(uniform_cube(200, 100 + i, 0.0, 1.0));
+    }
 
-  // Individual references through the synchronous path.
-  PlanCache reference_cache;
-  ServeFrontend reference(reference_cache);
-  std::vector<std::vector<double>> expected;
-  for (const Cloud& targets : target_clouds) {
-    ServeRequest request;
-    request.sources = &sources;
-    request.targets = &targets;
-    request.params = params;
-    request.kernel = kernel;
-    expected.push_back(reference.evaluate_now(request).phi);
-  }
+    const auto request_for = [&](const Cloud& targets) {
+      ServeRequest request;
+      request.sources = &sources;
+      request.targets = &targets;
+      request.params = params;
+      request.kernel = kernel;
+      return request;
+    };
 
-  // Batched path: a generous delay so the group coalesces.
-  PlanCache cache;
-  ServeOptions options;
-  options.max_batch = 8;
-  options.max_delay_ms = 250.0;
-  options.workers = 1;
-  ServeFrontend frontend(cache, options);
-  std::vector<std::future<ServeResponse>> futures;
-  for (const Cloud& targets : target_clouds) {
-    ServeRequest request;
-    request.sources = &sources;
-    request.targets = &targets;
-    request.params = params;
-    request.kernel = kernel;
-    futures.push_back(frontend.submit(request));
-  }
-  std::vector<ServeResponse> responses;
-  for (auto& f : futures) responses.push_back(f.get());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    expect_bits_equal(expected[i], responses[i].phi);
-  }
+    // Individual references through the synchronous path.
+    PlanCache reference_cache;
+    ServeFrontend reference(reference_cache);
+    std::vector<std::vector<double>> expected;
+    for (const Cloud& targets : target_clouds) {
+      expected.push_back(reference.evaluate_now(request_for(targets)).phi);
+    }
 
-  const serve::FrontendStats stats = frontend.stats();
-  EXPECT_EQ(stats.submitted, target_clouds.size());
-  EXPECT_EQ(stats.completed, target_clouds.size());
-  // All five distinct target sets against one plan should coalesce into
-  // far fewer engine calls than requests (one, when the group fills).
-  EXPECT_LT(stats.executions, target_clouds.size());
-  EXPECT_GT(stats.fused_requests, 0u);
-  EXPECT_GT(stats.max_group, 1u);
+    // Batched path: a generous delay so the group coalesces.
+    PlanCache cache;
+    ServeOptions options;
+    options.max_batch = 8;
+    options.max_delay_ms = 250.0;
+    options.workers = 1;
+    ServeFrontend frontend(cache, options);
+    std::vector<std::future<ServeResponse>> futures;
+    for (const Cloud& targets : target_clouds) {
+      futures.push_back(frontend.submit(request_for(targets)));
+    }
+    std::vector<ServeResponse> responses;
+    for (auto& f : futures) responses.push_back(f.get());
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      expect_bits_equal(expected[i], responses[i].phi);
+    }
+
+    const serve::FrontendStats stats = frontend.stats();
+    EXPECT_EQ(stats.submitted, target_clouds.size());
+    EXPECT_EQ(stats.completed, target_clouds.size());
+    // All five distinct target sets against one plan should coalesce into
+    // far fewer engine calls than requests (one, when the group fills).
+    EXPECT_LT(stats.executions, target_clouds.size());
+    EXPECT_GT(stats.fused_requests, 0u);
+    EXPECT_GT(stats.max_group, 1u);
+  }
 }
 
 TEST(Frontend, IdenticalTargetsShareOneExecution) {
