@@ -22,35 +22,6 @@ void add_into(FieldResult& acc, const FieldResult& contribution) {
   add_into(acc.ez, contribution.ez);
 }
 
-void Engine::update_sources(const SourcePlan& plan,
-                            const TreecodeParams& params,
-                            const SourceUpdate& /*update*/) {
-  // Always-correct fallback: treat the update as a full geometry change.
-  prepare_sources(plan, params, /*charges_only=*/false);
-}
-
-void Engine::update_targets(
-    const TargetPlan& /*plan*/,
-    std::span<const std::pair<std::size_t, std::size_t>> /*moved_ranges*/) {
-  // Host engines read target data straight from the plan: nothing cached.
-}
-
-void Engine::refresh_let_positions(std::span<const LetPiece> pieces,
-                                   const TreecodeParams& params) {
-  attach_let_pieces(pieces, params, /*charges_only=*/false);
-}
-
-void Engine::attach_let_pieces(std::span<const LetPiece> pieces,
-                               const TreecodeParams& /*params*/,
-                               bool /*charges_only*/) {
-  if (!pieces.empty()) {
-    throw std::invalid_argument(
-        "this engine does not support distributed LET evaluation");
-  }
-}
-
-std::span<const double> Engine::prepared_qhat() const { return {}; }
-
 void Engine::mesh_far_field(const mesh::MeshPlan& plan,
                             const TargetPlan& targets,
                             std::vector<double>& phi, FieldResult* field,

@@ -1,5 +1,6 @@
 #include "core/gpu_engine.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -41,6 +42,34 @@ std::size_t cluster_elem_bytes(const TreecodeParams& params) {
                                                     : sizeof(double);
 }
 
+/// What a device holding plan version `resident` must upload for a plan at
+/// `change`: nothing, the recorded delta, or the whole plan.
+enum class Upload { kNone, kWhole, kCharges, kPositions };
+
+Upload upload_for(const PlanChange* change, std::uint64_t resident) {
+  if (change == nullptr) return Upload::kWhole;  // unversioned view
+  if (change->version == resident) return Upload::kNone;
+  if (resident == 0 || change->base != resident) return Upload::kWhole;
+  switch (change->kind) {
+    case PlanChange::Kind::kCharges:
+      return Upload::kCharges;
+    case PlanChange::Kind::kPositions:
+      return Upload::kPositions;
+    case PlanChange::Kind::kRebuilt:
+      break;
+  }
+  return Upload::kWhole;
+}
+
+/// Slots covered by a change's moved ranges.
+std::size_t moved_slots(const PlanChange& change) {
+  std::size_t moved = 0;
+  for (const auto& range : change.moved_ranges) {
+    moved += range.second - range.first;
+  }
+  return moved;
+}
+
 /// Modeled weight of a launch's evaluations: tiles the host executed fp32
 /// run at the 2:1 FP32:FP64 throughput of the paper's GPUs (Titan V).
 double precision_factor(bool fp32) { return fp32 ? 0.5 : 1.0; }
@@ -50,9 +79,11 @@ double precision_factor(bool fp32) { return fp32 ? 0.5 : 1.0; }
 GpuSimEngine::GpuSimEngine(const GpuOptions& options)
     : options_(options), device_(options.device, options.async_streams) {}
 
-void GpuSimEngine::model_precompute(const ClusterTree& tree,
-                                    std::span<const std::size_t> clusters) {
-  const ClusterMoments& nominal = host_.prepared_levels().front();
+void GpuSimEngine::model_precompute(const SourcePlan& piece,
+                                    std::span<const std::size_t> clusters,
+                                    double& precompute) const {
+  const ClusterTree& tree = piece.plan->tree;
+  const ClusterMoments& nominal = piece.moment_levels.front();
   const std::size_t m = static_cast<std::size_t>(nominal.degree()) + 1;
   const std::size_t ppc = nominal.points_per_cluster();
   const gpusim::TimeMarker before = device_.marker();
@@ -76,206 +107,161 @@ void GpuSimEngine::model_precompute(const ClusterTree& tree,
   // DtH: the modified charges return to the host, where (in the
   // distributed code) they are exposed through RMA windows.
   device_.device_to_host(clusters.size() * ppc * sizeof(double));
-  pending_modeled_precompute_ +=
-      device_.marker().kernel_seconds - before.kernel_seconds;
+  precompute += device_.marker().kernel_seconds - before.kernel_seconds;
 }
 
-void GpuSimEngine::model_restrictions(std::size_t clusters) {
+void GpuSimEngine::model_restrictions(const SourcePlan& piece,
+                                      std::size_t levels, std::size_t clusters,
+                                      double& precompute) const {
   // Dual traversal: the coarse ladder levels are small tensor transfers of
   // the resident nominal charges, one launch per level.
-  const std::span<const ClusterMoments> levels = host_.prepared_levels();
-  for (std::size_t l = 1; l < levels.size(); ++l) {
+  for (std::size_t l = 1; l < levels; ++l) {
     gpusim::KernelCost cost;
     cost.evals = static_cast<double>(clusters) *
-                 static_cast<double>(levels[l].points_per_cluster());
+                 static_cast<double>(piece.moment_levels[l].points_per_cluster());
     cost.blocks = clusters;
     const gpusim::TimeMarker before = device_.marker();
     device_.launch(device_.next_stream(), cost);
     device_.synchronize();
-    pending_modeled_precompute_ +=
-        device_.marker().kernel_seconds - before.kernel_seconds;
+    precompute += device_.marker().kernel_seconds - before.kernel_seconds;
   }
 }
 
-void GpuSimEngine::prepare_sources(const SourcePlan& plan,
-                                   const TreecodeParams& params,
-                                   bool charges_only) {
-  // Injected before any mutation, so a tripped staging attempt leaves prior
-  // staged state intact and the whole call is retryable.
-  failpoint(failpoints::sites::kGpuStage);
-  host_.prepare_sources(plan, params, charges_only);
-  const ClusterTree& tree = *plan.tree;
-  const std::size_t n = plan.particles->size();
+void GpuSimEngine::stage(std::span<const SourcePlan> sources,
+                         const TargetPlan& targets, double& precompute,
+                         std::size_t& host_particles) const {
+  const SourcePlan& local = sources.front();
+  const SourcePlanState& plan = *local.plan;
+  // uploads[0] the local sources, [1] the targets, [2 + p] LET piece p.
+  let_versions_.resize(sources.size() - 1, 0);
+  std::vector<Upload> uploads = {upload_for(&plan.change, source_version_),
+                                 upload_for(targets.change, target_version_)};
+  for (std::size_t p = 1; p < sources.size(); ++p) {
+    uploads.push_back(
+        upload_for(&sources[p].plan->change, let_versions_[p - 1]));
+  }
+  // Injected before any device operation: a tripped staging leaves the
+  // residency bookkeeping and the device timeline untouched, so the whole
+  // call is retryable.
+  const auto wants = [&](Upload u) {
+    return std::find(uploads.begin(), uploads.end(), u) != uploads.end();
+  };
+  if (wants(Upload::kWhole) || wants(Upload::kCharges)) {
+    failpoint(failpoints::sites::kGpuStage);
+  }
+  if (wants(Upload::kPositions)) {
+    failpoint(failpoints::sites::kGpuPartialRestage);
+  }
+  // Uploads run in lifecycle order: the source plan, the target delta that
+  // moved with it, the LET pieces assembled after it, and a new target
+  // plan last, just ahead of the compute phase.
+  const Upload source_upload = uploads[0];
+  const Upload target_upload = uploads[1];
 
-  if (charges_only) {
-    // Update-device of the charges alone (coordinates, tree, and grids are
-    // unchanged and stay resident).
-    device_.host_to_device(n * sizeof(double));
-  } else {
-    // HtD: the four source streams enter the device data region once for
-    // the lifetime of this source plan (§3.2 data management).
-    for (int stream = 0; stream < 4; ++stream) {
+  // Local sources (§3.2 data management): the four source streams enter
+  // the device data region once per source plan, the preprocessing kernels
+  // and ladder restrictions run on the device, and the cluster data (grids
+  // + modified charges of every ladder level the lists reference) stays
+  // resident for the compute phase. A charges-only version re-uploads the
+  // charge arrays alone; an in-topology position update ships only the
+  // moved tree-order ranges and re-runs the kernels for the dirty clusters
+  // — the grids are unchanged by construction.
+  const std::size_t n = plan.size();
+  const std::size_t nn = plan.tree.num_nodes();
+  const std::size_t levels = targets.lists.front().ladder.size();
+  const std::size_t elem = cluster_elem_bytes(plan.params);
+  if (source_upload == Upload::kWhole || source_upload == Upload::kCharges) {
+    const bool whole = source_upload == Upload::kWhole;
+    for (int stream = 0; stream < (whole ? 4 : 1); ++stream) {
       device_.host_to_device(n * sizeof(double));
     }
-    sources_staged_ = true;
-    staged_sources_ = n;
-    staged_clusters_ = tree.num_nodes();
-    pending_host_setup_particles_ += n;
-    // A new source plan invalidates whatever target data was staged (the
-    // lists that referenced the old tree are gone) and orphans the attached
-    // LET; the caller re-attaches after the exchange.
-    targets_staged_ = false;
-    let_.clear();
-  }
-
-  std::vector<std::size_t> all(tree.num_nodes());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  model_precompute(tree, all);
-  model_restrictions(tree.num_nodes());
-
-  // HtD: cluster data (grids + modified charges, every ladder level) staged
-  // for the compute phase; stays resident across evaluations. A
-  // charges-only refresh re-uploads the charge arrays alone.
-  const std::size_t elem = cluster_elem_bytes(params);
-  for (const ClusterMoments& level : host_.prepared_levels()) {
-    if (!charges_only) {
-      device_.host_to_device(level.all_grids().size() * elem);
+    if (whole) host_particles += n;
+    std::vector<std::size_t> all(nn);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    model_precompute(local, all, precompute);
+    model_restrictions(local, levels, nn, precompute);
+    for (std::size_t l = 0; l < levels; ++l) {
+      const ClusterMoments& level = local.moment_levels[l];
+      if (whole) device_.host_to_device(level.all_grids().size() * elem);
+      device_.host_to_device(level.all_qhat().size() * elem);
     }
-    device_.host_to_device(level.all_qhat().size() * elem);
-  }
-}
-
-void GpuSimEngine::update_sources(const SourcePlan& plan,
-                                  const TreecodeParams& params,
-                                  const SourceUpdate& update) {
-  // Injected before any mutation: a tripped partial restage leaves the
-  // resident state whole and the caller falls back to a full rebuild.
-  failpoint(failpoints::sites::kGpuPartialRestage);
-  const ClusterTree& tree = *plan.tree;
-  if (!sources_staged_ || staged_sources_ != plan.particles->size() ||
-      staged_clusters_ != tree.num_nodes()) {
-    // Nothing resident to patch: full stage.
-    prepare_sources(plan, params, /*charges_only=*/false);
-    return;
-  }
-  host_.update_sources(plan, params, update);
-
-  // Update-device of array sections: only the moved tree-order ranges of
-  // the four source streams cross PCIe. Grids stay resident untouched —
-  // the boxes are unchanged by an in-topology update.
-  std::size_t moved = 0;
-  for (const auto& range : update.moved_ranges) {
-    moved += range.second - range.first;
-  }
-  device_.host_to_device(4 * moved * sizeof(double));
-
-  // The preprocessing kernels and ladder restrictions re-run for the dirty
-  // clusters only, and exactly their charge ranges are restaged.
-  model_precompute(tree, update.dirty_clusters);
-  const std::size_t dirty = update.dirty_clusters.size();
-  model_restrictions(dirty);
-  const std::size_t elem = cluster_elem_bytes(params);
-  for (const ClusterMoments& level : host_.prepared_levels()) {
-    device_.host_to_device(dirty * level.points_per_cluster() * elem);
-  }
-}
-
-void GpuSimEngine::update_targets(
-    const TargetPlan& plan,
-    std::span<const std::pair<std::size_t, std::size_t>> moved_ranges) {
-  // Serialize against evaluations: the staged target state is the same
-  // state evaluate_potential reads.
-  std::lock_guard<std::mutex> lock(eval_mutex_);
-  failpoint(failpoints::sites::kGpuPartialRestage);
-  if (!targets_staged_) return;  // next evaluate stages everything
-  if (staged_targets_ != plan.particles->size()) {
-    // Shape changed under us: the next evaluate runs the full
-    // fresh-target staging path.
-    targets_staged_ = false;
-    return;
-  }
-  // Update-device of array sections: only the moved target coordinate
-  // ranges cross PCIe, keeping the resident plan coherent for the next
-  // evaluate with fresh_targets == false.
-  std::size_t moved = 0;
-  for (const auto& range : moved_ranges) moved += range.second - range.first;
-  device_.host_to_device(3 * moved * sizeof(double));
-}
-
-void GpuSimEngine::refresh_let_positions(std::span<const LetPiece> pieces,
-                                         const TreecodeParams& params) {
-  failpoint(failpoints::sites::kGpuPartialRestage);
-  if (pieces.size() != let_.size()) {
-    throw std::logic_error(
-        "GpuSimEngine::refresh_let_positions: refresh with a different "
-        "piece count");
-  }
-  host_.refresh_let_positions(pieces, params);
-  // The piece set, trees, and fetched ranges are unchanged; the caller
-  // refreshed coordinates, charges, and modified charges in place. Restage
-  // the fetched particle data (coordinates + charges) and the charge
-  // arrays; grids and tree geometry stay resident.
-  for (const LetPiece& piece : let_) {
-    device_.host_to_device(4 * piece.fetched_particles * sizeof(double));
-    device_.host_to_device(piece.plan.moments->all_qhat().size() *
-                           sizeof(double));
-  }
-}
-
-void GpuSimEngine::stage_piece_particles(const LetPiece& piece,
-                                         bool charges_only) {
-  failpoint(failpoints::sites::kGpuStage);
-  // Only the fetched subset crosses PCIe: the placeholders outside the
-  // fetched ranges are never referenced by the lists. Coordinates stage
-  // once; charges restage on every refresh.
-  if (!charges_only) {
-    device_.host_to_device(3 * piece.fetched_particles * sizeof(double));
-  }
-  device_.host_to_device(piece.fetched_particles * sizeof(double));
-}
-
-void GpuSimEngine::attach_let_pieces(std::span<const LetPiece> pieces,
-                                     const TreecodeParams& params,
-                                     bool charges_only) {
-  if (charges_only) {
-    if (pieces.size() != let_.size()) {
-      throw std::logic_error(
-          "GpuSimEngine::attach_let_pieces: charges_only refresh with a "
-          "different piece count");
+  } else if (source_upload == Upload::kPositions) {
+    const std::span<const std::size_t> dirty = plan.change.dirty_clusters;
+    device_.host_to_device(4 * moved_slots(plan.change) * sizeof(double));
+    model_precompute(local, dirty, precompute);
+    model_restrictions(local, levels, dirty.size(), precompute);
+    for (std::size_t l = 0; l < levels; ++l) {
+      device_.host_to_device(
+          dirty.size() * local.moment_levels[l].points_per_cluster() * elem);
     }
-    // Update-device of the refreshed charge data alone: modified charges of
-    // every LET cluster plus the fetched direct-range particle charges.
-    for (const LetPiece& piece : let_) {
-      device_.host_to_device(piece.plan.moments->all_qhat().size() *
-                             sizeof(double));
-      stage_piece_particles(piece, /*charges_only=*/true);
+  }
+  source_version_ = plan.change.version;
+
+  // Targets moved in place: only the moved coordinate ranges cross PCIe.
+  if (target_upload == Upload::kPositions) {
+    device_.host_to_device(3 * moved_slots(*targets.change) * sizeof(double));
+  }
+
+  // LET pieces: only the fetched particle subset crosses PCIe (the
+  // placeholders outside the fetched ranges are never referenced), plus the
+  // piece's cluster data — grids recomputed locally from the remote boxes
+  // and the fetched modified charges (the LET's device footprint,
+  // §3.1-3.2). Refreshes re-upload the charges, and the fetched coordinates
+  // after a position update; grids and tree geometry stay resident.
+  for (std::size_t p = 0; p + 1 < sources.size(); ++p) {
+    const SourcePlan& piece = sources[1 + p];
+    const std::size_t fetched = piece.plan->held_particles;
+    const ClusterMoments& moments = piece.moment_levels.front();
+    switch (uploads[2 + p]) {
+      case Upload::kNone:
+        break;
+      case Upload::kWhole:
+        device_.host_to_device(3 * fetched * sizeof(double));
+        device_.host_to_device(fetched * sizeof(double));
+        device_.host_to_device(moments.all_grids().size() * sizeof(double));
+        device_.host_to_device(moments.all_qhat().size() * sizeof(double));
+        // LET assembly is host-side setup work, like the local tree build.
+        host_particles += fetched;
+        break;
+      case Upload::kCharges:
+        device_.host_to_device(moments.all_qhat().size() * sizeof(double));
+        device_.host_to_device(fetched * sizeof(double));
+        break;
+      case Upload::kPositions:
+        device_.host_to_device(4 * fetched * sizeof(double));
+        device_.host_to_device(moments.all_qhat().size() * sizeof(double));
+        break;
     }
-    host_.attach_let_pieces(pieces, params, charges_only);
-    return;
+    let_versions_[p] = piece.plan->change.version;
   }
-  let_.clear();
-  let_.reserve(pieces.size());
-  for (const LetPiece& piece : pieces) {
-    stage_piece_particles(piece, /*charges_only=*/false);
-    // HtD: the piece's cluster data — grids recomputed locally from the
-    // remote boxes plus the fetched modified charges (the LET's device
-    // footprint, §3.1-3.2).
-    device_.host_to_device(piece.plan.moments->all_grids().size() *
-                           sizeof(double));
-    device_.host_to_device(piece.plan.moments->all_qhat().size() *
-                           sizeof(double));
-    // LET assembly is host-side setup work, like the local tree/list build.
-    pending_host_setup_particles_ += piece.fetched_particles;
-    let_.push_back(piece);
+
+  // A new target plan: coordinates, plus under the dual traversal the
+  // target cluster grids (every ladder level); the per-node grid potentials
+  // the CC/CP kernels accumulate into are a device-side allocation (no
+  // transfer).
+  if (target_upload == Upload::kWhole) {
+    const std::size_t nt = targets.particles->size();
+    for (int axis = 0; axis < 3; ++axis) {
+      device_.host_to_device(nt * sizeof(double));
+    }
+    host_particles += nt;
+    if (!targets.grids.empty()) {
+      std::size_t grid_doubles = 0;
+      for (const ClusterMoments& g : targets.grids) {
+        grid_doubles += g.all_grids().size();
+      }
+      device_.host_to_device(grid_doubles * sizeof(double));
+    }
   }
-  host_.attach_let_pieces(pieces, params, charges_only);
+  target_version_ = targets.change != nullptr ? targets.change->version : 0;
 }
 
 void GpuSimEngine::model_lists(const TargetPlan& targets,
                                const DualInteractionLists& lists,
-                               const ClusterTree& source_tree,
-                               std::span<const ClusterMoments> levels,
-                               double weight, bool fp32) const {
+                               const SourcePlan& piece, double weight) const {
+  const ClusterTree& source_tree = piece.plan->tree;
+  const std::span<const ClusterMoments> levels = piece.moment_levels;
+  const bool fp32 = piece.fp32;
   // The CPU walks the interaction lists and queues one kernel per
   // interaction, cycling the stream id (§3.2 asynchronous streams).
   const ClusterTree& target_tree = *targets.tree;
@@ -367,61 +353,35 @@ void GpuSimEngine::model_lists(const TargetPlan& targets,
 }
 
 std::vector<double> GpuSimEngine::evaluate_potential(
-    const SourcePlan& sources, const TargetPlan& targets,
-    const KernelSpec& kernel, bool fresh_targets, RunStats& stats,
-    ExecContext* ctx) const {
+    std::span<const SourcePlan> sources, const TargetPlan& targets,
+    const KernelSpec& kernel, RunStats& stats, ExecContext* ctx) const {
   // One simulated device executes one evaluation at a time: concurrent
   // callers (the serving layer) serialize here rather than interleaving
-  // the staged target state or the delta-reported device counters.
+  // the residency bookkeeping or the delta-reported device counters.
   std::lock_guard<std::mutex> lock(eval_mutex_);
-  if (targets.lists.size() != 1 + let_.size()) {
+  if (sources.empty() || targets.lists.size() != sources.size()) {
     throw std::logic_error(
         "GpuSimEngine::evaluate_potential: one interaction list per source "
         "piece expected");
   }
-  const std::size_t nt = targets.particles->size();
-  if (fresh_targets || !targets_staged_) {
-    // Injected before the staging is recorded: a tripped target staging
-    // keeps the previous staging state, and the retry re-runs it whole.
-    failpoint(failpoints::sites::kGpuStage);
-    // HtD: target coordinates, only when the target plan changed.
-    for (int axis = 0; axis < 3; ++axis) {
-      device_.host_to_device(nt * sizeof(double));
-    }
-    targets_staged_ = true;
-    staged_targets_ = nt;
-    pending_host_setup_particles_ += nt;
-    // Dual traversal: the target cluster grids (every ladder level) ride
-    // along with the targets; the per-node grid potentials the CC/CP
-    // kernels accumulate into are a device-side allocation (no transfer).
-    if (!targets.grids.empty()) {
-      std::size_t grid_doubles = 0;
-      for (const ClusterMoments& g : targets.grids) {
-        grid_doubles += g.all_grids().size();
-      }
-      device_.host_to_device(grid_doubles * sizeof(double));
-    }
-  }
+  double precompute = 0.0;
+  std::size_t host_particles = 0;
+  stage(sources, targets, precompute, host_particles);
   if (targets.shifts != nullptr && !shift_table_staged_) {
     device_.host_to_device(targets.shifts->bytes());
     shift_table_staged_ = true;
   }
 
-  std::vector<double> phi = host_.evaluate_potential(
-      sources, targets, kernel, fresh_targets, stats, ctx);
+  std::vector<double> phi =
+      host_.evaluate_potential(sources, targets, kernel, stats, ctx);
 
-  // Model the launches over the lists the host just executed: the local
-  // piece first, then the attached LET pieces in piece order. fp32 is
-  // charged exactly where the host ran fp32 tiles — tagged interactions of
-  // a piece whose SourcePlan::fp32 is set.
+  // Model the launches over the lists the host just executed, piece by
+  // piece. fp32 is charged exactly where the host ran fp32 tiles — tagged
+  // interactions of a piece whose SourcePlan::fp32 is set.
   const double weight = kernel_eval_weight(kernel, /*on_gpu=*/true);
   const gpusim::TimeMarker before = device_.marker();
-  model_lists(targets, targets.lists[0], *sources.tree,
-              host_.prepared_levels(), weight, sources.fp32);
-  for (std::size_t p = 0; p < let_.size(); ++p) {
-    const SourcePlan& piece = let_[p].plan;
-    model_lists(targets, targets.lists[1 + p], *piece.tree,
-                {piece.moments, 1}, weight, piece.fp32);
+  for (std::size_t p = 0; p < sources.size(); ++p) {
+    model_lists(targets, targets.lists[p], sources[p], weight);
   }
   // DtH: final potentials (every evaluation downloads its results).
   device_.device_to_host(phi.size() * sizeof(double));
@@ -431,13 +391,10 @@ std::vector<double> GpuSimEngine::evaluate_potential(
   // PCIe transfers since the last report are attributed to the setup phase
   // (the paper's setup includes data movement); kernel time splits by phase.
   stats.modeled.setup +=
-      gpusim::host_setup_seconds(options_.host,
-                                 pending_host_setup_particles_) +
+      gpusim::host_setup_seconds(options_.host, host_particles) +
       (after.transfer_seconds - reported_marker_.transfer_seconds);
-  stats.modeled.precompute += pending_modeled_precompute_;
+  stats.modeled.precompute += precompute;
   stats.modeled.compute += after.kernel_seconds - before.kernel_seconds;
-  pending_modeled_precompute_ = 0.0;
-  pending_host_setup_particles_ = 0;
 
   // Device counters are cumulative; report deltas for this evaluation.
   stats.gpu_launches += device_.launches() - reported_launches_;
@@ -450,10 +407,9 @@ std::vector<double> GpuSimEngine::evaluate_potential(
   return phi;
 }
 
-FieldResult GpuSimEngine::evaluate_field(const SourcePlan& /*sources*/,
+FieldResult GpuSimEngine::evaluate_field(std::span<const SourcePlan> /*sources*/,
                                          const TargetPlan& /*targets*/,
                                          const KernelSpec& /*kernel*/,
-                                         bool /*fresh_targets*/,
                                          RunStats& /*stats*/,
                                          ExecContext* /*ctx*/) const {
   throw std::invalid_argument(

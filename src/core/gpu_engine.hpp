@@ -19,26 +19,27 @@
 // DtH at the end.
 //
 // The engine models sources, grids, and modified charges as device-resident
-// across evaluate() calls: a Solver that evaluates repeatedly uploads
-// source data exactly once, and target data only when the target plan
-// changes. In the distributed path each rank's engine additionally keeps
-// its locally essential tree device-resident — attached LET pieces stage
-// their fetched particles, grids, and modified charges once, and a
-// charges-only refresh re-uploads exactly the charge arrays.
+// across evaluate() calls. It owns no plan data, only residency
+// bookkeeping: the version (PlanChange) of the source plan, the target plan
+// and each LET piece its device last received. The first call that sees a
+// new version charges its upload — the recorded delta when the device holds
+// the version it patches (a charges-only refresh ships the charge arrays,
+// an in-topology position update the moved ranges and dirty clusters), the
+// whole plan otherwise — so a Solver that evaluates repeatedly uploads
+// source data exactly once, and a distributed rank keeps its locally
+// essential tree resident the same way.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/cpu_engine.hpp"
 #include "core/engine.hpp"
 #include "core/interaction_lists.hpp"
 #include "core/kernels.hpp"
-#include "core/moments.hpp"
 #include "gpusim/device.hpp"
 
 namespace bltc {
@@ -50,9 +51,9 @@ double kernel_eval_weight(const KernelSpec& spec, bool on_gpu);
 
 /// Engine-interface wrapper owning one simulated device for the lifetime of
 /// its Solver. The numerics run through a composed `CpuEngine`; this class
-/// keeps the device residency bookkeeping (which arrays are staged, so
-/// repeat evaluations move only results) and turns list walks into modeled
-/// launches. Statistics are reported as deltas per evaluation, so a repeat
+/// keeps the device residency bookkeeping (which plan versions are
+/// resident, so repeat evaluations move only results) and turns list walks
+/// into modeled launches. Statistics are reported as deltas per evaluation, so a repeat
 /// evaluation on an unchanged plan shows zero host-to-device bytes.
 class GpuSimEngine final : public Engine {
  public:
@@ -61,30 +62,14 @@ class GpuSimEngine final : public Engine {
   Backend backend() const override { return Backend::kGpuSim; }
   bool supports_fields() const override { return false; }
 
-  void prepare_sources(const SourcePlan& plan, const TreecodeParams& params,
-                       bool charges_only) override;
-  void update_sources(const SourcePlan& plan, const TreecodeParams& params,
-                      const SourceUpdate& update) override;
-  void update_targets(const TargetPlan& plan,
-                      std::span<const std::pair<std::size_t, std::size_t>>
-                          moved_ranges) override;
-  void attach_let_pieces(std::span<const LetPiece> pieces,
-                         const TreecodeParams& params,
-                         bool charges_only) override;
-  void refresh_let_positions(std::span<const LetPiece> pieces,
-                             const TreecodeParams& params) override;
-  std::span<const double> prepared_qhat() const override {
-    return host_.prepared_qhat();
-  }
-  std::vector<double> evaluate_potential(const SourcePlan& sources,
+  std::vector<double> evaluate_potential(std::span<const SourcePlan> sources,
                                          const TargetPlan& targets,
                                          const KernelSpec& kernel,
-                                         bool fresh_targets, RunStats& stats,
+                                         RunStats& stats,
                                          ExecContext* ctx) const override;
-  FieldResult evaluate_field(const SourcePlan& sources,
+  FieldResult evaluate_field(std::span<const SourcePlan> sources,
                              const TargetPlan& targets,
-                             const KernelSpec& kernel, bool fresh_targets,
-                             RunStats& stats,
+                             const KernelSpec& kernel, RunStats& stats,
                              ExecContext* ctx) const override;
   void mesh_far_field(const mesh::MeshPlan& plan, const TargetPlan& targets,
                       std::vector<double>& phi, FieldResult* field,
@@ -94,57 +79,54 @@ class GpuSimEngine final : public Engine {
   const gpusim::Device& device() const { return device_; }
 
  private:
+  /// Bring the device up to the plan versions of one evaluate call (source
+  /// pieces, then targets; see the file comment). Adds the modeled
+  /// preprocessing seconds to `precompute` and the host-side setup
+  /// particles to `host_particles`.
+  void stage(std::span<const SourcePlan> sources, const TargetPlan& targets,
+             double& precompute, std::size_t& host_particles) const;
   /// Model the two preprocessing kernels for every non-empty cluster of
-  /// `clusters` and the DtH of their modified charges; the modeled kernel
-  /// seconds are attributed to the next evaluation's precompute phase.
-  void model_precompute(const ClusterTree& tree,
-                        std::span<const std::size_t> clusters);
-  /// Model one restriction launch per coarse ladder level, each over
-  /// `clusters` clusters (the whole tree on prepare, the dirty set on
-  /// update).
-  void model_restrictions(std::size_t clusters);
+  /// `clusters` and the DtH of their modified charges, adding the modeled
+  /// kernel seconds to `precompute`.
+  void model_precompute(const SourcePlan& piece,
+                        std::span<const std::size_t> clusters,
+                        double& precompute) const;
+  /// Model one restriction launch per coarse level of the first `levels`
+  /// ladder levels (those the lists reference), each over `clusters`
+  /// clusters, adding each launch's modeled seconds to `precompute`.
+  void model_restrictions(const SourcePlan& piece, std::size_t levels,
+                          std::size_t clusters, double& precompute) const;
   /// Model the launches of one source piece's lists: CC/CP pairs and the
   /// downward pass (dual lists only), then the batch-cluster PC/direct
-  /// launches per target leaf. `levels` is the piece's moment ladder.
+  /// launches per target leaf.
   void model_lists(const TargetPlan& targets,
                    const DualInteractionLists& lists,
-                   const ClusterTree& source_tree,
-                   std::span<const ClusterMoments> levels, double weight,
-                   bool fp32) const;
-  void stage_piece_particles(const LetPiece& piece, bool charges_only);
+                   const SourcePlan& piece, double weight) const;
 
   // Deliberate `mutable` audit: evaluation is const under the Engine
   // re-entrancy contract, but a simulated device accumulates time/transfer
-  // counters and stages target data on first use — physically mutable state
-  // that is logically part of executing a read-only plan. Everything touched
-  // by evaluate_potential is marked mutable and serialized by `eval_mutex_`
-  // (one device executes one evaluation at a time — the "one rank per
-  // device" shape of the paper); all remaining members are written only by
-  // the non-const prepare/attach lifecycle calls.
+  // counters and uploads plan versions on first use — physically mutable
+  // state that is logically part of executing a read-only plan. Every
+  // member below the options is touched only under `eval_mutex_` (one
+  // device executes one evaluation at a time — the "one rank per device"
+  // shape of the paper).
   mutable std::mutex eval_mutex_;
 
   GpuOptions options_;
   CpuEngine host_;  ///< computes every number this engine returns
   mutable gpusim::Device device_;
 
-  // Residency bookkeeping: what the modeled device currently holds.
-  bool sources_staged_ = false;
-  std::size_t staged_sources_ = 0;   ///< resident source particles
-  std::size_t staged_clusters_ = 0;  ///< clusters of the resident tree
-  mutable bool targets_staged_ = false;
-  mutable std::size_t staged_targets_ = 0;
+  // Residency bookkeeping: the plan versions the modeled device holds
+  // (0 = nothing).
+  mutable std::uint64_t source_version_ = 0;
+  mutable std::uint64_t target_version_ = 0;
+  mutable std::vector<std::uint64_t> let_versions_;  ///< per LET piece
   /// Periodic boundaries: the plan's lattice shift table is uploaded once
   /// per engine lifetime (it depends only on the solver's domain/shell
   /// configuration). Its one upload is the entire device-footprint cost of
   /// periodic images — sources, grids, and modified charges are shared by
   /// every shift.
   mutable bool shift_table_staged_ = false;
-  std::vector<LetPiece> let_;  ///< resident LET pieces (caller-owned data)
-
-  // Phase accounting pending attribution to the next evaluation.
-  mutable double pending_modeled_precompute_ = 0.0;
-  mutable std::size_t pending_host_setup_particles_ = 0;
-
   /// Mesh-mode (kPeriodicMesh) device residency: version of the MeshPlan
   /// whose solved k-space grid was last staged/solved on the device. A
   /// version change models the full spread → FFT → Green multiply →

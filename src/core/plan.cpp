@@ -1,10 +1,13 @@
 #include "core/plan.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
+#include "core/chebyshev.hpp"
 #include "core/solver.hpp"
 #include "mesh/mesh.hpp"
 #include "util/failpoints.hpp"
@@ -135,48 +138,178 @@ void append_changed_ranges(
   }
 }
 
+/// A new version of `kind` on top of `current` (process-unique, so a device
+/// engine never mistakes one plan state's version for another's).
+PlanChange next_change(const PlanChange& current, PlanChange::Kind kind) {
+  static std::atomic<std::uint64_t> versions{0};
+  PlanChange next;
+  next.kind = kind;
+  next.base = current.version;
+  next.version = versions.fetch_add(1, std::memory_order_relaxed) + 1;
+  return next;
+}
+
+/// Refresh the coarse ladder levels of `clusters` from the nominal level;
+/// exact, so equal to restricting the whole level anew.
+void restrict_ladder(std::vector<ClusterMoments>& levels,
+                     std::span<const std::size_t> clusters) {
+  if (levels.size() < 2) return;
+  const std::size_t nd = clusters.size();
+#pragma omp parallel for schedule(dynamic)
+  for (std::size_t i = 0; i < nd; ++i) {
+    for (std::size_t l = 1; l < levels.size(); ++l) {
+      ClusterMoments::restrict_cluster(levels.front(),
+                                       static_cast<int>(clusters[i]),
+                                       levels[l]);
+    }
+  }
+}
+
+/// One changed tree-order slot's pre-update state (coordinates + charge).
+struct MovedSlot {
+  std::size_t slot = 0;
+  double x = 0.0;
+  double y = 0.0;
+  double z = 0.0;
+  double q = 0.0;
+};
+
+/// Bring the modified charges of `dirty` clusters up to date after an
+/// in-topology position update. The boxes (and hence grids) are unchanged,
+/// so only the dirty clusters' charges change — and a dirty path reaches the
+/// root, whose cluster holds every particle. To keep the update O(moved)
+/// rather than O(N), a cluster is patched by subtracting each moved
+/// particle's old Lagrange contribution and adding the new one (`before`
+/// holds the old values sorted by slot; with zero re-buckets a particle's
+/// containing clusters are exactly the nodes whose slot range covers it).
+/// A cluster is recomputed outright when `before` is empty (a re-bucket
+/// permuted the slots) or the patch volume approaches its size: the
+/// recompute is then no more expensive, and it resets the rounding drift
+/// that repeated subtract/add cycles accumulate (`delta_patched`).
+void patch_moments(const ClusterTree& tree, const OrderedParticles& sources,
+                   const TreecodeParams& params,
+                   std::span<const std::size_t> dirty,
+                   std::span<const MovedSlot> before,
+                   std::vector<std::size_t>& delta_patched,
+                   std::vector<ClusterMoments>& levels) {
+  ClusterMoments& moments = levels.front();
+  const std::vector<double> weights = chebyshev2_weights(params.degree);
+  const std::size_t nd = dirty.size();
+#pragma omp parallel for schedule(dynamic)
+  for (std::size_t i = 0; i < nd; ++i) {
+    const int ci = static_cast<int>(dirty[i]);
+    const ClusterNode& node = tree.node(ci);
+    const auto lo = std::lower_bound(
+        before.begin(), before.end(), node.begin,
+        [](const MovedSlot& s, std::size_t v) { return s.slot < v; });
+    const auto hi = std::lower_bound(
+        lo, before.end(), node.end,
+        [](const MovedSlot& s, std::size_t v) { return s.slot < v; });
+    const std::size_t patch = static_cast<std::size_t>(hi - lo);
+    std::size_t& patched = delta_patched[static_cast<std::size_t>(ci)];
+    if (patch == 0 || 2 * patch >= node.count() ||
+        patched + patch >= node.count()) {
+      patched = 0;
+      ClusterMoments::recompute_cluster(tree, sources,
+                                        params.moment_algorithm, ci, moments);
+      continue;
+    }
+    patched += patch;
+    const auto qhat = moments.qhat_mutable(ci);
+    for (auto it = lo; it != hi; ++it) {
+      ClusterMoments::accumulate_particle(
+          params.degree, moments.grid(ci, 0), moments.grid(ci, 1),
+          moments.grid(ci, 2), weights, it->x, it->y, it->z, -it->q, qhat);
+      ClusterMoments::accumulate_particle(
+          params.degree, moments.grid(ci, 0), moments.grid(ci, 1),
+          moments.grid(ci, 2), weights, sources.x[it->slot],
+          sources.y[it->slot], sources.z[it->slot], sources.q[it->slot],
+          qhat);
+    }
+  }
+  restrict_ladder(levels, dirty);
+}
+
 }  // namespace
+
+std::size_t traversal_ladder_levels(const TreecodeParams& params) {
+  return params.traversal == TraversalMode::kDual
+             ? dual_degree_ladder(params.degree).size()
+             : 1;
+}
 
 SourcePlanState SourcePlanState::build(const Cloud& sources,
                                        const TreecodeParams& params) {
   SourcePlanState state;
   state.particles = OrderedParticles::from_cloud(sources);
-  state.boundary = params.boundary;
-  state.domain = params.domain;
-  if (params.periodic()) wrap_particles(state.particles, state.domain);
+  state.params = params;
+  if (params.periodic()) wrap_particles(state.particles, params.domain);
   TreeParams tree_params;
   tree_params.max_leaf = params.max_leaf;
   tree_params.slack = params.position_slack;
   state.tree = ClusterTree::build(state.particles, tree_params);
+  state.held_particles = state.particles.size();
+  state.mark_changed(PlanChange::Kind::kRebuilt);
   return state;
 }
 
-bool SourcePlanState::matches(const Cloud& cloud) const {
-  return matches_impl(particles, boundary, domain, cloud);
+void SourcePlanState::build_moments(std::size_t levels) {
+  const std::vector<int> ladder = dual_degree_ladder(params.degree);
+  levels = std::clamp<std::size_t>(levels, 1, ladder.size());
+  moment_levels.clear();
+  moment_levels.reserve(levels);
+  moment_levels.push_back(ClusterMoments::compute(
+      tree, particles, params.degree, params.moment_algorithm));
+  for (std::size_t l = 1; l < levels; ++l) {
+    moment_levels.push_back(
+        ClusterMoments::restrict_from(tree, moment_levels.front(), ladder[l]));
+  }
+  delta_patched_.assign(tree.num_nodes(), 0);
 }
 
-void SourcePlanState::set_charges(std::span<const double> charges) {
+bool SourcePlanState::matches(const Cloud& cloud) const {
+  return matches_impl(particles, params.boundary, params.domain, cloud);
+}
+
+void SourcePlanState::mark_changed(PlanChange::Kind kind) {
+  change = next_change(change, kind);
+}
+
+void SourcePlanState::update_charges(std::span<const double> charges) {
   if (charges.size() != particles.size()) {
     throw std::invalid_argument(
-        "SourcePlanState::set_charges: charge count does not match the "
+        "SourcePlanState::update_charges: charge count does not match the "
         "sources");
   }
   for (std::size_t i = 0; i < particles.size(); ++i) {
     particles.q[i] = charges[particles.original_index[i]];
   }
+  if (!moment_levels.empty()) {
+    // The grids depend only on the tree geometry, so only the modified
+    // charges are recomputed, in place.
+    const std::size_t nc = tree.num_nodes();
+#pragma omp parallel for schedule(dynamic)
+    for (std::size_t c = 0; c < nc; ++c) {
+      ClusterMoments::recompute_cluster(tree, particles,
+                                        params.moment_algorithm,
+                                        static_cast<int>(c),
+                                        moment_levels.front());
+    }
+    std::vector<std::size_t> all(nc);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    restrict_ladder(moment_levels, all);
+  }
+  mark_changed(PlanChange::Kind::kCharges);
 }
 
-bool SourcePlanState::update_positions(const Cloud& sources,
-                                       const TreecodeParams& params,
-                                       PositionUpdate& out) {
-  (void)params;
-  out = PositionUpdate{};
+bool SourcePlanState::update_positions(const Cloud& sources) {
   const std::size_t n = particles.size();
   if (sources.size() != n) return false;
   if (n == 0) return true;
-  const bool periodic = boundary != BoundaryConditions::kOpen;
+  const bool periodic = params.periodic();
+  const Box3& domain = params.domain;
   const auto len = domain.lengths();
-
+  PlanChange out = next_change(change, PlanChange::Kind::kPositions);
   // Map every tree-order slot to its leaf.
   std::vector<int> leaf_of(n, -1);
   for (const int li : tree.leaf_indices()) {
@@ -227,7 +360,6 @@ bool SourcePlanState::update_positions(const Cloud& sources,
     if (pos_changed && !tree.node(home).box.contains(cx, cy, cz)) {
       const int dest = tree.locate_leaf(cx, cy, cz);
       if (dest < 0 || !tree.node(dest).box.contains(cx, cy, cz)) {
-        out = PositionUpdate{};
         return false;
       }
       escapes.push_back({i, dest});
@@ -235,7 +367,10 @@ bool SourcePlanState::update_positions(const Cloud& sources,
     }
   }
   out.rebucketed = escapes.size();
-  if (out.moved == 0) return true;
+  if (out.moved == 0) {
+    change = std::move(out);
+    return true;
+  }
 
   failpoint(failpoints::sites::kPlanIncrementalRebucket);
 
@@ -243,12 +378,13 @@ bool SourcePlanState::update_positions(const Cloud& sources,
   // the old slots, then apply the minimal in-range permutation that moves
   // escaped particles to their destination leaves while preserving the
   // slot order of everything else. The displaced values are recorded first
-  // (ascending slot order) so engines can patch moments by subtraction
+  // (ascending slot order) so the moments can be patched by subtraction
   // instead of recomputing root-path clusters.
-  out.before.reserve(out.moved);
+  std::vector<MovedSlot> before;
+  before.reserve(out.moved);
   for (std::size_t i = 0; i < n; ++i) {
     if (changed[i] == 0) continue;
-    out.before.push_back(
+    before.push_back(
         {i, particles.x[i], particles.y[i], particles.z[i], particles.q[i]});
     particles.x[i] = nx[i];
     particles.y[i] = ny[i];
@@ -293,7 +429,7 @@ bool SourcePlanState::update_positions(const Cloud& sources,
     tree.reassign_leaf_counts(counts);
     // Slot contents shifted: the recorded old values no longer address the
     // slots they describe, so the delta-moment shortcut is off the table.
-    out.before.clear();
+    before.clear();
     // A slot whose occupant changed under the permutation changed too.
     std::vector<unsigned char> after(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -306,6 +442,11 @@ bool SourcePlanState::update_positions(const Cloud& sources,
     if (dirty[c] != 0) out.dirty_clusters.push_back(c);
   }
   append_changed_ranges(changed, out.moved_ranges);
+  change = std::move(out);
+  if (!moment_levels.empty()) {
+    patch_moments(tree, particles, params, change.dirty_clusters, before,
+                  delta_patched_, moment_levels);
+  }
   return true;
 }
 
@@ -336,6 +477,7 @@ TargetPlanState TargetPlanState::plan(const Cloud& targets,
       state.grids.push_back(ClusterMoments::grids_only(state.tree, d));
     }
   }
+  state.change = next_change(state.change, PlanChange::Kind::kRebuilt);
   return state;
 }
 
@@ -377,9 +519,8 @@ bool TargetPlanState::matches(const Cloud& targets) const {
   return matches_impl(particles, boundary, domain, targets);
 }
 
-bool TargetPlanState::update_positions_self(
-    const Cloud& targets, bool source_rebucketed,
-    std::vector<std::pair<std::size_t, std::size_t>>& moved_ranges) {
+bool TargetPlanState::update_positions_self(const Cloud& targets,
+                                            bool source_rebucketed) {
   const std::size_t n = particles.size();
   if (targets.size() != n) return false;
   // Symmetric self lists rely on the source and target trees being the
@@ -431,13 +572,15 @@ bool TargetPlanState::update_positions_self(
   // Phase 2, mutation: in-place coordinate rewrite; the trees,
   // grids, and lists all stay valid because every target remains inside
   // the fat geometry the lists were built over.
+  PlanChange out = next_change(change, PlanChange::Kind::kPositions);
   for (std::size_t i = 0; i < n; ++i) {
     if (changed[i] == 0) continue;
     particles.x[i] = nx[i];
     particles.y[i] = ny[i];
     particles.z[i] = nz[i];
   }
-  append_changed_ranges(changed, moved_ranges);
+  append_changed_ranges(changed, out.moved_ranges);
+  change = std::move(out);
   return true;
 }
 

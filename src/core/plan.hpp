@@ -11,14 +11,18 @@
 //     rank plus one locally-essential remote piece per peer rank, re-listing
 //     the same target leaves against every piece's tree.
 //
-// `SourcePlanState` / `TargetPlanState` own the storage; the `SourcePlan` /
+// `SourcePlanState` / `TargetPlanState` own the storage — the source state
+// includes the modified charges, so every handle shares one moment build,
+// one charge refresh and one incremental position patch. The `SourcePlan` /
 // `TargetPlan` structs are non-owning views handed to the engines for the
-// duration of a call (engines may stash them only when the owner guarantees
-// the storage outlives the engine's use, as the distributed LET does).
+// duration of a call; engines keep nothing of a plan between calls but the
+// version a device engine last uploaded (`PlanChange`).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/interaction_lists.hpp"
@@ -116,28 +120,51 @@ struct TreecodeParams {
   void validate() const;
 };
 
-/// Source side of a plan: tree-ordered particles plus their cluster tree.
-/// Views into plan-state-owned storage; valid for the duration of a call.
-/// `moments` is null for an engine-owned piece (the engine computes and
-/// caches the modified charges itself) and non-null for a distributed LET
-/// piece whose modified charges were fetched over the network and assembled
-/// by the caller.
+struct SourcePlanState;
+
+/// Residency key of one plan state: a process-unique version per mutation,
+/// and what changed relative to the version before it. A device engine that
+/// holds `base` uploads just that delta; one holding anything else (or
+/// nothing) uploads the whole plan.
+struct PlanChange {
+  enum class Kind : std::uint8_t {
+    kRebuilt,    ///< new plan: nothing carries over
+    kCharges,    ///< charges and modified charges rewritten in place
+    kPositions,  ///< in-topology position update (fields below)
+  };
+  Kind kind = Kind::kRebuilt;
+  std::uint64_t version = 0;
+  std::uint64_t base = 0;  ///< the version a kCharges/kPositions change patches
+
+  // kPositions only.
+  /// Coalesced tree-order slot ranges [begin, end) whose stored particle
+  /// data (coordinates, charge, or slot contents after re-bucketing)
+  /// changed. Device engines re-stage exactly these ranges.
+  std::vector<std::pair<std::size_t, std::size_t>> moved_ranges;
+  // Source plans only.
+  std::size_t moved = 0;       ///< particles whose stored data changed
+  std::size_t rebucketed = 0;  ///< moved particles that changed leaves
+  /// Node indices (ascending) whose particle set or particle data changed:
+  /// the leaf-to-root paths of every moved particle's old and new leaf.
+  /// Exactly these clusters' modified charges were patched (boxes and
+  /// grids are unchanged by construction).
+  std::vector<std::size_t> dirty_clusters;
+};
+
+/// Source side of a plan as one evaluate call sees it: a plan state and the
+/// moment ladder its pairs' levels index. A non-owning view, valid for the
+/// duration of the call.
 struct SourcePlan {
-  const OrderedParticles* particles = nullptr;
-  const ClusterTree* tree = nullptr;
-  const ClusterMoments* moments = nullptr;
-  /// Caller-owned moment ladder (the serving layer's cached plans) that the
-  /// pairs' levels index: [0] is the executed degree — the nominal one, or
-  /// a degraded serve tier's — and lower degrees its exact restrictions.
-  /// Empty for engine-owned pieces (the engine uses the ladder it computed
-  /// in prepare_sources) and for LET pieces (their one level is `moments`).
+  const SourcePlanState* plan = nullptr;
+  /// [0] is the executed degree — the nominal one, or a degraded serve
+  /// tier's — and lower degrees its exact restrictions.
   std::span<const ClusterMoments> moment_levels;
   /// Whether interactions tagged fp32-eligible run the fp32 tiles for this
   /// piece (they narrow its fp64 sources while staging them). True for a
-  /// plan state's `view()`: the engine-owned piece, and a cached plan at
-  /// its nominal tier. False for every other piece: a degraded serve tier
-  /// executes a deeper ladder level than the tags were proved against, and
-  /// distributed LET pieces stay all-fp64.
+  /// plan state's `view()`: a solver's own piece, and a cached plan at its
+  /// nominal tier. False for a degraded serve tier, which executes a deeper
+  /// ladder level than the tags were proved against, and for distributed
+  /// LET pieces, which stay all-fp64.
   bool fp32 = false;
 };
 
@@ -157,62 +184,61 @@ struct TargetPlan {
   /// null under open boundaries). Owned by the target plan state; one table
   /// is shared by every list of the plan.
   const ShiftTable* shifts = nullptr;
+  /// The owning state's residency key; null for an ad-hoc view that no
+  /// state owns (a device engine then stages it on every call).
+  const PlanChange* change = nullptr;
 };
 
-/// One changed tree-order slot's pre-update state (coordinates + charge).
-struct MovedSlot {
-  std::size_t slot = 0;
-  double x = 0.0;
-  double y = 0.0;
-  double z = 0.0;
-  double q = 0.0;
-};
-
-/// What one incremental `SourcePlanState::update_positions` changed —
-/// everything downstream consumers need to do proportional work: dirty
-/// clusters for the moment rebuild, moved tree-order slot ranges for
-/// partial device restage.
-struct PositionUpdate {
-  std::size_t moved = 0;        ///< particles whose stored data changed
-  std::size_t rebucketed = 0;   ///< moved particles that changed leaves
-  /// Node indices (ascending) whose particle set or particle data changed:
-  /// the leaf-to-root paths of every moved particle's old and new leaf.
-  /// Moments must be recomputed for exactly these clusters (boxes and
-  /// grids are unchanged by construction).
-  std::vector<std::size_t> dirty_clusters;
-  /// Coalesced tree-order slot ranges [begin, end) whose stored particle
-  /// data (coordinates, charge, or slot contents after re-bucketing)
-  /// changed. Device engines re-stage exactly these ranges.
-  std::vector<std::pair<std::size_t, std::size_t>> moved_ranges;
-  /// The previous stored values of every changed slot, recorded before the
-  /// in-place overwrite and sorted by slot. This is what makes a truly
-  /// O(moved) moment patch possible: subtract the old Lagrange contribution,
-  /// add the new one, instead of recomputing whole root-path clusters.
-  /// Empty whenever `rebucketed > 0` — a re-bucket permutes slot contents,
-  /// so engines must recompute the dirty clusters outright.
-  std::vector<MovedSlot> before;
-};
+/// Ladder levels the configured traversal's lists reference: the whole
+/// dual_degree_ladder under the dual traversal, the nominal degree alone
+/// under the batched one.
+std::size_t traversal_ladder_levels(const TreecodeParams& params);
 
 /// Owning storage behind `SourcePlan`: the source half of the paper's setup
-/// phase (tree-order permutation + cluster tree).
+/// phase (tree-order permutation + cluster tree) and its precompute phase
+/// (the modified charges at every ladder degree the plan serves). Every
+/// holder of source state — Solver, each DistSolver rank and its LET
+/// pieces, and the serving layer's cached plans — builds and mutates it
+/// through these members; engines only read it.
 struct SourcePlanState {
   OrderedParticles particles;
   ClusterTree tree;
-  /// Boundary handling the plan was built with: under kPeriodic the stored
-  /// particles are wrapped into `domain`, and `matches` wraps incoming
-  /// coordinates before comparing (so a cloud translated by a lattice
-  /// vector matches the cached plan whenever the translation was exact).
-  BoundaryConditions boundary = BoundaryConditions::kOpen;
-  Box3 domain{};
+  /// The parameters the plan was built with. Under periodic boundaries the
+  /// stored particles are wrapped into `params.domain`, and `matches` wraps
+  /// incoming coordinates before comparing (so a cloud translated by a
+  /// lattice vector matches the cached plan whenever the translation was
+  /// exact); the moment degree and algorithm and the precision policy come
+  /// from here too.
+  TreecodeParams params;
+  /// Modified charges per ladder degree: [0] at the nominal degree, then
+  /// exact restrictions of it (ClusterMoments::restrict_from). Empty until
+  /// `build_moments`. The [0] charges keep their address across
+  /// `update_charges` and `update_positions` (the distributed path exposes
+  /// them through an RMA window).
+  std::vector<ClusterMoments> moment_levels;
+  /// Particles holding real data: all of them for a built plan. A
+  /// distributed LET piece holds only its fetched direct-interaction ranges;
+  /// its other slots are zero placeholders no list references, and device
+  /// engines upload only the fetched ones.
+  std::size_t held_particles = 0;
+  PlanChange change;  ///< this state's residency key
 
-  /// Build the tree-ordered particle set and its cluster tree.
+  /// Build the tree-ordered particle set and its cluster tree (no moments).
   static SourcePlanState build(const Cloud& sources,
                                const TreecodeParams& params);
 
-  /// Rewrite the charges in place (caller order, one per source) without
-  /// touching the tree. Storage addresses are preserved, so RMA windows
-  /// exposing `particles.q` stay valid.
-  void set_charges(std::span<const double> charges);
+  /// Compute the modified charges: the nominal degree plus the next
+  /// `levels - 1` rungs of its degree ladder (clamped to the ladder).
+  /// Solvers pass their traversal's length (traversal_ladder_levels); the
+  /// serving layer's cached plans pass the whole ladder, whose deeper levels
+  /// are its degraded tiers.
+  void build_moments(std::size_t levels);
+
+  /// Rewrite the charges in place (caller order, one per source) and
+  /// recompute every ladder level's modified charges in place, grids kept.
+  /// Storage addresses are preserved, so RMA windows exposing `particles.q`
+  /// and `moment_levels[0]` stay valid.
+  void update_charges(std::span<const double> charges);
 
   /// Whether this plan was built over exactly these coordinates (charges
   /// may differ). Used to detect targets == sources for the dual
@@ -228,14 +254,31 @@ struct SourcePlanState {
   /// untouched — when any particle cannot be re-bucketed (it left the
   /// root's fat box, its destination leaf's fat box does not contain it,
   /// or the descent crosses a degenerate split); callers then fall back
-  /// to a full rebuild. On success, `out` describes the delta. Trips
-  /// failpoint `plan.incremental_rebucket` before mutating anything.
-  bool update_positions(const Cloud& sources, const TreecodeParams& params,
-                        PositionUpdate& out);
+  /// to a full rebuild. On success `change` describes the delta, and the
+  /// moments of the dirty clusters are patched in O(moved): each moved
+  /// particle's old Lagrange contribution is subtracted and the new one
+  /// added, unless a re-bucket permuted the slots or the cluster's patch
+  /// volume approaches its size, in which case the cluster is recomputed
+  /// outright. Trips failpoint `plan.incremental_rebucket` before mutating
+  /// anything.
+  bool update_positions(const Cloud& sources);
+
+  /// Record an in-place change made by the holder (a LET piece whose
+  /// fetched data was refreshed): a new version of `kind` on top of the
+  /// current one.
+  void mark_changed(PlanChange::Kind kind);
 
   std::size_t size() const { return particles.size(); }
   /// The piece at its nominal degree, fp32 tags honoured.
-  SourcePlan view() const { return {&particles, &tree, nullptr, {}, true}; }
+  SourcePlan view() const { return {this, moment_levels, true}; }
+
+ private:
+  /// Per-cluster count of particles patched into the moments by delta
+  /// updates since the last full recompute of that cluster. Once it
+  /// approaches the cluster's size the cluster is recomputed outright,
+  /// keeping the rounding drift of repeated subtract/add cycles bounded
+  /// without giving up the amortized-O(moved) update cost.
+  std::vector<std::size_t> delta_patched_;
 };
 
 /// Owning storage behind `TargetPlan`: the target tree plus the interaction
@@ -257,6 +300,7 @@ struct TargetPlanState {
   ClusterTree tree;
   std::vector<ClusterMoments> grids;
   std::vector<DualInteractionLists> lists;  ///< one per source piece
+  PlanChange change;  ///< this state's residency key
 
   /// Tree-order the targets and build their tree (no lists yet).
   static TargetPlanState plan(const Cloud& targets,
@@ -283,11 +327,8 @@ struct TargetPlanState {
   /// additionally dies whenever the source side re-bucketed (they rely on
   /// identical source/target trees). Returns false — state untouched — when
   /// the plan cannot be preserved; the caller then invalidates the target
-  /// plan. On success appends the changed tree-order slot ranges (target
-  /// ordering) to `moved_ranges`.
-  bool update_positions_self(const Cloud& targets, bool source_rebucketed,
-                             std::vector<std::pair<std::size_t, std::size_t>>&
-                                 moved_ranges);
+  /// plan. On success `change` records the moved slots.
+  bool update_positions_self(const Cloud& targets, bool source_rebucketed);
 
   /// Add the plan's structure counts — batches (non-empty target leaves),
   /// interaction pairs per class, and precision demotions, summed over
@@ -301,6 +342,7 @@ struct TargetPlanState {
     plan.grids = grids;
     plan.lists = lists;
     if (boundary != BoundaryConditions::kOpen) plan.shifts = &shifts;
+    plan.change = &change;
     return plan;
   }
 };

@@ -41,8 +41,7 @@ void Solver::plan_sources(const Cloud& sources) {
   pending_.setup_seconds += timer.seconds();
 
   timer.reset();
-  engine_->prepare_sources(source_.view(), config_.params,
-                           /*charges_only=*/false);
+  source_.build_moments(traversal_ladder_levels(config_.params));
   pending_.precompute_seconds += timer.seconds();
 }
 
@@ -80,9 +79,7 @@ void Solver::update_charges(std::span<const double> charges) {
   if (source_.size() == 0) return;
   // Charges arrive in caller order; the plan stores tree order.
   WallTimer timer;
-  source_.set_charges(charges);
-  engine_->prepare_sources(source_.view(), config_.params,
-                           /*charges_only=*/true);
+  source_.update_charges(charges);
   if (mesh_ != nullptr) {
     WallTimer mesh_timer;
     mesh_->update_charges(source_.particles);
@@ -104,37 +101,22 @@ void Solver::update_positions(const Cloud& sources) {
   }
   require_finite(sources, "Solver::update_positions");
   WallTimer timer;
-  PositionUpdate update;
   bool patched = false;
   try {
-    patched = source_.update_positions(sources, config_.params, update);
+    patched = source_.update_positions(sources);
   } catch (const TransientError&) {
     // Failpoint fired before any mutation; the plan is intact but the new
     // positions were not applied — fall through to the full rebuild.
     patched = false;
   }
-  // A rejected attempt is setup work too: it lands on the next evaluation
-  // ahead of the full re-plan's own cost.
-  pending_.setup_seconds += timer.seconds();
   if (!patched) {
+    // A rejected attempt is setup work too: it lands on the next evaluation
+    // ahead of the full re-plan's own cost.
+    pending_.setup_seconds += timer.seconds();
     set_sources(sources);
     return;
   }
-
-  timer.reset();
-  SourceUpdate delta;
-  delta.dirty_clusters = update.dirty_clusters;
-  delta.moved_ranges = update.moved_ranges;
-  delta.before = update.before;
-  try {
-    engine_->update_sources(source_.view(), config_.params, delta);
-  } catch (const TransientError&) {
-    // The host plan already holds the new positions; a full re-plan from the
-    // caller's cloud restores engine coherence from scratch.
-    pending_.precompute_seconds += timer.seconds();
-    set_sources(sources);
-    return;
-  }
+  const PlanChange& update = source_.change;
   if (mesh_ != nullptr) {
     // O(moved) grid patch: only the moved tree-order ranges re-spread (the
     // k-space re-solve happens lazily at the next evaluation).
@@ -142,6 +124,7 @@ void Solver::update_positions(const Cloud& sources) {
     mesh_->update_positions(source_.particles, update.moved_ranges);
     pending_.mesh_spread_seconds += mesh_timer.seconds();
   }
+  // The in-place particle and moment patch is the update's precompute.
   pending_.precompute_seconds += timer.seconds();
 
   pending_.incremental_update = true;
@@ -165,19 +148,8 @@ void Solver::update_positions(const Cloud& sources) {
   // self mode (it requires bitwise tree identity), in which case the next
   // evaluate re-plans the targets.
   timer.reset();
-  std::vector<std::pair<std::size_t, std::size_t>> target_moved;
-  bool kept = targets_.update_positions_self(
-      sources, update.rebucketed > 0, target_moved);
-  if (kept) {
-    try {
-      engine_->update_targets(targets_.view(), target_moved);
-    } catch (const TransientError&) {
-      // Host-side target plan is consistent but the staged device targets
-      // are in an unknown state; drop the cache so the next evaluate
-      // restages.
-      kept = false;
-    }
-  }
+  const bool kept =
+      targets_.update_positions_self(sources, update.rebucketed > 0);
   pending_.setup_seconds += timer.seconds();
   if (!kept) {
     targets_valid_ = false;
@@ -209,8 +181,7 @@ void Solver::plan_targets(const Cloud& targets) {
   targets_follow_sources_ = follows;
 }
 
-bool Solver::begin_evaluation(const Cloud& targets, RunStats& stats,
-                              bool& fresh_targets) {
+bool Solver::begin_evaluation(const Cloud& targets, RunStats& stats) {
   if (!have_sources_) {
     throw std::logic_error("Solver::evaluate: call set_sources first");
   }
@@ -219,8 +190,7 @@ bool Solver::begin_evaluation(const Cloud& targets, RunStats& stats,
     return false;
   }
   WallTimer timer;
-  fresh_targets = !(targets_valid_ && targets_.matches(targets));
-  if (fresh_targets) plan_targets(targets);
+  if (!(targets_valid_ && targets_.matches(targets))) plan_targets(targets);
   pending_.setup_seconds += timer.seconds();
   if (mesh_ != nullptr && !mesh_->solved()) {
     timer.reset();
@@ -229,12 +199,15 @@ bool Solver::begin_evaluation(const Cloud& targets, RunStats& stats,
     pending_.fft_seconds += solve_seconds;
     pending_.precompute_seconds += solve_seconds;
   }
-  stats = std::exchange(pending_, RunStats{});
+  // A copy: the pending costs move over only once the engine call
+  // succeeds (finish_evaluation), so a failed call can be retried.
+  stats = pending_;
   if (mesh_ != nullptr) stats.mesh_points = mesh_->grid_points();
   return true;
 }
 
-void Solver::finish_stats(RunStats& stats) const {
+void Solver::finish_evaluation(RunStats& stats) {
+  pending_ = RunStats{};
   stats.num_clusters = source_.tree.num_nodes();
   stats.num_leaves = source_.tree.num_leaves();
   targets_.add_counts(stats);
@@ -242,8 +215,7 @@ void Solver::finish_stats(RunStats& stats) const {
 
 std::vector<double> Solver::evaluate(const Cloud& targets, RunStats* stats) {
   RunStats local;
-  bool fresh_targets = false;
-  if (!begin_evaluation(targets, local, fresh_targets)) {
+  if (!begin_evaluation(targets, local)) {
     if (stats != nullptr) *stats = local;
     return std::vector<double>(targets.size(), 0.0);
   }
@@ -253,16 +225,15 @@ std::vector<double> Solver::evaluate(const Cloud& targets, RunStats* stats) {
   const KernelSpec exec_kernel = config_.params.mesh()
                                      ? mesh::mesh_near_kernel(config_.params)
                                      : config_.kernel;
-  std::vector<double> phi_tree_order =
-      engine_->evaluate_potential(source_.view(), targets_.view(),
-                                  exec_kernel, fresh_targets, local,
-                                  exec_.get());
+  const SourcePlan source = source_.view();
+  std::vector<double> phi_tree_order = engine_->evaluate_potential(
+      {&source, 1}, targets_.view(), exec_kernel, local, exec_.get());
   if (mesh_ != nullptr) {
     engine_->mesh_far_field(*mesh_, targets_.view(), phi_tree_order, nullptr,
                             local);
   }
   local.compute_seconds = timer.seconds();
-  finish_stats(local);
+  finish_evaluation(local);
   if (stats != nullptr) *stats = local;
   return targets_.particles.scatter_to_original(phi_tree_order);
 }
@@ -276,8 +247,7 @@ FieldResult Solver::evaluate_field(const Cloud& targets, RunStats* stats) {
         "Backend::kCpu");
   }
   RunStats local;
-  bool fresh_targets = false;
-  if (!begin_evaluation(targets, local, fresh_targets)) {
+  if (!begin_evaluation(targets, local)) {
     if (stats != nullptr) *stats = local;
     FieldResult out;
     out.phi.assign(targets.size(), 0.0);
@@ -290,16 +260,16 @@ FieldResult Solver::evaluate_field(const Cloud& targets, RunStats* stats) {
   const KernelSpec exec_kernel = config_.params.mesh()
                                      ? mesh::mesh_near_kernel(config_.params)
                                      : config_.kernel;
+  const SourcePlan source = source_.view();
   FieldResult tree_order = engine_->evaluate_field(
-      source_.view(), targets_.view(), exec_kernel, fresh_targets, local,
-      exec_.get());
+      {&source, 1}, targets_.view(), exec_kernel, local, exec_.get());
   if (mesh_ != nullptr) {
     std::vector<double> unused;
     engine_->mesh_far_field(*mesh_, targets_.view(), unused, &tree_order,
                             local);
   }
   local.compute_seconds = timer.seconds();
-  finish_stats(local);
+  finish_evaluation(local);
   if (stats != nullptr) *stats = local;
   FieldResult out;
   out.phi = targets_.particles.scatter_to_original(tree_order.phi);

@@ -14,9 +14,9 @@
 //   solver.update_positions(moved_cloud);   // amortized-O(moved) with
 //                                           // position_slack > 0, else full
 //
-// Behind the handle a polymorphic Engine (core/engine.hpp) owns all
-// backend-specific state: the simulated-GPU engine keeps sources and
-// cluster data device-resident across evaluate() calls, so a repeat
+// The handle owns the plan (core/plan.hpp), modified charges included; a
+// polymorphic Engine (core/engine.hpp) only executes it. The simulated-GPU
+// engine remembers which plan version its device holds, so a repeat
 // evaluation transfers nothing but results. Field (force) evaluation shares
 // the same plan through `evaluate_field`.
 //
@@ -196,8 +196,8 @@ class Solver {
   bool has_sources() const { return have_sources_; }
   std::size_t num_sources() const { return source_.size(); }
 
-  /// Build the source-side plan: cluster tree over `sources` plus the
-  /// engine's modified charges (device-resident data on device engines).
+  /// Build the source-side plan: cluster tree over `sources` plus its
+  /// modified charges.
   /// Invalidates any cached target plan: interaction lists depend on the
   /// source tree, so the next evaluate() re-plans its targets in full.
   void set_sources(const Cloud& sources);
@@ -234,11 +234,13 @@ class Solver {
   void plan_sources(const Cloud& sources);
   void plan_targets(const Cloud& targets);
   /// Shared front half of evaluate/evaluate_field: empty handling, target
-  /// planning, the lazy mesh solve, and taking over `pending_`. Returns
-  /// false when the result is trivially zero (stats already written).
-  bool begin_evaluation(const Cloud& targets, RunStats& stats,
-                        bool& fresh_targets);
-  void finish_stats(RunStats& stats) const;
+  /// planning, the lazy mesh solve, and copying `pending_` into `stats`.
+  /// Returns false when the result is trivially zero (stats already
+  /// written).
+  bool begin_evaluation(const Cloud& targets, RunStats& stats);
+  /// Shared back half, after the engine calls succeeded: clear `pending_`
+  /// (the evaluation took its costs over) and fill the structure counts.
+  void finish_evaluation(RunStats& stats);
 
   SolverConfig config_;
   std::unique_ptr<Engine> engine_;

@@ -35,24 +35,34 @@ struct DistSolver::RankState {
   SourcePlanState source;
   TargetPlanState targets;
 
-  /// One remote rank's LET slice: the remote tree, grids recomputed locally
-  /// from its boxes, fetched modified charges, and fetched particle ranges
-  /// (unfetched slots stay zero and are never referenced by the lists).
+  /// One remote rank's LET slice, a source plan of its own: the remote
+  /// tree, grids recomputed locally from its boxes with the fetched
+  /// modified charges (its one ladder level), and the fetched particle
+  /// ranges (unfetched slots stay zero and are never referenced by the
+  /// lists; `plan.held_particles` counts the fetched ones).
   struct Remote {
     int rank = -1;
-    ClusterTree tree;
-    ClusterMoments moments;
-    OrderedParticles particles;
+    SourcePlanState plan;
     std::vector<int> approx_nodes;  ///< MAC-accepted clusters (charge fetch)
     std::vector<std::pair<std::size_t, std::size_t>> ranges;  ///< direct fetch
-    std::size_t fetched_particles = 0;
     std::size_t clusters_in_let = 0;
+
+    /// Fetch the modified charges of the MAC-accepted clusters through
+    /// `qhat_win` into the piece's ladder level; returns the bytes pulled.
+    std::size_t fetch_qhat(simmpi::Window<double>& qhat_win) {
+      ClusterMoments& moments = plan.moment_levels.front();
+      const std::size_t ppc = moments.points_per_cluster();
+      for (const int ci : approx_nodes) {
+        qhat_win.get(rank, static_cast<std::size_t>(ci) * ppc,
+                     moments.qhat_mutable(ci));
+      }
+      return approx_nodes.size() * ppc * sizeof(double);
+    }
   };
   std::vector<Remote> remotes;
-  std::vector<LetPiece> pieces;  ///< views into `remotes`, piece order
 
-  // RMA window exposures. The vectors (and the engine's qhat / the source
-  // plan's charge array) must stay alive and in place while windows live.
+  // RMA window exposures. The vectors (and the source plan's modified and
+  // raw charge arrays) must stay alive and in place while windows live.
   std::vector<double> tree_blob;
   std::vector<double> coords;  ///< tree-order x y z interleaved
   std::unique_ptr<simmpi::Window<double>> tree_win, qhat_win, coord_win,
@@ -69,12 +79,24 @@ struct DistSolver::RankState {
   std::size_t reported_bytes = 0;
 
   /// Collective window teardown (must run on this rank's thread so the
-  /// destructor barriers pair across ranks), then drop the LET views.
+  /// destructor barriers pair across ranks).
   void release_windows() {
     charge_win.reset();
     coord_win.reset();
     qhat_win.reset();
     tree_win.reset();
+  }
+
+  /// The evaluate call's source pieces: the local plan, then the LET pieces
+  /// in rank order, all-fp64.
+  std::vector<SourcePlan> pieces() const {
+    std::vector<SourcePlan> out{source.view()};
+    for (const Remote& rem : remotes) {
+      SourcePlan piece = rem.plan.view();
+      piece.fp32 = false;
+      out.push_back(piece);
+    }
+    return out;
   }
 };
 
@@ -156,7 +178,6 @@ DistSolver& DistSolver::operator=(DistSolver&& other) noexcept {
     team_ = std::move(other.team_);
     ranks_ = std::move(other.ranks_);
     have_sources_ = other.have_sources_;
-    targets_fresh_ = other.targets_fresh_;
     num_sources_ = other.num_sources_;
   }
   return *this;
@@ -169,11 +190,7 @@ void DistSolver::release_plan() {
   team_->run([&](simmpi::Comm& comm) {
     RankState& s = *ranks_[static_cast<std::size_t>(comm.rank())];
     s.release_windows();
-    // Detach before the views into `remotes` dangle.
-    s.engine->attach_let_pieces({}, config_.params.treecode,
-                                /*charges_only=*/false);
     s.remotes.clear();
-    s.pieces.clear();
   });
 }
 
@@ -208,10 +225,9 @@ void DistSolver::plan(const Cloud& cloud) {
     s.pending.tree_builds += 1;
     s.pending.setup_seconds += timer.seconds();
 
-    // ---- Local precompute: modified charges for every local cluster
-    // (device-resident on the GpuSim backend).
+    // ---- Local precompute: modified charges for every local cluster.
     timer.reset();
-    s.engine->prepare_sources(s.source.view(), tc, /*charges_only=*/false);
+    s.source.build_moments(traversal_ladder_levels(tc));
     s.pending.precompute_seconds += timer.seconds();
 
     // ---- Exposure: serialize the local tree and expose tree blob,
@@ -229,29 +245,24 @@ void DistSolver::plan(const Cloud& cloud) {
     }
     s.tree_win = std::make_unique<simmpi::Window<double>>(
         comm, std::span<double>(s.tree_blob));
-    // The engine owns the local modified charges; the window exposure is
-    // read-only by protocol (remote ranks only get), hence the const_cast.
-    const std::span<const double> qhat = s.engine->prepared_qhat();
     s.qhat_win = std::make_unique<simmpi::Window<double>>(
-        comm,
-        std::span<double>(const_cast<double*>(qhat.data()), qhat.size()));
+        comm, s.source.moment_levels.front().all_qhat_mutable());
     s.coord_win = std::make_unique<simmpi::Window<double>>(
         comm, std::span<double>(s.coords));
     s.charge_win = std::make_unique<simmpi::Window<double>>(
-        comm, std::span<double>(
-                  const_cast<double*>(s.source.particles.q.data()),
-                  s.source.particles.q.size()));
+        comm, std::span<double>(s.source.particles.q));
 
     // ---- LET construction: pull each remote tree, traverse it with the
     // local batches, and fetch only what the traversal needs.
     s.remotes.clear();
-    s.pieces.clear();
     s.let_charge_bytes = 0;
     s.remotes.reserve(static_cast<std::size_t>(nranks) - 1);
     for (int r = 0; r < nranks; ++r) {
       if (r == rank) continue;
       RankState::Remote rem;
       rem.rank = r;
+      SourcePlanState& piece = rem.plan;
+      piece.params = tc;
 
       std::vector<double> head(1);
       s.tree_win->get(r, 0, head);
@@ -259,10 +270,10 @@ void DistSolver::plan(const Cloud& cloud) {
       std::vector<double> rblob(1 + rnodes * kNodeRecordSize);
       rblob[0] = head[0];
       s.tree_win->get(r, 1, std::span<double>(rblob).subspan(1));
-      rem.tree = deserialize_tree(rblob);
+      piece.tree = deserialize_tree(rblob);
 
-      const std::size_t piece = s.targets.append_lists(rem.tree, tc);
-      const DualInteractionLists& rlists = s.targets.lists[piece];
+      const std::size_t index = s.targets.append_lists(piece.tree, tc);
+      const DualInteractionLists& rlists = s.targets.lists[index];
 
       rem.approx_nodes = collect_unique_nodes(rlists, DualKind::kPC);
       const std::vector<int> direct_nodes =
@@ -271,57 +282,42 @@ void DistSolver::plan(const Cloud& cloud) {
 
       // Grids are geometry-determined: recompute locally from the remote
       // boxes; only the modified charges cross the network.
-      rem.moments = ClusterMoments::grids_only(rem.tree, tc.degree);
-      for (const int ci : rem.approx_nodes) {
-        s.qhat_win->get(r,
-                        static_cast<std::size_t>(ci) *
-                            rem.moments.points_per_cluster(),
-                        rem.moments.qhat_mutable(ci));
-        s.let_charge_bytes +=
-            rem.moments.points_per_cluster() * sizeof(double);
-      }
+      piece.moment_levels.push_back(
+          ClusterMoments::grids_only(piece.tree, tc.degree));
+      s.let_charge_bytes += rem.fetch_qhat(*s.qhat_win);
 
       // Remote particles for direct interactions: coalesced tree-order
       // ranges. Unfetched slots stay zero and are never indexed.
-      const std::size_t rcount = rem.tree.node(rem.tree.root()).end;
-      rem.particles.x.assign(rcount, 0.0);
-      rem.particles.y.assign(rcount, 0.0);
-      rem.particles.z.assign(rcount, 0.0);
-      rem.particles.q.assign(rcount, 0.0);
-      rem.ranges = merge_node_ranges(rem.tree, direct_nodes);
+      const std::size_t rcount = piece.tree.node(piece.tree.root()).end;
+      piece.particles.x.assign(rcount, 0.0);
+      piece.particles.y.assign(rcount, 0.0);
+      piece.particles.z.assign(rcount, 0.0);
+      piece.particles.q.assign(rcount, 0.0);
+      rem.ranges = merge_node_ranges(piece.tree, direct_nodes);
       std::vector<double> buf;
       for (const auto& range : rem.ranges) {
         const std::size_t count = range.second - range.first;
         buf.resize(3 * count);
         s.coord_win->get(r, 3 * range.first, buf);
         for (std::size_t i = 0; i < count; ++i) {
-          rem.particles.x[range.first + i] = buf[3 * i + 0];
-          rem.particles.y[range.first + i] = buf[3 * i + 1];
-          rem.particles.z[range.first + i] = buf[3 * i + 2];
+          piece.particles.x[range.first + i] = buf[3 * i + 0];
+          piece.particles.y[range.first + i] = buf[3 * i + 1];
+          piece.particles.z[range.first + i] = buf[3 * i + 2];
         }
         s.charge_win->get(
             r, range.first,
-            std::span<double>(rem.particles.q.data() + range.first, count));
+            std::span<double>(piece.particles.q.data() + range.first, count));
         s.let_charge_bytes += count * sizeof(double);
-        rem.fetched_particles += count;
+        piece.held_particles += count;
       }
+      piece.mark_changed(PlanChange::Kind::kRebuilt);
       s.remotes.push_back(std::move(rem));
     }
-
-    // Pieces view the remotes; build only once the vector is final so the
-    // addresses are stable until the next full plan.
-    for (const RankState::Remote& rem : s.remotes) {
-      s.pieces.push_back(LetPiece{
-          SourcePlan{&rem.particles, &rem.tree, &rem.moments},
-          rem.fetched_particles});
-    }
-    s.engine->attach_let_pieces(s.pieces, tc, /*charges_only=*/false);
     s.pending.setup_seconds += timer.seconds();
 
     // Exposures must stay readable until every rank finished fetching.
     comm.barrier();
   });
-  targets_fresh_ = true;
 }
 
 void DistSolver::set_sources(const Cloud& cloud) {
@@ -342,7 +338,6 @@ void DistSolver::update_charges(std::span<const double> charges) {
         "sources");
   }
   if (num_sources_ == 0) return;
-  const TreecodeParams& tc = config_.params.treecode;
 
   team_->run([&](simmpi::Comm& comm) {
     RankState& s = *ranks_[static_cast<std::size_t>(comm.rank())];
@@ -355,8 +350,7 @@ void DistSolver::update_charges(std::span<const double> charges) {
     for (std::size_t i = 0; i < s.owned.size(); ++i) {
       local_q[i] = charges[s.owned[i]];
     }
-    s.source.set_charges(local_q);
-    s.engine->prepare_sources(s.source.view(), tc, /*charges_only=*/true);
+    s.source.update_charges(local_q);
     s.pending.precompute_seconds += timer.seconds();
 
     // Every rank's exposures must be refreshed before anyone re-fetches.
@@ -368,23 +362,17 @@ void DistSolver::update_charges(std::span<const double> charges) {
     timer.reset();
     s.let_charge_bytes = 0;
     for (RankState::Remote& rem : s.remotes) {
-      for (const int ci : rem.approx_nodes) {
-        s.qhat_win->get(rem.rank,
-                        static_cast<std::size_t>(ci) *
-                            rem.moments.points_per_cluster(),
-                        rem.moments.qhat_mutable(ci));
-        s.let_charge_bytes +=
-            rem.moments.points_per_cluster() * sizeof(double);
-      }
+      s.let_charge_bytes += rem.fetch_qhat(*s.qhat_win);
       for (const auto& range : rem.ranges) {
         const std::size_t count = range.second - range.first;
         s.charge_win->get(
             rem.rank, range.first,
-            std::span<double>(rem.particles.q.data() + range.first, count));
+            std::span<double>(rem.plan.particles.q.data() + range.first,
+                              count));
         s.let_charge_bytes += count * sizeof(double);
       }
+      rem.plan.mark_changed(PlanChange::Kind::kCharges);
     }
-    s.engine->attach_let_pieces(s.pieces, tc, /*charges_only=*/true);
     s.pending.setup_seconds += timer.seconds();
 
     // Fetches must complete before any rank mutates its exposures again.
@@ -410,58 +398,43 @@ void DistSolver::update_positions(const Cloud& cloud) {
   team_->run([&](simmpi::Comm& comm) {
     RankState& s = *ranks_[static_cast<std::size_t>(comm.rank())];
 
-    // ---- Phase 1: patch the local source plan in place. A re-bucket is
-    // fatal here even though the serial solver tolerates it: the permutation
-    // reallocates the tree-ordered charge storage the charge window exposes
-    // and shifts node ranges that remote direct fetches reference by offset.
+    // ---- Phase 1: patch the local source plan in place — particles and
+    // dirty-cluster moments, which refreshes the qhat window exposure in
+    // place. A re-bucket is fatal here even though the serial solver
+    // tolerates it: the permutation reallocates the tree-ordered charge
+    // storage the charge window exposes and shifts node ranges that remote
+    // direct fetches reference by offset.
     WallTimer timer;
-    PositionUpdate update;
     bool ok = false;
     const Cloud local = gather_cloud(cloud, s.owned);
     try {
-      ok = s.source.update_positions(local, tc, update) &&
-           update.rebucketed == 0;
+      ok = s.source.update_positions(local) && s.source.change.rebucketed == 0;
     } catch (const TransientError&) {
       ok = false;
     }
     if (!ok) fallback.store(true, std::memory_order_relaxed);
-    s.pending.setup_seconds += timer.seconds();
+    s.pending.precompute_seconds += timer.seconds();
     comm.barrier();
     if (fallback.load(std::memory_order_relaxed)) return;
 
-    // ---- Phase 2: dirty-cluster moment rebuild (refreshes the qhat window
-    // exposure in place) and the coordinate-window mirror of the moved
-    // slots. The charge window already sees the in-place charge writes.
+    // ---- Phase 2: the local targets are the same physical particles:
+    // patch them too, or a moved source sits epsilon away from its stale
+    // target twin and the singular self-interaction guard (exact r == 0)
+    // stops firing. Mirror the moved slots into the coordinate window; the
+    // charge window already sees the in-place charge writes.
     timer.reset();
-    try {
-      SourceUpdate delta;
-      delta.dirty_clusters = update.dirty_clusters;
-      delta.moved_ranges = update.moved_ranges;
-      delta.before = update.before;
-      s.engine->update_sources(s.source.view(), tc, delta);
-      // The local targets are the same physical particles: patch them too,
-      // or a moved source sits epsilon away from its stale target twin and
-      // the singular self-interaction guard (exact r == 0) stops firing.
-      std::vector<std::pair<std::size_t, std::size_t>> target_moved;
-      if (s.targets.update_positions_self(local,
-                                          /*source_rebucketed=*/false,
-                                          target_moved)) {
-        s.engine->update_targets(s.targets.view(), target_moved);
-      } else {
-        fallback.store(true, std::memory_order_relaxed);
-      }
-    } catch (const TransientError&) {
+    if (!s.targets.update_positions_self(local, /*source_rebucketed=*/false)) {
       fallback.store(true, std::memory_order_relaxed);
     }
     const OrderedParticles& src = s.source.particles;
-    for (const auto& range : update.moved_ranges) {
+    for (const auto& range : s.source.change.moved_ranges) {
       for (std::size_t i = range.first; i < range.second; ++i) {
         s.coords[3 * i + 0] = src.x[i];
         s.coords[3 * i + 1] = src.y[i];
         s.coords[3 * i + 2] = src.z[i];
       }
     }
-    s.pending.precompute_seconds += timer.seconds();
+    s.pending.setup_seconds += timer.seconds();
     // Every rank's exposures must be coherent before anyone re-fetches.
     comm.barrier();
     if (fallback.load(std::memory_order_relaxed)) return;
@@ -477,31 +450,24 @@ void DistSolver::update_positions(const Cloud& cloud) {
       s.let_charge_bytes = 0;
       std::vector<double> buf;
       for (RankState::Remote& rem : s.remotes) {
-        for (const int ci : rem.approx_nodes) {
-          s.qhat_win->get(rem.rank,
-                          static_cast<std::size_t>(ci) *
-                              rem.moments.points_per_cluster(),
-                          rem.moments.qhat_mutable(ci));
-          s.let_charge_bytes +=
-              rem.moments.points_per_cluster() * sizeof(double);
-        }
+        OrderedParticles& particles = rem.plan.particles;
+        s.let_charge_bytes += rem.fetch_qhat(*s.qhat_win);
         for (const auto& range : rem.ranges) {
           const std::size_t count = range.second - range.first;
           buf.resize(3 * count);
           s.coord_win->get(rem.rank, 3 * range.first, buf);
           for (std::size_t i = 0; i < count; ++i) {
-            rem.particles.x[range.first + i] = buf[3 * i + 0];
-            rem.particles.y[range.first + i] = buf[3 * i + 1];
-            rem.particles.z[range.first + i] = buf[3 * i + 2];
+            particles.x[range.first + i] = buf[3 * i + 0];
+            particles.y[range.first + i] = buf[3 * i + 1];
+            particles.z[range.first + i] = buf[3 * i + 2];
           }
           s.charge_win->get(
               rem.rank, range.first,
-              std::span<double>(rem.particles.q.data() + range.first,
-                                count));
+              std::span<double>(particles.q.data() + range.first, count));
           s.let_charge_bytes += 4 * count * sizeof(double);
         }
+        rem.plan.mark_changed(PlanChange::Kind::kPositions);
       }
-      s.engine->refresh_let_positions(s.pieces, tc);
     } catch (const TransientError&) {
       fallback.store(true, std::memory_order_relaxed);
     }
@@ -522,8 +488,11 @@ void DistSolver::run_evaluation(
   const bool on_gpu = config_.params.backend == Backend::kGpuSim;
   team_->run([&](simmpi::Comm& comm) {
     RankState& s = *ranks_[static_cast<std::size_t>(comm.rank())];
-    RankStats st = std::exchange(s.pending, RankStats{});
+    // The pending costs move over only once the engine call succeeded, so
+    // a failed call can be retried.
+    RankStats st = s.pending;
     execute(s, st);
+    s.pending = RankStats{};
 
     st.local_particles = s.owned.size();
     st.num_clusters = s.source.tree.num_nodes();
@@ -531,7 +500,7 @@ void DistSolver::run_evaluation(
     s.targets.add_counts(st);
     for (const RankState::Remote& rem : s.remotes) {
       st.let_remote_clusters += rem.clusters_in_let;
-      st.let_remote_particles += rem.fetched_particles;
+      st.let_remote_particles += rem.plan.held_particles;
     }
     st.let_charge_bytes = s.let_charge_bytes;
 
@@ -547,7 +516,6 @@ void DistSolver::run_evaluation(
     }
     stats.per_rank[static_cast<std::size_t>(comm.rank())] = std::move(st);
   });
-  targets_fresh_ = false;
 
   // Bulk-synchronous view: the slowest rank sets each phase's time, counts
   // add up over ranks (the distributed path is batched-only and open: no
@@ -594,8 +562,7 @@ std::vector<double> DistSolver::evaluate(DistStats* stats) {
   run_evaluation(local, [&](RankState& s, RankStats& st) {
     WallTimer timer;
     const std::vector<double> phi = s.engine->evaluate_potential(
-        s.source.view(), s.targets.view(), config_.kernel, targets_fresh_, st,
-        &s.exec);
+        s.pieces(), s.targets.view(), config_.kernel, st, &s.exec);
     st.compute_seconds = timer.seconds();
 
     // ---- Scatter: local tree-order potentials back to the caller's
@@ -635,8 +602,7 @@ FieldResult DistSolver::evaluate_field(DistStats* stats) {
   run_evaluation(local, [&](RankState& s, RankStats& st) {
     WallTimer timer;
     const FieldResult tree_order = s.engine->evaluate_field(
-        s.source.view(), s.targets.view(), config_.kernel, targets_fresh_, st,
-        &s.exec);
+        s.pieces(), s.targets.view(), config_.kernel, st, &s.exec);
     st.compute_seconds = timer.seconds();
 
     const OrderedParticles& tgt = s.targets.particles;

@@ -167,7 +167,7 @@ class DistSolver {
   /// Shared back half of evaluate/evaluate_field: on every rank, take over
   /// the pending lifecycle costs and run `execute` (engine call + result
   /// scatter, adding into the rank's RankStats), then fill the RMA deltas
-  /// and LET counts, consume the fresh-targets flag, and reduce the
+  /// and LET counts, and reduce the
   /// bulk-synchronous view.
   void run_evaluation(DistStats& stats,
                       const std::function<void(RankState&, RankStats&)>&
@@ -177,7 +177,6 @@ class DistSolver {
   std::unique_ptr<simmpi::RankTeam> team_;
   std::vector<std::unique_ptr<RankState>> ranks_;
   bool have_sources_ = false;
-  bool targets_fresh_ = true;
   std::size_t num_sources_ = 0;
 };
 

@@ -19,7 +19,7 @@ namespace {
 
 /// The one shared, stateless CPU engine every CPU execution goes through.
 /// Cached plans carry their own moments and every call passes its own
-/// ExecContext, so the engine itself holds nothing mutable per plan.
+/// ExecContext, so the engine holds nothing at all.
 const Engine& shared_cpu_engine() {
   static const std::unique_ptr<Engine> engine =
       make_engine(Backend::kCpu, GpuOptions{});
@@ -423,29 +423,18 @@ std::vector<double> ServeFrontend::execute_plan(
   RunStats stats;
   const KernelSpec exec = exec_kernel(plan, kernel);
   const TargetPlan view = targets->view();
-  if (plan.backend == Backend::kCpu) {
-    ExecContextPool::Lease context(contexts_);
-    std::vector<double> phi = shared_cpu_engine().evaluate_potential(
-        plan.source_view(tier), view, exec,
-        /*fresh_targets=*/true, stats, context.get());
-    if (plan.mesh != nullptr) {
-      shared_cpu_engine().mesh_far_field(*plan.mesh, view, phi,
-                                         /*field=*/nullptr, stats);
-    }
-    return phi;
-  }
-  // GpuSim: the plan's prepared engine keeps targets device-resident, so
-  // the staleness decision and the call must be one atomic step. (Degraded
-  // tiers never reach here — degrade_tiers() is 1 for device plans.)
-  std::lock_guard<std::mutex> lock(plan.gpu_mutex);
-  const bool fresh = plan.gpu_staged_targets != targets;
-  std::vector<double> phi = plan.gpu_engine->evaluate_potential(
-      plan.source_view(), view, exec, fresh, stats, nullptr);
+  const SourcePlan source = plan.source_view(tier);
+  // GpuSim plans run on their own device, which stages the target plan it
+  // has not seen yet (degraded tiers never reach it — degrade_tiers() is 1
+  // for device plans).
+  const Engine& engine =
+      plan.gpu_engine != nullptr ? *plan.gpu_engine : shared_cpu_engine();
+  ExecContextPool::Lease context(contexts_);
+  std::vector<double> phi = engine.evaluate_potential(
+      {&source, 1}, view, exec, stats, context.get());
   if (plan.mesh != nullptr) {
-    plan.gpu_engine->mesh_far_field(*plan.mesh, view, phi, /*field=*/nullptr,
-                                    stats);
+    engine.mesh_far_field(*plan.mesh, view, phi, /*field=*/nullptr, stats);
   }
-  plan.gpu_staged_targets = targets;
   return phi;
 }
 
@@ -631,13 +620,13 @@ void ServeFrontend::execute_group(std::vector<Pending>& group) {
                             ? &unique_targets.front()->shifts
                             : nullptr;
 
+          const SourcePlan source = plan->source_view(unit.tier);
           std::vector<double> phi = with_retries([&] {
             RunStats stats;
             ExecContextPool::Lease context(contexts_);
             std::vector<double> out = shared_cpu_engine().evaluate_potential(
-                plan->source_view(unit.tier), view,
-                exec_kernel(*plan, kernel),
-                /*fresh_targets=*/true, stats, context.get());
+                {&source, 1}, view, exec_kernel(*plan, kernel), stats,
+                context.get());
             if (plan->mesh != nullptr) {
               shared_cpu_engine().mesh_far_field(*plan->mesh, view, out,
                                                  /*field=*/nullptr, stats);

@@ -192,51 +192,37 @@ std::uint64_t plan_key(const Cloud& sources, const TreecodeParams& params,
 std::size_t cached_plan_bytes(const CachedPlan& plan) {
   std::size_t b = particles_bytes(plan.source.particles) +
                   plan.source.tree.num_nodes() * sizeof(ClusterNode);
-  for (const ClusterMoments& m : plan.moment_levels) b += moments_bytes(m);
-  if (plan.self_targets != nullptr) b += target_plan_bytes(*plan.self_targets);
-  if (plan.gpu_engine != nullptr) {
-    // Device-resident stand-in for host moments: per-cluster grids
-    // (3 (n+1) doubles) plus modified charges ((n+1)^3 doubles).
-    const std::size_t m = static_cast<std::size_t>(plan.params.degree) + 1;
-    b += plan.source.tree.num_nodes() * (3 * m + m * m * m) * sizeof(double);
+  for (const ClusterMoments& m : plan.source.moment_levels) {
+    b += moments_bytes(m);
   }
+  if (plan.self_targets != nullptr) b += target_plan_bytes(*plan.self_targets);
   if (plan.mesh != nullptr) b += plan.mesh->bytes();
   return b;
 }
 
-SourcePlan CachedPlan::source_view() const { return source_view(0); }
-
 SourcePlan CachedPlan::source_view(std::size_t tier) const {
-  SourcePlan view = source.view();
-  if (!moment_levels.empty()) {
-    // A degraded tier executes the batched lists' level-0 pairs against
-    // a deeper ladder level.
-    tier = std::min(tier, moment_levels.size() - 1);
-    view.moments = &moment_levels[tier];
-    view.moment_levels = std::span<const ClusterMoments>(moment_levels)
-                             .subspan(tier);
-  }
+  // A degraded tier executes the batched lists' level-0 pairs against a
+  // deeper ladder level.
+  tier = std::min(tier, source.moment_levels.size() - 1);
   // Tagged fp32 tiles execute only at the nominal tier: the tags were
   // proved against the nominal degree's truncation bound, which a deeper
   // ladder level does not meet, so a degraded tier runs all-fp64.
-  view.fp32 = tier == 0;
-  return view;
+  return {&source, std::span(source.moment_levels).subspan(tier), tier == 0};
 }
 
 std::size_t CachedPlan::degrade_tiers() const {
   // Degradation swaps the executed moments for a deeper ladder level, which
   // only the batched CPU traversal reads per-level; dual executes its whole
-  // ladder already and GpuSim moments are device-resident.
+  // ladder already, and GpuSim models the nominal degree's device residency.
   if (backend != Backend::kCpu || params.traversal == TraversalMode::kDual) {
     return 1;
   }
-  return std::max<std::size_t>(1, moment_levels.size());
+  return source.moment_levels.size();
 }
 
 int CachedPlan::tier_degree(std::size_t tier) const {
-  if (moment_levels.empty()) return params.degree;
-  tier = std::min(tier, moment_levels.size() - 1);
-  return moment_levels[tier].degree();
+  tier = std::min(tier, source.moment_levels.size() - 1);
+  return source.moment_levels[tier].degree();
 }
 
 double CachedPlan::tier_error_bound(std::size_t tier) const {
@@ -294,28 +280,14 @@ PlanPtr PlanCache::build_plan(const Cloud& sources,
     plan->mesh = std::move(far);
   }
 
-  if (backend == Backend::kCpu) {
-    // Both traversals get the full degree ladder: the dual traversal
-    // executes through it per pair, and the batched traversal's deeper
-    // levels are the graceful-degradation tiers the frontend serves under
-    // overload. Restrictions are exact (no fresh moment computation), so a
-    // cache-hit storm still shows zero moment builds after warmup.
-    ClusterMoments nominal =
-        ClusterMoments::compute(plan->source.tree, plan->source.particles,
-                                params.degree, params.moment_algorithm);
-    const std::vector<int> ladder = dual_degree_ladder(params.degree);
-    plan->moment_levels.reserve(ladder.size());
-    plan->moment_levels.push_back(std::move(nominal));
-    for (std::size_t l = 1; l < ladder.size(); ++l) {
-      plan->moment_levels.push_back(ClusterMoments::restrict_from(
-          plan->source.tree, plan->moment_levels.front(), ladder[l]));
-    }
-  } else {
-    // The GpuSim plan's compiled artifact is a prepared engine: sources,
-    // grids, and modified charges staged device-resident once at build.
+  // Both traversals get the full degree ladder: the dual traversal
+  // executes through it per pair, and the batched traversal's deeper levels
+  // are the graceful-degradation tiers the frontend serves under overload.
+  // Restrictions are exact (no fresh moment computation), so a cache-hit
+  // storm still shows zero moment builds after warmup.
+  plan->source.build_moments(dual_degree_ladder(params.degree).size());
+  if (backend == Backend::kGpuSim) {
     plan->gpu_engine = make_engine(backend, options_.gpu);
-    plan->gpu_engine->prepare_sources(plan->source.view(), params,
-                                      /*charges_only=*/false);
   }
 
   plan->self_targets = build_target_plan(sources, plan->source, params);

@@ -36,20 +36,22 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/moments.hpp"
 #include "core/plan.hpp"
 #include "core/solver.hpp"
 #include "util/workloads.hpp"
 
 namespace bltc::serve {
 
-/// One immutable compiled artifact: the source-side plan, its moments (the
-/// full dual ladder when the traversal needs one), and the eagerly built
-/// self-target plan (targets == sources, the dominant request shape). On
-/// the GpuSim backend the plan owns a prepared engine instead — its staged
-/// device state *is* the compiled artifact — and executes serialized
-/// through it. Extra target plans (requests evaluating other target clouds
-/// against this source) are memoized in a small bounded side cache.
+/// One immutable compiled artifact: the source-side plan with its moments
+/// and the eagerly built self-target plan (targets == sources, the dominant
+/// request shape). The source plan holds the full degree ladder on every
+/// backend ({n, n-1, ..., 2}, exact restrictions of the nominal moments):
+/// the dual traversal executes through it per pair, and the batched
+/// traversal's level-0 pairs execute [0] nominally and a deeper level when
+/// the frontend serves a *degraded tier* under overload (source_view(tier)
+/// passes the ladder from that level on; the lists are degree-independent,
+/// so no rebuild). Extra target plans (requests evaluating other target
+/// clouds against this source) are memoized in a small bounded side cache.
 struct CachedPlan {
   TreecodeParams params;
   Backend backend = Backend::kCpu;
@@ -60,18 +62,10 @@ struct CachedPlan {
   /// plan they executed independently of this CachedPlan's lifetime).
   std::shared_ptr<const TargetPlanState> self_targets;
 
-  /// CPU backends: caller-owned moments, [0] at the nominal degree and
-  /// exact restrictions below it ({n, n-1, ..., 2}). The dual traversal
-  /// executes through the whole ladder; the batched traversal's level-0
-  /// pairs execute [0] nominally and a deeper level when the frontend
-  /// serves a *degraded tier* under overload (source_view(tier) passes the
-  /// ladder from that level on; the lists are degree-independent, so no
-  /// rebuild). Under a non-fp64 policy the nominal tier's fp32 tiles
-  /// narrow these same arrays while staging them. Empty on GpuSim — the
-  /// prepared engine keeps its moments device-resident.
-  std::vector<ClusterMoments> moment_levels;
-
-  /// GpuSim only: the engine whose device-resident state this plan is.
+  /// GpuSim only: the simulated device this plan's evaluations run on. It
+  /// keeps residency bookkeeping alone (which plan versions it holds) and
+  /// serializes its calls internally, so concurrent requests interleaving
+  /// target plans each get their own targets staged.
   std::unique_ptr<Engine> gpu_engine;
 
   /// kPeriodicMesh only: the solved FFT far field of the cached source
@@ -82,13 +76,9 @@ struct CachedPlan {
 
   std::size_t bytes = 0;  ///< accounted against the cache budget
 
-  /// Source view carrying the caller-owned moments (CPU backends), so a
-  /// shared re-entrant engine reads nothing but this plan.
-  SourcePlan source_view() const;
-
   /// Source view executing moment-ladder level `tier` (0 = nominal). Only
   /// meaningful for batched CPU plans — the graceful-degradation path.
-  SourcePlan source_view(std::size_t tier) const;
+  SourcePlan source_view(std::size_t tier = 0) const;
 
   /// Degraded tiers this plan can serve (1 when degradation does not apply:
   /// dual traversal, GpuSim, or degree too small for a ladder).
@@ -117,17 +107,6 @@ struct CachedPlan {
   mutable std::list<std::pair<std::uint64_t,
                               std::shared_ptr<const TargetPlanState>>>
       extra_targets_;
-
- public:
-  /// GpuSim execution lock: covers the staged-target freshness decision and
-  /// the engine call (the engine also serializes internally; this mutex
-  /// makes the (decide, execute) pair atomic).
-  mutable std::mutex gpu_mutex;
-  /// The target plan whose data is currently staged on the (simulated)
-  /// device. Held as a shared_ptr so the identity can't be recycled: a raw
-  /// pointer could alias a freed plan after side-cache eviction and wrongly
-  /// skip re-staging.
-  mutable std::shared_ptr<const TargetPlanState> gpu_staged_targets;
 };
 
 using PlanPtr = std::shared_ptr<const CachedPlan>;
@@ -175,8 +154,9 @@ std::uint64_t plan_key(const Cloud& sources, const TreecodeParams& params,
                        Backend backend);
 
 /// Budget accounting for one built plan: particle arrays, tree nodes,
-/// interaction lists, moments (every ladder level), shift table — and on
-/// GpuSim the device-resident buffer footprint stands in for host moments.
+/// interaction lists, moments (every ladder level), shift table and mesh.
+/// Backend-independent: a GpuSim plan holds the same host state as its CPU
+/// twin.
 std::size_t cached_plan_bytes(const CachedPlan& plan);
 
 /// Thread-safe LRU plan cache under a byte budget (see file comment).
@@ -186,7 +166,7 @@ class PlanCache {
     /// Eviction threshold. At least the most recently used plan is always
     /// kept, even when it alone exceeds the budget.
     std::size_t max_bytes = std::size_t(256) << 20;
-    /// Options for GpuSim-backend plans' prepared engines.
+    /// Options for GpuSim-backend plans' simulated devices.
     GpuOptions gpu;
   };
 

@@ -26,7 +26,8 @@ TreecodeParams small_params() {
   return p;
 }
 
-/// A self-interaction plan over `c`: source tree plus batched target lists.
+/// A self-interaction plan over `c`: source tree and moments plus batched
+/// target lists.
 struct Plan {
   SourcePlanState sources;
   TargetPlanState targets;
@@ -35,30 +36,47 @@ struct Plan {
 Plan make_plan(const Cloud& c, const TreecodeParams& params) {
   Plan plan{SourcePlanState::build(c, params),
             TargetPlanState::plan(c, params)};
+  plan.sources.build_moments(1);
   plan.targets.append_lists(plan.sources.tree, params);
   return plan;
+}
+
+std::vector<double> evaluate(const Engine& engine, const Plan& plan,
+                             RunStats& stats) {
+  const SourcePlan source = plan.sources.view();
+  return engine.evaluate_potential({&source, 1}, plan.targets.view(),
+                                   KernelSpec::coulomb(), stats, nullptr);
 }
 
 TEST(GpuEngine, PrecomputeLaunchesTwoKernelsPerNonemptyCluster) {
   const TreecodeParams params = small_params();
   const Cloud c = uniform_cube(2000, 2);
-  const SourcePlanState src = SourcePlanState::build(c, params);
+  const Plan plan = make_plan(c, params);
   GpuSimEngine engine{GpuOptions{}};
-  engine.prepare_sources(src.view(), params, /*charges_only=*/false);
+  RunStats stats;
+  (void)evaluate(engine, plan, stats);
 
+  // The first evaluation uploads the plan: two preprocessing launches per
+  // non-empty cluster ahead of one launch per list entry.
+  const SourcePlanState& src = plan.sources;
   const std::size_t nn = src.tree.num_nodes();
   std::size_t nonempty = 0;
   for (std::size_t i = 0; i < nn; ++i) {
     if (src.tree.node(static_cast<int>(i)).count() > 0) ++nonempty;
   }
-  EXPECT_EQ(engine.device().launches(), 2 * nonempty);
+  const DualInteractionLists& lists = plan.targets.lists[0];
+  EXPECT_EQ(engine.device().launches(),
+            2 * nonempty + lists.total_pc + lists.total_direct);
   // HtD: four source streams, then every cluster's grid and modified
-  // charges; DtH: the modified charges.
+  // charges, then the three target coordinate streams; DtH: the modified
+  // charges, then the potentials.
   const std::size_t m = static_cast<std::size_t>(params.degree) + 1;
   const std::size_t ppc = m * m * m;
   EXPECT_EQ(engine.device().bytes_to_device(),
-            (4 * c.size() + nn * (3 * m + ppc)) * sizeof(double));
-  EXPECT_EQ(engine.device().bytes_to_host(), nn * ppc * sizeof(double));
+            (4 * c.size() + nn * (3 * m + ppc) + 3 * c.size()) *
+                sizeof(double));
+  EXPECT_EQ(engine.device().bytes_to_host(),
+            (nn * ppc + c.size()) * sizeof(double));
 }
 
 TEST(GpuEngine, EvaluateMatchesCpuEngine) {
@@ -66,15 +84,9 @@ TEST(GpuEngine, EvaluateMatchesCpuEngine) {
   const Plan plan = make_plan(uniform_cube(4000, 3), params);
   CpuEngine cpu;
   GpuSimEngine gpu{GpuOptions{}};
-  cpu.prepare_sources(plan.sources.view(), params, /*charges_only=*/false);
-  gpu.prepare_sources(plan.sources.view(), params, /*charges_only=*/false);
   RunStats cpu_stats, gpu_stats;
-  const auto phi_cpu =
-      cpu.evaluate_potential(plan.sources.view(), plan.targets.view(),
-                             KernelSpec::coulomb(), true, cpu_stats, nullptr);
-  const auto phi_gpu =
-      gpu.evaluate_potential(plan.sources.view(), plan.targets.view(),
-                             KernelSpec::coulomb(), true, gpu_stats, nullptr);
+  const auto phi_cpu = evaluate(cpu, plan, cpu_stats);
+  const auto phi_gpu = evaluate(gpu, plan, gpu_stats);
   EXPECT_EQ(phi_cpu, phi_gpu);  // bitwise: one numeric implementation
   // Both engines count identical work.
   EXPECT_EQ(cpu_stats.approx_evals, gpu_stats.approx_evals);
@@ -87,12 +99,9 @@ TEST(GpuEngine, OneLaunchPerBatchClusterInteraction) {
   const TreecodeParams params = small_params();
   const Plan plan = make_plan(uniform_cube(3000, 4), params);
   GpuSimEngine gpu{GpuOptions{}};
-  gpu.prepare_sources(plan.sources.view(), params, /*charges_only=*/false);
   RunStats first, repeat;
-  (void)gpu.evaluate_potential(plan.sources.view(), plan.targets.view(),
-                               KernelSpec::coulomb(), true, first, nullptr);
-  (void)gpu.evaluate_potential(plan.sources.view(), plan.targets.view(),
-                               KernelSpec::coulomb(), false, repeat, nullptr);
+  (void)evaluate(gpu, plan, first);
+  (void)evaluate(gpu, plan, repeat);
   const DualInteractionLists& lists = plan.targets.lists[0];
   EXPECT_EQ(repeat.gpu_launches, lists.total_pc + lists.total_direct);
   // Everything stays resident: a repeat moves only the potentials.

@@ -265,27 +265,39 @@ TEST(Incremental, RebucketFailpointFallsBackToFullRebuild) {
   EXPECT_EQ(phi, fresh.evaluate(after));
 }
 
-TEST(Incremental, GpuPartialRestageFailpointFallsBackToFullRebuild) {
+TEST(Incremental, GpuPartialRestageFailpointIsRetryable) {
+  // The delta upload happens in the first evaluate after the update; a
+  // tripped partial restage fails that call before touching the device,
+  // and the retry uploads exactly the delta an unfaulted solver uploads.
   const Cloud before = uniform_cube(3000, 81);
   const Cloud after = jitter(before, 1e-3, 82);
   TreecodeParams params = base_params();
   params.position_slack = 0.2;
 
+  const auto moved_solver = [&](Solver& solver) {
+    solver.set_sources(before);
+    (void)solver.evaluate(before);
+    solver.update_positions(after);
+  };
   Solver solver(config_with(params, Backend::kGpuSim));
-  solver.set_sources(before);
-  (void)solver.evaluate(before);
+  moved_solver(solver);
   {
     FailpointConfig config;
     config.probability = 1.0;
     failpoints::FailpointScope scope(failpoints::sites::kGpuPartialRestage,
                                      config);
-    EXPECT_NO_THROW(solver.update_positions(after));
+    EXPECT_THROW((void)solver.evaluate(after), FailpointError);
   }
-  const auto phi = solver.evaluate(after);
+  RunStats stats;
+  const auto phi = solver.evaluate(after, &stats);
+  EXPECT_TRUE(stats.incremental_update);
 
-  Solver fresh(config_with(params, Backend::kGpuSim));
-  fresh.set_sources(after);
-  EXPECT_EQ(phi, fresh.evaluate(after));
+  Solver clean(config_with(params, Backend::kGpuSim));
+  moved_solver(clean);
+  RunStats clean_stats;
+  EXPECT_EQ(phi, clean.evaluate(after, &clean_stats));
+  EXPECT_EQ(stats.bytes_to_device, clean_stats.bytes_to_device);
+  EXPECT_EQ(stats.gpu_launches, clean_stats.gpu_launches);
 }
 
 // ---- GpuSim: restage traffic proportional to the delta --------------------

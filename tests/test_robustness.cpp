@@ -4,11 +4,13 @@
 // fault-injection layer: input validation, seeded failpoint storms against
 // the plan cache and the serving frontend, shed/deadline/cancel accounting
 // (every future resolves exactly once), graceful degradation bit-identity,
-// simmpi fault containment, and retry convergence.
+// simmpi fault containment, retry convergence, and tripped GpuSim staging
+// never serving stale moments.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <limits>
 #include <memory>
@@ -645,6 +647,89 @@ TEST(FailpointServe, GpuStagingRetryConverges) {
   const auto reference = frontend.evaluate_now(request);
   EXPECT_TRUE(reference.cache_hit);
   expect_bits_equal(response.phi, reference.phi);
+}
+
+// ---- Failed GpuSim staging never serves stale moments ---------------------
+
+/// Arms gpusim.stage to trip on its first hit across `mutate` and the
+/// evaluate after it, wherever the staging happens. That evaluate must then
+/// throw or match `reference` bitwise, and a retried evaluate must match it
+/// bitwise.
+void expect_staging_fault_recovers(
+    const std::function<void()>& mutate,
+    const std::function<std::vector<double>()>& evaluate,
+    const std::vector<double>& reference) {
+  std::vector<double> first;
+  bool threw = false;
+  {
+    FailpointConfig config;
+    config.fail_on_hit = 1;
+    FailpointScope scope(failpoints::sites::kGpuStage, config);
+    try {
+      mutate();
+    } catch (const TransientError&) {
+    }
+    try {
+      first = evaluate();
+    } catch (const TransientError&) {
+      threw = true;
+    }
+    EXPECT_EQ(scope.stats().trips, 1u);
+  }
+  if (!threw) expect_bits_equal(first, reference);
+  expect_bits_equal(evaluate(), reference);
+}
+
+TEST(FailpointGpu, TrippedStagingNeverServesStaleMoments) {
+  TreecodeParams p = params();
+  p.degree = 6;
+  const SolverConfig config{KernelSpec::coulomb(), p, Backend::kGpuSim, {}};
+  const auto fresh = [&](const Cloud& c) {
+    Solver solver(config);
+    solver.set_sources(c);
+    return solver.evaluate(c);
+  };
+  const auto recharged = [](Cloud c, std::uint64_t seed) {
+    SplitMix64 rng(seed);
+    for (double& q : c.q) q = rng.uniform(-1.0, 1.0);
+    return c;
+  };
+  const Cloud small = uniform_cube(3000, 90);
+
+  {  // set_sources onto a larger cloud
+    const Cloud large = uniform_cube(12000, 91);
+    Solver solver(config);
+    solver.set_sources(small);
+    (void)solver.evaluate(small);
+    expect_staging_fault_recovers([&] { solver.set_sources(large); },
+                                  [&] { return solver.evaluate(large); },
+                                  fresh(large));
+  }
+  {  // update_charges
+    const Cloud next = recharged(small, 92);
+    Solver solver(config);
+    solver.set_sources(small);
+    (void)solver.evaluate(small);
+    expect_staging_fault_recovers([&] { solver.update_charges(next.q); },
+                                  [&] { return solver.evaluate(next); },
+                                  fresh(next));
+  }
+  {  // 2-rank DistSolver::update_charges
+    dist::DistParams dp;
+    dp.treecode = p;
+    dp.backend = Backend::kGpuSim;
+    const dist::DistConfig dist_config{KernelSpec::coulomb(), dp, 2};
+    const Cloud cloud = uniform_cube(8000, 93);
+    const Cloud next = recharged(cloud, 94);
+    dist::DistSolver reference(dist_config);
+    reference.set_sources(next);
+    dist::DistSolver solver(dist_config);
+    solver.set_sources(cloud);
+    (void)solver.evaluate();
+    expect_staging_fault_recovers([&] { solver.update_charges(next.q); },
+                                  [&] { return solver.evaluate(); },
+                                  reference.evaluate());
+  }
 }
 
 }  // namespace

@@ -540,21 +540,50 @@ TEST(Serving, GpuSimCachedPlanMatchesSolver) {
       cold.phi,
       solver_reference(cloud, cloud, params, kernel, Backend::kGpuSim));
 
-  // Concurrent GpuSim requests serialize on the plan's engine but stay
-  // correct.
-  constexpr int kThreads = 3;
-  std::vector<std::vector<double>> results(kThreads);
+  // Four clients interleave two target clouds on the one cached plan: the
+  // device stages whichever target plan it has not seen, and every result
+  // matches a serial Solver bitwise.
+  const Cloud other = uniform_cube(700, 42);
+  const std::vector<double> other_ref =
+      solver_reference(cloud, other, params, kernel, Backend::kGpuSim);
+  ServeRequest other_request = request;
+  other_request.targets = &other;
+  constexpr int kThreads = 4;
+  constexpr int kRepeats = 3;
+  std::vector<std::vector<double>> results(kThreads * kRepeats);
   {
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
-        results[static_cast<std::size_t>(t)] =
-            frontend.evaluate_now(request).phi;
+        for (int r = 0; r < kRepeats; ++r) {
+          const ServeRequest& mine = (t + r) % 2 == 0 ? request : other_request;
+          results[static_cast<std::size_t>(t * kRepeats + r)] =
+              frontend.evaluate_now(mine).phi;
+        }
       });
     }
     for (auto& thread : threads) thread.join();
   }
-  for (const auto& phi : results) expect_bits_equal(cold.phi, phi);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int r = 0; r < kRepeats; ++r) {
+      expect_bits_equal((t + r) % 2 == 0 ? cold.phi : other_ref,
+                        results[static_cast<std::size_t>(t * kRepeats + r)]);
+    }
+  }
+}
+
+TEST(Serving, GpuSimPlanAccountsTheBytesOfItsCpuTwin) {
+  // Both backends' plans hold the same host state (tree, full moment
+  // ladder, self-target plan), so the budget charges them equally.
+  const Cloud cloud = uniform_cube(1500, 43);
+  for (const TreecodeParams& params : {serving_params(), dual_params()}) {
+    PlanCache cache;
+    const PlanPtr cpu = cache.get_or_build(cloud, params, Backend::kCpu);
+    const PlanPtr gpu = cache.get_or_build(cloud, params, Backend::kGpuSim);
+    EXPECT_NE(cpu.get(), gpu.get());
+    EXPECT_EQ(gpu->bytes, cpu->bytes);
+    EXPECT_EQ(cache.stats().bytes, cpu->bytes + gpu->bytes);
+  }
 }
 
 }  // namespace
