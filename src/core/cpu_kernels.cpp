@@ -147,7 +147,7 @@ decltype(auto) with_staged(bool f32, CpuScratch& scratch, F&& f) {
 }
 
 /// Sweep targets [begin, end) tile by tile against one staged stream; the
-/// stream's element type selects the fp64 or the fp32 tile. Returns the
+/// stream's element type selects fp64 or fp32 arithmetic. Returns the
 /// stream length (the evals per target).
 template <bool Field, typename T, typename K>
 inline std::size_t sweep_targets(const double* tx, const double* ty,
@@ -157,17 +157,11 @@ inline std::size_t sweep_targets(const double* tx, const double* ty,
                                  double* ez) {
   for (std::size_t t0 = begin; t0 < end; t0 += kTargetTile) {
     const std::size_t nt = std::min(kTargetTile, end - t0);
-    if constexpr (std::is_same_v<T, float>) {
-      accumulate_tile_f32<Field, true>(
-          tx + t0, ty + t0, tz + t0, nt, src.x, src.y, src.z, src.q, src.n,
-          k, phi + t0, Field ? ex + t0 : nullptr, Field ? ey + t0 : nullptr,
-          Field ? ez + t0 : nullptr);
-    } else {
-      accumulate_tile<Field, true>(
-          tx + t0, ty + t0, tz + t0, nt, src.x, src.y, src.z, src.q, src.n,
-          k, phi + t0, Field ? ex + t0 : nullptr, Field ? ey + t0 : nullptr,
-          Field ? ez + t0 : nullptr);
-    }
+    accumulate_tile<Field>(tx + t0, ty + t0, tz + t0, nt, src.x, src.y, src.z,
+                           src.q, src.n, k, phi + t0,
+                           Field ? ex + t0 : nullptr,
+                           Field ? ey + t0 : nullptr,
+                           Field ? ez + t0 : nullptr);
   }
   return src.n;
 }
@@ -724,7 +718,7 @@ FieldResult cpu_evaluate_dual_field(
   out.ez.assign(targets.size(), 0.0);
   CpuWorkspace local;
   CpuWorkspace& ws = workspace != nullptr ? *workspace : local;
-  with_grad_kernel(kernel, [&](auto k) {
+  with_kernel(kernel, [&](auto k) {
     run_dual<true>(targets, target_tree, target_grids, lists, source_tree,
                    sources, moment_levels, k, ws, shifts, fp32,
                    out.phi.data(), out.ex.data(), out.ey.data(),

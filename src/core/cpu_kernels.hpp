@@ -5,21 +5,27 @@
 // (Eq. 11) — into the *same* high-intensity shape: a block of targets
 // against a contiguous stream of weighted source points (real particles for
 // Eq. 9, tensor-product Chebyshev points with modified charges for Eq. 11).
-// This header exploits that on the host:
+// Every interaction class (direct, PC, CP, CC) therefore runs one tile, and
+// only the kernel's radial function changes. This header writes that tile
+// once, over the kernel functor (core/kernels.hpp) and the staged element
+// type (double, or float for fp32-tagged far-field interactions):
 //
 //   * `accumulate_tile` keeps a tile of `kTargetTile` targets' accumulators
 //     (phi, and for fields ex/ey/ez) in registers and streams the source
 //     block through a `#pragma omp simd` inner loop, one SIMD lane per
 //     target. The singular-kernel guard is a branchless select
 //     (kernel_value_masked / grad_value_masked) so the loop if-converts.
+//     fp32 sums in float per kF32FlushInterval block and widens into fp64.
 //   * A single-target variant vectorizes across *sources* with a simd
 //     reduction instead — the shape a one-target list (max_batch = 1) needs.
-//   * `TileSimd` is a hook for hand-tuned ISA-specific tiles; with AVX-512
-//     the Coulomb kernel replaces vsqrt+vdiv with vrsqrt14pd refined by two
-//     Newton iterations (relative error ~1e-16, far below the treecode's
-//     interpolation error). The exact portable path remains the reference
-//     (`Fast = false`), and the O(N^2) oracles in direct_sum.cpp stay on
-//     their original scalar form so their results are bit-stable.
+//   * With AVX-512, full tiles of a kernel that provides a vector radial
+//     form (Coulomb in fp64 and fp32, erfc in fp64) run one vector skeleton
+//     instead: sources broadcast, r^2 per lane, 1/r from vrsqrt14 plus
+//     Newton steps (relative error ~1e-16 in fp64, no divider), then the
+//     kernel's radial form and fused accumulation. A mutual variant serves
+//     symmetric self-mode direct pairs. The O(N^2) oracles in
+//     direct_sum.cpp stay on their scalar form so their results are
+//     bit-stable.
 //
 // One templated driver (`cpu_kernels.cpp`) executes interaction lists
 // through these tiles for both traversals, potential and field.
@@ -29,8 +35,11 @@
 // tail is made of cheap blocks.
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <cstddef>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/fields.hpp"
@@ -40,10 +49,6 @@
 #include "core/particles.hpp"
 #include "core/solver.hpp"
 #include "core/tree.hpp"
-
-#if defined(__AVX512F__)
-#include <immintrin.h>
-#endif
 
 namespace bltc {
 
@@ -160,625 +165,207 @@ class CpuWorkspace {
   DualMirror mirror_;
 };
 
-/// ISA-specific tile kernels. The primary template reports "none"; opt-in
-/// specializations provide `run(...)` for one (Field, kernel functor) pair
-/// and are selected only on full tiles with `Fast = true` (treecode paths).
-template <bool Field, typename K>
-struct TileSimd {
-  static constexpr bool kAvailable = false;
-};
-
-/// ISA-specific *mutual* tiles (symmetric self-mode direct interactions):
-/// same contract as TileSimd plus the target charges and the source-side
-/// accumulators (a block's mirror slot, indexed by source position).
-template <bool Field, typename K>
-struct TileSimdMutual {
-  static constexpr bool kAvailable = false;
-};
-
-/// ISA-specific fp32 tiles for tagged far-field interactions: float target
-/// and source streams, fp64 output accumulators (the float partial sums are
-/// widened every kF32FlushInterval sources). With AVX-512 the whole 16-
-/// target tile fits one zmm register per accumulator — half the register
-/// pressure and twice the lane count of the fp64 tile.
-template <bool Field, typename K>
-struct TileSimdF32 {
-  static constexpr bool kAvailable = false;
-};
+// ---- Vector tile skeleton (AVX-512) ---------------------------------------
 
 #if defined(__AVX512F__)
 
+/// A kernel with a vector radial form over lanes of `T` (core/kernels.hpp)
+/// runs its full tiles through the vector skeleton below.
+template <typename K, typename T>
+concept VectorRadial = requires(const K k, simd::Vec<T> v) {
+  { k.vector_value(v, v) } -> std::same_as<decltype(v)>;
+  k.vector_grad(v, v, v, v);
+};
+
 namespace detail {
 
-/// 1/sqrt(a) from vrsqrt14pd (relative error < 2^-14) refined by two
-/// Newton-Raphson steps y <- y(3/2 - a y^2 / 2): error ~1e-16, no divider.
-/// Lanes where a == 0 are zeroed by `ok`.
-inline __m512d masked_rsqrt_nr2(__m512d a, __mmask8 ok) {
-  const __m512d half = _mm512_set1_pd(0.5);
-  const __m512d three_halves = _mm512_set1_pd(1.5);
-  const __m512d ha = _mm512_mul_pd(half, a);
-  __m512d y = _mm512_rsqrt14_pd(a);
-  y = _mm512_mul_pd(
-      y, _mm512_fnmadd_pd(_mm512_mul_pd(ha, y), y, three_halves));
-  y = _mm512_mul_pd(
-      y, _mm512_fnmadd_pd(_mm512_mul_pd(ha, y), y, three_halves));
-  return _mm512_maskz_mov_pd(ok, y);
+/// Registers per accumulator row of a full kTargetTile-target tile.
+template <typename T>
+inline constexpr std::size_t kTileRegs = kTargetTile / simd::kWidth<T>;
+
+/// One broadcast source against one register of targets: the separation,
+/// G and (fields only) s = -G'(r)/r from the kernel's radial form.
+template <typename T>
+struct LanePair {
+  simd::Vec<T> dx, dy, dz, g, s;
+};
+
+template <bool Field, typename T, typename K, typename V = simd::Vec<T>>
+inline LanePair<T> lane_pair(V tx, V ty, V tz, V xj, V yj, V zj, K k) {
+  LanePair<T> p;
+  p.dx = simd::sub(tx, xj);
+  p.dy = simd::sub(ty, yj);
+  p.dz = simd::sub(tz, zj);
+  const V r2 = simd::fmadd(p.dx, p.dx,
+                           simd::fmadd(p.dy, p.dy, simd::mul(p.dz, p.dz)));
+  const V inv_r = simd::rsqrt_masked(r2);
+  if constexpr (Field) {
+    k.vector_grad(r2, inv_r, p.g, p.s);
+  } else {
+    p.g = k.vector_value(r2, inv_r);
+  }
+  return p;
 }
 
-/// fp32 1/sqrt(a) from vrsqrt14ps (relative error < 2^-14) refined by one
-/// Newton-Raphson step: error ~2^-28, below the fp32 representation error
-/// of the tile inputs, so the refinement is free accuracy-wise and the
-/// divider stays idle. Lanes where a == 0 are zeroed by `ok`.
-inline __m512 masked_rsqrt_ps_nr1(__m512 a, __mmask16 ok) {
-  const __m512 half = _mm512_set1_ps(0.5f);
-  const __m512 three_halves = _mm512_set1_ps(1.5f);
-  __m512 y = _mm512_rsqrt14_ps(a);
-  y = _mm512_mul_ps(
-      y, _mm512_fnmadd_ps(_mm512_mul_ps(_mm512_mul_ps(half, a), y), y,
-                          three_halves));
-  return _mm512_maskz_mov_ps(ok, y);
+/// acc[0] += g q; fields also acc[1..3] += (s q) d, which is E = -grad phi.
+template <bool Field, typename T, typename V = simd::Vec<T>>
+inline void accumulate_pair(const LanePair<T>& p, V q, V* acc) {
+  acc[0] = simd::fmadd(p.g, q, acc[0]);
+  if constexpr (Field) {
+    const V w = simd::mul(p.s, q);
+    acc[1] = simd::fmadd(w, p.dx, acc[1]);
+    acc[2] = simd::fmadd(w, p.dy, acc[2]);
+    acc[3] = simd::fmadd(w, p.dz, acc[3]);
+  }
 }
 
-/// Widen a 16-float partial sum into the two fp64 accumulator registers
-/// (the flush step of the fp32 tiles). The upper 256-bit extract goes
-/// through a pd reinterpret so only AVX-512F is required.
-inline void flush_ps_to_pd(__m512 v, __m512d& lo, __m512d& hi) {
-  lo = _mm512_add_pd(lo, _mm512_cvtps_pd(_mm512_castps512_ps256(v)));
-  hi = _mm512_add_pd(
-      hi, _mm512_cvtps_pd(_mm256_castpd_ps(
-              _mm512_extractf64x4_pd(_mm512_castps_pd(v), 1))));
+/// The vector tile: kTargetTile targets held in registers of `T` lanes
+/// against `ns` broadcast sources. fp64 lanes accumulate in fp64 (two
+/// registers per output); fp32 lanes accumulate in one float register per
+/// output and widen it into fp64 every kF32FlushInterval sources.
+template <bool Field, typename T, typename K>
+inline void vector_tile(const T* tx, const T* ty, const T* tz, const T* sx,
+                        const T* sy, const T* sz, const T* sq, std::size_t ns,
+                        K k, double* phi, double* ex, double* ey,
+                        double* ez) {
+  using V = simd::Vec<T>;
+  constexpr std::size_t R = kTileRegs<T>;
+  constexpr std::size_t kOut = Field ? 4 : 1;
+  constexpr std::size_t W = simd::kWidth<T>;
+  V ptx[R], pty[R], ptz[R], acc[R][4];
+#pragma GCC unroll 2
+  for (std::size_t r = 0; r < R; ++r) {
+    ptx[r] = simd::load(tx + r * W);
+    pty[r] = simd::load(ty + r * W);
+    ptz[r] = simd::load(tz + r * W);
+    for (std::size_t o = 0; o < 4; ++o) acc[r][o] = simd::set1(T(0));
+  }
+  __m512d wide[4][2];  // fp32 only: the widened partial sums
+  for (std::size_t o = 0; o < 4; ++o) {
+    wide[o][0] = wide[o][1] = _mm512_setzero_pd();
+  }
+  std::size_t since_flush = 0;
+  for (std::size_t j = 0; j < ns; ++j) {
+    const V xj = simd::set1(sx[j]);
+    const V yj = simd::set1(sy[j]);
+    const V zj = simd::set1(sz[j]);
+    const V qj = simd::set1(sq[j]);
+#pragma GCC unroll 2
+    for (std::size_t r = 0; r < R; ++r) {
+      accumulate_pair<Field, T>(
+          lane_pair<Field, T>(ptx[r], pty[r], ptz[r], xj, yj, zj, k), qj,
+          acc[r]);
+    }
+    if constexpr (std::is_same_v<T, float>) {
+      if (++since_flush == kF32FlushInterval) {
+        for (std::size_t o = 0; o < kOut; ++o) {
+          simd::widen_add(acc[0][o], wide[o][0], wide[o][1]);
+          acc[0][o] = simd::set1(0.0f);
+        }
+        since_flush = 0;
+      }
+    }
+  }
+  double* out[4] = {phi, ex, ey, ez};
+  for (std::size_t o = 0; o < kOut; ++o) {
+    if constexpr (std::is_same_v<T, float>) {
+      simd::widen_add(acc[0][o], wide[o][0], wide[o][1]);
+      simd::add_to(out[o], wide[o][0]);
+      simd::add_to(out[o] + 8, wide[o][1]);
+    } else {
+      for (std::size_t r = 0; r < R; ++r) {
+        simd::add_to(out[o] + r * W, acc[r][o]);
+      }
+    }
+  }
 }
 
-/// Vector e^x: Cody-Waite range reduction against a split ln2 plus a
-/// degree-6 polynomial on [-ln2/2, ln2/2], scaled by 2^n through the
-/// exponent field. Inputs are clamped to +-700, so the scaling never
-/// overflows; accuracy ~1e-13 relative across the clamp range.
-inline __m512d exp_pd(__m512d x) {
-  const __m512d log2e = _mm512_set1_pd(1.4426950408889634);
-  const __m512d ln2_hi = _mm512_set1_pd(6.93147180369123816490e-1);
-  const __m512d ln2_lo = _mm512_set1_pd(1.90821492927058770002e-10);
-  x = _mm512_max_pd(_mm512_set1_pd(-700.0),
-                    _mm512_min_pd(_mm512_set1_pd(700.0), x));
-  const __m512d n = _mm512_roundscale_pd(
-      _mm512_mul_pd(x, log2e), _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  __m512d r = _mm512_fnmadd_pd(n, ln2_hi, x);
-  r = _mm512_fnmadd_pd(n, ln2_lo, r);
-  __m512d p = _mm512_set1_pd(1.0 / 5040.0);
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 720.0));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 120.0));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 24.0));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 6.0));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(0.5));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0));
-  // 2^n via exponent bits: n is integral and |n| <= 1011 after the clamp,
-  // so it fits epi32 (cvtpd_epi64 would need AVX-512DQ).
-  const __m512i biased = _mm512_add_epi64(
-      _mm512_cvtepi32_epi64(_mm512_cvtpd_epi32(n)), _mm512_set1_epi64(1023));
-  const __m512d scale =
-      _mm512_castsi512_pd(_mm512_slli_epi64(biased, 52));
-  return _mm512_mul_pd(p, scale);
-}
-
-/// erfc(x) e^{-x^2} fused tile helper for x >= 0: Abramowitz-Stegun 7.1.26
-/// (|abs err| < 1.5e-7, far below the kPeriodicMesh split tolerance) with
-/// the Gaussian factor returned separately — the screened-force tile needs
-/// both erfc(ar) and e^{-a^2 r^2} and they share one exp evaluation.
-inline void erfc_gauss_pd(__m512d x, __m512d& erfc_out, __m512d& gauss_out) {
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d t =
-      _mm512_div_pd(one, _mm512_fmadd_pd(_mm512_set1_pd(0.3275911), x, one));
-  __m512d p = _mm512_set1_pd(1.061405429);
-  p = _mm512_fmadd_pd(p, t, _mm512_set1_pd(-1.453152027));
-  p = _mm512_fmadd_pd(p, t, _mm512_set1_pd(1.421413741));
-  p = _mm512_fmadd_pd(p, t, _mm512_set1_pd(-0.284496736));
-  p = _mm512_fmadd_pd(p, t, _mm512_set1_pd(0.254829592));
-  const __m512d gauss =
-      exp_pd(_mm512_sub_pd(_mm512_setzero_pd(), _mm512_mul_pd(x, x)));
-  erfc_out = _mm512_mul_pd(_mm512_mul_pd(p, t), gauss);
-  gauss_out = gauss;
+/// The mutual variant (fp64, symmetric self-mode direct pairs): each pair
+/// also feeds the source side, G q_t into `sphi[j]` and -(s q_t) d into
+/// `sex/sey/sez[j]`, through one horizontal sum of fma(g0, q0, g1 q1) over
+/// the tile's two target registers.
+template <bool Field, typename K>
+inline void vector_tile_mutual(const double* tx, const double* ty,
+                               const double* tz, const double* tq,
+                               const double* sx, const double* sy,
+                               const double* sz, const double* sq,
+                               std::size_t ns, K k, double* phi, double* ex,
+                               double* ey, double* ez, double* sphi,
+                               double* sex, double* sey, double* sez) {
+  using V = __m512d;
+  static_assert(kTileRegs<double> == 2);
+  V ptx[2], pty[2], ptz[2], ptq[2], acc[2][4];
+  for (std::size_t r = 0; r < 2; ++r) {
+    ptx[r] = simd::load(tx + 8 * r);
+    pty[r] = simd::load(ty + 8 * r);
+    ptz[r] = simd::load(tz + 8 * r);
+    ptq[r] = simd::load(tq + 8 * r);
+    for (std::size_t o = 0; o < 4; ++o) acc[r][o] = simd::set1(0.0);
+  }
+  const auto mirror_sum = [](V a0, V b0, V a1, V b1) {
+    return simd::reduce_add(simd::fmadd(a0, b0, simd::mul(a1, b1)));
+  };
+  for (std::size_t j = 0; j < ns; ++j) {
+    const V xj = simd::set1(sx[j]);
+    const V yj = simd::set1(sy[j]);
+    const V zj = simd::set1(sz[j]);
+    const V qj = simd::set1(sq[j]);
+    LanePair<double> p[2];
+#pragma GCC unroll 2
+    for (std::size_t r = 0; r < 2; ++r) {
+      p[r] = lane_pair<Field, double>(ptx[r], pty[r], ptz[r], xj, yj, zj, k);
+      accumulate_pair<Field, double>(p[r], qj, acc[r]);
+    }
+    if constexpr (Field) {
+      // E at the source from the target: the separation flips sign.
+      const V wt0 = simd::mul(p[0].s, ptq[0]);
+      const V wt1 = simd::mul(p[1].s, ptq[1]);
+      sphi[j] += mirror_sum(p[0].g, ptq[0], p[1].g, ptq[1]);
+      sex[j] -= mirror_sum(wt0, p[0].dx, wt1, p[1].dx);
+      sey[j] -= mirror_sum(wt0, p[0].dy, wt1, p[1].dy);
+      sez[j] -= mirror_sum(wt0, p[0].dz, wt1, p[1].dz);
+    } else {
+      sphi[j] += mirror_sum(p[0].g, ptq[0], p[1].g, ptq[1]);
+    }
+  }
+  double* out[4] = {phi, ex, ey, ez};
+  for (std::size_t o = 0; o < (Field ? 4u : 1u); ++o) {
+    simd::add_to(out[o], acc[0][o]);
+    simd::add_to(out[o] + 8, acc[1][o]);
+  }
 }
 
 }  // namespace detail
 
-/// Coulomb potential tile: 16 targets in two zmm accumulator registers.
-template <>
-struct TileSimd<false, CoulombKernel> {
-  static constexpr bool kAvailable = true;
-
-  static void run(const double* tx, const double* ty, const double* tz,
-                  const double* sx, const double* sy, const double* sz,
-                  const double* sq, std::size_t ns, CoulombKernel,
-                  double* phi, double*, double*, double*) {
-    const __m512d zero = _mm512_setzero_pd();
-    const __m512d tx0 = _mm512_loadu_pd(tx), tx1 = _mm512_loadu_pd(tx + 8);
-    const __m512d ty0 = _mm512_loadu_pd(ty), ty1 = _mm512_loadu_pd(ty + 8);
-    const __m512d tz0 = _mm512_loadu_pd(tz), tz1 = _mm512_loadu_pd(tz + 8);
-    __m512d acc0 = zero, acc1 = zero;
-    for (std::size_t j = 0; j < ns; ++j) {
-      const __m512d xj = _mm512_set1_pd(sx[j]);
-      const __m512d yj = _mm512_set1_pd(sy[j]);
-      const __m512d zj = _mm512_set1_pd(sz[j]);
-      const __m512d qj = _mm512_set1_pd(sq[j]);
-
-      __m512d dx = _mm512_sub_pd(tx0, xj);
-      __m512d dy = _mm512_sub_pd(ty0, yj);
-      __m512d dz = _mm512_sub_pd(tz0, zj);
-      __m512d r2 = _mm512_fmadd_pd(
-          dx, dx, _mm512_fmadd_pd(dy, dy, _mm512_mul_pd(dz, dz)));
-      acc0 = _mm512_fmadd_pd(
-          detail::masked_rsqrt_nr2(r2,
-                                   _mm512_cmp_pd_mask(r2, zero, _CMP_GT_OQ)),
-          qj, acc0);
-
-      dx = _mm512_sub_pd(tx1, xj);
-      dy = _mm512_sub_pd(ty1, yj);
-      dz = _mm512_sub_pd(tz1, zj);
-      r2 = _mm512_fmadd_pd(
-          dx, dx, _mm512_fmadd_pd(dy, dy, _mm512_mul_pd(dz, dz)));
-      acc1 = _mm512_fmadd_pd(
-          detail::masked_rsqrt_nr2(r2,
-                                   _mm512_cmp_pd_mask(r2, zero, _CMP_GT_OQ)),
-          qj, acc1);
-    }
-    _mm512_storeu_pd(phi, _mm512_add_pd(_mm512_loadu_pd(phi), acc0));
-    _mm512_storeu_pd(phi + 8, _mm512_add_pd(_mm512_loadu_pd(phi + 8), acc1));
-  }
-};
-
-/// Coulomb potential+field tile: slope = -1/r^3 = -(1/sqrt(r2))^3, so the
-/// whole contribution is rsqrt-only — no divider at all.
-template <>
-struct TileSimd<true, CoulombGradKernel> {
-  static constexpr bool kAvailable = true;
-
-  static void run(const double* tx, const double* ty, const double* tz,
-                  const double* sx, const double* sy, const double* sz,
-                  const double* sq, std::size_t ns, CoulombGradKernel,
-                  double* phi, double* ex, double* ey, double* ez) {
-    const __m512d zero = _mm512_setzero_pd();
-    const __m512d tx0 = _mm512_loadu_pd(tx), tx1 = _mm512_loadu_pd(tx + 8);
-    const __m512d ty0 = _mm512_loadu_pd(ty), ty1 = _mm512_loadu_pd(ty + 8);
-    const __m512d tz0 = _mm512_loadu_pd(tz), tz1 = _mm512_loadu_pd(tz + 8);
-    __m512d p0 = zero, p1 = zero;
-    __m512d x0 = zero, x1 = zero;
-    __m512d y0 = zero, y1 = zero;
-    __m512d z0 = zero, z1 = zero;
-    for (std::size_t j = 0; j < ns; ++j) {
-      const __m512d xj = _mm512_set1_pd(sx[j]);
-      const __m512d yj = _mm512_set1_pd(sy[j]);
-      const __m512d zj = _mm512_set1_pd(sz[j]);
-      const __m512d qj = _mm512_set1_pd(sq[j]);
-
-      __m512d dx = _mm512_sub_pd(tx0, xj);
-      __m512d dy = _mm512_sub_pd(ty0, yj);
-      __m512d dz = _mm512_sub_pd(tz0, zj);
-      __m512d r2 = _mm512_fmadd_pd(
-          dx, dx, _mm512_fmadd_pd(dy, dy, _mm512_mul_pd(dz, dz)));
-      __m512d inv_r = detail::masked_rsqrt_nr2(
-          r2, _mm512_cmp_pd_mask(r2, zero, _CMP_GT_OQ));
-      __m512d w = _mm512_mul_pd(
-          qj, _mm512_mul_pd(inv_r, _mm512_mul_pd(inv_r, inv_r)));
-      p0 = _mm512_fmadd_pd(inv_r, qj, p0);
-      x0 = _mm512_fmadd_pd(w, dx, x0);
-      y0 = _mm512_fmadd_pd(w, dy, y0);
-      z0 = _mm512_fmadd_pd(w, dz, z0);
-
-      dx = _mm512_sub_pd(tx1, xj);
-      dy = _mm512_sub_pd(ty1, yj);
-      dz = _mm512_sub_pd(tz1, zj);
-      r2 = _mm512_fmadd_pd(
-          dx, dx, _mm512_fmadd_pd(dy, dy, _mm512_mul_pd(dz, dz)));
-      inv_r = detail::masked_rsqrt_nr2(
-          r2, _mm512_cmp_pd_mask(r2, zero, _CMP_GT_OQ));
-      w = _mm512_mul_pd(qj,
-                        _mm512_mul_pd(inv_r, _mm512_mul_pd(inv_r, inv_r)));
-      p1 = _mm512_fmadd_pd(inv_r, qj, p1);
-      x1 = _mm512_fmadd_pd(w, dx, x1);
-      y1 = _mm512_fmadd_pd(w, dy, y1);
-      z1 = _mm512_fmadd_pd(w, dz, z1);
-    }
-    _mm512_storeu_pd(phi, _mm512_add_pd(_mm512_loadu_pd(phi), p0));
-    _mm512_storeu_pd(phi + 8, _mm512_add_pd(_mm512_loadu_pd(phi + 8), p1));
-    _mm512_storeu_pd(ex, _mm512_add_pd(_mm512_loadu_pd(ex), x0));
-    _mm512_storeu_pd(ex + 8, _mm512_add_pd(_mm512_loadu_pd(ex + 8), x1));
-    _mm512_storeu_pd(ey, _mm512_add_pd(_mm512_loadu_pd(ey), y0));
-    _mm512_storeu_pd(ey + 8, _mm512_add_pd(_mm512_loadu_pd(ey + 8), y1));
-    _mm512_storeu_pd(ez, _mm512_add_pd(_mm512_loadu_pd(ez), z0));
-    _mm512_storeu_pd(ez + 8, _mm512_add_pd(_mm512_loadu_pd(ez + 8), z1));
-  }
-};
-
-/// Screened-Coulomb (erfc) potential tile, the kPeriodicMesh near field.
-/// Fully vectorized: the distance pipeline (r^2, masked rsqrt) feeds the
-/// A&S 7.1.26 erfc approximation (detail::erfc_gauss_pd) — its ~1.5e-7
-/// absolute error sits far below the mesh split tolerance, and no lane
-/// ever leaves the registers for libm.
-template <>
-struct TileSimd<false, CoulombErfcKernel> {
-  static constexpr bool kAvailable = true;
-
-  static void run(const double* tx, const double* ty, const double* tz,
-                  const double* sx, const double* sy, const double* sz,
-                  const double* sq, std::size_t ns, CoulombErfcKernel k,
-                  double* phi, double*, double*, double*) {
-    const __m512d zero = _mm512_setzero_pd();
-    const __m512d tx0 = _mm512_loadu_pd(tx), tx1 = _mm512_loadu_pd(tx + 8);
-    const __m512d ty0 = _mm512_loadu_pd(ty), ty1 = _mm512_loadu_pd(ty + 8);
-    const __m512d tz0 = _mm512_loadu_pd(tz), tz1 = _mm512_loadu_pd(tz + 8);
-    const __m512d va = _mm512_set1_pd(k.alpha);
-    __m512d acc0 = zero, acc1 = zero;
-    for (std::size_t j = 0; j < ns; ++j) {
-      const __m512d xj = _mm512_set1_pd(sx[j]);
-      const __m512d yj = _mm512_set1_pd(sy[j]);
-      const __m512d zj = _mm512_set1_pd(sz[j]);
-      const __m512d qj = _mm512_set1_pd(sq[j]);
-
-      __m512d dx = _mm512_sub_pd(tx0, xj);
-      __m512d dy = _mm512_sub_pd(ty0, yj);
-      __m512d dz = _mm512_sub_pd(tz0, zj);
-      __m512d r2 = _mm512_fmadd_pd(
-          dx, dx, _mm512_fmadd_pd(dy, dy, _mm512_mul_pd(dz, dz)));
-      __m512d inv = detail::masked_rsqrt_nr2(
-          r2, _mm512_cmp_pd_mask(r2, zero, _CMP_GT_OQ));
-      __m512d erfc0, gauss0;
-      detail::erfc_gauss_pd(_mm512_mul_pd(va, _mm512_mul_pd(r2, inv)), erfc0,
-                            gauss0);
-      acc0 = _mm512_fmadd_pd(_mm512_mul_pd(erfc0, inv), qj, acc0);
-
-      dx = _mm512_sub_pd(tx1, xj);
-      dy = _mm512_sub_pd(ty1, yj);
-      dz = _mm512_sub_pd(tz1, zj);
-      r2 = _mm512_fmadd_pd(
-          dx, dx, _mm512_fmadd_pd(dy, dy, _mm512_mul_pd(dz, dz)));
-      inv = detail::masked_rsqrt_nr2(
-          r2, _mm512_cmp_pd_mask(r2, zero, _CMP_GT_OQ));
-      __m512d erfc1, gauss1;
-      detail::erfc_gauss_pd(_mm512_mul_pd(va, _mm512_mul_pd(r2, inv)), erfc1,
-                            gauss1);
-      acc1 = _mm512_fmadd_pd(_mm512_mul_pd(erfc1, inv), qj, acc1);
-    }
-    _mm512_storeu_pd(phi, _mm512_add_pd(_mm512_loadu_pd(phi), acc0));
-    _mm512_storeu_pd(phi + 8, _mm512_add_pd(_mm512_loadu_pd(phi + 8), acc1));
-  }
-};
-
-/// Screened-Coulomb potential+field tile: same hybrid split; the per-lane
-/// scalar section evaluates erfc and the Gaussian together.
-template <>
-struct TileSimd<true, CoulombErfcGradKernel> {
-  static constexpr bool kAvailable = true;
-
-  static void run(const double* tx, const double* ty, const double* tz,
-                  const double* sx, const double* sy, const double* sz,
-                  const double* sq, std::size_t ns, CoulombErfcGradKernel k,
-                  double* phi, double* ex, double* ey, double* ez) {
-    constexpr double kTwoOverSqrtPi = 1.1283791670955126;
-    const __m512d zero = _mm512_setzero_pd();
-    const __m512d tx0 = _mm512_loadu_pd(tx), tx1 = _mm512_loadu_pd(tx + 8);
-    const __m512d ty0 = _mm512_loadu_pd(ty), ty1 = _mm512_loadu_pd(ty + 8);
-    const __m512d tz0 = _mm512_loadu_pd(tz), tz1 = _mm512_loadu_pd(tz + 8);
-    const __m512d va = _mm512_set1_pd(k.alpha);
-    const __m512d vgc = _mm512_set1_pd(kTwoOverSqrtPi * k.alpha);
-    __m512d p0 = zero, p1 = zero;
-    __m512d x0 = zero, x1 = zero;
-    __m512d y0 = zero, y1 = zero;
-    __m512d z0 = zero, z1 = zero;
-    for (std::size_t j = 0; j < ns; ++j) {
-      const __m512d xj = _mm512_set1_pd(sx[j]);
-      const __m512d yj = _mm512_set1_pd(sy[j]);
-      const __m512d zj = _mm512_set1_pd(sz[j]);
-      const __m512d qj = _mm512_set1_pd(sq[j]);
-
-      const __m512d dx0 = _mm512_sub_pd(tx0, xj);
-      const __m512d dy0 = _mm512_sub_pd(ty0, yj);
-      const __m512d dz0 = _mm512_sub_pd(tz0, zj);
-      __m512d r2 = _mm512_fmadd_pd(
-          dx0, dx0, _mm512_fmadd_pd(dy0, dy0, _mm512_mul_pd(dz0, dz0)));
-      __m512d inv = detail::masked_rsqrt_nr2(
-          r2, _mm512_cmp_pd_mask(r2, zero, _CMP_GT_OQ));
-      __m512d erfcv, gauss;
-      detail::erfc_gauss_pd(_mm512_mul_pd(va, _mm512_mul_pd(r2, inv)), erfcv,
-                            gauss);
-      // g = erfc(ar)/r; -slope = (g + (2a/sqrt(pi)) e^{-a^2 r^2}) / r^2;
-      // the inv factors keep masked (coincident) lanes at zero.
-      __m512d g = _mm512_mul_pd(erfcv, inv);
-      __m512d w = _mm512_mul_pd(
-          _mm512_mul_pd(_mm512_fmadd_pd(vgc, gauss, g),
-                        _mm512_mul_pd(inv, inv)),
-          qj);
-      p0 = _mm512_fmadd_pd(g, qj, p0);
-      x0 = _mm512_fmadd_pd(w, dx0, x0);
-      y0 = _mm512_fmadd_pd(w, dy0, y0);
-      z0 = _mm512_fmadd_pd(w, dz0, z0);
-
-      const __m512d dx1 = _mm512_sub_pd(tx1, xj);
-      const __m512d dy1 = _mm512_sub_pd(ty1, yj);
-      const __m512d dz1 = _mm512_sub_pd(tz1, zj);
-      r2 = _mm512_fmadd_pd(
-          dx1, dx1, _mm512_fmadd_pd(dy1, dy1, _mm512_mul_pd(dz1, dz1)));
-      inv = detail::masked_rsqrt_nr2(
-          r2, _mm512_cmp_pd_mask(r2, zero, _CMP_GT_OQ));
-      detail::erfc_gauss_pd(_mm512_mul_pd(va, _mm512_mul_pd(r2, inv)), erfcv,
-                            gauss);
-      g = _mm512_mul_pd(erfcv, inv);
-      w = _mm512_mul_pd(
-          _mm512_mul_pd(_mm512_fmadd_pd(vgc, gauss, g),
-                        _mm512_mul_pd(inv, inv)),
-          qj);
-      p1 = _mm512_fmadd_pd(g, qj, p1);
-      x1 = _mm512_fmadd_pd(w, dx1, x1);
-      y1 = _mm512_fmadd_pd(w, dy1, y1);
-      z1 = _mm512_fmadd_pd(w, dz1, z1);
-    }
-    _mm512_storeu_pd(phi, _mm512_add_pd(_mm512_loadu_pd(phi), p0));
-    _mm512_storeu_pd(phi + 8, _mm512_add_pd(_mm512_loadu_pd(phi + 8), p1));
-    _mm512_storeu_pd(ex, _mm512_add_pd(_mm512_loadu_pd(ex), x0));
-    _mm512_storeu_pd(ex + 8, _mm512_add_pd(_mm512_loadu_pd(ex + 8), x1));
-    _mm512_storeu_pd(ey, _mm512_add_pd(_mm512_loadu_pd(ey), y0));
-    _mm512_storeu_pd(ey + 8, _mm512_add_pd(_mm512_loadu_pd(ey + 8), y1));
-    _mm512_storeu_pd(ez, _mm512_add_pd(_mm512_loadu_pd(ez), z0));
-    _mm512_storeu_pd(ez + 8, _mm512_add_pd(_mm512_loadu_pd(ez + 8), z1));
-  }
-};
-
-/// Mutual Coulomb potential tile: like TileSimd<false, CoulombKernel>, with
-/// a per-source horizontal reduction feeding the mirror potentials.
-template <>
-struct TileSimdMutual<false, CoulombKernel> {
-  static constexpr bool kAvailable = true;
-
-  static void run(const double* tx, const double* ty, const double* tz,
-                  const double* tq, const double* sx, const double* sy,
-                  const double* sz, const double* sq, std::size_t ns,
-                  CoulombKernel, double* phi, double*, double*, double*,
-                  double* sphi, double*, double*, double*) {
-    const __m512d zero = _mm512_setzero_pd();
-    const __m512d tx0 = _mm512_loadu_pd(tx), tx1 = _mm512_loadu_pd(tx + 8);
-    const __m512d ty0 = _mm512_loadu_pd(ty), ty1 = _mm512_loadu_pd(ty + 8);
-    const __m512d tz0 = _mm512_loadu_pd(tz), tz1 = _mm512_loadu_pd(tz + 8);
-    const __m512d tq0 = _mm512_loadu_pd(tq), tq1 = _mm512_loadu_pd(tq + 8);
-    __m512d acc0 = zero, acc1 = zero;
-    for (std::size_t j = 0; j < ns; ++j) {
-      const __m512d xj = _mm512_set1_pd(sx[j]);
-      const __m512d yj = _mm512_set1_pd(sy[j]);
-      const __m512d zj = _mm512_set1_pd(sz[j]);
-      const __m512d qj = _mm512_set1_pd(sq[j]);
-
-      __m512d dx = _mm512_sub_pd(tx0, xj);
-      __m512d dy = _mm512_sub_pd(ty0, yj);
-      __m512d dz = _mm512_sub_pd(tz0, zj);
-      __m512d r2 = _mm512_fmadd_pd(
-          dx, dx, _mm512_fmadd_pd(dy, dy, _mm512_mul_pd(dz, dz)));
-      const __m512d inv0 = detail::masked_rsqrt_nr2(
-          r2, _mm512_cmp_pd_mask(r2, zero, _CMP_GT_OQ));
-      acc0 = _mm512_fmadd_pd(inv0, qj, acc0);
-
-      dx = _mm512_sub_pd(tx1, xj);
-      dy = _mm512_sub_pd(ty1, yj);
-      dz = _mm512_sub_pd(tz1, zj);
-      r2 = _mm512_fmadd_pd(
-          dx, dx, _mm512_fmadd_pd(dy, dy, _mm512_mul_pd(dz, dz)));
-      const __m512d inv1 = detail::masked_rsqrt_nr2(
-          r2, _mm512_cmp_pd_mask(r2, zero, _CMP_GT_OQ));
-      acc1 = _mm512_fmadd_pd(inv1, qj, acc1);
-
-      sphi[j] += _mm512_reduce_add_pd(_mm512_fmadd_pd(
-          inv0, tq0, _mm512_mul_pd(inv1, tq1)));
-    }
-    _mm512_storeu_pd(phi, _mm512_add_pd(_mm512_loadu_pd(phi), acc0));
-    _mm512_storeu_pd(phi + 8, _mm512_add_pd(_mm512_loadu_pd(phi + 8), acc1));
-  }
-};
-
-/// Mutual Coulomb potential+field tile.
-template <>
-struct TileSimdMutual<true, CoulombGradKernel> {
-  static constexpr bool kAvailable = true;
-
-  static void run(const double* tx, const double* ty, const double* tz,
-                  const double* tq, const double* sx, const double* sy,
-                  const double* sz, const double* sq, std::size_t ns,
-                  CoulombGradKernel, double* phi, double* ex, double* ey,
-                  double* ez, double* sphi, double* sex, double* sey,
-                  double* sez) {
-    const __m512d zero = _mm512_setzero_pd();
-    const __m512d tx0 = _mm512_loadu_pd(tx), tx1 = _mm512_loadu_pd(tx + 8);
-    const __m512d ty0 = _mm512_loadu_pd(ty), ty1 = _mm512_loadu_pd(ty + 8);
-    const __m512d tz0 = _mm512_loadu_pd(tz), tz1 = _mm512_loadu_pd(tz + 8);
-    const __m512d tq0 = _mm512_loadu_pd(tq), tq1 = _mm512_loadu_pd(tq + 8);
-    __m512d p0 = zero, p1 = zero;
-    __m512d x0 = zero, x1 = zero;
-    __m512d y0 = zero, y1 = zero;
-    __m512d z0 = zero, z1 = zero;
-    for (std::size_t j = 0; j < ns; ++j) {
-      const __m512d xj = _mm512_set1_pd(sx[j]);
-      const __m512d yj = _mm512_set1_pd(sy[j]);
-      const __m512d zj = _mm512_set1_pd(sz[j]);
-      const __m512d qj = _mm512_set1_pd(sq[j]);
-
-      __m512d dx0 = _mm512_sub_pd(tx0, xj);
-      __m512d dy0 = _mm512_sub_pd(ty0, yj);
-      __m512d dz0 = _mm512_sub_pd(tz0, zj);
-      __m512d r2 = _mm512_fmadd_pd(
-          dx0, dx0, _mm512_fmadd_pd(dy0, dy0, _mm512_mul_pd(dz0, dz0)));
-      const __m512d inv0 = detail::masked_rsqrt_nr2(
-          r2, _mm512_cmp_pd_mask(r2, zero, _CMP_GT_OQ));
-      // w = 1/r^3 (positive); target side subtracts slope*d*q with
-      // slope = -w, i.e. adds w*d*q; source side adds slope*d*q = -w*d*q.
-      const __m512d w0 = _mm512_mul_pd(inv0, _mm512_mul_pd(inv0, inv0));
-      const __m512d wq0 = _mm512_mul_pd(w0, qj);
-      p0 = _mm512_fmadd_pd(inv0, qj, p0);
-      x0 = _mm512_fmadd_pd(wq0, dx0, x0);
-      y0 = _mm512_fmadd_pd(wq0, dy0, y0);
-      z0 = _mm512_fmadd_pd(wq0, dz0, z0);
-
-      __m512d dx1 = _mm512_sub_pd(tx1, xj);
-      __m512d dy1 = _mm512_sub_pd(ty1, yj);
-      __m512d dz1 = _mm512_sub_pd(tz1, zj);
-      r2 = _mm512_fmadd_pd(
-          dx1, dx1, _mm512_fmadd_pd(dy1, dy1, _mm512_mul_pd(dz1, dz1)));
-      const __m512d inv1 = detail::masked_rsqrt_nr2(
-          r2, _mm512_cmp_pd_mask(r2, zero, _CMP_GT_OQ));
-      const __m512d w1 = _mm512_mul_pd(inv1, _mm512_mul_pd(inv1, inv1));
-      const __m512d wq1 = _mm512_mul_pd(w1, qj);
-      p1 = _mm512_fmadd_pd(inv1, qj, p1);
-      x1 = _mm512_fmadd_pd(wq1, dx1, x1);
-      y1 = _mm512_fmadd_pd(wq1, dy1, y1);
-      z1 = _mm512_fmadd_pd(wq1, dz1, z1);
-
-      const __m512d wt0 = _mm512_mul_pd(w0, tq0);
-      const __m512d wt1 = _mm512_mul_pd(w1, tq1);
-      sphi[j] += _mm512_reduce_add_pd(_mm512_fmadd_pd(
-          inv0, tq0, _mm512_mul_pd(inv1, tq1)));
-      sex[j] -= _mm512_reduce_add_pd(_mm512_fmadd_pd(
-          wt0, dx0, _mm512_mul_pd(wt1, dx1)));
-      sey[j] -= _mm512_reduce_add_pd(_mm512_fmadd_pd(
-          wt0, dy0, _mm512_mul_pd(wt1, dy1)));
-      sez[j] -= _mm512_reduce_add_pd(_mm512_fmadd_pd(
-          wt0, dz0, _mm512_mul_pd(wt1, dz1)));
-    }
-    _mm512_storeu_pd(phi, _mm512_add_pd(_mm512_loadu_pd(phi), p0));
-    _mm512_storeu_pd(phi + 8, _mm512_add_pd(_mm512_loadu_pd(phi + 8), p1));
-    _mm512_storeu_pd(ex, _mm512_add_pd(_mm512_loadu_pd(ex), x0));
-    _mm512_storeu_pd(ex + 8, _mm512_add_pd(_mm512_loadu_pd(ex + 8), x1));
-    _mm512_storeu_pd(ey, _mm512_add_pd(_mm512_loadu_pd(ey), y0));
-    _mm512_storeu_pd(ey + 8, _mm512_add_pd(_mm512_loadu_pd(ey + 8), y1));
-    _mm512_storeu_pd(ez, _mm512_add_pd(_mm512_loadu_pd(ez), z0));
-    _mm512_storeu_pd(ez + 8, _mm512_add_pd(_mm512_loadu_pd(ez + 8), z1));
-  }
-};
-
-/// fp32 Coulomb potential tile: 16 targets in ONE zmm accumulator register,
-/// vrsqrt14ps + one Newton step, float partials widened to fp64 every
-/// kF32FlushInterval sources.
-template <>
-struct TileSimdF32<false, CoulombKernel> {
-  static constexpr bool kAvailable = true;
-
-  static void run(const float* tx, const float* ty, const float* tz,
-                  const float* sx, const float* sy, const float* sz,
-                  const float* sq, std::size_t ns, CoulombKernel,
-                  double* phi, double*, double*, double*) {
-    const __m512 zero = _mm512_setzero_ps();
-    const __m512 tx0 = _mm512_loadu_ps(tx);
-    const __m512 ty0 = _mm512_loadu_ps(ty);
-    const __m512 tz0 = _mm512_loadu_ps(tz);
-    __m512d p0 = _mm512_setzero_pd(), p1 = _mm512_setzero_pd();
-    __m512 acc = zero;
-    std::size_t since_flush = 0;
-    for (std::size_t j = 0; j < ns; ++j) {
-      const __m512 xj = _mm512_set1_ps(sx[j]);
-      const __m512 yj = _mm512_set1_ps(sy[j]);
-      const __m512 zj = _mm512_set1_ps(sz[j]);
-      const __m512 qj = _mm512_set1_ps(sq[j]);
-      const __m512 dx = _mm512_sub_ps(tx0, xj);
-      const __m512 dy = _mm512_sub_ps(ty0, yj);
-      const __m512 dz = _mm512_sub_ps(tz0, zj);
-      const __m512 r2 = _mm512_fmadd_ps(
-          dx, dx, _mm512_fmadd_ps(dy, dy, _mm512_mul_ps(dz, dz)));
-      acc = _mm512_fmadd_ps(
-          detail::masked_rsqrt_ps_nr1(
-              r2, _mm512_cmp_ps_mask(r2, zero, _CMP_GT_OQ)),
-          qj, acc);
-      if (++since_flush == kF32FlushInterval) {
-        detail::flush_ps_to_pd(acc, p0, p1);
-        acc = zero;
-        since_flush = 0;
-      }
-    }
-    detail::flush_ps_to_pd(acc, p0, p1);
-    _mm512_storeu_pd(phi, _mm512_add_pd(_mm512_loadu_pd(phi), p0));
-    _mm512_storeu_pd(phi + 8, _mm512_add_pd(_mm512_loadu_pd(phi + 8), p1));
-  }
-};
-
-/// fp32 Coulomb potential+field tile: four zmm float accumulators, all
-/// rsqrt-only, flushed into eight fp64 registers.
-template <>
-struct TileSimdF32<true, CoulombGradKernel> {
-  static constexpr bool kAvailable = true;
-
-  static void run(const float* tx, const float* ty, const float* tz,
-                  const float* sx, const float* sy, const float* sz,
-                  const float* sq, std::size_t ns, CoulombGradKernel,
-                  double* phi, double* ex, double* ey, double* ez) {
-    const __m512 zero = _mm512_setzero_ps();
-    const __m512 tx0 = _mm512_loadu_ps(tx);
-    const __m512 ty0 = _mm512_loadu_ps(ty);
-    const __m512 tz0 = _mm512_loadu_ps(tz);
-    __m512d pp0 = _mm512_setzero_pd(), pp1 = _mm512_setzero_pd();
-    __m512d px0 = _mm512_setzero_pd(), px1 = _mm512_setzero_pd();
-    __m512d py0 = _mm512_setzero_pd(), py1 = _mm512_setzero_pd();
-    __m512d pz0 = _mm512_setzero_pd(), pz1 = _mm512_setzero_pd();
-    __m512 ap = zero, ax = zero, ay = zero, az = zero;
-    std::size_t since_flush = 0;
-    for (std::size_t j = 0; j < ns; ++j) {
-      const __m512 xj = _mm512_set1_ps(sx[j]);
-      const __m512 yj = _mm512_set1_ps(sy[j]);
-      const __m512 zj = _mm512_set1_ps(sz[j]);
-      const __m512 qj = _mm512_set1_ps(sq[j]);
-      const __m512 dx = _mm512_sub_ps(tx0, xj);
-      const __m512 dy = _mm512_sub_ps(ty0, yj);
-      const __m512 dz = _mm512_sub_ps(tz0, zj);
-      const __m512 r2 = _mm512_fmadd_ps(
-          dx, dx, _mm512_fmadd_ps(dy, dy, _mm512_mul_ps(dz, dz)));
-      const __m512 inv_r = detail::masked_rsqrt_ps_nr1(
-          r2, _mm512_cmp_ps_mask(r2, zero, _CMP_GT_OQ));
-      // w = q/r^3; target side accumulates +w*d (E = -grad phi).
-      const __m512 w = _mm512_mul_ps(
-          qj, _mm512_mul_ps(inv_r, _mm512_mul_ps(inv_r, inv_r)));
-      ap = _mm512_fmadd_ps(inv_r, qj, ap);
-      ax = _mm512_fmadd_ps(w, dx, ax);
-      ay = _mm512_fmadd_ps(w, dy, ay);
-      az = _mm512_fmadd_ps(w, dz, az);
-      if (++since_flush == kF32FlushInterval) {
-        detail::flush_ps_to_pd(ap, pp0, pp1);
-        detail::flush_ps_to_pd(ax, px0, px1);
-        detail::flush_ps_to_pd(ay, py0, py1);
-        detail::flush_ps_to_pd(az, pz0, pz1);
-        ap = ax = ay = az = zero;
-        since_flush = 0;
-      }
-    }
-    detail::flush_ps_to_pd(ap, pp0, pp1);
-    detail::flush_ps_to_pd(ax, px0, px1);
-    detail::flush_ps_to_pd(ay, py0, py1);
-    detail::flush_ps_to_pd(az, pz0, pz1);
-    _mm512_storeu_pd(phi, _mm512_add_pd(_mm512_loadu_pd(phi), pp0));
-    _mm512_storeu_pd(phi + 8, _mm512_add_pd(_mm512_loadu_pd(phi + 8), pp1));
-    _mm512_storeu_pd(ex, _mm512_add_pd(_mm512_loadu_pd(ex), px0));
-    _mm512_storeu_pd(ex + 8, _mm512_add_pd(_mm512_loadu_pd(ex + 8), px1));
-    _mm512_storeu_pd(ey, _mm512_add_pd(_mm512_loadu_pd(ey), py0));
-    _mm512_storeu_pd(ey + 8, _mm512_add_pd(_mm512_loadu_pd(ey + 8), py1));
-    _mm512_storeu_pd(ez, _mm512_add_pd(_mm512_loadu_pd(ez), pz0));
-    _mm512_storeu_pd(ez + 8, _mm512_add_pd(_mm512_loadu_pd(ez + 8), pz1));
-  }
-};
-
 #endif  // __AVX512F__
 
-/// One target against a source stream, vectorized across sources with a
-/// simd reduction (one-target lists, max_batch = 1, and the edge case
-/// nt == 1).
-template <bool Field, typename K>
-inline void accumulate_single(double tx, double ty, double tz,
-                              const double* __restrict sx,
-                              const double* __restrict sy,
-                              const double* __restrict sz,
-                              const double* __restrict sq, std::size_t ns,
-                              K k, double& phi, double& ex, double& ey,
-                              double& ez) {
-  double accp = 0.0, accx = 0.0, accy = 0.0, accz = 0.0;
+// ---- Portable tiles --------------------------------------------------------
+//
+// One template over the staged element type T serves fp64 and fp32: the
+// arithmetic runs in T and the sums land in fp64 outputs. fp32 sums in
+// float over blocks of kF32FlushInterval sources and adds each block's sums
+// into fp64; fp64 runs the whole stream as one block.
+
+namespace detail {
+
+/// One target against sources [j0, j1), vectorized across sources with a
+/// simd reduction in T; the sums are added into the fp64 outputs.
+template <bool Field, typename T, typename K>
+inline void single_block(T x, T y, T z, const T* __restrict sx,
+                         const T* __restrict sy, const T* __restrict sz,
+                         const T* __restrict sq, std::size_t j0,
+                         std::size_t j1, K k, double& phi, double& ex,
+                         double& ey, double& ez) {
+  T accp = 0, accx = 0, accy = 0, accz = 0;
 #pragma omp simd reduction(+ : accp, accx, accy, accz)
-  for (std::size_t j = 0; j < ns; ++j) {
-    const double dx = tx - sx[j];
-    const double dy = ty - sy[j];
-    const double dz = tz - sz[j];
-    const double r2 = dx * dx + dy * dy + dz * dz;
-    const double qj = sq[j];
+  for (std::size_t j = j0; j < j1; ++j) {
+    const T dx = x - sx[j];
+    const T dy = y - sy[j];
+    const T dz = z - sz[j];
+    const T r2 = dx * dx + dy * dy + dz * dz;
+    const T qj = sq[j];
     if constexpr (Field) {
-      const GradValue v = grad_value_masked(k, r2);
+      const GradValue<T> v = grad_value_masked(k, r2);
       accp += v.g * qj;
       accx -= v.slope * dx * qj;
       accy -= v.slope * dy * qj;
@@ -795,47 +382,31 @@ inline void accumulate_single(double tx, double ty, double tz,
   }
 }
 
-/// A tile of nt <= kTargetTile targets against ns contiguous source points:
-/// the unified inner kernel of every host evaluation path. `Fast` permits
-/// the ISA-specific tile (treecode paths); exact callers pass false.
-template <bool Field, bool Fast, typename K>
-inline void accumulate_tile(const double* __restrict tx,
-                            const double* __restrict ty,
-                            const double* __restrict tz, std::size_t nt,
-                            const double* __restrict sx,
-                            const double* __restrict sy,
-                            const double* __restrict sz,
-                            const double* __restrict sq, std::size_t ns, K k,
-                            double* __restrict phi, double* __restrict ex,
-                            double* __restrict ey, double* __restrict ez) {
-  if constexpr (Fast && TileSimd<Field, K>::kAvailable) {
-    if (nt == kTargetTile) {
-      TileSimd<Field, K>::run(tx, ty, tz, sx, sy, sz, sq, ns, k, phi, ex, ey,
-                              ez);
-      return;
-    }
-  }
-  if (nt == 1) {
-    accumulate_single<Field>(tx[0], ty[0], tz[0], sx, sy, sz, sq, ns, k,
-                             phi[0], Field ? ex[0] : phi[0],
-                             Field ? ey[0] : phi[0], Field ? ez[0] : phi[0]);
-    return;
-  }
-  // Portable blocked form: one SIMD lane per target, sources broadcast.
-  double accp[kTargetTile] = {};
-  double accx[kTargetTile] = {};
-  double accy[kTargetTile] = {};
-  double accz[kTargetTile] = {};
-  for (std::size_t j = 0; j < ns; ++j) {
-    const double xj = sx[j], yj = sy[j], zj = sz[j], qj = sq[j];
+/// nt <= kTargetTile targets against sources [j0, j1): one SIMD lane per
+/// target, sources broadcast, summed in T; the sums are added into the fp64
+/// outputs.
+template <bool Field, typename T, typename K>
+inline void tile_block(const T* __restrict tx, const T* __restrict ty,
+                       const T* __restrict tz, std::size_t nt,
+                       const T* __restrict sx, const T* __restrict sy,
+                       const T* __restrict sz, const T* __restrict sq,
+                       std::size_t j0, std::size_t j1, K k,
+                       double* __restrict phi, double* __restrict ex,
+                       double* __restrict ey, double* __restrict ez) {
+  T accp[kTargetTile] = {};
+  T accx[kTargetTile] = {};
+  T accy[kTargetTile] = {};
+  T accz[kTargetTile] = {};
+  for (std::size_t j = j0; j < j1; ++j) {
+    const T xj = sx[j], yj = sy[j], zj = sz[j], qj = sq[j];
 #pragma omp simd
     for (std::size_t t = 0; t < nt; ++t) {
-      const double dx = tx[t] - xj;
-      const double dy = ty[t] - yj;
-      const double dz = tz[t] - zj;
-      const double r2 = dx * dx + dy * dy + dz * dz;
+      const T dx = tx[t] - xj;
+      const T dy = ty[t] - yj;
+      const T dz = tz[t] - zj;
+      const T r2 = dx * dx + dy * dy + dz * dz;
       if constexpr (Field) {
-        const GradValue v = grad_value_masked(k, r2);
+        const GradValue<T> v = grad_value_masked(k, r2);
         accp[t] += v.g * qj;
         accx[t] -= v.slope * dx * qj;
         accy[t] -= v.slope * dy * qj;
@@ -853,131 +424,104 @@ inline void accumulate_tile(const double* __restrict tx,
   }
 }
 
-/// fp32 twin of accumulate_single: one target against a float source
-/// stream, simd-reduced in float per kF32FlushInterval block, block sums
-/// accumulated in fp64.
-template <bool Field, typename K>
-inline void accumulate_single_f32(double tx, double ty, double tz,
-                                  const float* __restrict sx,
-                                  const float* __restrict sy,
-                                  const float* __restrict sz,
-                                  const float* __restrict sq, std::size_t ns,
-                                  K k, double& phi, double& ex, double& ey,
-                                  double& ez) {
-  const float x = static_cast<float>(tx);
-  const float y = static_cast<float>(ty);
-  const float z = static_cast<float>(tz);
-  double dp = 0.0, dxs = 0.0, dys = 0.0, dzs = 0.0;
-  for (std::size_t j0 = 0; j0 < ns; j0 += kF32FlushInterval) {
-    const std::size_t jend = std::min(ns, j0 + kF32FlushInterval);
-    float accp = 0.0f, accx = 0.0f, accy = 0.0f, accz = 0.0f;
-#pragma omp simd reduction(+ : accp, accx, accy, accz)
-    for (std::size_t j = j0; j < jend; ++j) {
-      const float dx = x - sx[j];
-      const float dy = y - sy[j];
-      const float dz = z - sz[j];
-      const float r2 = dx * dx + dy * dy + dz * dz;
-      const float qj = sq[j];
-      if constexpr (Field) {
-        const GradValueF v = grad_value_masked(k, r2);
-        accp += v.g * qj;
-        accx -= v.slope * dx * qj;
-        accy -= v.slope * dy * qj;
-        accz -= v.slope * dz * qj;
-      } else {
-        accp += kernel_value_masked(k, r2) * qj;
-      }
-    }
-    dp += accp;
-    dxs += accx;
-    dys += accy;
-    dzs += accz;
-  }
-  phi += dp;
-  if constexpr (Field) {
-    ex += dxs;
-    ey += dys;
-    ez += dzs;
+/// A tile's target coordinates in T: fp64 uses them in place, fp32 narrows
+/// the <= kTargetTile values once per tile into `buf`.
+template <typename T>
+inline const T* tile_targets(const double* t, T* buf, std::size_t nt) {
+  if constexpr (std::is_same_v<T, double>) {
+    return t;
+  } else {
+    for (std::size_t i = 0; i < nt; ++i) buf[i] = static_cast<T>(t[i]);
+    return buf;
   }
 }
 
-/// fp32 twin of accumulate_tile for tagged far-field interactions: fp64
-/// target coordinates are narrowed once per tile (<= 16 conversions against
-/// an O(ns) inner loop), sources stream as floats narrowed while staging, and
-/// float partial sums are widened into the fp64 outputs every
-/// kF32FlushInterval sources.
-template <bool Field, bool Fast, typename K>
-inline void accumulate_tile_f32(const double* __restrict tx,
-                                const double* __restrict ty,
-                                const double* __restrict tz, std::size_t nt,
-                                const float* __restrict sx,
-                                const float* __restrict sy,
-                                const float* __restrict sz,
-                                const float* __restrict sq, std::size_t ns,
-                                K k, double* __restrict phi,
-                                double* __restrict ex, double* __restrict ey,
-                                double* __restrict ez) {
+}  // namespace detail
+
+/// One target against a source stream of T, vectorized across sources with
+/// a simd reduction (one-target lists, max_batch = 1, and the edge case
+/// nt == 1).
+template <bool Field, typename T, typename K>
+inline void accumulate_single(double tx, double ty, double tz,
+                              const T* __restrict sx,
+                              const T* __restrict sy,
+                              const T* __restrict sz,
+                              const T* __restrict sq, std::size_t ns, K k,
+                              double& phi, double& ex, double& ey,
+                              double& ez) {
+  const T x = static_cast<T>(tx);
+  const T y = static_cast<T>(ty);
+  const T z = static_cast<T>(tz);
+  if constexpr (std::is_same_v<T, double>) {
+    detail::single_block<Field>(x, y, z, sx, sy, sz, sq, 0, ns, k, phi, ex,
+                                ey, ez);
+  } else {
+    double dp = 0.0, dxs = 0.0, dys = 0.0, dzs = 0.0;
+    for (std::size_t j0 = 0; j0 < ns; j0 += kF32FlushInterval) {
+      detail::single_block<Field>(x, y, z, sx, sy, sz, sq, j0,
+                                  std::min(ns, j0 + kF32FlushInterval), k,
+                                  dp, dxs, dys, dzs);
+    }
+    phi += dp;
+    if constexpr (Field) {
+      ex += dxs;
+      ey += dys;
+      ez += dzs;
+    }
+  }
+}
+
+/// A tile of nt <= kTargetTile targets against ns contiguous source points
+/// of T (fp64, or fp32 for tagged far-field interactions): the inner kernel
+/// of every host evaluation path. Full tiles of a kernel with a vector
+/// radial form run the AVX-512 skeleton; the rest run the portable tile.
+template <bool Field, typename T, typename K>
+inline void accumulate_tile(const double* __restrict tx,
+                            const double* __restrict ty,
+                            const double* __restrict tz, std::size_t nt,
+                            const T* __restrict sx, const T* __restrict sy,
+                            const T* __restrict sz, const T* __restrict sq,
+                            std::size_t ns, K k, double* __restrict phi,
+                            double* __restrict ex, double* __restrict ey,
+                            double* __restrict ez) {
   if (nt == 1) {
-    accumulate_single_f32<Field>(
-        tx[0], ty[0], tz[0], sx, sy, sz, sq, ns, k, phi[0],
-        Field ? ex[0] : phi[0], Field ? ey[0] : phi[0],
-        Field ? ez[0] : phi[0]);
+    accumulate_single<Field>(tx[0], ty[0], tz[0], sx, sy, sz, sq, ns, k,
+                             phi[0], Field ? ex[0] : phi[0],
+                             Field ? ey[0] : phi[0], Field ? ez[0] : phi[0]);
     return;
   }
-  float ftx[kTargetTile], fty[kTargetTile], ftz[kTargetTile];
-  for (std::size_t t = 0; t < nt; ++t) {
-    ftx[t] = static_cast<float>(tx[t]);
-    fty[t] = static_cast<float>(ty[t]);
-    ftz[t] = static_cast<float>(tz[t]);
-  }
-  if constexpr (Fast && TileSimdF32<Field, K>::kAvailable) {
+  T bx[kTargetTile], by[kTargetTile], bz[kTargetTile];
+  const T* ttx = detail::tile_targets(tx, bx, nt);
+  const T* tty = detail::tile_targets(ty, by, nt);
+  const T* ttz = detail::tile_targets(tz, bz, nt);
+#if defined(__AVX512F__)
+  if constexpr (VectorRadial<K, T>) {
     if (nt == kTargetTile) {
-      TileSimdF32<Field, K>::run(ftx, fty, ftz, sx, sy, sz, sq, ns, k, phi,
+      detail::vector_tile<Field>(ttx, tty, ttz, sx, sy, sz, sq, ns, k, phi,
                                  ex, ey, ez);
       return;
     }
   }
-  double accp[kTargetTile] = {};
-  double accx[kTargetTile] = {};
-  double accy[kTargetTile] = {};
-  double accz[kTargetTile] = {};
-  for (std::size_t j0 = 0; j0 < ns; j0 += kF32FlushInterval) {
-    const std::size_t jend = std::min(ns, j0 + kF32FlushInterval);
-    float bp[kTargetTile] = {};
-    float bx[kTargetTile] = {};
-    float by[kTargetTile] = {};
-    float bz[kTargetTile] = {};
-    for (std::size_t j = j0; j < jend; ++j) {
-      const float xj = sx[j], yj = sy[j], zj = sz[j], qj = sq[j];
-#pragma omp simd
-      for (std::size_t t = 0; t < nt; ++t) {
-        const float dx = ftx[t] - xj;
-        const float dy = fty[t] - yj;
-        const float dz = ftz[t] - zj;
-        const float r2 = dx * dx + dy * dy + dz * dz;
-        if constexpr (Field) {
-          const GradValueF v = grad_value_masked(k, r2);
-          bp[t] += v.g * qj;
-          bx[t] -= v.slope * dx * qj;
-          by[t] -= v.slope * dy * qj;
-          bz[t] -= v.slope * dz * qj;
-        } else {
-          bp[t] += kernel_value_masked(k, r2) * qj;
-        }
-      }
+#endif
+  if constexpr (std::is_same_v<T, double>) {
+    detail::tile_block<Field>(ttx, tty, ttz, nt, sx, sy, sz, sq, 0, ns, k,
+                              phi, ex, ey, ez);
+  } else {
+    double accp[kTargetTile] = {};
+    double accx[kTargetTile] = {};
+    double accy[kTargetTile] = {};
+    double accz[kTargetTile] = {};
+    for (std::size_t j0 = 0; j0 < ns; j0 += kF32FlushInterval) {
+      detail::tile_block<Field>(ttx, tty, ttz, nt, sx, sy, sz, sq, j0,
+                                std::min(ns, j0 + kF32FlushInterval), k,
+                                accp, accx, accy, accz);
     }
-    for (std::size_t t = 0; t < nt; ++t) accp[t] += bp[t];
+    for (std::size_t t = 0; t < nt; ++t) phi[t] += accp[t];
     if constexpr (Field) {
-      for (std::size_t t = 0; t < nt; ++t) accx[t] += bx[t];
-      for (std::size_t t = 0; t < nt; ++t) accy[t] += by[t];
-      for (std::size_t t = 0; t < nt; ++t) accz[t] += bz[t];
+      for (std::size_t t = 0; t < nt; ++t) ex[t] += accx[t];
+      for (std::size_t t = 0; t < nt; ++t) ey[t] += accy[t];
+      for (std::size_t t = 0; t < nt; ++t) ez[t] += accz[t];
     }
-  }
-  for (std::size_t t = 0; t < nt; ++t) phi[t] += accp[t];
-  if constexpr (Field) {
-    for (std::size_t t = 0; t < nt; ++t) ex[t] += accx[t];
-    for (std::size_t t = 0; t < nt; ++t) ey[t] += accy[t];
-    for (std::size_t t = 0; t < nt; ++t) ez[t] += accz[t];
   }
 }
 
@@ -997,13 +541,16 @@ inline void accumulate_tile_mutual(
     K k, double* __restrict phi, double* __restrict ex,
     double* __restrict ey, double* __restrict ez, double* __restrict sphi,
     double* __restrict sex, double* __restrict sey, double* __restrict sez) {
-  if constexpr (TileSimdMutual<Field, K>::kAvailable) {
+#if defined(__AVX512F__)
+  if constexpr (VectorRadial<K, double>) {
     if (nt == kTargetTile) {
-      TileSimdMutual<Field, K>::run(tx, ty, tz, tq, sx, sy, sz, sq, ns, k,
-                                    phi, ex, ey, ez, sphi, sex, sey, sez);
+      detail::vector_tile_mutual<Field>(tx, ty, tz, tq, sx, sy, sz, sq, ns,
+                                        k, phi, ex, ey, ez, sphi, sex, sey,
+                                        sez);
       return;
     }
   }
+#endif
   double accp[kTargetTile] = {};
   double accx[kTargetTile] = {};
   double accy[kTargetTile] = {};
@@ -1018,7 +565,7 @@ inline void accumulate_tile_mutual(
       const double dz = tz[t] - zj;
       const double r2 = dx * dx + dy * dy + dz * dz;
       if constexpr (Field) {
-        const GradValue v = grad_value_masked(k, r2);
+        const GradValue<double> v = grad_value_masked(k, r2);
         accp[t] += v.g * qj;
         accx[t] -= v.slope * dx * qj;
         accy[t] -= v.slope * dy * qj;
@@ -1073,7 +620,7 @@ inline void accumulate_range_self(const double* __restrict x,
       const double dz = zi - z[j];
       const double r2 = dx * dx + dy * dy + dz * dz;
       if constexpr (Field) {
-        const GradValue v = grad_value_masked(k, r2);
+        const GradValue<double> v = grad_value_masked(k, r2);
         accp += v.g * q[j];
         accx -= v.slope * dx * q[j];
         accy -= v.slope * dy * q[j];

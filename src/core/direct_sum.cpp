@@ -201,7 +201,7 @@ FieldResult ewald_field_at(const EwaldSetup& s,
   const double tz = s.targets.z[i];
   double phi = s.background, ex = 0.0, ey = 0.0, ez = 0.0;
   double q_self = 0.0;
-  const CoulombErfcGradKernel grad{s.alpha};
+  const CoulombErfcKernel kernel{s.alpha};
   for (int ix = -s.real_shells; ix <= s.real_shells; ++ix) {
     for (int iy = -s.real_shells; iy <= s.real_shells; ++iy) {
       for (int iz = -s.real_shells; iz <= s.real_shells; ++iz) {
@@ -217,7 +217,7 @@ FieldResult ewald_field_at(const EwaldSetup& s,
             q_self += s.sources.q[j];
             continue;
           }
-          const GradValue v = grad.grad(r2);
+          const GradValue<double> v = kernel.grad(r2);
           const double q = s.sources.q[j];
           phi += v.g * q;
           ex -= v.slope * dx * q;

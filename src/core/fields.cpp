@@ -15,8 +15,8 @@ double evaluate_kernel_gradient(const KernelSpec& spec, double x1, double x2,
     g[0] = g[1] = g[2] = 0.0;
     return 0.0;
   }
-  return with_grad_kernel(spec, [&](auto k) {
-    const GradValue v = k.grad(r2);
+  return with_kernel(spec, [&](auto k) {
+    const GradValue<double> v = k.grad(r2);
     g[0] = v.slope * d1;
     g[1] = v.slope * d2;
     g[2] = v.slope * d3;
@@ -31,7 +31,7 @@ FieldResult direct_field(const Cloud& targets, const Cloud& sources,
   out.ex.assign(targets.size(), 0.0);
   out.ey.assign(targets.size(), 0.0);
   out.ez.assign(targets.size(), 0.0);
-  with_grad_kernel(kernel, [&](auto k) {
+  with_kernel(kernel, [&](auto k) {
 #pragma omp parallel for schedule(static)
     for (std::size_t i = 0; i < targets.size(); ++i) {
       double phi = 0.0, ex = 0.0, ey = 0.0, ez = 0.0;

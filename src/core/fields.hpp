@@ -21,174 +21,24 @@ namespace bltc {
 
 // FieldResult lives in core/solver.hpp: fields are evaluated through the
 // same Solver handle as potentials (`Solver::evaluate_field`), sharing one
-// plan. This header keeps the gradient-kernel machinery and the one-shot
-// compatibility wrappers.
-
-/// G(r) together with G'(r)/r, the factor multiplying (x - y) in grad_x G.
-/// Returned by value so the gradient functors stay pure r2 -> {g, slope}
-/// maps the vectorizer can keep entirely in registers (a reference
-/// out-parameter forces a stack slot until inlining catches up).
-struct GradValue {
-  double g = 0.0;      ///< G(r)
-  double slope = 0.0;  ///< G'(r)/r
-};
-
-/// fp32 companion of GradValue for the mixed-precision tiles.
-struct GradValueF {
-  float g = 0.0f;
-  float slope = 0.0f;
-};
-
-/// Radial-derivative functors: `grad(r2)` returns G(r) and G'(r)/r. Each
-/// also provides an fp32 overload (selected by a float r2) mirroring the
-/// scalar kernels in core/kernels.hpp.
-struct CoulombGradKernel {
-  static constexpr bool kSingular = true;
-  GradValue grad(double r2) const {
-    const double inv_r = 1.0 / std::sqrt(r2);
-    const double inv_r2 = inv_r * inv_r;
-    return {inv_r, -inv_r * inv_r2};  // slope = -1/r^3
-  }
-  GradValueF grad(float r2) const {
-    const float inv_r = 1.0f / std::sqrt(r2);
-    return {inv_r, -inv_r * inv_r * inv_r};
-  }
-};
-
-struct YukawaGradKernel {
-  static constexpr bool kSingular = true;
-  double kappa;
-  GradValue grad(double r2) const {
-    const double r = std::sqrt(r2);
-    const double g = std::exp(-kappa * r) / r;
-    return {g, -g * (kappa * r + 1.0) / r2};  // -e^{-kr}(kr+1)/r^3
-  }
-  GradValueF grad(float r2) const {
-    const float kf = static_cast<float>(kappa);
-    const float r = std::sqrt(r2);
-    const float g = std::exp(-kf * r) / r;
-    return {g, -g * (kf * r + 1.0f) / r2};
-  }
-};
-
-struct GaussianGradKernel {
-  static constexpr bool kSingular = false;
-  double kappa;
-  GradValue grad(double r2) const {
-    const double g = std::exp(-kappa * r2);
-    return {g, -2.0 * kappa * g};
-  }
-  GradValueF grad(float r2) const {
-    const float kf = static_cast<float>(kappa);
-    const float g = std::exp(-kf * r2);
-    return {g, -2.0f * kf * g};
-  }
-};
-
-struct MultiquadricGradKernel {
-  static constexpr bool kSingular = false;
-  double shape;
-  GradValue grad(double r2) const {
-    const double g = std::sqrt(r2 + shape * shape);
-    return {g, 1.0 / g};
-  }
-  GradValueF grad(float r2) const {
-    const float g = std::sqrt(r2 + static_cast<float>(shape * shape));
-    return {g, 1.0f / g};
-  }
-};
-
-struct InverseSquareGradKernel {
-  static constexpr bool kSingular = true;
-  GradValue grad(double r2) const {
-    const double g = 1.0 / r2;
-    return {g, -2.0 * g * g};  // -2/r^4
-  }
-  GradValueF grad(float r2) const {
-    const float g = 1.0f / r2;
-    return {g, -2.0f * g * g};
-  }
-};
-
-/// Ewald-screened Coulomb (the kPeriodicMesh near field):
-/// G = erfc(a r)/r, G'(r) = -[erfc(a r)/r + (2a/sqrt(pi)) e^{-a^2 r^2}]/r.
-struct CoulombErfcGradKernel {
-  static constexpr bool kSingular = true;
-  double alpha;
-  GradValue grad(double r2) const {
-    constexpr double kTwoOverSqrtPi = 1.1283791670955126;
-    const double r = std::sqrt(r2);
-    const double g = std::erfc(alpha * r) / r;
-    const double gauss =
-        kTwoOverSqrtPi * alpha * std::exp(-alpha * alpha * r2);
-    return {g, -(g + gauss) / r2};
-  }
-  GradValueF grad(float r2) const {
-    constexpr float kTwoOverSqrtPi = 1.1283791670955126f;
-    const float a = static_cast<float>(alpha);
-    const float r = std::sqrt(r2);
-    const float g = std::erfc(a * r) / r;
-    const float gauss = kTwoOverSqrtPi * a * std::exp(-a * a * r2);
-    return {g, -(g + gauss) / r2};
-  }
-};
-
-/// Guarded gradient value in branchless form (see kernel_value_masked): both
-/// components zero at a coincident point for singular kernels.
-template <typename GradK>
-inline GradValue grad_value_masked(GradK k, double r2) {
-  GradValue v = k.grad(r2);
-  if constexpr (GradK::kSingular) {
-    if (!(r2 > 0.0)) v = GradValue{};
-  }
-  return v;
-}
-
-/// fp32 overload of the guarded gradient value.
-template <typename GradK>
-inline GradValueF grad_value_masked(GradK k, float r2) {
-  GradValueF v = k.grad(r2);
-  if constexpr (GradK::kSingular) {
-    if (!(r2 > 0.0f)) v = GradValueF{};
-  }
-  return v;
-}
-
-/// One-time dispatch analogous to with_kernel.
-template <typename F>
-decltype(auto) with_grad_kernel(const KernelSpec& spec, F&& f) {
-  switch (spec.type) {
-    case KernelType::kCoulomb:
-      return f(CoulombGradKernel{});
-    case KernelType::kYukawa:
-      return f(YukawaGradKernel{spec.kappa});
-    case KernelType::kGaussian:
-      return f(GaussianGradKernel{spec.kappa});
-    case KernelType::kMultiquadric:
-      return f(MultiquadricGradKernel{spec.kappa});
-    case KernelType::kInverseSquare:
-      return f(InverseSquareGradKernel{});
-    case KernelType::kCoulombErfc:
-      return f(CoulombErfcGradKernel{spec.kappa});
-  }
-  throw std::invalid_argument("with_grad_kernel: unknown kernel type");
-}
+// plan. Each kernel's gradient is its functor's `grad` (core/kernels.hpp);
+// this header keeps the scalar field helpers and the one-shot wrappers.
 
 /// Accumulate potential and field at one target from one source point
 /// (either a real particle or a Chebyshev point with modified charge).
 /// Shared by the O(N^2) reference and the treecode field engine so the
 /// singular-kernel guard and the E = -grad phi convention live once.
-template <typename GradKernel>
+template <typename K>
 inline void accumulate_field_contribution(double tx, double ty, double tz,
                                           double sx, double sy, double sz,
-                                          double q, GradKernel k, double& phi,
+                                          double q, K k, double& phi,
                                           double& ex, double& ey,
                                           double& ez) {
   const double dx = tx - sx;
   const double dy = ty - sy;
   const double dz = tz - sz;
   const double r2 = dx * dx + dy * dy + dz * dz;
-  const GradValue v = grad_value_masked(k, r2);
+  const GradValue<double> v = grad_value_masked(k, r2);
   phi += v.g * q;
   // E = -grad phi = -(G'(r)/r) (x - y) q.
   ex -= v.slope * dx * q;

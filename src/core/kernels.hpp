@@ -1,12 +1,18 @@
 // Interaction kernels G(x, y). The BLTC is kernel independent: it only ever
-// *evaluates* G, so adding a kernel means adding one functor here plus an
-// enum entry. Inner loops are templated on the functor (no virtual dispatch
-// in the hot path); `with_kernel` performs the one-time dispatch.
+// *evaluates* G (and, for fields, its radial derivative), so adding a kernel
+// means adding one functor here plus an enum entry and its `with_kernel`
+// case; every potential and field path, every precision and every
+// interaction class then runs it. Inner loops are templated on the functor
+// (no virtual dispatch in the hot path); `with_kernel` performs the one-time
+// dispatch.
 #pragma once
 
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+
+#include "core/simd.hpp"
 
 namespace bltc {
 
@@ -56,66 +62,156 @@ struct KernelSpec {
   }
 };
 
-/// Functors. Each takes the *squared* distance; the compute kernels form
-/// r^2 from coordinate differences, so passing r2 avoids a redundant sqrt
-/// for kernels that do not need r itself. Every functor also provides an
-/// fp32 overload (selected by passing a float r2) for the mixed-precision
-/// tiles (core/precision.hpp): same formula in float arithmetic, with
-/// double-held parameters narrowed once per call.
+/// The value of G and the factor of its gradient: G(r) together with
+/// G'(r)/r, the factor multiplying (x - y) in grad_x G. Returned by value
+/// so `grad` stays a pure r2 -> {g, slope} map the vectorizer can keep
+/// entirely in registers.
+template <typename T>
+struct GradValue {
+  T g = 0;      ///< G(r)
+  T slope = 0;  ///< G'(r)/r
+};
+
+/// Functors, one per kernel. Each takes the *squared* distance (the compute
+/// kernels form r^2 from coordinate differences, so kernels that do not
+/// need r itself skip a sqrt) and provides
+///   * `operator()(r2)`: G(r);
+///   * `grad(r2)`: G(r) and G'(r)/r;
+/// both templated over the scalar type. A float r2 selects the fp32 tiles'
+/// arithmetic (core/precision.hpp), with double-held parameters narrowed
+/// once per call. A kernel may also provide a vector radial form for the
+/// AVX-512 tile skeleton (core/cpu_kernels.hpp): `vector_value(r2, inv_r)`
+/// maps a register of r^2 and the masked 1/r (zero at r == 0) to G, and
+/// `vector_grad(r2, inv_r, g, s)` writes G and s = -G'(r)/r, the factor of
+/// (x - y) q in E = -grad phi. Kernels without one run the portable tiles.
 struct CoulombKernel {
   static constexpr bool kSingular = true;
-  double operator()(double r2) const { return 1.0 / std::sqrt(r2); }
-  float operator()(float r2) const { return 1.0f / std::sqrt(r2); }
+  template <typename T>
+  T operator()(T r2) const {
+    return T(1) / std::sqrt(r2);
+  }
+  template <typename T>
+  GradValue<T> grad(T r2) const {
+    const T inv_r = T(1) / std::sqrt(r2);
+    // slope = -1/r^3, rounded in each precision's established order.
+    if constexpr (std::is_same_v<T, double>) {
+      return {inv_r, -inv_r * (inv_r * inv_r)};
+    } else {
+      return {inv_r, -inv_r * inv_r * inv_r};
+    }
+  }
+#if defined(__AVX512F__)
+  template <typename V>
+  V vector_value(V, V inv_r) const {
+    return inv_r;
+  }
+  template <typename V>
+  void vector_grad(V, V inv_r, V& g, V& s) const {
+    g = inv_r;
+    s = simd::mul(inv_r, simd::mul(inv_r, inv_r));  // 1/r^3
+  }
+#endif
 };
 
 struct YukawaKernel {
   static constexpr bool kSingular = true;
   double kappa;
-  double operator()(double r2) const {
-    const double r = std::sqrt(r2);
-    return std::exp(-kappa * r) / r;
+  template <typename T>
+  T operator()(T r2) const {
+    const T r = std::sqrt(r2);
+    return std::exp(-static_cast<T>(kappa) * r) / r;
   }
-  float operator()(float r2) const {
-    const float r = std::sqrt(r2);
-    return std::exp(-static_cast<float>(kappa) * r) / r;
+  template <typename T>
+  GradValue<T> grad(T r2) const {
+    const T k = static_cast<T>(kappa);
+    const T r = std::sqrt(r2);
+    const T g = std::exp(-k * r) / r;
+    return {g, -g * (k * r + T(1)) / r2};  // -e^{-kr}(kr+1)/r^3
   }
 };
 
 struct GaussianKernel {
   static constexpr bool kSingular = false;
   double kappa;
-  double operator()(double r2) const { return std::exp(-kappa * r2); }
-  float operator()(float r2) const {
-    return std::exp(-static_cast<float>(kappa) * r2);
+  template <typename T>
+  T operator()(T r2) const {
+    return std::exp(-static_cast<T>(kappa) * r2);
+  }
+  template <typename T>
+  GradValue<T> grad(T r2) const {
+    const T k = static_cast<T>(kappa);
+    const T g = std::exp(-k * r2);
+    return {g, T(-2) * k * g};
   }
 };
 
 struct MultiquadricKernel {
   static constexpr bool kSingular = false;
   double shape;
-  double operator()(double r2) const { return std::sqrt(r2 + shape * shape); }
-  float operator()(float r2) const {
-    return std::sqrt(r2 + static_cast<float>(shape * shape));
+  template <typename T>
+  T operator()(T r2) const {
+    return std::sqrt(r2 + static_cast<T>(shape * shape));
+  }
+  template <typename T>
+  GradValue<T> grad(T r2) const {
+    const T g = std::sqrt(r2 + static_cast<T>(shape * shape));
+    return {g, T(1) / g};
   }
 };
 
 struct InverseSquareKernel {
   static constexpr bool kSingular = true;
-  double operator()(double r2) const { return 1.0 / r2; }
-  float operator()(float r2) const { return 1.0f / r2; }
+  template <typename T>
+  T operator()(T r2) const {
+    return T(1) / r2;
+  }
+  template <typename T>
+  GradValue<T> grad(T r2) const {
+    const T g = T(1) / r2;
+    return {g, T(-2) * g * g};  // -2/r^4
+  }
 };
 
+/// Ewald-screened Coulomb (the kPeriodicMesh near field): G = erfc(a r)/r,
+/// G'(r) = -[erfc(a r)/r + (2a/sqrt(pi)) e^{-a^2 r^2}]/r. The vector form
+/// is fp64 only, built on the A&S 7.1.26 erfc (simd::erfc_gauss_pd).
 struct CoulombErfcKernel {
   static constexpr bool kSingular = true;
+  static constexpr double kTwoOverSqrtPi = 1.1283791670955126;
   double alpha;
-  double operator()(double r2) const {
-    const double r = std::sqrt(r2);
-    return std::erfc(alpha * r) / r;
+  template <typename T>
+  T operator()(T r2) const {
+    const T r = std::sqrt(r2);
+    return std::erfc(static_cast<T>(alpha) * r) / r;
   }
-  float operator()(float r2) const {
-    const float r = std::sqrt(r2);
-    return std::erfc(static_cast<float>(alpha) * r) / r;
+  template <typename T>
+  GradValue<T> grad(T r2) const {
+    const T a = static_cast<T>(alpha);
+    const T r = std::sqrt(r2);
+    const T g = std::erfc(a * r) / r;
+    const T gauss =
+        static_cast<T>(kTwoOverSqrtPi) * a * std::exp(-a * a * r2);
+    return {g, -(g + gauss) / r2};
   }
+#if defined(__AVX512F__)
+  __m512d vector_value(__m512d r2, __m512d inv_r) const {
+    __m512d erfc_ar, gauss;
+    simd::erfc_gauss_pd(simd::mul(simd::set1(alpha), simd::mul(r2, inv_r)),
+                        erfc_ar, gauss);
+    return simd::mul(erfc_ar, inv_r);
+  }
+  void vector_grad(__m512d r2, __m512d inv_r, __m512d& g,
+                   __m512d& s) const {
+    __m512d erfc_ar, gauss;
+    simd::erfc_gauss_pd(simd::mul(simd::set1(alpha), simd::mul(r2, inv_r)),
+                        erfc_ar, gauss);
+    // s = (g + (2a/sqrt(pi)) e^{-a^2 r^2}) / r^2; the inv_r factors keep
+    // coincident lanes at zero.
+    g = simd::mul(erfc_ar, inv_r);
+    s = simd::mul(simd::fmadd(simd::set1(kTwoOverSqrtPi * alpha), gauss, g),
+                  simd::mul(inv_r, inv_r));
+  }
+#endif
 };
 
 /// Singularity-guarded kernel value in branchless (blend) form: the value of
@@ -124,24 +220,24 @@ struct CoulombErfcKernel {
 /// evaluators (core/cpu_kernels.hpp) can if-convert and vectorize the guard;
 /// the speculative k(0) in a masked-off lane is IEEE inf, discarded by the
 /// select without being consumed.
-template <typename K>
-inline double kernel_value_masked(K k, double r2) {
+template <typename K, typename T>
+inline T kernel_value_masked(K k, T r2) {
   if constexpr (K::kSingular) {
-    return (r2 > 0.0) ? k(r2) : 0.0;
+    return (r2 > T(0)) ? k(r2) : T(0);
   } else {
     return k(r2);
   }
 }
 
-/// fp32 overload: a float r2 selects the functor's float path, keeping the
-/// whole guarded evaluation in single precision.
-template <typename K>
-inline float kernel_value_masked(K k, float r2) {
+/// Guarded gradient value in the same branchless form: both components
+/// zero at a coincident point for singular kernels.
+template <typename K, typename T>
+inline GradValue<T> grad_value_masked(K k, T r2) {
+  GradValue<T> v = k.grad(r2);
   if constexpr (K::kSingular) {
-    return (r2 > 0.0f) ? k(r2) : 0.0f;
-  } else {
-    return k(r2);
+    if (!(r2 > T(0))) v = GradValue<T>{};
   }
+  return v;
 }
 
 /// One-time dispatch from a runtime KernelSpec to a compile-time functor:

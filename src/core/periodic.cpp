@@ -128,7 +128,7 @@ FieldResult direct_field_periodic(const Cloud& targets, const Cloud& sources,
   out.ex.assign(wt.size(), 0.0);
   out.ey.assign(wt.size(), 0.0);
   out.ez.assign(wt.size(), 0.0);
-  with_grad_kernel(kernel, [&](auto k) {
+  with_kernel(kernel, [&](auto k) {
 #pragma omp parallel for schedule(static)
     for (std::size_t i = 0; i < wt.size(); ++i) {
       double phi = 0.0, ex = 0.0, ey = 0.0, ez = 0.0;

@@ -322,10 +322,12 @@ void DistSolver::plan(const Cloud& cloud) {
 
 void DistSolver::set_sources(const Cloud& cloud) {
   release_plan();
-  have_sources_ = true;
+  // A failed plan commits no sources: the handle must not evaluate over a
+  // partial LET.
+  have_sources_ = false;
   num_sources_ = cloud.size();
-  if (cloud.size() == 0) return;
-  plan(cloud);
+  if (cloud.size() != 0) plan(cloud);
+  have_sources_ = true;
 }
 
 void DistSolver::update_charges(std::span<const double> charges) {

@@ -125,7 +125,8 @@ class DistSolver {
   /// and target batches, engine precompute, and the LET exchange (remote
   /// trees, modified charges of MAC-accepted clusters, particle ranges of
   /// direct clusters) over freshly registered RMA windows. The windows stay
-  /// live for later charge refreshes.
+  /// live for later charge refreshes. If it throws, the handle holds no
+  /// sources until a later set_sources succeeds.
   void set_sources(const Cloud& cloud);
 
   /// Incremental path: charges changed, positions did not. Keeps every

@@ -42,6 +42,19 @@ void Context::abort() noexcept {
   windows_cv_.notify_all();
 }
 
+void Context::clear_abort_if_quiescent() noexcept {
+  std::scoped_lock lock(barrier_mutex_, windows_mutex_);
+  for (const std::size_t next : next_window_) {
+    if (next != next_window_.front()) return;
+  }
+  for (const auto& w : windows_) {
+    if (w->teardown != 0) return;
+    if (w->registered != 0 && w->registered != size_) return;
+  }
+  barrier_count_ = 0;
+  aborted_.store(false, std::memory_order_release);
+}
+
 std::size_t Context::register_window(int rank, void* base, std::size_t bytes,
                                      std::size_t elem_size) {
   std::unique_lock lock(windows_mutex_);
@@ -67,7 +80,7 @@ void Context::await_window_live(std::size_t win_id) {
   std::unique_lock lock(windows_mutex_);
   WindowState& w = *windows_.at(win_id);
   windows_cv_.wait(lock, [&] { return w.live || aborted(); });
-  if (aborted()) throw CommAborted();
+  if (!w.live) throw CommAborted();
 }
 
 void Context::deregister_window(std::size_t win_id, int rank) {
@@ -177,7 +190,17 @@ void RankTeam::run(const std::function<void(Comm&)>& fn) {
       }
     }
   }
-  if (root) std::rethrow_exception(root);
+  if (root) {
+    // Every rank has joined: a retry-safe failure that left the windows
+    // and cursors consistent need not disable the team.
+    try {
+      std::rethrow_exception(root);
+    } catch (const TransientError&) {
+      ctx_.clear_abort_if_quiescent();
+    } catch (...) {
+    }
+    std::rethrow_exception(root);
+  }
   if (any) std::rethrow_exception(any);
 }
 

@@ -16,7 +16,9 @@
 // and throw `CommAborted` instead of waiting forever for a peer that will
 // never arrive, and window teardown rendezvous drains without hanging, so a
 // single faulting rank surfaces as one clean exception from RankTeam::run —
-// never a hang. One-sided ops carry failpoints (util/failpoints.hpp) so
+// never a hang. A retry-safe (TransientError) failure that left every
+// window and cursor consistent is cleared after the join, so one transient
+// fault does not disable a persistent team. One-sided ops carry failpoints (util/failpoints.hpp) so
 // this path is exercised deterministically in tests.
 #pragma once
 
@@ -64,6 +66,13 @@ class Context {
     return aborted_.load(std::memory_order_acquire);
   }
 
+  /// Clear the poison (and reset the barrier count), but only when the
+  /// context is quiescent: every window is fully registered or fully
+  /// released, no teardown is pending, and every rank's next window id is
+  /// the same. Otherwise the context stays poisoned. Call only with no
+  /// rank thread alive (RankTeam::run does, after a retry-safe failure).
+  void clear_abort_if_quiescent() noexcept;
+
   /// Collective window registration: every rank calls with its local
   /// exposure; returns the window id. Ranks must call in the same order.
   std::size_t register_window(int rank, void* base, std::size_t bytes,
@@ -71,7 +80,9 @@ class Context {
   void deregister_window(std::size_t win_id, int rank);
 
   /// Block until every rank has registered `win_id` (the collective-create
-  /// rendezvous). Throws CommAborted if the communicator is poisoned.
+  /// rendezvous). Throws CommAborted if the communicator is poisoned before
+  /// the window is live; a live window always completes its creation, so a
+  /// fully registered window is held by every rank.
   void await_window_live(std::size_t win_id);
 
   /// Collective-destroy rendezvous + exposure removal, in that order (no
@@ -238,8 +249,11 @@ class RankTeam {
   /// aborts the communicator (so peers unwind instead of hanging) and, after
   /// all threads join, the first *root-cause* exception is rethrown —
   /// CommAborted from bystander ranks is reported only when no rank carries
-  /// a real error. A team whose communicator aborted stays poisoned:
-  /// subsequent collective calls throw CommAborted.
+  /// a real error. When that root cause is a TransientError (retry-safe: it
+  /// committed no partial state) and the context is quiescent
+  /// (Context::clear_abort_if_quiescent), the abort is cleared, so the team
+  /// stays usable for the retry. Otherwise a team whose communicator
+  /// aborted stays poisoned: subsequent collective calls throw CommAborted.
   void run(const std::function<void(Comm&)>& fn);
 
  private:

@@ -732,5 +732,72 @@ TEST(FailpointGpu, TrippedStagingNeverServesStaleMoments) {
   }
 }
 
+// ---- A transient rank fault leaves the persistent team usable -------------
+
+TEST(FailpointDist, FailedSetSourcesCommitsNoSources) {
+  // A set_sources whose LET exchange fails commits no plan: evaluate throws
+  // instead of summing a partial LET, and a retried set_sources matches an
+  // unfaulted solver bit for bit.
+  dist::DistParams dp;
+  dp.treecode = params();
+  dp.backend = Backend::kCpu;
+  const dist::DistConfig config{KernelSpec::coulomb(), dp, 2};
+  const Cloud cloud = uniform_cube(8000, 98);
+  dist::DistSolver reference(config);
+  reference.set_sources(cloud);
+  dist::DistSolver solver(config);
+  {
+    FailpointConfig fc;
+    fc.fail_on_hit = 3;
+    FailpointScope scope(failpoints::sites::kSimmpiGet, fc);
+    EXPECT_THROW(solver.set_sources(cloud), FailpointError);
+  }
+  EXPECT_FALSE(solver.has_sources());
+  EXPECT_THROW((void)solver.evaluate(), std::logic_error);
+  ASSERT_NO_THROW(solver.set_sources(cloud));
+  expect_bits_equal(solver.evaluate(), reference.evaluate());
+}
+
+TEST(FailpointDist, TransientEvaluateFaultLeavesTeamUsable) {
+  // One gpusim.stage trip inside a 2-rank GpuSim evaluate aborts the team's
+  // communicator while the ranks unwind. The failure is retry-safe and
+  // leaves every LET window registered, so the team must stay usable: after
+  // the retried evaluate, the collectives of update_charges and set_sources
+  // run, and every result matches an unfaulted solver bit for bit.
+  dist::DistParams dp;
+  dp.treecode = params();
+  dp.treecode.degree = 6;
+  dp.backend = Backend::kGpuSim;
+  const dist::DistConfig config{KernelSpec::coulomb(), dp, 2};
+  const Cloud cloud = uniform_cube(8000, 95);
+  Cloud recharged = cloud;
+  SplitMix64 rng(96);
+  for (double& q : recharged.q) q = rng.uniform(-1.0, 1.0);
+  const Cloud moved = uniform_cube(8000, 97);
+
+  dist::DistSolver reference(config);
+  reference.set_sources(cloud);
+  const auto ref_first = reference.evaluate();
+  reference.update_charges(recharged.q);
+  const auto ref_recharged = reference.evaluate();
+  reference.set_sources(moved);
+  const auto ref_moved = reference.evaluate();
+
+  dist::DistSolver solver(config);
+  solver.set_sources(cloud);
+  {
+    FailpointConfig fc;
+    fc.fail_on_hit = 1;
+    FailpointScope scope(failpoints::sites::kGpuStage, fc);
+    EXPECT_THROW((void)solver.evaluate(), FailpointError);
+    EXPECT_EQ(scope.stats().trips, 1u);
+  }
+  expect_bits_equal(solver.evaluate(), ref_first);
+  ASSERT_NO_THROW(solver.update_charges(recharged.q));
+  expect_bits_equal(solver.evaluate(), ref_recharged);
+  ASSERT_NO_THROW(solver.set_sources(moved));
+  expect_bits_equal(solver.evaluate(), ref_moved);
+}
+
 }  // namespace
 }  // namespace bltc

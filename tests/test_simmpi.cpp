@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <vector>
 
 namespace bltc::simmpi {
 namespace {
@@ -216,6 +218,48 @@ TEST(SimMpi, RankTeamKeepsWindowsAliveAcrossRuns) {
   team.run([&](Comm& comm) {
     windows[static_cast<std::size_t>(comm.rank())].reset();  // collective
   });
+}
+
+TEST(SimMpi, TeamRecoversOnlyFromQuiescentTransientFailures) {
+  // After every rank has joined, a retry-safe (TransientError) failure
+  // clears the abort when the windows and creation cursors are consistent;
+  // any other failure leaves the communicator poisoned.
+  const auto two_barriers = [](Comm& comm) {
+    comm.barrier();
+    comm.barrier();
+  };
+  {  // Transient and quiescent: the next collective runs.
+    RankTeam team(2);
+    EXPECT_THROW(team.run([](Comm& comm) {
+      if (comm.rank() == 0) throw FailpointError("test.site", 1);
+      comm.barrier();
+    }),
+                 FailpointError);
+    EXPECT_FALSE(team.context().aborted());
+    EXPECT_NO_THROW(team.run(two_barriers));
+  }
+  {  // Not retry-safe: poisoned for good.
+    RankTeam team(2);
+    EXPECT_THROW(team.run([](Comm& comm) {
+      if (comm.rank() == 0) throw std::runtime_error("fatal");
+      comm.barrier();
+    }),
+                 std::runtime_error);
+    EXPECT_TRUE(team.context().aborted());
+    EXPECT_THROW(team.run(two_barriers), CommAborted);
+  }
+  {  // Transient, but only rank 1 created a window: the cursors disagree
+     // and the half-registered window stays, so the team stays poisoned.
+    RankTeam team(2);
+    std::vector<double> storage(4);
+    EXPECT_THROW(team.run([&](Comm& comm) {
+      if (comm.rank() == 0) throw FailpointError("test.site", 1);
+      Window<double> w(comm, std::span<double>(storage));
+    }),
+                 FailpointError);
+    EXPECT_TRUE(team.context().aborted());
+    EXPECT_THROW(team.run(two_barriers), CommAborted);
+  }
 }
 
 }  // namespace
