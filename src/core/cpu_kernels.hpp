@@ -18,14 +18,17 @@
 //     fp32 sums in float per kF32FlushInterval block and widens into fp64.
 //   * A single-target variant vectorizes across *sources* with a simd
 //     reduction instead — the shape a one-target list (max_batch = 1) needs.
-//   * With AVX-512, full tiles of a kernel that provides a vector radial
-//     form (Coulomb in fp64 and fp32, erfc in fp64) run one vector skeleton
-//     instead: sources broadcast, r^2 per lane, 1/r from vrsqrt14 plus
-//     Newton steps (relative error ~1e-16 in fp64, no divider), then the
-//     kernel's radial form and fused accumulation. A mutual variant serves
-//     symmetric self-mode direct pairs. The O(N^2) oracles in
-//     direct_sum.cpp stay on their scalar form so their results are
-//     bit-stable.
+//   * With AVX-512, every tile of two or more targets of a kernel that
+//     provides a vector radial form (Coulomb in fp64 and fp32; Yukawa,
+//     Gaussian and erfc in fp64) runs one vector skeleton instead: sources
+//     broadcast, r^2 per lane, 1/r from vrsqrt14 plus Newton steps
+//     (relative error ~1e-16 in fp64, no divider), then the kernel's radial
+//     form and fused accumulation. A partial tile is padded by repeating
+//     its last target, to one register when it fits and to a full tile
+//     otherwise, and only its real targets' sums are kept. A mutual variant
+//     serves symmetric self-mode direct pairs; its padded lanes carry
+//     charge 0. The O(N^2) oracles in direct_sum.cpp stay on their scalar
+//     form so their results are bit-stable.
 //
 // One templated driver (`cpu_kernels.cpp`) executes interaction lists
 // through these tiles for both traversals, potential and field.
@@ -219,17 +222,18 @@ inline void accumulate_pair(const LanePair<T>& p, V q, V* acc) {
   }
 }
 
-/// The vector tile: kTargetTile targets held in registers of `T` lanes
-/// against `ns` broadcast sources. fp64 lanes accumulate in fp64 (two
-/// registers per output); fp32 lanes accumulate in one float register per
-/// output and widen it into fp64 every kF32FlushInterval sources.
-template <bool Field, typename T, typename K>
+/// The vector tile: R registers of `T` lanes of targets (R * kWidth<T>
+/// targets; a full tile by default) against `ns` broadcast sources. fp64
+/// lanes accumulate in fp64 (R registers per output); fp32 lanes accumulate
+/// in one float register per output and widen it into fp64 every
+/// kF32FlushInterval sources.
+template <bool Field, typename T, std::size_t R = kTileRegs<T>, typename K>
 inline void vector_tile(const T* tx, const T* ty, const T* tz, const T* sx,
                         const T* sy, const T* sz, const T* sq, std::size_t ns,
                         K k, double* phi, double* ex, double* ey,
                         double* ez) {
   using V = simd::Vec<T>;
-  constexpr std::size_t R = kTileRegs<T>;
+  static_assert(std::is_same_v<T, double> || R == 1);
   constexpr std::size_t kOut = Field ? 4 : 1;
   constexpr std::size_t W = simd::kWidth<T>;
   V ptx[R], pty[R], ptz[R], acc[R][4];
@@ -280,11 +284,11 @@ inline void vector_tile(const T* tx, const T* ty, const T* tz, const T* sx,
   }
 }
 
-/// The mutual variant (fp64, symmetric self-mode direct pairs): each pair
-/// also feeds the source side, G q_t into `sphi[j]` and -(s q_t) d into
-/// `sex/sey/sez[j]`, through one horizontal sum of fma(g0, q0, g1 q1) over
-/// the tile's two target registers.
-template <bool Field, typename K>
+/// The mutual variant (fp64, symmetric self-mode direct pairs) over R
+/// target registers: each pair also feeds the source side, G q_t into
+/// `sphi[j]` and -(s q_t) d into `sex/sey/sez[j]`, through one horizontal
+/// sum over the registers (fma(g0, q0, g1 q1) for a full tile).
+template <bool Field, std::size_t R = kTileRegs<double>, typename K>
 inline void vector_tile_mutual(const double* tx, const double* ty,
                                const double* tz, const double* tq,
                                const double* sx, const double* sy,
@@ -293,46 +297,129 @@ inline void vector_tile_mutual(const double* tx, const double* ty,
                                double* ey, double* ez, double* sphi,
                                double* sex, double* sey, double* sez) {
   using V = __m512d;
-  static_assert(kTileRegs<double> == 2);
-  V ptx[2], pty[2], ptz[2], ptq[2], acc[2][4];
-  for (std::size_t r = 0; r < 2; ++r) {
-    ptx[r] = simd::load(tx + 8 * r);
-    pty[r] = simd::load(ty + 8 * r);
-    ptz[r] = simd::load(tz + 8 * r);
-    ptq[r] = simd::load(tq + 8 * r);
+  constexpr std::size_t W = simd::kWidth<double>;
+  V ptx[R], pty[R], ptz[R], ptq[R], acc[R][4];
+  for (std::size_t r = 0; r < R; ++r) {
+    ptx[r] = simd::load(tx + W * r);
+    pty[r] = simd::load(ty + W * r);
+    ptz[r] = simd::load(tz + W * r);
+    ptq[r] = simd::load(tq + W * r);
     for (std::size_t o = 0; o < 4; ++o) acc[r][o] = simd::set1(0.0);
   }
-  const auto mirror_sum = [](V a0, V b0, V a1, V b1) {
-    return simd::reduce_add(simd::fmadd(a0, b0, simd::mul(a1, b1)));
+  const auto mirror_sum = [](const V* a, const V* b) {
+    V m = simd::mul(a[R - 1], b[R - 1]);
+    for (std::size_t r = R - 1; r-- > 0;) m = simd::fmadd(a[r], b[r], m);
+    return simd::reduce_add(m);
   };
   for (std::size_t j = 0; j < ns; ++j) {
     const V xj = simd::set1(sx[j]);
     const V yj = simd::set1(sy[j]);
     const V zj = simd::set1(sz[j]);
     const V qj = simd::set1(sq[j]);
-    LanePair<double> p[2];
+    LanePair<double> p[R];
+    V g[R];
 #pragma GCC unroll 2
-    for (std::size_t r = 0; r < 2; ++r) {
+    for (std::size_t r = 0; r < R; ++r) {
       p[r] = lane_pair<Field, double>(ptx[r], pty[r], ptz[r], xj, yj, zj, k);
       accumulate_pair<Field, double>(p[r], qj, acc[r]);
+      g[r] = p[r].g;
     }
+    sphi[j] += mirror_sum(g, ptq);
     if constexpr (Field) {
       // E at the source from the target: the separation flips sign.
-      const V wt0 = simd::mul(p[0].s, ptq[0]);
-      const V wt1 = simd::mul(p[1].s, ptq[1]);
-      sphi[j] += mirror_sum(p[0].g, ptq[0], p[1].g, ptq[1]);
-      sex[j] -= mirror_sum(wt0, p[0].dx, wt1, p[1].dx);
-      sey[j] -= mirror_sum(wt0, p[0].dy, wt1, p[1].dy);
-      sez[j] -= mirror_sum(wt0, p[0].dz, wt1, p[1].dz);
-    } else {
-      sphi[j] += mirror_sum(p[0].g, ptq[0], p[1].g, ptq[1]);
+      V wt[R], dx[R], dy[R], dz[R];
+      for (std::size_t r = 0; r < R; ++r) {
+        wt[r] = simd::mul(p[r].s, ptq[r]);
+        dx[r] = p[r].dx;
+        dy[r] = p[r].dy;
+        dz[r] = p[r].dz;
+      }
+      sex[j] -= mirror_sum(wt, dx);
+      sey[j] -= mirror_sum(wt, dy);
+      sez[j] -= mirror_sum(wt, dz);
     }
   }
   double* out[4] = {phi, ex, ey, ez};
   for (std::size_t o = 0; o < (Field ? 4u : 1u); ++o) {
-    simd::add_to(out[o], acc[0][o]);
-    simd::add_to(out[o] + 8, acc[1][o]);
+    for (std::size_t r = 0; r < R; ++r) simd::add_to(out[o] + W * r, acc[r][o]);
   }
+}
+
+/// A partial tile (2 <= nt < kTargetTile targets) padded for the vector
+/// skeleton: the targets narrowed to T and padded by repeating the last
+/// one, and zeroed outputs of which only the first nt are kept (the padded
+/// lanes' duplicate sums are discarded).
+template <typename T>
+struct PaddedTile {
+  alignas(64) T x[kTargetTile], y[kTargetTile], z[kTargetTile];
+  alignas(64) double out[4][kTargetTile] = {};
+  std::size_t nt;
+
+  PaddedTile(const double* tx, const double* ty, const double* tz,
+             std::size_t n)
+      : nt(n) {
+    for (std::size_t t = 0; t < kTargetTile; ++t) {
+      const std::size_t i = std::min(t, nt - 1);
+      x[t] = static_cast<T>(tx[i]);
+      y[t] = static_cast<T>(ty[i]);
+      z[t] = static_cast<T>(tz[i]);
+    }
+  }
+
+  /// Whether the targets fit in one register, which then runs alone.
+  bool one_register() const { return nt <= simd::kWidth<T>; }
+
+  template <bool Field>
+  void add_outputs(double* phi, double* ex, double* ey, double* ez) const {
+    for (std::size_t t = 0; t < nt; ++t) phi[t] += out[0][t];
+    if constexpr (Field) {
+      for (std::size_t t = 0; t < nt; ++t) ex[t] += out[1][t];
+      for (std::size_t t = 0; t < nt; ++t) ey[t] += out[2][t];
+      for (std::size_t t = 0; t < nt; ++t) ez[t] += out[3][t];
+    }
+  }
+};
+
+/// vector_tile over a partial tile, padded to one register or a full tile.
+template <bool Field, typename T, typename K>
+inline void vector_tile_padded(const double* tx, const double* ty,
+                               const double* tz, std::size_t nt, const T* sx,
+                               const T* sy, const T* sz, const T* sq,
+                               std::size_t ns, K k, double* phi, double* ex,
+                               double* ey, double* ez) {
+  PaddedTile<T> p(tx, ty, tz, nt);
+  auto& o = p.out;
+  if (p.one_register()) {
+    vector_tile<Field, T, 1>(p.x, p.y, p.z, sx, sy, sz, sq, ns, k, o[0],
+                             o[1], o[2], o[3]);
+  } else {
+    vector_tile<Field, T>(p.x, p.y, p.z, sx, sy, sz, sq, ns, k, o[0], o[1],
+                          o[2], o[3]);
+  }
+  p.template add_outputs<Field>(phi, ex, ey, ez);
+}
+
+/// vector_tile_mutual over a partial tile, padded likewise; the padded
+/// lanes carry charge 0, so they add nothing to the source-side mirror.
+template <bool Field, typename K>
+inline void vector_tile_mutual_padded(
+    const double* tx, const double* ty, const double* tz, const double* tq,
+    std::size_t nt, const double* sx, const double* sy, const double* sz,
+    const double* sq, std::size_t ns, K k, double* phi, double* ex,
+    double* ey, double* ez, double* sphi, double* sex, double* sey,
+    double* sez) {
+  PaddedTile<double> p(tx, ty, tz, nt);
+  alignas(64) double pq[kTargetTile] = {};
+  std::copy_n(tq, nt, pq);
+  auto& o = p.out;
+  if (p.one_register()) {
+    vector_tile_mutual<Field, 1>(p.x, p.y, p.z, pq, sx, sy, sz, sq, ns, k,
+                                 o[0], o[1], o[2], o[3], sphi, sex, sey, sez);
+  } else {
+    vector_tile_mutual<Field>(p.x, p.y, p.z, pq, sx, sy, sz, sq, ns, k, o[0],
+                              o[1], o[2], o[3], sphi, sex, sey, sez);
+  }
+  p.template add_outputs<Field>(phi, ex, ey, ez);
 }
 
 }  // namespace detail
@@ -473,8 +560,9 @@ inline void accumulate_single(double tx, double ty, double tz,
 
 /// A tile of nt <= kTargetTile targets against ns contiguous source points
 /// of T (fp64, or fp32 for tagged far-field interactions): the inner kernel
-/// of every host evaluation path. Full tiles of a kernel with a vector
-/// radial form run the AVX-512 skeleton; the rest run the portable tile.
+/// of every host evaluation path. One target runs accumulate_single; tiles
+/// of a kernel with a vector radial form run the AVX-512 skeleton (partial
+/// ones padded); the rest run the portable tile.
 template <bool Field, typename T, typename K>
 inline void accumulate_tile(const double* __restrict tx,
                             const double* __restrict ty,
@@ -491,18 +579,23 @@ inline void accumulate_tile(const double* __restrict tx,
     return;
   }
   T bx[kTargetTile], by[kTargetTile], bz[kTargetTile];
+#if defined(__AVX512F__)
+  if constexpr (VectorRadial<K, T>) {
+    if (nt < kTargetTile) {
+      detail::vector_tile_padded<Field>(tx, ty, tz, nt, sx, sy, sz, sq, ns,
+                                        k, phi, ex, ey, ez);
+    } else {
+      detail::vector_tile<Field>(detail::tile_targets(tx, bx, nt),
+                                 detail::tile_targets(ty, by, nt),
+                                 detail::tile_targets(tz, bz, nt), sx, sy,
+                                 sz, sq, ns, k, phi, ex, ey, ez);
+    }
+    return;
+  }
+#endif
   const T* ttx = detail::tile_targets(tx, bx, nt);
   const T* tty = detail::tile_targets(ty, by, nt);
   const T* ttz = detail::tile_targets(tz, bz, nt);
-#if defined(__AVX512F__)
-  if constexpr (VectorRadial<K, T>) {
-    if (nt == kTargetTile) {
-      detail::vector_tile<Field>(ttx, tty, ttz, sx, sy, sz, sq, ns, k, phi,
-                                 ex, ey, ez);
-      return;
-    }
-  }
-#endif
   if constexpr (std::is_same_v<T, double>) {
     detail::tile_block<Field>(ttx, tty, ttz, nt, sx, sy, sz, sq, 0, ns, k,
                               phi, ex, ey, ez);
@@ -531,7 +624,9 @@ inline void accumulate_tile(const double* __restrict tx,
 /// and accumulated into both sides (Newton's third law), halving the
 /// near-field kernel evaluations. Source-side results go to the mirror
 /// accumulators `sphi`/`sex`/`sey`/`sez` (indexed by source position; the
-/// driver points them into the calling block's mirror slot).
+/// driver points them into the calling block's mirror slot). Tiles of two
+/// or more targets of a kernel with a fp64 vector radial form run the
+/// AVX-512 mutual skeleton.
 template <bool Field, typename K>
 inline void accumulate_tile_mutual(
     const double* __restrict tx, const double* __restrict ty,
@@ -547,6 +642,12 @@ inline void accumulate_tile_mutual(
       detail::vector_tile_mutual<Field>(tx, ty, tz, tq, sx, sy, sz, sq, ns,
                                         k, phi, ex, ey, ez, sphi, sex, sey,
                                         sez);
+      return;
+    }
+    if (nt > 1) {
+      detail::vector_tile_mutual_padded<Field>(tx, ty, tz, tq, nt, sx, sy,
+                                               sz, sq, ns, k, phi, ex, ey, ez,
+                                               sphi, sex, sey, sez);
       return;
     }
   }

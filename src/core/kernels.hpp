@@ -83,7 +83,10 @@ struct GradValue {
 /// AVX-512 tile skeleton (core/cpu_kernels.hpp): `vector_value(r2, inv_r)`
 /// maps a register of r^2 and the masked 1/r (zero at r == 0) to G, and
 /// `vector_grad(r2, inv_r, g, s)` writes G and s = -G'(r)/r, the factor of
-/// (x - y) q in E = -grad phi. Kernels without one run the portable tiles.
+/// (x - y) q in E = -grad phi. Coulomb provides fp64 and fp32 forms;
+/// Yukawa, Gaussian (both on simd::exp_pd<12>) and erfc provide fp64 ones.
+/// Multiquadric and inverse-square, and every fp32 tile but Coulomb's, run
+/// the portable tiles.
 struct CoulombKernel {
   static constexpr bool kSingular = true;
   template <typename T>
@@ -128,6 +131,24 @@ struct YukawaKernel {
     const T g = std::exp(-k * r) / r;
     return {g, -g * (k * r + T(1)) / r2};  // -e^{-kr}(kr+1)/r^3
   }
+#if defined(__AVX512F__)
+  // r = r^2 inv_r is zero at a masked lane (inv_r = 0), so e^0 = 1 there
+  // and the inv_r factor zeroes the lane.
+  __m512d vector_value(__m512d r2, __m512d inv_r) const {
+    const __m512d r = simd::mul(r2, inv_r);
+    return simd::mul(simd::exp_pd<12>(simd::mul(simd::set1(-kappa), r)),
+                     inv_r);
+  }
+  void vector_grad(__m512d r2, __m512d inv_r, __m512d& g,
+                   __m512d& s) const {
+    // s = g (kr + 1) / r^2.
+    const __m512d r = simd::mul(r2, inv_r);
+    g = vector_value(r2, inv_r);
+    s = simd::mul(
+        simd::mul(g, simd::fmadd(simd::set1(kappa), r, simd::set1(1.0))),
+        simd::mul(inv_r, inv_r));
+  }
+#endif
 };
 
 struct GaussianKernel {
@@ -143,6 +164,17 @@ struct GaussianKernel {
     const T g = std::exp(-k * r2);
     return {g, T(-2) * k * g};
   }
+#if defined(__AVX512F__)
+  // Regular at the origin: inv_r is unused, so G(0) = 1 is kept.
+  __m512d vector_value(__m512d r2, __m512d) const {
+    return simd::exp_pd<12>(simd::mul(simd::set1(-kappa), r2));
+  }
+  void vector_grad(__m512d r2, __m512d inv_r, __m512d& g,
+                   __m512d& s) const {
+    g = vector_value(r2, inv_r);
+    s = simd::mul(simd::set1(2.0 * kappa), g);
+  }
+#endif
 };
 
 struct MultiquadricKernel {

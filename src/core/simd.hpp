@@ -8,7 +8,9 @@
 #if defined(__AVX512F__)
 #include <immintrin.h>
 
+#include <array>
 #include <cstddef>
+#include <utility>
 
 namespace bltc::simd {
 
@@ -89,10 +91,29 @@ inline void widen_add(__m512 v, __m512d& lo, __m512d& hi) {
               _mm512_extractf64x4_pd(_mm512_castps_pd(v), 1))));
 }
 
-/// Vector e^x: Cody-Waite range reduction against a split ln2 plus a
-/// degree-6 polynomial on [-ln2/2, ln2/2], scaled by 2^n through the
-/// exponent field. Inputs are clamped to +-700, so the scaling never
-/// overflows; accuracy ~1e-13 relative across the clamp range.
+namespace detail {
+/// 1/k! for k = 0..Degree, each a correctly rounded division of exact
+/// integers: the Taylor coefficients of e^r.
+template <int Degree>
+inline constexpr std::array<double, Degree + 1> kInvFactorial = [] {
+  std::array<double, Degree + 1> c{};
+  double factorial = 1.0;
+  for (int k = 0; k <= Degree; ++k) {
+    if (k > 0) factorial *= k;
+    c[k] = 1.0 / factorial;
+  }
+  return c;
+}();
+}  // namespace detail
+
+/// Vector e^x: Cody-Waite range reduction against a split ln2, then the
+/// degree-`Degree` Taylor polynomial of e^r on [-ln2/2, ln2/2] in Horner
+/// form, scaled by 2^n through the exponent field. Inputs are clamped to
+/// +-700, so the scaling never overflows. Worst relative error measured
+/// over [-700, 0]: 7.0e-9 at degree 7 (the erfc tiles' Gaussian factor,
+/// far below A&S 7.1.26's own error), 3.6e-16 at degree 12 (the Yukawa and
+/// Gaussian kernels, which must match std::exp to fp64 accuracy).
+template <int Degree>
 inline __m512d exp_pd(__m512d x) {
   const __m512d log2e = _mm512_set1_pd(1.4426950408889634);
   const __m512d ln2_hi = _mm512_set1_pd(6.93147180369123816490e-1);
@@ -103,14 +124,11 @@ inline __m512d exp_pd(__m512d x) {
       _mm512_mul_pd(x, log2e), _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
   __m512d r = _mm512_fnmadd_pd(n, ln2_hi, x);
   r = _mm512_fnmadd_pd(n, ln2_lo, r);
-  __m512d p = _mm512_set1_pd(1.0 / 5040.0);
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 720.0));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 120.0));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 24.0));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0 / 6.0));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(0.5));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0));
-  p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(1.0));
+  const auto& c = detail::kInvFactorial<Degree>;
+  __m512d p = _mm512_set1_pd(c[Degree]);
+  [&]<int... K>(std::integer_sequence<int, K...>) {
+    ((p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(c[Degree - 1 - K]))), ...);
+  }(std::make_integer_sequence<int, Degree>{});
   // 2^n via exponent bits: n is integral and |n| <= 1011 after the clamp,
   // so it fits epi32 (cvtpd_epi64 would need AVX-512DQ).
   const __m512i biased = _mm512_add_epi64(
@@ -133,7 +151,7 @@ inline void erfc_gauss_pd(__m512d x, __m512d& erfc_out, __m512d& gauss_out) {
   p = _mm512_fmadd_pd(p, t, _mm512_set1_pd(-0.284496736));
   p = _mm512_fmadd_pd(p, t, _mm512_set1_pd(0.254829592));
   const __m512d gauss =
-      exp_pd(_mm512_sub_pd(_mm512_setzero_pd(), _mm512_mul_pd(x, x)));
+      exp_pd<7>(_mm512_sub_pd(_mm512_setzero_pd(), _mm512_mul_pd(x, x)));
   erfc_out = _mm512_mul_pd(_mm512_mul_pd(p, t), gauss);
   gauss_out = gauss;
 }

@@ -6,8 +6,9 @@
 // relative error; symmetric self-mode dual lists (the mutual tiles and the
 // triangular leaf sum) at the same tolerance; and fp32-tagged far-field
 // pairs (the fp32 tiles) at an fp32 tolerance. Batch and leaf caps above
-// the tile width reach full kTargetTile tiles, which run the AVX-512 vector
-// skeleton where a kernel has a vector radial form. The geometry is chosen
+// the tile width reach full kTargetTile tiles and partial tiles of several
+// widths; where a kernel has a vector radial form, both run the AVX-512
+// vector skeleton (partial tiles padded). The geometry is chosen
 // adversarially: batch sizes that are not a multiple of the tile width
 // (edge tiles), single-target lists (the nt == 1 path), coincident targets
 // and sources (the singular skip convention), and duplicated source points.
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <vector>
 
 #include "core/fields.hpp"
@@ -38,8 +40,10 @@ constexpr double kTol = 1e-12;
 /// s = (G + (2a/sqrt(pi)) e^{-a^2 r^2})/r^2 is 1.5e-7/r^3, times |d| <= r).
 /// A target's error is therefore at most 1.5e-7 sum_j |q_j|/r_j for phi and
 /// 1.5e-7 sum_j |q_j|/r_j^2 per field component; the bound doubles the
-/// constant to cover the fp64 rounding of the polynomial, the vector exp
-/// (~1e-13 relative) and the Newton-refined 1/r (~1e-16 relative).
+/// constant to cover the fp64 rounding of the polynomial, the degree-7
+/// vector exp (7.0e-9 relative, so below 7.0e-9/r in G and, with the
+/// Gaussian term's 2a/sqrt(pi) = 1.7, below 1.2e-8/r^2 per field component)
+/// and the Newton-refined 1/r (~1e-16 relative).
 constexpr double kErfcPairError = 2.0 * 1.5e-7;
 
 /// fp32 tile tolerance, relative to sum_j |q_j G_j| (phi) or
@@ -57,12 +61,15 @@ std::vector<KernelSpec> all_kernels() {
 }
 
 #if defined(__AVX512F__)
-// The kernels whose full tiles the vector skeleton serves.
+// The kernels whose multi-target tiles the vector skeleton serves.
 static_assert(VectorRadial<CoulombKernel, double>);
 static_assert(VectorRadial<CoulombKernel, float>);
 static_assert(VectorRadial<CoulombErfcKernel, double>);
 static_assert(!VectorRadial<CoulombErfcKernel, float>);
-static_assert(!VectorRadial<YukawaKernel, double>);
+static_assert(VectorRadial<YukawaKernel, double>);
+static_assert(!VectorRadial<YukawaKernel, float>);
+static_assert(VectorRadial<GaussianKernel, double>);
+static_assert(!VectorRadial<MultiquadricKernel, double>);
 #endif
 
 /// True when some leaf holds a full kTargetTile tile of targets.
@@ -87,6 +94,45 @@ bool full_tile_runs(const DualInteractionLists& lists,
     }
   }
   return false;
+}
+
+/// The target counts 2 <= nt < kTargetTile of the partial tiles that meet
+/// a pair of `kind` (fp32-tagged when `fp32`; off-diagonal in self mode,
+/// where the diagonal runs the triangular sum): each runs a padded vector
+/// tile where the kernel has a vector form, a mutual one in self mode.
+std::set<std::size_t> padded_tile_sizes(const DualInteractionLists& lists,
+                                        const ClusterTree& target_tree,
+                                        DualKind kind, bool fp32 = false) {
+  std::set<std::size_t> sizes;
+  for (std::size_t g = 0; g < lists.leaf_nodes.size(); ++g) {
+    const std::size_t nt =
+        target_tree.node(lists.leaf_nodes[g]).count() % kTargetTile;
+    if (nt < 2) continue;
+    for (std::size_t e = lists.leaf_offsets[g]; e < lists.leaf_offsets[g + 1];
+         ++e) {
+      const DualPair& pair = lists.leaf_pairs[e];
+      if (pair.kind == kind && (!fp32 || pair.fp32 != 0) &&
+          !(lists.self && pair.source == lists.leaf_nodes[g])) {
+        sizes.insert(nt);
+      }
+    }
+  }
+  return sizes;
+}
+
+/// Leaves wider than the tile reach padded tiles of several widths on both
+/// sides of half a tile (fp64 pads those up to one register, the rest to a
+/// full tile); a max_batch = 1 plan reaches none (its one-target lists take
+/// the nt == 1 path).
+void expect_padded_tiles(const std::set<std::size_t>& sizes,
+                         std::size_t max_batch, const char* what) {
+  if (max_batch <= kTargetTile) {
+    EXPECT_TRUE(sizes.empty()) << what;
+    return;
+  }
+  EXPECT_GE(sizes.size(), 4u) << what;
+  const auto half = sizes.upper_bound(kTargetTile / 2);
+  EXPECT_TRUE(half != sizes.begin() && half != sizes.end()) << what;
 }
 
 /// Shared plan for one (targets, sources) pair: batched interaction lists
@@ -249,6 +295,12 @@ TEST(CpuKernels, ParityDisjointCloudsEdgeTiles) {
     ASSERT_GT(s.lists.total_direct, 0u);
     ASSERT_EQ(full_tile_runs(s.lists, s.target_tree, DualKind::kDirect),
               max_batch > kTargetTile);
+    expect_padded_tiles(
+        padded_tile_sizes(s.lists, s.target_tree, DualKind::kDirect),
+        max_batch, "direct");
+    expect_padded_tiles(
+        padded_tile_sizes(s.lists, s.target_tree, DualKind::kPC), max_batch,
+        "pc");
     for (const KernelSpec& spec : all_kernels()) check_all_paths(s, spec);
   }
 }
@@ -269,6 +321,9 @@ TEST(CpuKernels, ParityCoincidentTargetsAndSources) {
     ASSERT_GT(s.lists.total_direct, 0u);
     ASSERT_EQ(full_tile_runs(s.lists, s.target_tree, DualKind::kDirect),
               max_batch > kTargetTile);
+    expect_padded_tiles(
+        padded_tile_sizes(s.lists, s.target_tree, DualKind::kDirect),
+        max_batch, "direct");
     for (const KernelSpec& spec : all_kernels()) check_all_paths(s, spec);
   }
 }
@@ -304,6 +359,8 @@ TEST(CpuKernels, ParitySelfModeMutualTiles) {
   ASSERT_TRUE(lists.self);
   ASSERT_EQ(lists.total_pc + lists.total_cp + lists.total_cc, 0u);
   ASSERT_GT(lists.total_direct, tree.num_leaves());  // off-diagonal pairs
+  expect_padded_tiles(padded_tile_sizes(lists, tree, DualKind::kDirect),
+                      tp.max_leaf, "mutual");
   std::vector<ClusterMoments> grids, moments;
   for (const int degree : lists.ladder) {
     grids.push_back(ClusterMoments::grids_only(tree, degree));
@@ -346,6 +403,9 @@ TEST(CpuKernels, ParityFp32TaggedTiles) {
     ASSERT_GT(s.lists.total_direct, 0u);
     ASSERT_EQ(full_tile_runs(s.lists, s.target_tree, DualKind::kPC, true),
               max_batch > kTargetTile);
+    expect_padded_tiles(
+        padded_tile_sizes(s.lists, s.target_tree, DualKind::kPC, true),
+        max_batch, "fp32 pc");
     for (const KernelSpec& spec : all_kernels()) {
       const std::string name = spec.name();
       const RefResult ref = ref_batched(spec, s);

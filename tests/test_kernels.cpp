@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "core/simd.hpp"
 
 namespace bltc {
 namespace {
@@ -111,6 +115,46 @@ TEST(Kernels, KernelSymmetry) {
     EXPECT_DOUBLE_EQ(a, b) << spec.name();
   }
 }
+
+#if defined(__AVX512F__)
+/// Worst relative error of simd::exp_pd<Degree> against long-double
+/// std::exp over the clamp range [-700, 700]: a dense sweep plus the
+/// points either side of each range-reduction boundary (n + 1/2) ln2,
+/// where |r| is largest.
+template <int Degree>
+double exp_pd_worst_rel_error() {
+  std::vector<double> xs;
+  for (int i = 0; i <= 1400000; ++i) xs.push_back(-700.0 + i * 1e-3);
+  const double ln2 = std::log(2.0);
+  for (int n = -1010; n <= 1010; ++n) {
+    const double b = (n + 0.5) * ln2;
+    if (b <= -700.0 || b >= 700.0) continue;
+    xs.push_back(std::nextafter(b, -1e300));
+    xs.push_back(std::nextafter(b, 1e300));
+  }
+  while (xs.size() % 8 != 0) xs.push_back(0.0);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < xs.size(); i += 8) {
+    double e[8];
+    _mm512_storeu_pd(e, simd::exp_pd<Degree>(_mm512_loadu_pd(&xs[i])));
+    for (std::size_t l = 0; l < 8; ++l) {
+      const long double want = std::exp(static_cast<long double>(xs[i + l]));
+      worst = std::max(worst, static_cast<double>(std::fabs(
+                                  (static_cast<long double>(e[l]) - want) /
+                                  want)));
+    }
+  }
+  return worst;
+}
+
+TEST(Kernels, VectorExpAccuracyPerDegree) {
+  // Degree 7 serves the erfc tiles' Gaussian factor (A&S 7.1.26 is itself
+  // good to 1.5e-7); degree 12 serves Yukawa and Gaussian, whose tiles must
+  // match std::exp to fp64 accuracy.
+  EXPECT_LE(exp_pd_worst_rel_error<7>(), 1e-8);
+  EXPECT_LE(exp_pd_worst_rel_error<12>(), 1e-15);
+}
+#endif
 
 }  // namespace
 }  // namespace bltc
