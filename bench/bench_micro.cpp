@@ -1,6 +1,6 @@
 // Micro suite over the hot building blocks of the BLTC: the blocked
 // direct-sum and barycentric-approximation evaluators (the two kernels the
-// paper's speedups come from), kernel evaluations, barycentric basis,
+// paper's speedups come from), full-tile kernel rates, barycentric basis,
 // per-cluster modified charges (both algebraic forms), tree construction,
 // traversal, and RCB.
 //
@@ -84,6 +84,26 @@ struct EvalSetup {
   }
 };
 
+/// One accumulate_tile call of all of `t`'s targets (at most kTargetTile)
+/// against every point of `s`. Returns the sum of every output, so that no
+/// target's lanes are dead code.
+template <bool Field>
+double full_tile(const KernelSpec& spec, const Cloud& t, const Cloud& s) {
+  double phi[kTargetTile] = {}, ex[kTargetTile] = {}, ey[kTargetTile] = {},
+         ez[kTargetTile] = {};
+  with_kernel(spec, [&](auto k) {
+    accumulate_tile<Field, double>(t.x.data(), t.y.data(), t.z.data(),
+                                   t.size(), s.x.data(), s.y.data(),
+                                   s.z.data(), s.q.data(), s.size(), k, phi,
+                                   ex, ey, ez);
+  });
+  double sum = 0.0;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    sum += phi[i] + ex[i] + ey[i] + ez[i];
+  }
+  return sum;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -162,24 +182,44 @@ int main(int argc, char** argv) {
     row("direct_field_interactions", sec, stats.direct_evals, "inter");
   }
 
-  // --- Kernel evaluations (scalar dispatch form, per 1000 calls).
-  const std::vector<std::pair<std::string, KernelSpec>> kernel_cases{
-      {"kernel_coulomb", KernelSpec::coulomb()},
-      {"kernel_yukawa", KernelSpec::yukawa(0.5)}};
-  for (const auto& [name, spec] : kernel_cases) {
-    const KernelSpec local = spec;
-    const double sec = time_call([&] {
-      double r2 = 1.0;
-      with_kernel(local, [&](auto k) {
-        double acc = 0.0;
-        for (int i = 0; i < 1000; ++i) {
-          acc += k(r2);
-          r2 += 1e-9;
+  // --- Full-tile rates: one kTargetTile-target tile against a 1024-point
+  // source block through accumulate_tile, the inner loop of every
+  // interaction class, in ns per (target, source) pair. With AVX-512 these
+  // are the vector tiles the evaluators run; the ratio rows compare
+  // Yukawa's tile with Coulomb's.
+  {
+    constexpr std::size_t kSources = 1024;
+    const Cloud t = uniform_cube(kTargetTile, 11);
+    const Cloud s = uniform_cube(kSources, 12);
+    const std::vector<std::pair<std::string, KernelSpec>> tile_cases{
+        {"coulomb", KernelSpec::coulomb()},
+        {"yukawa", KernelSpec::yukawa(0.5)},
+        {"gaussian", KernelSpec::gaussian(0.4)},
+        {"erfc", KernelSpec::coulomb_erfc(3.0)}};
+    const double pairs = static_cast<double>(kTargetTile * kSources);
+    double coulomb_ns[2] = {0.0, 0.0};
+    for (const auto& [name, spec] : tile_cases) {
+      for (const bool field : {false, true}) {
+        const double sec = time_call([&] {
+          g_sink += field ? full_tile<true>(spec, t, s)
+                          : full_tile<false>(spec, t, s);
+        });
+        const double ns = sec * 1e9 / pairs;
+        const std::string mode = field ? "field" : "potential";
+        const std::string row_name = "tile_" + name + "_" + mode;
+        table.add_row({row_name, bench::Table::sci(sec) + " s",
+                       bench::Table::num(ns, 3) + " ns/pair"});
+        report.metric(row_name + "_ns_per_pair", ns);
+        if (name == "coulomb") coulomb_ns[field] = ns;
+        if (name == "yukawa") {
+          const std::string ratio_name = "tile_yukawa_over_coulomb_" + mode;
+          const double ratio = ns / coulomb_ns[field];
+          table.add_row({ratio_name, "-",
+                         bench::Table::num(ratio, 2) + "x"});
+          report.metric(ratio_name, ratio);
         }
-        g_sink += acc;
-      });
-    });
-    row(name, sec, 1000.0, "eval");
+      }
+    }
   }
 
   // --- Barycentric basis at degree 8.

@@ -84,7 +84,7 @@ struct GradValue {
 /// maps a register of r^2 and the masked 1/r (zero at r == 0) to G, and
 /// `vector_grad(r2, inv_r, g, s)` writes G and s = -G'(r)/r, the factor of
 /// (x - y) q in E = -grad phi. Coulomb provides fp64 and fp32 forms;
-/// Yukawa, Gaussian (both on simd::exp_pd<12>) and erfc provide fp64 ones.
+/// Yukawa, Gaussian and erfc (all on simd::exp_pd) provide fp64 ones.
 /// Multiquadric and inverse-square, and every fp32 tile but Coulomb's, run
 /// the portable tiles.
 struct CoulombKernel {
@@ -136,7 +136,7 @@ struct YukawaKernel {
   // and the inv_r factor zeroes the lane.
   __m512d vector_value(__m512d r2, __m512d inv_r) const {
     const __m512d r = simd::mul(r2, inv_r);
-    return simd::mul(simd::exp_pd<12>(simd::mul(simd::set1(-kappa), r)),
+    return simd::mul(simd::exp_pd(simd::mul(simd::set1(-kappa), r)),
                      inv_r);
   }
   void vector_grad(__m512d r2, __m512d inv_r, __m512d& g,
@@ -167,7 +167,7 @@ struct GaussianKernel {
 #if defined(__AVX512F__)
   // Regular at the origin: inv_r is unused, so G(0) = 1 is kept.
   __m512d vector_value(__m512d r2, __m512d) const {
-    return simd::exp_pd<12>(simd::mul(simd::set1(-kappa), r2));
+    return simd::exp_pd(simd::mul(simd::set1(-kappa), r2));
   }
   void vector_grad(__m512d r2, __m512d inv_r, __m512d& g,
                    __m512d& s) const {

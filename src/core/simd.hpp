@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstddef>
-#include <utility>
 
 namespace bltc::simd {
 
@@ -92,13 +91,12 @@ inline void widen_add(__m512 v, __m512d& lo, __m512d& hi) {
 }
 
 namespace detail {
-/// 1/k! for k = 0..Degree, each a correctly rounded division of exact
-/// integers: the Taylor coefficients of e^r.
-template <int Degree>
-inline constexpr std::array<double, Degree + 1> kInvFactorial = [] {
-  std::array<double, Degree + 1> c{};
+/// 1/k! for k = 0..7, each a correctly rounded division of exact integers:
+/// the Taylor coefficients of e^r.
+inline constexpr std::array<double, 8> kInvFactorial = [] {
+  std::array<double, 8> c{};
   double factorial = 1.0;
-  for (int k = 0; k <= Degree; ++k) {
+  for (int k = 0; k < 8; ++k) {
     if (k > 0) factorial *= k;
     c[k] = 1.0 / factorial;
   }
@@ -106,36 +104,57 @@ inline constexpr std::array<double, Degree + 1> kInvFactorial = [] {
 }();
 }  // namespace detail
 
-/// Vector e^x: Cody-Waite range reduction against a split ln2, then the
-/// degree-`Degree` Taylor polynomial of e^r on [-ln2/2, ln2/2] in Horner
-/// form, scaled by 2^n through the exponent field. Inputs are clamped to
-/// +-700, so the scaling never overflows. Worst relative error measured
-/// over [-700, 0]: 7.0e-9 at degree 7 (the erfc tiles' Gaussian factor,
-/// far below A&S 7.1.26's own error), 3.6e-16 at degree 12 (the Yukawa and
-/// Gaussian kernels, which must match std::exp to fp64 accuracy).
-template <int Degree>
+/// Vector e^x, table-driven (Tang, ACM TOMS 15(2), 1989). With n the
+/// nearest integer to 16x/ln2 and j = n mod 16, e^x = 2^floor(n/16) *
+/// 2^(j/16) * e^r, r = x - n ln2/16, |r| <= ln2/32:
+///   * adding 1.5*2^52 in the same FMA rounds 16x/ln2 to the integer n and
+///     leaves n's low bits in the low mantissa bits of the sum, so they
+///     index the table directly;
+///   * r uses the hi/lo split of ln2 divided by 16 (exact); the hi part's
+///     trailing zero bits keep n*hi exact wherever e^x is finite and
+///     nonzero (|n| < 2^21);
+///   * e^r - 1 is its degree-7 Taylor polynomial (truncation < 2e-18);
+///   * 2^(j/16) comes from 16 correctly rounded values in two registers
+///     through one permute, and vscalefpd applies 2^floor(n/16), rounding
+///     once, so results below the normal range come out subnormal or 0 and
+///     results above it inf with no clamp.
+/// Worst relative error measured over [-708, 709] (normal results):
+/// 2.2e-16; subnormal results are within one subnormal spacing, and the 0
+/// and inf ends match std::exp. Swept valid for |x| < 2e16, far beyond any
+/// kernel argument.
 inline __m512d exp_pd(__m512d x) {
-  const __m512d log2e = _mm512_set1_pd(1.4426950408889634);
-  const __m512d ln2_hi = _mm512_set1_pd(6.93147180369123816490e-1);
-  const __m512d ln2_lo = _mm512_set1_pd(1.90821492927058770002e-10);
-  x = _mm512_max_pd(_mm512_set1_pd(-700.0),
-                    _mm512_min_pd(_mm512_set1_pd(700.0), x));
-  const __m512d n = _mm512_roundscale_pd(
-      _mm512_mul_pd(x, log2e), _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  __m512d r = _mm512_fnmadd_pd(n, ln2_hi, x);
-  r = _mm512_fnmadd_pd(n, ln2_lo, r);
-  const auto& c = detail::kInvFactorial<Degree>;
-  __m512d p = _mm512_set1_pd(c[Degree]);
-  [&]<int... K>(std::integer_sequence<int, K...>) {
-    ((p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(c[Degree - 1 - K]))), ...);
-  }(std::make_integer_sequence<int, Degree>{});
-  // 2^n via exponent bits: n is integral and |n| <= 1011 after the clamp,
-  // so it fits epi32 (cvtpd_epi64 would need AVX-512DQ).
-  const __m512i biased = _mm512_add_epi64(
-      _mm512_cvtepi32_epi64(_mm512_cvtpd_epi32(n)), _mm512_set1_epi64(1023));
-  const __m512d scale =
-      _mm512_castsi512_pd(_mm512_slli_epi64(biased, 52));
-  return _mm512_mul_pd(p, scale);
+  const __m512d shifter = _mm512_set1_pd(0x1.8p52);
+  const __m512d sixteen_over_ln2 = _mm512_set1_pd(0x1.71547652b82fep+4);
+  const __m512d ln2_hi_16 = _mm512_set1_pd(0x1.62e42feep-5);
+  const __m512d ln2_lo_16 = _mm512_set1_pd(0x1.a39ef35793c76p-37);
+  // 2^(j/16), j = 0..7 and 8..15.
+  const __m512d table_lo = _mm512_setr_pd(
+      0x1.0000000000000p+0, 0x1.0b5586cf9890fp+0, 0x1.172b83c7d517bp+0,
+      0x1.2387a6e756238p+0, 0x1.306fe0a31b715p+0, 0x1.3dea64c123422p+0,
+      0x1.4bfdad5362a27p+0, 0x1.5ab07dd485429p+0);
+  const __m512d table_hi = _mm512_setr_pd(
+      0x1.6a09e667f3bcdp+0, 0x1.7a11473eb0187p+0, 0x1.8ace5422aa0dbp+0,
+      0x1.9c49182a3f090p+0, 0x1.ae89f995ad3adp+0, 0x1.c199bdd85529cp+0,
+      0x1.d5818dcfba487p+0, 0x1.ea4afa2a490dap+0);
+  const __m512d t = _mm512_fmadd_pd(x, sixteen_over_ln2, shifter);
+  const __m512d n = _mm512_sub_pd(t, shifter);
+  __m512d r = _mm512_fnmadd_pd(n, ln2_hi_16, x);
+  r = _mm512_fnmadd_pd(n, ln2_lo_16, r);
+  const auto& c = detail::kInvFactorial;
+  __m512d p = _mm512_set1_pd(c[7]);
+  for (int k = 6; k >= 1; --k) {
+    p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(c[k]));
+  }
+  // The permute reads only the low 4 bits of each index lane: j.
+  const __m512d tj =
+      _mm512_permutex2var_pd(table_lo, _mm512_castpd_si512(t), table_hi);
+  // 2^(j/16) e^r = T_j + T_j (e^r - 1).
+  const __m512d m = _mm512_fmadd_pd(tj, _mm512_mul_pd(p, r), tj);
+  // The all-lanes maskz form compiles to the same vscalefpd; GCC's
+  // unmasked intrinsic reads an undefined register and trips
+  // -Wmaybe-uninitialized.
+  return _mm512_maskz_scalef_pd(0xFF, m,
+                                _mm512_mul_pd(n, _mm512_set1_pd(0.0625)));
 }
 
 /// erfc(x) and e^{-x^2} for x >= 0 from one exp evaluation: Abramowitz-
@@ -151,7 +170,7 @@ inline void erfc_gauss_pd(__m512d x, __m512d& erfc_out, __m512d& gauss_out) {
   p = _mm512_fmadd_pd(p, t, _mm512_set1_pd(-0.284496736));
   p = _mm512_fmadd_pd(p, t, _mm512_set1_pd(0.254829592));
   const __m512d gauss =
-      exp_pd<7>(_mm512_sub_pd(_mm512_setzero_pd(), _mm512_mul_pd(x, x)));
+      exp_pd(_mm512_sub_pd(_mm512_setzero_pd(), _mm512_mul_pd(x, x)));
   erfc_out = _mm512_mul_pd(_mm512_mul_pd(p, t), gauss);
   gauss_out = gauss;
 }

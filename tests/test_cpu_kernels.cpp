@@ -40,10 +40,10 @@ constexpr double kTol = 1e-12;
 /// s = (G + (2a/sqrt(pi)) e^{-a^2 r^2})/r^2 is 1.5e-7/r^3, times |d| <= r).
 /// A target's error is therefore at most 1.5e-7 sum_j |q_j|/r_j for phi and
 /// 1.5e-7 sum_j |q_j|/r_j^2 per field component; the bound doubles the
-/// constant to cover the fp64 rounding of the polynomial, the degree-7
-/// vector exp (7.0e-9 relative, so below 7.0e-9/r in G and, with the
-/// Gaussian term's 2a/sqrt(pi) = 1.7, below 1.2e-8/r^2 per field component)
-/// and the Newton-refined 1/r (~1e-16 relative).
+/// constant to cover the fp64 rounding of the polynomial and of the
+/// Newton-refined 1/r (~1e-16 relative). The vector exp behind the e^{-x^2}
+/// factor is fp64-accurate (2.2e-16 relative), so it adds only fp64-level
+/// error.
 constexpr double kErfcPairError = 2.0 * 1.5e-7;
 
 /// fp32 tile tolerance, relative to sum_j |q_j G_j| (phi) or

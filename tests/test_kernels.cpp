@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/simd.hpp"
@@ -117,42 +119,60 @@ TEST(Kernels, KernelSymmetry) {
 }
 
 #if defined(__AVX512F__)
-/// Worst relative error of simd::exp_pd<Degree> against long-double
-/// std::exp over the clamp range [-700, 700]: a dense sweep plus the
-/// points either side of each range-reduction boundary (n + 1/2) ln2,
-/// where |r| is largest.
-template <int Degree>
-double exp_pd_worst_rel_error() {
+/// simd::exp_pd at each of `xs` (any length).
+std::vector<double> exp_pd_at(std::vector<double> xs) {
+  const std::size_t n = xs.size();
+  while (xs.size() % 8 != 0) xs.push_back(0.0);
+  std::vector<double> out(xs.size());
+  for (std::size_t i = 0; i < xs.size(); i += 8) {
+    _mm512_storeu_pd(&out[i], simd::exp_pd(_mm512_loadu_pd(&xs[i])));
+  }
+  out.resize(n);
+  return out;
+}
+
+TEST(Kernels, VectorExpAccuracy) {
+  // Every vector tile's exp (Yukawa, Gaussian, erfc's Gaussian factor)
+  // must match std::exp to fp64 accuracy. The sweep is dense over
+  // [-745, 709] and adds both neighbours of every range-reduction boundary
+  // (k + 1/2) ln2/16, where |r| is largest. The error is relative for
+  // normal results and in units of DBL_MIN below them, where a subnormal
+  // result carries only its rounding. The bound sits under fp64's 1e-15:
+  // 2.2e-16 is measured, and a degree-6 polynomial (6.3e-16) or a table
+  // entry 16 ulp off (2.9e-15) must fail.
   std::vector<double> xs;
-  for (int i = 0; i <= 1400000; ++i) xs.push_back(-700.0 + i * 1e-3);
-  const double ln2 = std::log(2.0);
-  for (int n = -1010; n <= 1010; ++n) {
-    const double b = (n + 0.5) * ln2;
-    if (b <= -700.0 || b >= 700.0) continue;
+  for (int i = 0; i <= 1454000; ++i) xs.push_back(-745.0 + i * 1e-3);
+  const long double ln2_16 = std::log(2.0L) / 16;
+  for (int k = -17200; k <= 16400; ++k) {
+    const double b = static_cast<double>((k + 0.5L) * ln2_16);
+    if (b < -745.0 || b > 709.0) continue;
     xs.push_back(std::nextafter(b, -1e300));
     xs.push_back(std::nextafter(b, 1e300));
   }
-  while (xs.size() % 8 != 0) xs.push_back(0.0);
+  const std::vector<double> e = exp_pd_at(xs);
   double worst = 0.0;
-  for (std::size_t i = 0; i < xs.size(); i += 8) {
-    double e[8];
-    _mm512_storeu_pd(e, simd::exp_pd<Degree>(_mm512_loadu_pd(&xs[i])));
-    for (std::size_t l = 0; l < 8; ++l) {
-      const long double want = std::exp(static_cast<long double>(xs[i + l]));
-      worst = std::max(worst, static_cast<double>(std::fabs(
-                                  (static_cast<long double>(e[l]) - want) /
-                                  want)));
+  double worst_x = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const long double want = std::exp(static_cast<long double>(xs[i]));
+    const long double scale =
+        std::max(want, static_cast<long double>(DBL_MIN));
+    const double err = static_cast<double>(
+        std::fabs(static_cast<long double>(e[i]) - want) / scale);
+    if (!(err <= worst)) {
+      worst = err;
+      worst_x = xs[i];
     }
   }
-  return worst;
-}
+  EXPECT_LE(worst, 4e-16) << "at x = " << worst_x;
 
-TEST(Kernels, VectorExpAccuracyPerDegree) {
-  // Degree 7 serves the erfc tiles' Gaussian factor (A&S 7.1.26 is itself
-  // good to 1.5e-7); degree 12 serves Yukawa and Gaussian, whose tiles must
-  // match std::exp to fp64 accuracy.
-  EXPECT_LE(exp_pd_worst_rel_error<7>(), 1e-8);
-  EXPECT_LE(exp_pd_worst_rel_error<12>(), 1e-15);
+  const std::vector<double> edge =
+      exp_pd_at({0.0, -745.2, -1e4, -1e6, 710.0});
+  EXPECT_EQ(edge[0], 1.0);
+  for (std::size_t i = 1; i <= 3; ++i) {
+    EXPECT_FALSE(std::isnan(edge[i])) << i;
+    EXPECT_EQ(edge[i], 0.0) << i;
+  }
+  EXPECT_EQ(edge[4], std::numeric_limits<double>::infinity());
 }
 #endif
 
