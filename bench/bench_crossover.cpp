@@ -26,7 +26,6 @@
 
 #include "bench_common.hpp"
 #include "core/direct_sum.hpp"
-#include "core/gpu_engine.hpp"
 #include "core/periodic.hpp"
 #include "core/solver.hpp"
 #include "util/env.hpp"

@@ -14,8 +14,8 @@
 
 #include "bench_common.hpp"
 #include "core/direct_sum.hpp"
-#include "core/gpu_engine.hpp"
 #include "core/solver.hpp"
+#include "gpusim/cost_model.hpp"
 #include "util/env.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -34,9 +34,10 @@ DirectModel model_direct(std::size_t n, const KernelSpec& kernel) {
   const gpusim::DeviceSpec gpu = gpusim::DeviceSpec::titan_v();
   const gpusim::DeviceSpec cpu = gpusim::DeviceSpec::xeon_x5650_6core();
   DirectModel m;
-  m.gpu_seconds = pairs * kernel_eval_weight(kernel, true) / gpu.evals_per_sec;
+  m.gpu_seconds =
+      pairs * gpusim::kernel_eval_weight(kernel, true) / gpu.evals_per_sec;
   m.cpu_seconds =
-      pairs * kernel_eval_weight(kernel, false) / cpu.evals_per_sec;
+      pairs * gpusim::kernel_eval_weight(kernel, false) / cpu.evals_per_sec;
   return m;
 }
 
@@ -79,7 +80,7 @@ void run_kernel_panel(const Cloud& cloud, const KernelSpec& kernel,
       // CPU runs; weight the counted kernel evaluations by the CPU per-eval
       // cost ratio.
       const double cpu_evals = (stats.approx_evals + stats.direct_evals) *
-                               kernel_eval_weight(kernel, false);
+                               gpusim::kernel_eval_weight(kernel, false);
       const double t_cpu = cpu_evals / cpu_dev.evals_per_sec;
       const double t_gpu = stats.modeled.total();
 

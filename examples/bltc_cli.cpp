@@ -1,8 +1,8 @@
 // Standalone BLTC executable — the paper's code ships "as both a stand
 // alone executable and a library"; this is the executable half. Generates a
-// workload (or reads one), runs the treecode on the selected backend, and
-// reports phases, structure counts, modeled device times, and optionally
-// the sampled error against direct summation.
+// workload (or reads one), runs the treecode, and reports phases, structure
+// counts, the modeled device report (--backend gpu), and optionally the
+// sampled error against direct summation.
 //
 // Examples:
 //   bltc_cli --n 100000 --kernel yukawa --kappa 0.5 --theta 0.8 --degree 8
@@ -52,7 +52,8 @@ void usage() {
       "  --degree <n>           interpolation degree (default 8)\n"
       "  --leaf <count>         N_L source leaf size (default 2000)\n"
       "  --batch <count>        N_B target batch size (default 2000)\n"
-      "  --backend <name>       cpu | gpu (default cpu)\n"
+      "  --backend <name>       cpu | gpu (default cpu); gpu adds the\n"
+      "                         modeled device report (not with --serve)\n"
       "  --precision <name>     fp64 | mixed | fp32far (default fp64):\n"
       "                         per-interaction execution precision — mixed\n"
       "                         demotes far-field tiles to fp32 only when\n"
@@ -123,6 +124,13 @@ PrecisionPolicy parse_precision(const std::string& name) {
   std::exit(2);
 }
 
+Backend parse_backend(const std::string& name) {
+  if (name == "cpu") return Backend::kCpu;
+  if (name == "gpu") return Backend::kGpuSim;
+  std::fprintf(stderr, "unknown backend '%s' (cpu | gpu)\n", name.c_str());
+  std::exit(2);
+}
+
 Cloud make_cloud(const std::string& dist, std::size_t n, std::uint64_t seed,
                  double box) {
   if (dist == "uniform") return uniform_cube(n, seed);
@@ -144,8 +152,7 @@ Cloud make_cloud(const std::string& dist, std::size_t n, std::uint64_t seed,
 /// Serving mode: closed-loop clients drive a seeded request storm through
 /// the PlanCache + ServeFrontend; reports per-request latency percentiles,
 /// throughput, and cache/frontend counters.
-int run_serve(const ArgParser& args, Backend backend, std::uint64_t seed,
-              double box) {
+int run_serve(const ArgParser& args, std::uint64_t seed, double box) {
   StormSpec spec;
   spec.num_requests = args.get_size("requests", 64);
   spec.shared_fraction = args.get_double("shared-fraction", 0.5);
@@ -210,8 +217,8 @@ int run_serve(const ArgParser& args, Backend backend, std::uint64_t seed,
         for (;;) {
           const std::size_t i = cursor.fetch_add(1);
           if (i >= storm.requests.size()) return;
-          const serve::ServeRequest request = serve::storm_request(
-              storm, storm.requests[i], presets, backend);
+          const serve::ServeRequest request =
+              serve::storm_request(storm, storm.requests[i], presets);
           WallTimer timer;
           try {
             const serve::ServeResponse response =
@@ -255,7 +262,7 @@ int run_serve(const ArgParser& args, Backend backend, std::uint64_t seed,
               cs.hits, cs.misses, cs.evictions, cs.collisions, cs.entries,
               static_cast<double>(cs.bytes) / (1024.0 * 1024.0));
   const serve::FrontendStats fs = frontend.stats();
-  std::printf("frontend: %zu completed in %zu engine calls, %zu fused, "
+  std::printf("frontend: %zu completed in %zu evaluations, %zu fused, "
               "largest group %zu\n",
               fs.completed, fs.executions, fs.fused_requests, fs.max_group);
   std::printf("precision: policy %s; %zu responses served with fp32 tiles, "
@@ -333,14 +340,20 @@ int main(int argc, char** argv) {
     params.ewald_alpha = args.get_double("alpha", 0.0);
   }
   const std::string backend_name = args.get_string("backend", "cpu");
-  const Backend backend =
-      backend_name == "gpu" ? Backend::kGpuSim : Backend::kCpu;
+  const Backend backend = parse_backend(backend_name);
   const int ranks = args.get_int("ranks", 1);
   const auto seed = static_cast<std::uint64_t>(args.get_size("seed", 1));
 
   if (args.has("serve")) {
+    if (backend != Backend::kCpu) {
+      std::fprintf(stderr,
+                   "serving has no backend: --serve reports measured costs "
+                   "only; drop --backend %s\n",
+                   backend_name.c_str());
+      return 2;
+    }
     try {
-      return run_serve(args, backend, seed, box);
+      return run_serve(args, seed, box);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "serving error: %s\n", e.what());
       return 2;

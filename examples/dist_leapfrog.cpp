@@ -41,9 +41,9 @@ int main() {
     }
   }
 
-  // One persistent DistSolver for the whole integration: the rank team,
-  // the per-rank engines, and their device state survive across steps.
-  // Fields need the CPU engine (the GpuSim engine is potential-only).
+  // One persistent DistSolver for the whole integration: the rank team and
+  // every rank's plan survive across steps. Fields need Backend::kCpu (the
+  // GpuSim device model is potential-only).
   dist::DistConfig config;
   config.kernel = KernelSpec::coulomb();
   config.params.treecode.theta = 0.6;

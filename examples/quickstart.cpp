@@ -21,9 +21,9 @@ int main() {
   const Cloud particles = uniform_cube(n, /*seed=*/1);
 
   // 2. Configure a solver. theta controls the MAC (smaller = more
-  //    accurate), degree is the interpolation degree. Backend::kCpu runs
-  //    the OpenMP host engine; Backend::kGpuSim runs the simulated-GPU
-  //    engine and also reports modeled times on the paper's hardware.
+  //    accurate), degree is the interpolation degree. Both backends run
+  //    the OpenMP host evaluators; Backend::kGpuSim also reports the
+  //    modeled device times of the paper's GPU port.
   SolverConfig config;
   config.kernel = KernelSpec::coulomb();
   config.params.theta = 0.7;

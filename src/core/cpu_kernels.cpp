@@ -4,10 +4,13 @@
 #include <cstddef>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 #include <type_traits>
 
 #include "core/barycentric.hpp"
 #include "core/chebyshev.hpp"
+#include "mesh/mesh.hpp"
+#include "util/timer.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -725,6 +728,90 @@ FieldResult cpu_evaluate_dual_field(
                    out.ez.data(), stats);
   });
   return out;
+}
+
+namespace {
+
+/// Elementwise `acc += contribution` (piece contributions sum into the
+/// first piece's result; sizes match).
+void add_into(std::vector<double>& acc,
+              const std::vector<double>& contribution) {
+  for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += contribution[i];
+}
+
+void add_into(FieldResult& acc, const FieldResult& contribution) {
+  add_into(acc.phi, contribution.phi);
+  add_into(acc.ex, contribution.ex);
+  add_into(acc.ey, contribution.ey);
+  add_into(acc.ez, contribution.ez);
+}
+
+/// The one body behind evaluate_plan and evaluate_plan_field.
+template <bool Field>
+std::conditional_t<Field, FieldResult, std::vector<double>> evaluate_pieces(
+    std::span<const SourcePlan> sources, const TargetPlan& targets,
+    const KernelSpec& kernel, RunStats& stats, CpuWorkspace* workspace) {
+  if (sources.empty() || targets.lists.size() != sources.size()) {
+    throw std::logic_error(
+        "evaluate_plan: one interaction list per source piece expected");
+  }
+  const auto eval_piece = [&](std::size_t index) {
+    const SourcePlan& piece = sources[index];
+    const SourcePlanState& plan = *piece.plan;
+    const DualInteractionLists& lists = targets.lists[index];
+    if (lists.ladder.size() > piece.moment_levels.size()) {
+      throw std::logic_error(
+          "evaluate_plan: the lists reference more moment-ladder levels "
+          "than the source piece provides");
+    }
+    if constexpr (Field) {
+      return cpu_evaluate_dual_field(
+          *targets.particles, *targets.tree, targets.grids, lists, plan.tree,
+          plan.particles, piece.moment_levels, kernel, targets.shifts, &stats,
+          workspace, piece.fp32);
+    } else {
+      return cpu_evaluate_dual(*targets.particles, *targets.tree,
+                               targets.grids, lists, plan.tree,
+                               plan.particles, piece.moment_levels, kernel,
+                               targets.shifts, &stats, workspace, piece.fp32);
+    }
+  };
+  // Pieces in order: the fixed accumulation order keeps the result
+  // deterministic.
+  auto out = eval_piece(0);
+  for (std::size_t p = 1; p < sources.size(); ++p) {
+    add_into(out, eval_piece(p));
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<double> evaluate_plan(std::span<const SourcePlan> sources,
+                                  const TargetPlan& targets,
+                                  const KernelSpec& kernel, RunStats& stats,
+                                  CpuWorkspace* workspace) {
+  return evaluate_pieces<false>(sources, targets, kernel, stats, workspace);
+}
+
+FieldResult evaluate_plan_field(std::span<const SourcePlan> sources,
+                                const TargetPlan& targets,
+                                const KernelSpec& kernel, RunStats& stats,
+                                CpuWorkspace* workspace) {
+  return evaluate_pieces<true>(sources, targets, kernel, stats, workspace);
+}
+
+void mesh_far_field(const mesh::MeshPlan& plan, const TargetPlan& targets,
+                    std::vector<double>& phi, FieldResult* field,
+                    RunStats& stats) {
+  WallTimer timer;
+  if (field != nullptr) {
+    plan.add_field(*targets.particles, *field);
+  } else {
+    plan.add_potential(*targets.particles, phi);
+  }
+  stats.mesh_spread_seconds += timer.seconds();
+  stats.mesh_points = plan.grid_points();
 }
 
 }  // namespace bltc

@@ -33,9 +33,11 @@
 // One templated driver (`cpu_kernels.cpp`) executes interaction lists
 // through these tiles for both traversals, potential and field.
 // Per-cluster grids are expanded once per (list, cluster) visit into
-// per-thread scratch that persists across evaluations (owned by CpuEngine),
-// and target-leaf work blocks are executed largest-first so the parallel
-// tail is made of cheap blocks.
+// per-thread scratch that persists across evaluations (a `CpuWorkspace`
+// held by the caller's ExecContext), and target-leaf work blocks are
+// executed largest-first so the parallel tail is made of cheap blocks.
+// `evaluate_plan{,_field}` run a plan's source pieces through that driver,
+// and `mesh_far_field` adds the kPeriodicMesh far field on the host.
 #pragma once
 
 #include <algorithm>
@@ -54,6 +56,10 @@
 #include "core/tree.hpp"
 
 namespace bltc {
+
+namespace mesh {
+class MeshPlan;  // FFT far field of the Ewald split (src/mesh/mesh.hpp)
+}  // namespace mesh
 
 /// Targets per tile: accumulators for one tile live in registers for the
 /// whole source stream (16 doubles = two AVX-512 registers, four NEON/SSE).
@@ -129,9 +135,10 @@ struct CpuScratch {
   }
 };
 
-/// Host evaluation workspace. `CpuEngine` keeps one alive across
-/// `Solver::evaluate` calls so repeated evaluations allocate nothing; the
-/// free evaluator functions fall back to a call-local instance.
+/// Host evaluation workspace. Each evaluation stream (a Solver, a
+/// DistSolver rank, a leased serve context) keeps one alive across calls
+/// through its ExecContext so repeated evaluations allocate nothing; the
+/// evaluators fall back to a call-local instance when given none.
 class CpuWorkspace {
  public:
   /// Size the per-thread scratch table and invalidate the per-thread
@@ -759,7 +766,7 @@ inline void accumulate_range_self(const double* __restrict x,
 /// dual downward pass (one component of a parent-to-child grid transfer),
 /// applied mode-by-mode (3 m^4 instead of m^6 work). Bd is row-major m x m
 /// with Bd[k*m + j] = L_j^{parent,d}(child grid point k); tmp1/tmp2 are
-/// caller scratch of m^3 doubles each. Shared by both engines.
+/// caller scratch of m^3 doubles each.
 void dual_transfer_apply(const double* parent, double* child,
                          const double* b1, const double* b2,
                          const double* b3, std::size_t m, double* tmp1,
@@ -801,5 +808,39 @@ FieldResult cpu_evaluate_dual_field(
     std::span<const ClusterMoments> moment_levels, const KernelSpec& kernel,
     const ShiftTable* shifts = nullptr, RunStats* stats = nullptr,
     CpuWorkspace* workspace = nullptr, bool fp32 = false);
+
+// ---- Plan evaluation (implemented in cpu_kernels.cpp) --------------------
+//
+// Every evaluation of a plan goes through these: `Solver`, each
+// `dist::DistSolver` rank and the serve frontend. They read nothing but the
+// plans they are given and keep all mutable scratch in `workspace`, so
+// calls with distinct workspaces may run concurrently on one plan.
+
+/// Potentials at the planned targets, in tree order, summing every source
+/// piece in piece order (targets.lists[i] lists the targets against
+/// sources[i]; a serial call passes one piece, a distributed rank its local
+/// plan and then its LET pieces). Adds the eval and launch counts into
+/// `stats`. Throws std::logic_error when the pieces and lists disagree.
+std::vector<double> evaluate_plan(std::span<const SourcePlan> sources,
+                                  const TargetPlan& targets,
+                                  const KernelSpec& kernel, RunStats& stats,
+                                  CpuWorkspace* workspace = nullptr);
+
+/// Potentials and fields (E = -grad phi) over the same pieces.
+FieldResult evaluate_plan_field(std::span<const SourcePlan> sources,
+                                const TargetPlan& targets,
+                                const KernelSpec& kernel, RunStats& stats,
+                                CpuWorkspace* workspace = nullptr);
+
+/// Add the solved mesh far field (kPeriodicMesh) at the planned targets, in
+/// tree order, on top of the near field the calls above produced: the
+/// B-spline-interpolated potential into `phi` when `field` is null, the
+/// potential and analytic-gradient forces into `field` otherwise (`phi` is
+/// then unused). `plan` must be solved; the gather only reads it, so
+/// concurrent calls may share one plan. Adds the gather's seconds to
+/// `stats.mesh_spread_seconds` and sets `stats.mesh_points`.
+void mesh_far_field(const mesh::MeshPlan& plan, const TargetPlan& targets,
+                    std::vector<double>& phi, FieldResult* field,
+                    RunStats& stats);
 
 }  // namespace bltc

@@ -26,7 +26,7 @@ namespace bltc {
 
 /// Accumulate potential and field at one target from one source point
 /// (either a real particle or a Chebyshev point with modified charge).
-/// Shared by the O(N^2) reference and the treecode field engine so the
+/// Shared by the O(N^2) reference and the treecode field evaluator so the
 /// singular-kernel guard and the E = -grad phi convention live once.
 template <typename K>
 inline void accumulate_field_contribution(double tx, double ty, double tz,
@@ -52,7 +52,7 @@ double evaluate_kernel_gradient(const KernelSpec& spec, double x1, double x2,
                                 double x3, double y1, double y2, double y3,
                                 double g[3]);
 
-/// Treecode potentials + fields at `targets` due to `sources` (CPU engine).
+/// Treecode potentials + fields at `targets` due to `sources`.
 /// One-shot wrapper over a temporary Solver (deprecated for hot paths —
 /// dynamics drivers should hold a Solver and call evaluate_field per step).
 FieldResult compute_field(const Cloud& targets, const Cloud& sources,

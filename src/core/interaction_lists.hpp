@@ -2,8 +2,8 @@
 // decide, for every target leaf, which source clusters it approximates and
 // which it sums directly. The traversal is separated from potential
 // evaluation so that the same interaction lists can be executed by the host
-// engine, the simulated-GPU engine, or shipped across ranks during LET
-// construction — exactly the structure the paper's implementation uses (the
+// evaluators, walked by the GpuSim cost model, or shipped across ranks
+// during LET construction — exactly the structure the paper's implementation uses (the
 // CPU builds the lists, the GPU consumes them). Both traversals, the paper's
 // batched one and the pairwise dual one, emit the one list format below.
 #pragma once
@@ -59,7 +59,7 @@ struct DualPair {
 };
 
 /// Interaction lists of one traversal, pre-grouped by target node so both
-/// engines can execute groups in parallel without write conflicts:
+/// evaluators can execute groups in parallel without write conflicts:
 /// grid groups accumulate onto per-node Chebyshev grids (disjoint rows),
 /// leaf groups accumulate onto leaf particle ranges (disjoint ranges).
 /// Group order and in-group pair order are deterministic (independent of
@@ -138,7 +138,7 @@ DualInteractionLists build_interaction_lists(
     double range_cutoff = std::numeric_limits<double>::infinity());
 
 /// Resolve a pair's lattice shift (see ResolvedShift in core/periodic.hpp;
-/// both engines execute pairs through this).
+/// every evaluator executes pairs through this).
 inline ResolvedShift resolve_pair_shift(const ShiftTable* shifts,
                                         const DualPair& pair) {
   if (shifts == nullptr || pair.shift == 0) return {};

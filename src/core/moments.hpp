@@ -77,7 +77,7 @@ class ClusterMoments {
   static ClusterMoments grids_only(const ClusterTree& tree, int degree);
 
   /// Recompute the modified charges of a single cluster into `out`
-  /// (size (n+1)^3); exposed for tests and for the simulated-GPU engine.
+  /// (size (n+1)^3); exposed for tests.
   static void compute_cluster_direct(const ClusterTree& tree,
                                      const OrderedParticles& sources,
                                      int degree, int cluster,
@@ -96,7 +96,7 @@ class ClusterMoments {
 
   /// Recompute cluster `cluster`'s modified charges in place with the
   /// formulation `algorithm` resolves to for that cluster's size — the one
-  /// per-cluster body behind `compute` and the engines' charges-only and
+  /// per-cluster body behind `compute` and the plans' charges-only and
   /// position refreshes.
   static void recompute_cluster(const ClusterTree& tree,
                                 const OrderedParticles& sources,

@@ -58,8 +58,8 @@ enum class BoundaryConditions {
 /// (i, j, k) != 0 with max(|i|,|j|,|k|) <= shells in lexicographic order,
 /// so the table — and therefore every interaction-list ordering built from
 /// it — is deterministic. Interaction-list entries store the index as a
-/// 16-bit shift id; executors resolve it here (the GPU engine models a
-/// device-resident copy).
+/// 16-bit shift id; executors resolve it here (the GpuSim cost model charges
+/// one upload of a device-resident copy).
 struct ShiftTable {
   std::vector<double> sx, sy, sz;  ///< SoA shift components, home cell first
   int shells = 0;

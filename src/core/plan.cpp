@@ -138,8 +138,8 @@ void append_changed_ranges(
   }
 }
 
-/// A new version of `kind` on top of `current` (process-unique, so a device
-/// engine never mistakes one plan state's version for another's).
+/// A new version of `kind` on top of `current` (process-unique, so a modeled
+/// device never mistakes one plan state's version for another's).
 PlanChange next_change(const PlanChange& current, PlanChange::Kind kind) {
   static std::atomic<std::uint64_t> versions{0};
   PlanChange next;

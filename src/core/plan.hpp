@@ -1,5 +1,5 @@
 // Shared plan-construction layer: the paper's setup phase as a reusable
-// subsystem. A "plan" is everything the engines need before any kernel
+// subsystem. A "plan" is everything the evaluators need before any kernel
 // runs — tree-ordered particles, the source cluster tree, the target tree
 // whose leaves are the target batches, and the MAC-driven interaction lists
 // — and both public handles build it
@@ -14,9 +14,10 @@
 // `SourcePlanState` / `TargetPlanState` own the storage — the source state
 // includes the modified charges, so every handle shares one moment build,
 // one charge refresh and one incremental position patch. The `SourcePlan` /
-// `TargetPlan` structs are non-owning views handed to the engines for the
-// duration of a call; engines keep nothing of a plan between calls but the
-// version a device engine last uploaded (`PlanChange`).
+// `TargetPlan` structs are non-owning views handed to the evaluators
+// (core/cpu_kernels.hpp) for the duration of a call. Nothing keeps any of a
+// plan between calls but the version the modeled GpuSim device last
+// uploaded (`PlanChange`, gpusim/cost_model.hpp).
 #pragma once
 
 #include <cstddef>
@@ -39,7 +40,7 @@ namespace bltc {
 struct RunStats;  // core/solver.hpp
 
 /// How the interaction lists are built (and therefore what kinds of
-/// interactions the engines execute).
+/// interactions the evaluators execute).
 enum class TraversalMode {
   /// The paper's BLTC: every target batch descends the source tree, all
   /// far-field work is particle-cluster (default).
@@ -61,7 +62,7 @@ struct TreecodeParams {
   int degree = 8;               ///< interpolation degree n
   std::size_t max_leaf = 2000;  ///< N_L, source leaf size
   std::size_t max_batch = 2000; ///< N_B, target batch size
-  /// Which algebraic form computes the modified charges on the CPU backend.
+  /// Which algebraic form computes the modified charges.
   MomentAlgorithm moment_algorithm = MomentAlgorithm::kDirect;
   /// Interaction-list construction scheme (see TraversalMode).
   TraversalMode traversal = TraversalMode::kBatched;
@@ -123,7 +124,7 @@ struct TreecodeParams {
 struct SourcePlanState;
 
 /// Residency key of one plan state: a process-unique version per mutation,
-/// and what changed relative to the version before it. A device engine that
+/// and what changed relative to the version before it. A modeled device that
 /// holds `base` uploads just that delta; one holding anything else (or
 /// nothing) uploads the whole plan.
 struct PlanChange {
@@ -139,7 +140,7 @@ struct PlanChange {
   // kPositions only.
   /// Coalesced tree-order slot ranges [begin, end) whose stored particle
   /// data (coordinates, charge, or slot contents after re-bucketing)
-  /// changed. Device engines re-stage exactly these ranges.
+  /// changed. The modeled device re-stages exactly these ranges.
   std::vector<std::pair<std::size_t, std::size_t>> moved_ranges;
   // Source plans only.
   std::size_t moved = 0;       ///< particles whose stored data changed
@@ -185,7 +186,7 @@ struct TargetPlan {
   /// is shared by every list of the plan.
   const ShiftTable* shifts = nullptr;
   /// The owning state's residency key; null for an ad-hoc view that no
-  /// state owns (a device engine then stages it on every call).
+  /// state owns (the modeled device then stages it on every call).
   const PlanChange* change = nullptr;
 };
 
@@ -199,7 +200,7 @@ std::size_t traversal_ladder_levels(const TreecodeParams& params);
 /// (the modified charges at every ladder degree the plan serves). Every
 /// holder of source state — Solver, each DistSolver rank and its LET
 /// pieces, and the serving layer's cached plans — builds and mutates it
-/// through these members; engines only read it.
+/// through these members; evaluators only read it.
 struct SourcePlanState {
   OrderedParticles particles;
   ClusterTree tree;
@@ -218,8 +219,8 @@ struct SourcePlanState {
   std::vector<ClusterMoments> moment_levels;
   /// Particles holding real data: all of them for a built plan. A
   /// distributed LET piece holds only its fetched direct-interaction ranges;
-  /// its other slots are zero placeholders no list references, and device
-  /// engines upload only the fetched ones.
+  /// its other slots are zero placeholders no list references, and the
+  /// modeled device uploads only the fetched ones.
   std::size_t held_particles = 0;
   PlanChange change;  ///< this state's residency key
 
@@ -290,8 +291,8 @@ struct SourcePlanState {
 struct TargetPlanState {
   OrderedParticles particles;
   /// Boundary handling (see SourcePlanState): wrapped targets, wrap-aware
-  /// plan matching, and the one shift table every traversal and engine of
-  /// this plan shares.
+  /// plan matching, and the one shift table every traversal and evaluator
+  /// of this plan shares.
   BoundaryConditions boundary = BoundaryConditions::kOpen;
   Box3 domain{};
   ShiftTable shifts;

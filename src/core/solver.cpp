@@ -3,9 +3,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/engine.hpp"
+#include "core/cpu_kernels.hpp"
 #include "core/periodic.hpp"
 #include "core/plan.hpp"
+#include "gpusim/cost_model.hpp"
 #include "mesh/mesh.hpp"
 #include "serve/exec_context.hpp"
 #include "util/failpoints.hpp"
@@ -17,7 +18,9 @@ namespace bltc {
 Solver::Solver(SolverConfig config) : config_(std::move(config)) {
   config_.params.validate();
   require_boundary_kernel(config_.params, config_.kernel);
-  engine_ = make_engine(config_.backend, config_.gpu);
+  if (config_.backend == Backend::kGpuSim) {
+    gpu_ = std::make_unique<gpusim::CostModel>(config_.gpu);
+  }
   exec_ = std::make_unique<ExecContext>();
 }
 
@@ -199,8 +202,8 @@ bool Solver::begin_evaluation(const Cloud& targets, RunStats& stats) {
     pending_.fft_seconds += solve_seconds;
     pending_.precompute_seconds += solve_seconds;
   }
-  // A copy: the pending costs move over only once the engine call
-  // succeeds (finish_evaluation), so a failed call can be retried.
+  // A copy: the pending costs move over only once the evaluation succeeds
+  // (finish_evaluation), so a failed call can be retried.
   stats = pending_;
   if (mesh_ != nullptr) stats.mesh_points = mesh_->grid_points();
   return true;
@@ -220,17 +223,24 @@ std::vector<double> Solver::evaluate(const Cloud& targets, RunStats* stats) {
     return std::vector<double>(targets.size(), 0.0);
   }
   WallTimer timer;
-  // Mesh mode: the engines evaluate the *screened* near field; the user
+  // Mesh mode: the treecode evaluates the *screened* near field; the user
   // still configures plain Coulomb (the split is an internal detail).
   const KernelSpec exec_kernel = config_.params.mesh()
                                      ? mesh::mesh_near_kernel(config_.params)
                                      : config_.kernel;
   const SourcePlan source = source_.view();
-  std::vector<double> phi_tree_order = engine_->evaluate_potential(
-      {&source, 1}, targets_.view(), exec_kernel, local, exec_.get());
+  const TargetPlan view = targets_.view();
+  if (gpu_ != nullptr) gpu_->stage({&source, 1}, view);
+  std::vector<double> phi_tree_order = evaluate_plan(
+      {&source, 1}, view, exec_kernel, local, &exec_->cpu_workspace());
+  if (gpu_ != nullptr) {
+    gpu_->model_potential({&source, 1}, view, exec_kernel, local);
+  }
   if (mesh_ != nullptr) {
-    engine_->mesh_far_field(*mesh_, targets_.view(), phi_tree_order, nullptr,
-                            local);
+    mesh_far_field(*mesh_, view, phi_tree_order, nullptr, local);
+    if (gpu_ != nullptr) {
+      gpu_->model_mesh(*mesh_, view.particles->size(), false, local);
+    }
   }
   local.compute_seconds = timer.seconds();
   finish_evaluation(local);
@@ -241,10 +251,9 @@ std::vector<double> Solver::evaluate(const Cloud& targets, RunStats* stats) {
 FieldResult Solver::evaluate_field(const Cloud& targets, RunStats* stats) {
   // Reject before any target planning: the failing case may not consume
   // the pending phase accounting or burn list-build work.
-  if (!engine_->supports_fields()) {
+  if (config_.backend == Backend::kGpuSim) {
     throw std::invalid_argument(
-        "field evaluation is implemented on the CPU engine only; use "
-        "Backend::kCpu");
+        "field evaluation has no GpuSim device model; use Backend::kCpu");
   }
   RunStats local;
   if (!begin_evaluation(targets, local)) {
@@ -261,12 +270,12 @@ FieldResult Solver::evaluate_field(const Cloud& targets, RunStats* stats) {
                                      ? mesh::mesh_near_kernel(config_.params)
                                      : config_.kernel;
   const SourcePlan source = source_.view();
-  FieldResult tree_order = engine_->evaluate_field(
-      {&source, 1}, targets_.view(), exec_kernel, local, exec_.get());
+  const TargetPlan view = targets_.view();
+  FieldResult tree_order = evaluate_plan_field(
+      {&source, 1}, view, exec_kernel, local, &exec_->cpu_workspace());
   if (mesh_ != nullptr) {
     std::vector<double> unused;
-    engine_->mesh_far_field(*mesh_, targets_.view(), unused, &tree_order,
-                            local);
+    mesh_far_field(*mesh_, view, unused, &tree_order, local);
   }
   local.compute_seconds = timer.seconds();
   finish_evaluation(local);

@@ -14,11 +14,13 @@
 //   solver.update_positions(moved_cloud);   // amortized-O(moved) with
 //                                           // position_slack > 0, else full
 //
-// The handle owns the plan (core/plan.hpp), modified charges included; a
-// polymorphic Engine (core/engine.hpp) only executes it. The simulated-GPU
-// engine remembers which plan version its device holds, so a repeat
-// evaluation transfers nothing but results. Field (force) evaluation shares
-// the same plan through `evaluate_field`.
+// The handle owns the plan (core/plan.hpp), modified charges included, and
+// executes it through the host evaluators (core/cpu_kernels.hpp). Under
+// Backend::kGpuSim it also owns a modeled device (gpusim/cost_model.hpp)
+// that reports what the paper's GPU port would have cost; the device
+// remembers which plan version it holds, so a repeat evaluation models no
+// transfer but the results. Field (force) evaluation shares the same plan
+// through `evaluate_field`.
 //
 // The free functions `compute_potential` / `compute_field` are one-shot
 // wrappers over a temporary Solver, kept for compatibility; new code should
@@ -43,20 +45,27 @@
 
 namespace bltc {
 
-class Engine;
 class ExecContext;
+
+namespace gpusim {
+class CostModel;  // modeled device cost (src/gpusim/cost_model.hpp)
+}  // namespace gpusim
 
 namespace mesh {
 class MeshPlan;  // FFT far field of the Ewald split (src/mesh/mesh.hpp)
 }  // namespace mesh
 
-/// Which engine evaluates the potentials.
+/// What an evaluation reports besides its measured costs. The numerics are
+/// the host evaluators' under both values, bit for bit.
 enum class Backend {
-  kCpu,     ///< host OpenMP engine (the paper's 6-core CPU comparator)
-  kGpuSim,  ///< simulated-GPU engine (the paper's OpenACC implementation)
+  kCpu,  ///< measured costs only (the paper's 6-core CPU comparator)
+  /// Measured costs plus the modeled device report of the paper's OpenACC
+  /// port: launches, device bytes and `RunStats::modeled` seconds
+  /// (gpusim/cost_model.hpp). Potentials only; fields are rejected.
+  kGpuSim,
 };
 
-/// Options for the simulated-GPU backend.
+/// Options for the modeled device (Backend::kGpuSim).
 struct GpuOptions {
   gpusim::DeviceSpec device = gpusim::DeviceSpec::titan_v();
   bool async_streams = true;  ///< paper default: 4 async streams
@@ -65,7 +74,7 @@ struct GpuOptions {
   gpusim::HostSpec host = gpusim::HostSpec::comet_haswell();
 };
 
-/// Modeled wall-clock on the paper's hardware (GpuSim backend only).
+/// Modeled wall-clock on the paper's hardware (Backend::kGpuSim only).
 struct ModeledTimes {
   double setup = 0.0;       ///< host tree/list work + PCIe transfers
   double precompute = 0.0;  ///< preprocessing kernels
@@ -75,13 +84,13 @@ struct ModeledTimes {
 
 /// Measured and modeled statistics for one evaluation: the one record of
 /// its work counts, phase seconds, and device deltas. Producers add into it
-/// directly — the CPU kernels and engines their eval/launch counts and
-/// device deltas, the solvers phase seconds and structure counts (the
-/// distributed RankStats / DistStats extend it). Costs paid in an earlier
+/// directly — the CPU kernels their eval/launch counts, the GpuSim cost
+/// model its device deltas, the solvers phase seconds and structure counts
+/// (the distributed RankStats / DistStats extend it). Costs paid in an earlier
 /// lifecycle call (set_sources / update_charges / update_positions) are
 /// attributed to the first evaluation that uses them; a repeat evaluation
 /// on an unchanged plan reports setup_seconds and precompute_seconds near
-/// zero and, on the GpuSim backend, zero fresh host-to-device source bytes.
+/// zero and, under Backend::kGpuSim, zero fresh host-to-device source bytes.
 struct RunStats {
   // Measured on this machine, paper phase boundaries (§4).
   double setup_seconds = 0.0;
@@ -122,7 +131,7 @@ struct RunStats {
   double fp64_evals = 0.0;
   std::size_t precision_demotions = 0;
   /// Launch granularity: how many (list, cluster) kernel invocations the
-  /// engine executed — batch-cluster pairs (target-cluster pairs at
+  /// host executed — batch-cluster pairs (target-cluster pairs at
   /// max_batch = 1). Together with the eval counts this tells
   /// benches how much work each launch amortizes.
   std::size_t approx_launches = 0;
@@ -154,7 +163,8 @@ struct RunStats {
   double fft_seconds = 0.0;
   std::size_t mesh_points = 0;
 
-  // Device accounting (GpuSim backend only); deltas for this evaluation.
+  // Modeled device accounting (Backend::kGpuSim only); deltas for this
+  // evaluation.
   std::size_t gpu_launches = 0;
   std::size_t bytes_to_device = 0;
   std::size_t bytes_to_host = 0;
@@ -170,7 +180,7 @@ struct FieldResult {
 
 /// Everything needed to construct a Solver. The kernel is part of the
 /// configuration because the modified charges are kernel-independent but
-/// the engines' cost accounting is not.
+/// the modeled device cost is not.
 struct SolverConfig {
   KernelSpec kernel;
   TreecodeParams params;
@@ -183,8 +193,8 @@ struct SolverConfig {
 /// one-rank-per-device in the paper.
 class Solver {
  public:
-  /// Validates `config` (throws std::invalid_argument) and instantiates the
-  /// backend engine (core/engine.hpp).
+  /// Validates `config` (throws std::invalid_argument); under
+  /// Backend::kGpuSim creates the modeled device.
   explicit Solver(SolverConfig config);
   ~Solver();
   Solver(Solver&&) noexcept;
@@ -211,8 +221,8 @@ class Solver {
   /// every particle still reachable within the slack-fattened geometry,
   /// this is amortized O(moved): the tree topology, interaction lists, and
   /// interpolation grids are kept, only escaped particles re-bucket, and
-  /// only dirty clusters' moments rebuild (device engines re-stage only
-  /// the moved ranges and dirty charges). A cached self-target plan (the
+  /// only dirty clusters' moments rebuild (the modeled device re-stages
+  /// only the moved ranges and dirty charges). A cached self-target plan (the
   /// MD case: targets == sources) is preserved and updated in place. With
   /// `position_slack == 0` (default), or whenever the incremental update
   /// is infeasible, this falls back to a full re-plan bit-identical to
@@ -227,7 +237,8 @@ class Solver {
                                RunStats* stats = nullptr);
 
   /// Compute potentials and fields E = -grad phi at `targets`, sharing the
-  /// same cached plan as `evaluate` (both MAC modes). CPU backend only.
+  /// same cached plan as `evaluate` (both MAC modes). Backend::kCpu only:
+  /// the device model has no field launches.
   FieldResult evaluate_field(const Cloud& targets, RunStats* stats = nullptr);
 
  private:
@@ -238,15 +249,16 @@ class Solver {
   /// Returns false when the result is trivially zero (stats already
   /// written).
   bool begin_evaluation(const Cloud& targets, RunStats& stats);
-  /// Shared back half, after the engine calls succeeded: clear `pending_`
+  /// Shared back half, after the evaluation succeeded: clear `pending_`
   /// (the evaluation took its costs over) and fill the structure counts.
   void finish_evaluation(RunStats& stats);
 
   SolverConfig config_;
-  std::unique_ptr<Engine> engine_;
-  /// Per-handle execution scratch: the engine itself is re-entrant, so the
-  /// mutable evaluation state (per-thread expansion caches, dual grid
-  /// accumulators) lives here and persists across evaluate() calls.
+  /// The modeled device (Backend::kGpuSim only, null otherwise).
+  std::unique_ptr<gpusim::CostModel> gpu_;
+  /// Per-handle execution scratch: the mutable evaluation state (per-thread
+  /// expansion caches, dual grid accumulators) lives here and persists
+  /// across evaluate() calls.
   std::unique_ptr<ExecContext> exec_;
 
   // Source plan (core/plan.hpp owns the construction pipeline).

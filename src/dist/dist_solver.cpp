@@ -6,9 +6,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/engine.hpp"
+#include "core/cpu_kernels.hpp"
 #include "core/plan.hpp"
 #include "dist/let.hpp"
+#include "gpusim/cost_model.hpp"
 #include "serve/exec_context.hpp"
 #include "partition/rcb.hpp"
 #include "simmpi/comm.hpp"
@@ -18,14 +19,15 @@
 
 namespace bltc::dist {
 
-/// Everything one rank owns across lifecycle calls: its engine, its local
-/// plan, the assembled remote LET pieces, and the storage its RMA windows
-/// expose. The windows outlive individual team runs (simmpi::RankTeam keeps
-/// the Context and Comm handles alive), so a charge refresh re-fetches
-/// through the windows registered at plan time.
+/// Everything one rank owns across lifecycle calls: its modeled device
+/// (Backend::kGpuSim), its local plan, the assembled remote LET pieces, and
+/// the storage its RMA windows expose. The windows outlive individual team
+/// runs (simmpi::RankTeam keeps the Context and Comm handles alive), so a
+/// charge refresh re-fetches through the windows registered at plan time.
 struct DistSolver::RankState {
   int rank = 0;
-  std::unique_ptr<Engine> engine;
+  /// The rank's modeled device (Backend::kGpuSim only, null otherwise).
+  std::unique_ptr<gpusim::CostModel> gpu;
   /// Per-rank execution scratch (one rank = one evaluation stream, so the
   /// context is never shared across threads).
   ExecContext exec;
@@ -130,7 +132,9 @@ DistSolver::DistSolver(DistConfig config) : config_(std::move(config)) {
   for (int r = 0; r < config_.nranks; ++r) {
     auto state = std::make_unique<RankState>();
     state->rank = r;
-    state->engine = make_engine(config_.params.backend, gpu);
+    if (config_.params.backend == Backend::kGpuSim) {
+      state->gpu = std::make_unique<gpusim::CostModel>(gpu);
+    }
     ranks_.push_back(std::move(state));
   }
   if (config_.params.treecode.traversal == TraversalMode::kDual) {
@@ -478,8 +482,8 @@ void DistSolver::update_positions(const Cloud& cloud) {
     comm.barrier();
   });
   if (fallback.load(std::memory_order_relaxed)) {
-    // Lock-step fallback: the plan (or an engine) on some rank could not be
-    // patched; rebuild everything from the caller's cloud.
+    // Lock-step fallback: the plan on some rank could not be patched;
+    // rebuild everything from the caller's cloud.
     set_sources(cloud);
   }
 }
@@ -490,8 +494,8 @@ void DistSolver::run_evaluation(
   const bool on_gpu = config_.params.backend == Backend::kGpuSim;
   team_->run([&](simmpi::Comm& comm) {
     RankState& s = *ranks_[static_cast<std::size_t>(comm.rank())];
-    // The pending costs move over only once the engine call succeeded, so
-    // a failed call can be retried.
+    // The pending costs move over only once the evaluation succeeded, so a
+    // failed call can be retried.
     RankStats st = s.pending;
     execute(s, st);
     s.pending = RankStats{};
@@ -563,8 +567,14 @@ std::vector<double> DistSolver::evaluate(DistStats* stats) {
 
   run_evaluation(local, [&](RankState& s, RankStats& st) {
     WallTimer timer;
-    const std::vector<double> phi = s.engine->evaluate_potential(
-        s.pieces(), s.targets.view(), config_.kernel, st, &s.exec);
+    const std::vector<SourcePlan> pieces = s.pieces();
+    const TargetPlan view = s.targets.view();
+    if (s.gpu != nullptr) s.gpu->stage(pieces, view);
+    const std::vector<double> phi = evaluate_plan(
+        pieces, view, config_.kernel, st, &s.exec.cpu_workspace());
+    if (s.gpu != nullptr) {
+      s.gpu->model_potential(pieces, view, config_.kernel, st);
+    }
     st.compute_seconds = timer.seconds();
 
     // ---- Scatter: local tree-order potentials back to the caller's
@@ -584,10 +594,10 @@ FieldResult DistSolver::evaluate_field(DistStats* stats) {
     throw std::logic_error("DistSolver::evaluate_field: call set_sources "
                            "first");
   }
-  if (!ranks_.front()->engine->supports_fields()) {
+  if (config_.params.backend == Backend::kGpuSim) {
     throw std::invalid_argument(
-        "distributed field evaluation requires an engine that supports "
-        "fields; the GpuSim engine is potential-only — use Backend::kCpu");
+        "distributed field evaluation has no GpuSim device model; use "
+        "Backend::kCpu");
   }
   DistStats local;
   local.per_rank.resize(static_cast<std::size_t>(config_.nranks));
@@ -603,8 +613,9 @@ FieldResult DistSolver::evaluate_field(DistStats* stats) {
 
   run_evaluation(local, [&](RankState& s, RankStats& st) {
     WallTimer timer;
-    const FieldResult tree_order = s.engine->evaluate_field(
-        s.pieces(), s.targets.view(), config_.kernel, st, &s.exec);
+    const FieldResult tree_order =
+        evaluate_plan_field(s.pieces(), s.targets.view(), config_.kernel, st,
+                            &s.exec.cpu_workspace());
     st.compute_seconds = timer.seconds();
 
     const OrderedParticles& tgt = s.targets.particles;

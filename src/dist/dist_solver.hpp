@@ -10,17 +10,19 @@
 //
 //   DistSolver solver({KernelSpec::coulomb(), params, /*nranks=*/4});
 //   solver.set_sources(cloud);          // RCB + local trees + LET, once
-//   auto phi  = solver.evaluate();      // per-rank engines run cached plans
+//   auto phi  = solver.evaluate();      // every rank runs its cached plan
 //   auto phi2 = solver.evaluate();      // no RMA, no tree work: kernels only
 //   solver.update_charges(new_q);       // moments + LET *charge* refresh
 //   solver.update_positions(moved);     // LET window refresh when
 //                                       // position_slack > 0, else re-plan
 //
-// Each rank owns one Engine (core/engine.hpp), so the distributed
-// path inherits the blocked CPU kernels and the simulated-GPU persistent-
-// residency model: a rank's LET (local sources, remote trees, fetched
-// charges and particles) is staged on its device once and repeat
-// evaluations move nothing but results. `compute_potential_distributed`
+// Each rank executes its plan through the host evaluators
+// (core/cpu_kernels.hpp), so the distributed path inherits the blocked CPU
+// kernels. Under Backend::kGpuSim each rank also owns a modeled device
+// (gpusim/cost_model.hpp) with its persistent-residency model: a rank's
+// LET (local sources, remote trees, fetched charges and particles) is
+// staged on its device once and repeat evaluations model no transfer but
+// the results. `compute_potential_distributed`
 // remains the one-shot wrapper.
 //
 // Statistics extend the serial RunStats: each rank reports a RankStats (its
@@ -49,8 +51,9 @@ namespace bltc::dist {
 /// Parameters for one distributed solve.
 struct DistParams {
   TreecodeParams treecode;
+  /// Backend::kGpuSim adds each rank's modeled device report.
   Backend backend = Backend::kCpu;
-  /// Device modeled on every rank (GpuSim backend; the paper runs one GPU
+  /// Device modeled on every rank (Backend::kGpuSim; the paper runs one GPU
   /// per MPI rank).
   gpusim::DeviceSpec device = gpusim::DeviceSpec::p100();
   bool async_streams = true;
@@ -59,8 +62,8 @@ struct DistParams {
   gpusim::NetworkSpec network = gpusim::NetworkSpec::comet_infiniband();
 };
 
-/// One rank's statistics for one evaluation: the RunStats its engine and
-/// plan produced (eval and launch counts, structure counts of the local
+/// One rank's statistics for one evaluation: the RunStats its evaluation
+/// and plan produced (eval and launch counts, structure counts of the local
 /// plan summed over its pieces, phase seconds, device deltas) plus the LET
 /// fields RunStats lacks. As in RunStats, phase seconds, RMA counters, tree
 /// builds and device bytes are deltas — costs paid in a lifecycle call land
@@ -108,7 +111,8 @@ class DistSolver {
  public:
   /// Validates the configuration (throws std::invalid_argument on bad
   /// treecode parameters, nranks < 1, the dual traversal, or periodic
-  /// boundaries) and instantiates one Engine per rank.
+  /// boundaries); under Backend::kGpuSim creates one modeled device per
+  /// rank.
   explicit DistSolver(DistConfig config);
   ~DistSolver();
   DistSolver(DistSolver&&) noexcept;
@@ -122,7 +126,7 @@ class DistSolver {
   std::size_t num_sources() const { return num_sources_; }
 
   /// Build the distributed plan: RCB decomposition, per-rank source trees
-  /// and target batches, engine precompute, and the LET exchange (remote
+  /// and target batches, moment precompute, and the LET exchange (remote
   /// trees, modified charges of MAC-accepted clusters, particle ranges of
   /// direct clusters) over freshly registered RMA windows. The windows stay
   /// live for later charge refreshes. If it throws, the handle holds no
@@ -156,8 +160,8 @@ class DistSolver {
   std::vector<double> evaluate(DistStats* stats = nullptr);
 
   /// Compute potentials and fields E = -grad phi at every source particle,
-  /// sharing the cached plans. Requires a backend whose engine supports
-  /// fields (CPU).
+  /// sharing the cached plans. Backend::kCpu only: the device model has no
+  /// field launches.
   FieldResult evaluate_field(DistStats* stats = nullptr);
 
  private:
@@ -166,7 +170,7 @@ class DistSolver {
   void plan(const Cloud& cloud);
   void release_plan();  ///< collective teardown of windows + per-rank state
   /// Shared back half of evaluate/evaluate_field: on every rank, take over
-  /// the pending lifecycle costs and run `execute` (engine call + result
+  /// the pending lifecycle costs and run `execute` (evaluation + result
   /// scatter, adding into the rank's RankStats), then fill the RMA deltas
   /// and LET counts, and reduce the
   /// bulk-synchronous view.

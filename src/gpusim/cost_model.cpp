@@ -1,4 +1,4 @@
-#include "core/gpu_engine.hpp"
+#include "gpusim/cost_model.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -9,7 +9,7 @@
 #include "mesh/mesh.hpp"
 #include "util/failpoints.hpp"
 
-namespace bltc {
+namespace bltc::gpusim {
 
 double kernel_eval_weight(const KernelSpec& spec, bool on_gpu) {
   switch (spec.type) {
@@ -76,29 +76,28 @@ double precision_factor(bool fp32) { return fp32 ? 0.5 : 1.0; }
 
 }  // namespace
 
-GpuSimEngine::GpuSimEngine(const GpuOptions& options)
+CostModel::CostModel(const GpuOptions& options)
     : options_(options), device_(options.device, options.async_streams) {}
 
-void GpuSimEngine::model_precompute(const SourcePlan& piece,
-                                    std::span<const std::size_t> clusters,
-                                    double& precompute) const {
+void CostModel::model_precompute(const SourcePlan& piece,
+                                 std::span<const std::size_t> clusters) {
   const ClusterTree& tree = piece.plan->tree;
   const ClusterMoments& nominal = piece.moment_levels.front();
   const std::size_t m = static_cast<std::size_t>(nominal.degree()) + 1;
   const std::size_t ppc = nominal.points_per_cluster();
-  const gpusim::TimeMarker before = device_.marker();
+  const TimeMarker before = device_.marker();
   for (const std::size_t c : clusters) {
     const ClusterNode& node = tree.node(static_cast<int>(c));
     if (node.count() == 0) continue;
     // Preprocessing kernel 1 (Eq. 14): one block per source particle,
     // threads over the 3(n+1) denominator terms. O((n+1) N_C) work.
-    gpusim::KernelCost k1;
+    KernelCost k1;
     k1.evals = static_cast<double>(node.count()) * static_cast<double>(m);
     k1.blocks = node.count();
     device_.launch(device_.next_stream(), k1);
     // Preprocessing kernel 2 (Eq. 15): one block per Chebyshev point,
     // threads over the cluster's source particles. O((n+1)^3 N_C) work.
-    gpusim::KernelCost k2;
+    KernelCost k2;
     k2.evals = static_cast<double>(ppc) * static_cast<double>(node.count());
     k2.blocks = ppc;
     device_.launch(device_.next_stream(), k2);
@@ -107,29 +106,33 @@ void GpuSimEngine::model_precompute(const SourcePlan& piece,
   // DtH: the modified charges return to the host, where (in the
   // distributed code) they are exposed through RMA windows.
   device_.device_to_host(clusters.size() * ppc * sizeof(double));
-  precompute += device_.marker().kernel_seconds - before.kernel_seconds;
+  staged_precompute_ +=
+      device_.marker().kernel_seconds - before.kernel_seconds;
 }
 
-void GpuSimEngine::model_restrictions(const SourcePlan& piece,
-                                      std::size_t levels, std::size_t clusters,
-                                      double& precompute) const {
+void CostModel::model_restrictions(const SourcePlan& piece,
+                                   std::size_t levels, std::size_t clusters) {
   // Dual traversal: the coarse ladder levels are small tensor transfers of
   // the resident nominal charges, one launch per level.
   for (std::size_t l = 1; l < levels; ++l) {
-    gpusim::KernelCost cost;
+    KernelCost cost;
     cost.evals = static_cast<double>(clusters) *
                  static_cast<double>(piece.moment_levels[l].points_per_cluster());
     cost.blocks = clusters;
-    const gpusim::TimeMarker before = device_.marker();
+    const TimeMarker before = device_.marker();
     device_.launch(device_.next_stream(), cost);
     device_.synchronize();
-    precompute += device_.marker().kernel_seconds - before.kernel_seconds;
+    staged_precompute_ +=
+        device_.marker().kernel_seconds - before.kernel_seconds;
   }
 }
 
-void GpuSimEngine::stage(std::span<const SourcePlan> sources,
-                         const TargetPlan& targets, double& precompute,
-                         std::size_t& host_particles) const {
+void CostModel::stage(std::span<const SourcePlan> sources,
+                      const TargetPlan& targets) {
+  if (sources.empty() || targets.lists.size() != sources.size()) {
+    throw std::logic_error(
+        "CostModel::stage: one interaction list per source piece expected");
+  }
   const SourcePlan& local = sources.front();
   const SourcePlanState& plan = *local.plan;
   // uploads[0] the local sources, [1] the targets, [2 + p] LET piece p.
@@ -175,11 +178,11 @@ void GpuSimEngine::stage(std::span<const SourcePlan> sources,
     for (int stream = 0; stream < (whole ? 4 : 1); ++stream) {
       device_.host_to_device(n * sizeof(double));
     }
-    if (whole) host_particles += n;
+    if (whole) staged_host_particles_ += n;
     std::vector<std::size_t> all(nn);
     std::iota(all.begin(), all.end(), std::size_t{0});
-    model_precompute(local, all, precompute);
-    model_restrictions(local, levels, nn, precompute);
+    model_precompute(local, all);
+    model_restrictions(local, levels, nn);
     for (std::size_t l = 0; l < levels; ++l) {
       const ClusterMoments& level = local.moment_levels[l];
       if (whole) device_.host_to_device(level.all_grids().size() * elem);
@@ -188,8 +191,8 @@ void GpuSimEngine::stage(std::span<const SourcePlan> sources,
   } else if (source_upload == Upload::kPositions) {
     const std::span<const std::size_t> dirty = plan.change.dirty_clusters;
     device_.host_to_device(4 * moved_slots(plan.change) * sizeof(double));
-    model_precompute(local, dirty, precompute);
-    model_restrictions(local, levels, dirty.size(), precompute);
+    model_precompute(local, dirty);
+    model_restrictions(local, levels, dirty.size());
     for (std::size_t l = 0; l < levels; ++l) {
       device_.host_to_device(
           dirty.size() * local.moment_levels[l].points_per_cluster() * elem);
@@ -221,7 +224,7 @@ void GpuSimEngine::stage(std::span<const SourcePlan> sources,
         device_.host_to_device(moments.all_grids().size() * sizeof(double));
         device_.host_to_device(moments.all_qhat().size() * sizeof(double));
         // LET assembly is host-side setup work, like the local tree build.
-        host_particles += fetched;
+        staged_host_particles_ += fetched;
         break;
       case Upload::kCharges:
         device_.host_to_device(moments.all_qhat().size() * sizeof(double));
@@ -244,7 +247,7 @@ void GpuSimEngine::stage(std::span<const SourcePlan> sources,
     for (int axis = 0; axis < 3; ++axis) {
       device_.host_to_device(nt * sizeof(double));
     }
-    host_particles += nt;
+    staged_host_particles_ += nt;
     if (!targets.grids.empty()) {
       std::size_t grid_doubles = 0;
       for (const ClusterMoments& g : targets.grids) {
@@ -254,11 +257,16 @@ void GpuSimEngine::stage(std::span<const SourcePlan> sources,
     }
   }
   target_version_ = targets.change != nullptr ? targets.change->version : 0;
+
+  if (targets.shifts != nullptr && !shift_table_staged_) {
+    device_.host_to_device(targets.shifts->bytes());
+    shift_table_staged_ = true;
+  }
 }
 
-void GpuSimEngine::model_lists(const TargetPlan& targets,
-                               const DualInteractionLists& lists,
-                               const SourcePlan& piece, double weight) const {
+void CostModel::model_lists(const TargetPlan& targets,
+                            const DualInteractionLists& lists,
+                            const SourcePlan& piece, double weight) {
   const ClusterTree& source_tree = piece.plan->tree;
   const std::span<const ClusterMoments> levels = piece.moment_levels;
   const bool fp32 = piece.fp32;
@@ -282,7 +290,7 @@ void GpuSimEngine::model_lists(const TargetPlan& targets,
           pair.kind == DualKind::kCC
               ? static_cast<double>(ppc)
               : static_cast<double>(source_tree.node(pair.source).count());
-      gpusim::KernelCost cost;
+      KernelCost cost;
       cost.evals = weight * precision_factor(fp32 && pair.fp32 != 0) *
                    (static_cast<double>(ppc) * sources);
       cost.blocks = ppc;
@@ -300,7 +308,7 @@ void GpuSimEngine::model_lists(const TargetPlan& targets,
     for (std::size_t ni = 0; ni < nn; ++ni) {
       const ClusterNode& node = target_tree.node(static_cast<int>(ni));
       if (!lflag[ni] || node.is_leaf()) continue;
-      gpusim::KernelCost cost;
+      KernelCost cost;
       cost.evals = static_cast<double>(node.num_children) * ppc;
       cost.blocks = static_cast<std::size_t>(node.num_children);
       device_.launch(device_.next_stream(), cost);
@@ -312,7 +320,7 @@ void GpuSimEngine::model_lists(const TargetPlan& targets,
     for (std::size_t ni = 0; ni < nn; ++ni) {
       const ClusterNode& node = target_tree.node(static_cast<int>(ni));
       if (!lflag[ni] || !node.is_leaf() || node.count() == 0) continue;
-      gpusim::KernelCost cost;
+      KernelCost cost;
       cost.evals = static_cast<double>(node.count()) * ppc;
       cost.blocks = node.count();
       device_.launch(device_.next_stream(), cost);
@@ -334,7 +342,7 @@ void GpuSimEngine::model_lists(const TargetPlan& targets,
           pair.kind == DualKind::kPC
               ? static_cast<double>(levels[pair.level].points_per_cluster())
               : static_cast<double>(source_tree.node(pair.source).count());
-      gpusim::KernelCost cost;
+      KernelCost cost;
       cost.blocks = leaf.count();
       if (pair.kind == DualKind::kPC) {
         cost.evals = weight * precision_factor(fp32 && pair.fp32 != 0) *
@@ -352,89 +360,42 @@ void GpuSimEngine::model_lists(const TargetPlan& targets,
   device_.synchronize();
 }
 
-std::vector<double> GpuSimEngine::evaluate_potential(
-    std::span<const SourcePlan> sources, const TargetPlan& targets,
-    const KernelSpec& kernel, RunStats& stats, ExecContext* ctx) const {
-  // One simulated device executes one evaluation at a time: concurrent
-  // callers (the serving layer) serialize here rather than interleaving
-  // the residency bookkeeping or the delta-reported device counters.
-  std::lock_guard<std::mutex> lock(eval_mutex_);
-  if (sources.empty() || targets.lists.size() != sources.size()) {
-    throw std::logic_error(
-        "GpuSimEngine::evaluate_potential: one interaction list per source "
-        "piece expected");
-  }
-  double precompute = 0.0;
-  std::size_t host_particles = 0;
-  stage(sources, targets, precompute, host_particles);
-  if (targets.shifts != nullptr && !shift_table_staged_) {
-    device_.host_to_device(targets.shifts->bytes());
-    shift_table_staged_ = true;
-  }
-
-  std::vector<double> phi =
-      host_.evaluate_potential(sources, targets, kernel, stats, ctx);
-
-  // Model the launches over the lists the host just executed, piece by
-  // piece. fp32 is charged exactly where the host ran fp32 tiles — tagged
+void CostModel::model_potential(std::span<const SourcePlan> sources,
+                                const TargetPlan& targets,
+                                const KernelSpec& kernel, RunStats& stats) {
+  // fp32 is charged exactly where the host ran fp32 tiles — tagged
   // interactions of a piece whose SourcePlan::fp32 is set.
   const double weight = kernel_eval_weight(kernel, /*on_gpu=*/true);
-  const gpusim::TimeMarker before = device_.marker();
+  const TimeMarker before = device_.marker();
   for (std::size_t p = 0; p < sources.size(); ++p) {
     model_lists(targets, targets.lists[p], sources[p], weight);
   }
   // DtH: final potentials (every evaluation downloads its results).
-  device_.device_to_host(phi.size() * sizeof(double));
-  const gpusim::TimeMarker after = device_.marker();
+  device_.device_to_host(targets.particles->size() * sizeof(double));
+  const TimeMarker after = device_.marker();
 
   // Modeled times on the paper's hardware: host-side setup work plus all
   // PCIe transfers since the last report are attributed to the setup phase
   // (the paper's setup includes data movement); kernel time splits by phase.
   stats.modeled.setup +=
-      gpusim::host_setup_seconds(options_.host, host_particles) +
+      host_setup_seconds(options_.host, staged_host_particles_) +
       (after.transfer_seconds - reported_marker_.transfer_seconds);
-  stats.modeled.precompute += precompute;
+  stats.modeled.precompute += staged_precompute_;
   stats.modeled.compute += after.kernel_seconds - before.kernel_seconds;
-
-  // Device counters are cumulative; report deltas for this evaluation.
-  stats.gpu_launches += device_.launches() - reported_launches_;
-  stats.bytes_to_device += device_.bytes_to_device() - reported_bytes_htd_;
-  stats.bytes_to_host += device_.bytes_to_host() - reported_bytes_dth_;
-  reported_marker_ = after;
-  reported_launches_ = device_.launches();
-  reported_bytes_htd_ = device_.bytes_to_device();
-  reported_bytes_dth_ = device_.bytes_to_host();
-  return phi;
+  staged_precompute_ = 0.0;
+  staged_host_particles_ = 0;
+  report(after, stats);
 }
 
-FieldResult GpuSimEngine::evaluate_field(std::span<const SourcePlan> /*sources*/,
-                                         const TargetPlan& /*targets*/,
-                                         const KernelSpec& /*kernel*/,
-                                         RunStats& /*stats*/,
-                                         ExecContext* /*ctx*/) const {
-  throw std::invalid_argument(
-      "field evaluation is implemented on the CPU engine only; use "
-      "Backend::kCpu");
-}
-
-void GpuSimEngine::mesh_far_field(const mesh::MeshPlan& plan,
-                                  const TargetPlan& targets,
-                                  std::vector<double>& phi, FieldResult* field,
-                                  RunStats& stats) const {
-  std::scoped_lock lock(eval_mutex_);
-  // The host gather computes the values; the launches below model it.
-  if (field != nullptr) {
-    plan.add_field(*targets.particles, *field);
-  } else {
-    plan.add_potential(*targets.particles, phi);
-  }
-
+void CostModel::model_mesh(const mesh::MeshPlan& plan,
+                           std::size_t num_targets, bool field,
+                           RunStats& stats) {
   const mesh::MeshTuning& tuning = plan.tuning();
   const double grid = static_cast<double>(plan.grid_points());
   const double p3 = static_cast<double>(tuning.order) *
                     static_cast<double>(tuning.order) *
                     static_cast<double>(tuning.order);
-  const gpusim::TimeMarker before = device_.marker();
+  const TimeMarker before = device_.marker();
 
   if (plan.version() != mesh_version_staged_) {
     // Stage + solve the device-resident mesh for this source version:
@@ -445,23 +406,22 @@ void GpuSimEngine::mesh_far_field(const mesh::MeshPlan& plan,
     // until the sources change again.
     const double nsrc = static_cast<double>(plan.num_sources());
     {
-      gpusim::KernelCost cost;
+      KernelCost cost;
       cost.evals = nsrc * p3;
       cost.blocks = (plan.num_sources() + 127) / 128;
       device_.launch(device_.next_stream(), cost);
     }
-    const int dims[3] = {tuning.nx, tuning.ny, tuning.nz};
+    const std::size_t dims[3] = {tuning.nx, tuning.ny, tuning.nz};
     for (int pass = 0; pass < 2; ++pass) {  // forward, then inverse
       for (int d = 0; d < 3; ++d) {
-        gpusim::KernelCost cost;
+        KernelCost cost;
         cost.evals = grid * std::log2(static_cast<double>(dims[d]));
-        cost.blocks = static_cast<std::size_t>(grid) /
-                          static_cast<std::size_t>(dims[d]) +
-                      1;  // one block per pencil
+        // One block per pencil.
+        cost.blocks = static_cast<std::size_t>(grid) / dims[d] + 1;
         device_.launch(device_.next_stream(), cost);
       }
       if (pass == 0) {
-        gpusim::KernelCost cost;
+        KernelCost cost;
         cost.evals = grid / 2.0;  // Hermitian half spectrum
         cost.blocks = static_cast<std::size_t>(grid / 2.0) / 256 + 1;
         device_.launch(device_.next_stream(), cost);
@@ -469,39 +429,33 @@ void GpuSimEngine::mesh_far_field(const mesh::MeshPlan& plan,
     }
     mesh_version_staged_ = plan.version();
   }
-  const gpusim::TimeMarker solved = device_.marker();
 
   // Per-call interpolation: one block per 128 targets, p^3 grid reads per
   // target (4x the accumulation work with analytic-gradient forces), then
   // the far-field results come down over PCIe.
-  const std::size_t nt = targets.particles->size();
   {
-    gpusim::KernelCost cost;
-    cost.evals = static_cast<double>(nt) * p3 * (field != nullptr ? 4.0 : 1.0);
-    cost.blocks = nt / 128 + 1;
+    KernelCost cost;
+    cost.evals = static_cast<double>(num_targets) * p3 * (field ? 4.0 : 1.0);
+    cost.blocks = num_targets / 128 + 1;
     device_.launch(device_.next_stream(), cost);
   }
-  device_.device_to_host(nt * sizeof(double) * (field != nullptr ? 4 : 1));
-  const gpusim::TimeMarker after = device_.marker();
+  device_.device_to_host(num_targets * sizeof(double) * (field ? 4 : 1));
+  const TimeMarker after = device_.marker();
 
-  // The solver has already harvested the host plan's spread/solve seconds;
-  // attribute the modeled device pipeline on top: solve launches to the FFT
-  // phase, interpolation to the spread/gather phase. Device counters are
-  // cumulative, so extend this evaluation's deltas and refresh the
-  // snapshots (mesh_far_field always runs after evaluate_potential reported
-  // its own slice).
-  stats.fft_seconds += solved.kernel_seconds - before.kernel_seconds;
-  stats.mesh_spread_seconds += after.kernel_seconds - solved.kernel_seconds;
-  stats.mesh_points = plan.grid_points();
   stats.modeled.compute += after.kernel_seconds - before.kernel_seconds;
   stats.modeled.setup += after.transfer_seconds - before.transfer_seconds;
+  report(after, stats);
+}
+
+void CostModel::report(const TimeMarker& now, RunStats& stats) {
+  // Device counters are cumulative; report deltas for this evaluation.
   stats.gpu_launches += device_.launches() - reported_launches_;
   stats.bytes_to_device += device_.bytes_to_device() - reported_bytes_htd_;
   stats.bytes_to_host += device_.bytes_to_host() - reported_bytes_dth_;
-  reported_marker_ = after;
+  reported_marker_ = now;
   reported_launches_ = device_.launches();
   reported_bytes_htd_ = device_.bytes_to_device();
   reported_bytes_dth_ = device_.bytes_to_host();
 }
 
-}  // namespace bltc
+}  // namespace bltc::gpusim

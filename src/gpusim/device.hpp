@@ -21,7 +21,7 @@ namespace bltc::gpusim {
 
 /// Static description of a (modeled) compute device. Throughput is expressed
 /// in *kernel evaluations* per second rather than FLOP/s: one evaluation is
-/// one G(x,y) interaction (the unit the BLTC engines count), and per-kernel
+/// one G(x,y) interaction (the unit the BLTC evaluators count), and per-kernel
 /// cost multipliers (e.g. Yukawa vs Coulomb) are applied by the caller.
 struct DeviceSpec {
   std::string name;

@@ -61,7 +61,7 @@ struct MeshTuning {
 /// table always covers every image inside it.
 MeshTuning tune_mesh(const TreecodeParams& params);
 
-/// The screened near-field kernel the engines evaluate under
+/// The screened near-field kernel the treecode evaluates under
 /// kPeriodicMesh: erfc(alpha r)/r with the tuned alpha.
 KernelSpec mesh_near_kernel(const TreecodeParams& params);
 
@@ -105,8 +105,8 @@ class MeshPlan {
   const MeshTuning& tuning() const { return tuning_; }
   std::size_t grid_points() const { return nx_ * ny_ * nz_; }
   std::size_t num_sources() const { return charge_.size(); }
-  /// Monotonic mutation counter: bumps on every build/update, so device
-  /// engines can key their staged mesh state on it.
+  /// Monotonic mutation counter: bumps on every build/update, so the
+  /// modeled device can key its staged mesh state on it.
   std::uint64_t version() const { return version_; }
   /// Heap footprint (cache budget accounting).
   std::size_t bytes() const;

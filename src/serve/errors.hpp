@@ -3,7 +3,7 @@
 // callers branch on the type, not on message strings:
 //
 //   * DeadlineExceeded — the request's deadline passed before its group
-//     executed; it was dropped at admission or between engine calls and
+//     executed; it was dropped at admission or between evaluations and
 //     never occupied a fused batch.
 //   * RequestShed     — bounded admission rejected it (kRejectNew), evicted
 //     it for a newer request (kShedOldest), or the frontend shut down with
@@ -44,8 +44,8 @@ class RequestCancelled : public ServeError {
 
 /// Cooperative cancellation: the caller keeps one shared token per request
 /// (or per session) and may fire it from any thread. Workers observe it at
-/// group admission and between engine calls; an execution already in
-/// flight completes (engine calls are not preemptible).
+/// group admission and between evaluations; an execution already in
+/// flight completes (evaluations are not preemptible).
 class CancelToken {
  public:
   void cancel() noexcept { flag_.store(true, std::memory_order_release); }

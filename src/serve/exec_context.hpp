@@ -3,13 +3,11 @@
 // A cached plan is immutable after construction (tree, batches, lists,
 // moments), but executing it needs mutable scratch: the CPU paths expand
 // cluster grids into per-thread streams, stage shifted source images, and
-// keep dual-traversal grid accumulators (core/cpu_kernels.hpp). Historically
-// that scratch lived inside CpuEngine, which made concurrent evaluate()
-// calls on one engine a data race. `ExecContext` moves all of it into a
-// per-call object: every Engine::evaluate_* takes an optional ExecContext,
-// and an engine given one touches no mutable state of its own, so any
-// number of threads may execute the same plan through the same engine as
-// long as each passes its own context.
+// keep dual-traversal grid accumulators (core/cpu_kernels.hpp).
+// `ExecContext` holds all of it in a per-call object: the plan evaluators
+// (`evaluate_plan{,_field}`) read nothing but the plans they are given and
+// write only the workspace passed to them, so any number of threads may
+// execute the same plan as long as each passes its own context's workspace.
 //
 // Contexts are reusable (scratch buffers persist across calls, so steady-
 // state evaluation allocates nothing) but never concurrently shareable: one

@@ -7,7 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/engine.hpp"
+#include "core/cpu_kernels.hpp"
 #include "core/periodic.hpp"
 #include "mesh/mesh.hpp"
 #include "util/failpoints.hpp"
@@ -16,15 +16,6 @@
 
 namespace bltc::serve {
 namespace {
-
-/// The one shared, stateless CPU engine every CPU execution goes through.
-/// Cached plans carry their own moments and every call passes its own
-/// ExecContext, so the engine holds nothing at all.
-const Engine& shared_cpu_engine() {
-  static const std::unique_ptr<Engine> engine =
-      make_engine(Backend::kCpu, GpuOptions{});
-  return *engine;
-}
 
 double seconds_between(std::chrono::steady_clock::time_point from,
                        std::chrono::steady_clock::time_point to) {
@@ -58,7 +49,7 @@ std::exception_ptr cancel_error() {
       RequestCancelled("request cancelled before execution"));
 }
 
-/// The kernel the engines actually execute for `plan`: mesh-mode plans run
+/// The kernel the treecode actually executes for `plan`: mesh-mode plans run
 /// the screened erfc(alpha r)/r near field through the treecode while the
 /// user-facing kernel stays KernelSpec::coulomb().
 KernelSpec exec_kernel(const CachedPlan& plan, const KernelSpec& kernel) {
@@ -190,7 +181,7 @@ ServeFrontend::~ServeFrontend() {
 
 std::uint64_t ServeFrontend::group_key(const ServeRequest& request) {
   // FNV-1a over the cache key plus the kernel: requests may only share an
-  // engine call when they share the compiled plan *and* the kernel.
+  // evaluation when they share the compiled plan *and* the kernel.
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -198,7 +189,7 @@ std::uint64_t ServeFrontend::group_key(const ServeRequest& request) {
       h *= 1099511628211ull;
     }
   };
-  mix(plan_key(*request.sources, request.params, request.backend));
+  mix(plan_key(*request.sources, request.params));
   mix(static_cast<std::uint64_t>(request.kernel.type));
   std::uint64_t kappa_bits = 0;
   static_assert(sizeof(kappa_bits) == sizeof(request.kernel.kappa));
@@ -416,31 +407,25 @@ auto ServeFrontend::with_retries(Fn&& fn) -> decltype(fn()) {
   }
 }
 
-std::vector<double> ServeFrontend::execute_plan(
-    const CachedPlan& plan,
-    const std::shared_ptr<const TargetPlanState>& targets,
-    const KernelSpec& kernel, std::size_t tier) {
+std::vector<double> ServeFrontend::execute_plan(const CachedPlan& plan,
+                                                const TargetPlan& view,
+                                                const KernelSpec& kernel,
+                                                std::size_t tier) {
   RunStats stats;
-  const KernelSpec exec = exec_kernel(plan, kernel);
-  const TargetPlan view = targets->view();
   const SourcePlan source = plan.source_view(tier);
-  // GpuSim plans run on their own device, which stages the target plan it
-  // has not seen yet (degraded tiers never reach it — degrade_tiers() is 1
-  // for device plans).
-  const Engine& engine =
-      plan.gpu_engine != nullptr ? *plan.gpu_engine : shared_cpu_engine();
   ExecContextPool::Lease context(contexts_);
-  std::vector<double> phi = engine.evaluate_potential(
-      {&source, 1}, view, exec, stats, context.get());
+  std::vector<double> phi =
+      evaluate_plan({&source, 1}, view, exec_kernel(plan, kernel), stats,
+                    &context->cpu_workspace());
   if (plan.mesh != nullptr) {
-    engine.mesh_far_field(*plan.mesh, view, phi, /*field=*/nullptr, stats);
+    mesh_far_field(*plan.mesh, view, phi, /*field=*/nullptr, stats);
   }
   return phi;
 }
 
 void ServeFrontend::execute_group(std::vector<Pending>& group) {
   const auto started = std::chrono::steady_clock::now();
-  std::size_t engine_calls = 0;
+  std::size_t evaluations = 0;
   std::size_t fused_requests = 0;
   std::size_t cache_hits = 0;
   std::size_t deadline_failures = 0;
@@ -502,8 +487,8 @@ void ServeFrontend::execute_group(std::vector<Pending>& group) {
       item.pending = &pending;
       item.plan = with_retries([&] {
         bool hit = false;
-        PlanPtr plan = cache_.get_or_build(sources, pending.request.params,
-                                           pending.request.backend, &hit);
+        PlanPtr plan =
+            cache_.get_or_build(sources, pending.request.params, &hit);
         item.hit = hit;
         return plan;
       });
@@ -567,7 +552,7 @@ void ServeFrontend::execute_group(std::vector<Pending>& group) {
       target_members[slot].push_back(i);
     }
 
-    // Between-engine-calls deadline/cancel check: drop members whose
+    // Between-evaluations deadline/cancel check: drop members whose
     // deadline passed while earlier work in this group ran; they must not
     // hold results they will never read.
     const auto drop_expired = [&](std::vector<std::size_t>& members) {
@@ -592,14 +577,13 @@ void ServeFrontend::execute_group(std::vector<Pending>& group) {
 
     const KernelSpec kernel = items[member_of.front()].pending->request.kernel;
     const bool dual = plan->params.traversal == TraversalMode::kDual;
-    const bool device = plan->backend != Backend::kCpu;
     std::vector<std::vector<double>> results(unique_targets.size());
     std::vector<char> executed(unique_targets.size(), 0);
     try {
-      if (!dual && !device && unique_targets.size() > 1) {
-        // Fuse every distinct target set into one engine call. The dual
-        // traversal accumulates through a global per-target-tree structure
-        // and GpuSim stages per device, so those execute per target set.
+      if (!dual && unique_targets.size() > 1) {
+        // Fuse every distinct target set into one evaluation. The dual
+        // traversal accumulates through a global per-target-tree structure,
+        // so it executes per target set.
         std::size_t live_members = 0;
         for (auto& members : target_members) {
           drop_expired(members);
@@ -620,20 +604,9 @@ void ServeFrontend::execute_group(std::vector<Pending>& group) {
                             ? &unique_targets.front()->shifts
                             : nullptr;
 
-          const SourcePlan source = plan->source_view(unit.tier);
-          std::vector<double> phi = with_retries([&] {
-            RunStats stats;
-            ExecContextPool::Lease context(contexts_);
-            std::vector<double> out = shared_cpu_engine().evaluate_potential(
-                {&source, 1}, view, exec_kernel(*plan, kernel), stats,
-                context.get());
-            if (plan->mesh != nullptr) {
-              shared_cpu_engine().mesh_far_field(*plan->mesh, view, out,
-                                                 /*field=*/nullptr, stats);
-            }
-            return out;
-          });
-          ++engine_calls;
+          const std::vector<double> phi = with_retries(
+              [&] { return execute_plan(*plan, view, kernel, unit.tier); });
+          ++evaluations;
           fused_requests += live_members;
           for (std::size_t u = 0; u < unique_targets.size(); ++u) {
             const std::size_t begin = fused.offsets[u];
@@ -648,10 +621,11 @@ void ServeFrontend::execute_group(std::vector<Pending>& group) {
           drop_expired(target_members[u]);
           if (target_members[u].empty()) continue;
           results[u] = with_retries([&] {
-            return execute_plan(*plan, unique_targets[u], kernel, unit.tier);
+            return execute_plan(*plan, unique_targets[u]->view(), kernel,
+                                unit.tier);
           });
           executed[u] = 1;
-          ++engine_calls;
+          ++evaluations;
           if (target_members[u].size() > 1) {
             fused_requests += target_members[u].size();
           }
@@ -698,7 +672,7 @@ void ServeFrontend::execute_group(std::vector<Pending>& group) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     counters_.completed += fulfill.size() + fail.size();
-    counters_.executions += engine_calls;
+    counters_.executions += evaluations;
     counters_.fused_requests += fused_requests;
     counters_.cache_hits += cache_hits;
     counters_.deadline_exceeded += deadline_failures;
@@ -731,8 +705,7 @@ ServeResponse ServeFrontend::evaluate_now(const ServeRequest& request) {
   if (sources.size() == 0 || targets.size() == 0) {
     response.phi.assign(targets.size(), 0.0);
   } else {
-    PlanPtr plan =
-        cache_.get_or_build(sources, request.params, request.backend, &hit);
+    PlanPtr plan = cache_.get_or_build(sources, request.params, &hit);
     const auto target_plan = plan->target_plan(targets);
     const std::size_t tier =
         request.degrade_tier >= 0
@@ -740,7 +713,7 @@ ServeResponse ServeFrontend::evaluate_now(const ServeRequest& request) {
                        plan->degrade_tiers() - 1)
             : 0;
     const std::vector<double> phi =
-        execute_plan(*plan, target_plan, request.kernel, tier);
+        execute_plan(*plan, target_plan->view(), request.kernel, tier);
     response.phi = target_plan->particles.scatter_to_original(phi);
     response.cache_hit = hit;
     response.degrade_tier = static_cast<int>(tier);

@@ -6,7 +6,7 @@
 // them. `ServeFrontend::submit` enqueues a request and returns a future;
 // worker threads group queued requests by (plan key, kernel) under a
 // max-batch-size / max-delay admission policy and execute each group
-// through one fused engine call:
+// through one fused evaluation:
 //
 //   * requests sharing identical target coordinates share one execution
 //     (and one result vector) outright;
@@ -14,18 +14,18 @@
 //     tree-ordered particles are concatenated, their target trees joined
 //     into one forest (node ids and particle ranges offset), and their
 //     leaf groups concatenated into one TargetPlan, executed in a single
-//     engine call, and sliced back per request. Because every leaf keeps
+//     evaluation, and sliced back per request. Because every leaf keeps
 //     its own pairs and its own contiguous output range, each request's
 //     potentials are bit-identical to an individual evaluate() of its own
 //     plan;
-//   * dual-traversal and GpuSim-backend groups execute per unique target
-//     set (their accumulation structure is global per target tree / staged
-//     per device), still sharing the cached plan and deduped results.
+//   * dual-traversal groups execute per unique target set (their
+//     accumulation structure is global per target tree), still sharing the
+//     cached plan and deduped results.
 //
 // Overload behavior (serve/errors.hpp holds the failure vocabulary):
 //
 //   * every request may carry a deadline and a cancel token, checked at
-//     queue admission, at group formation, and between engine calls — an
+//     queue admission, at group formation, and between evaluations — an
 //     expired request resolves with DeadlineExceeded instead of occupying
 //     a fused batch;
 //   * the queue is bounded by request count and bytes; past the budget the
@@ -40,9 +40,9 @@
 //   * transient infrastructure failures (tagged TransientError) are
 //     retried with exponential backoff before failing the request.
 //
-// Re-entrancy: CPU executions run concurrently on a shared stateless
-// engine, each call on a per-call ExecContext leased from a pool; GpuSim
-// executions serialize on the plan's device engine.
+// Re-entrancy: executions run concurrently through the host evaluators
+// (core/cpu_kernels.hpp), each on a per-call ExecContext leased from a pool.
+// Serving has no backend: it reports measured costs only.
 #pragma once
 
 #include <chrono>
@@ -74,18 +74,17 @@ struct ServeRequest {
   const Cloud* targets = nullptr;
   TreecodeParams params;
   KernelSpec kernel;
-  Backend backend = Backend::kCpu;
 
   /// Deadline relative to submit(), in milliseconds; <= 0 means none. Once
   /// expired the future resolves with DeadlineExceeded (unless execution
-  /// already started — engine calls are not preemptible).
+  /// already started — evaluations are not preemptible).
   double deadline_ms = 0.0;
   /// Optional cooperative cancel token (see serve/errors.hpp).
   CancelTokenPtr cancel;
   /// Degradation override: -1 lets the frontend choose (nominal unless
   /// overloaded), >= 0 forces that moment-ladder tier (0 = nominal).
-  /// Clamped to the plan's available tiers; dual-traversal and GpuSim
-  /// plans always execute tier 0.
+  /// Clamped to the plan's available tiers; dual-traversal plans always
+  /// execute tier 0.
   int degrade_tier = -1;
 };
 
@@ -95,7 +94,7 @@ struct ServeResponse {
   bool cache_hit = false;   ///< plan served from the cache
   std::size_t group_size = 1;  ///< requests coalesced into its execution group
   double queue_seconds = 0.0;    ///< admission wait
-  double execute_seconds = 0.0;  ///< plan fetch + engine call for its group
+  double execute_seconds = 0.0;  ///< plan fetch + evaluation for its group
   /// Moment-ladder tier this response was served at (0 = nominal degree).
   int degrade_tier = 0;
   /// Interpolation degree actually executed.
@@ -144,7 +143,7 @@ struct ServeOptions {
   /// overloaded (0 disables graceful degradation).
   int max_degrade_tier = 0;
 
-  /// Transient-failure retries per stage (plan build / engine call), with
+  /// Transient-failure retries per stage (plan build / evaluation), with
   /// exponential backoff starting at retry_backoff_ms. Only exceptions
   /// tagged TransientError are retried.
   std::size_t max_retries = 0;
@@ -155,8 +154,8 @@ struct ServeOptions {
 struct FrontendStats {
   std::size_t submitted = 0;
   std::size_t completed = 0;       ///< futures resolved (value or error)
-  std::size_t executions = 0;      ///< engine calls issued
-  std::size_t fused_requests = 0;  ///< requests that shared an engine call
+  std::size_t executions = 0;      ///< evaluations issued
+  std::size_t fused_requests = 0;  ///< requests that shared an evaluation
   std::size_t cache_hits = 0;      ///< responses served from a cached plan
   std::size_t max_group = 0;       ///< largest coalesced group observed
   std::size_t shed = 0;            ///< resolved with RequestShed
@@ -211,13 +210,12 @@ class ServeFrontend {
   void purge_queue(std::unique_lock<std::mutex>& lock);
   /// Execute one coalesced group and fulfill its promises.
   void execute_group(std::vector<Pending>& group);
-  /// Execute one (plan, target plan) pair at a moment-ladder tier;
-  /// tree-order potentials. Takes the target plan under its shared_ptr so
-  /// GpuSim staging can pin it.
-  std::vector<double> execute_plan(
-      const CachedPlan& plan,
-      const std::shared_ptr<const TargetPlanState>& targets,
-      const KernelSpec& kernel, std::size_t tier);
+  /// Execute `plan` at a moment-ladder tier for the targets of `view`, on
+  /// a leased ExecContext; tree-order potentials, mesh far field included.
+  std::vector<double> execute_plan(const CachedPlan& plan,
+                                   const TargetPlan& view,
+                                   const KernelSpec& kernel,
+                                   std::size_t tier);
   /// Run `fn` with transient-failure retry + backoff per options_.
   template <typename Fn>
   auto with_retries(Fn&& fn) -> decltype(fn());

@@ -180,12 +180,10 @@ std::uint64_t params_fingerprint(const TreecodeParams& params) {
   return fnv.h;
 }
 
-std::uint64_t plan_key(const Cloud& sources, const TreecodeParams& params,
-                       Backend backend) {
+std::uint64_t plan_key(const Cloud& sources, const TreecodeParams& params) {
   Fnv1a fnv;
   fnv.add_u64(cloud_fingerprint(sources, params));
   fnv.add_u64(params_fingerprint(params));
-  fnv.add_u64(static_cast<std::uint64_t>(backend));
   return fnv.h;
 }
 
@@ -212,11 +210,9 @@ SourcePlan CachedPlan::source_view(std::size_t tier) const {
 
 std::size_t CachedPlan::degrade_tiers() const {
   // Degradation swaps the executed moments for a deeper ladder level, which
-  // only the batched CPU traversal reads per-level; dual executes its whole
-  // ladder already, and GpuSim models the nominal degree's device residency.
-  if (backend != Backend::kCpu || params.traversal == TraversalMode::kDual) {
-    return 1;
-  }
+  // only the batched traversal reads per-level; dual executes its whole
+  // ladder already.
+  if (params.traversal == TraversalMode::kDual) return 1;
   return source.moment_levels.size();
 }
 
@@ -261,12 +257,11 @@ std::shared_ptr<const TargetPlanState> CachedPlan::target_plan(
 PlanCache::PlanCache(Options options) : options_(options) {}
 
 PlanPtr PlanCache::build_plan(const Cloud& sources,
-                              const TreecodeParams& params, Backend backend,
+                              const TreecodeParams& params,
                               std::uint64_t key) const {
   failpoint(failpoints::sites::kPlanCacheBuild);
   auto plan = std::make_shared<CachedPlan>();
   plan->params = params;
-  plan->backend = backend;
   plan->key = key;
   plan->source = SourcePlanState::build(sources, params);
 
@@ -286,9 +281,6 @@ PlanPtr PlanCache::build_plan(const Cloud& sources,
   // Restrictions are exact (no fresh moment computation), so a cache-hit
   // storm still shows zero moment builds after warmup.
   plan->source.build_moments(dual_degree_ladder(params.degree).size());
-  if (backend == Backend::kGpuSim) {
-    plan->gpu_engine = make_engine(backend, options_.gpu);
-  }
 
   plan->self_targets = build_target_plan(sources, plan->source, params);
   plan->bytes = cached_plan_bytes(*plan);
@@ -296,10 +288,8 @@ PlanPtr PlanCache::build_plan(const Cloud& sources,
 }
 
 bool PlanCache::verify(const CachedPlan& plan, const Cloud& sources,
-                       const TreecodeParams& params, Backend backend) {
-  if (plan.backend != backend || !params_equal(plan.params, params)) {
-    return false;
-  }
+                       const TreecodeParams& params) {
+  if (!params_equal(plan.params, params)) return false;
   if (plan.source.size() != sources.size()) return false;
   if (!plan.source.matches(sources)) return false;
   const OrderedParticles& p = plan.source.particles;
@@ -310,7 +300,7 @@ bool PlanCache::verify(const CachedPlan& plan, const Cloud& sources,
 }
 
 PlanPtr PlanCache::get_or_build(const Cloud& sources,
-                                const TreecodeParams& params, Backend backend,
+                                const TreecodeParams& params,
                                 bool* was_hit) {
   if (was_hit != nullptr) *was_hit = false;
   params.validate();
@@ -318,7 +308,7 @@ PlanPtr PlanCache::get_or_build(const Cloud& sources,
     throw std::invalid_argument("PlanCache::get_or_build: empty source cloud");
   }
   require_finite(sources, "PlanCache::get_or_build");
-  const std::uint64_t key = plan_key(sources, params, backend);
+  const std::uint64_t key = plan_key(sources, params);
 
   std::promise<PlanPtr> promise;
   std::shared_future<PlanPtr> future;
@@ -344,7 +334,7 @@ PlanPtr PlanCache::get_or_build(const Cloud& sources,
   if (builder) {
     PlanPtr plan;
     try {
-      plan = build_plan(sources, params, backend, key);
+      plan = build_plan(sources, params, key);
     } catch (...) {
       // Exception safety: the pending single-flight entry must go before
       // the waiters are released, so no key is ever permanently poisoned —
@@ -395,7 +385,7 @@ PlanPtr PlanCache::get_or_build(const Cloud& sources,
   }
 
   PlanPtr plan = future.get();  // rethrows a failed build
-  if (!verify(*plan, sources, params, backend)) {
+  if (!verify(*plan, sources, params)) {
     // Fingerprint collision: never serve a wrong plan — build privately
     // (uncached, so the resident entry keeps serving its own key).
     {
@@ -403,7 +393,7 @@ PlanPtr PlanCache::get_or_build(const Cloud& sources,
       counters_.collisions += 1;
       counters_.misses += 1;
     }
-    return build_plan(sources, params, backend, key);
+    return build_plan(sources, params, key);
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -7,7 +7,7 @@
 // about the same source cloud under the same treecode parameters should pay
 // the planning cost exactly once. `PlanCache` keys a fully built, immutable
 // `CachedPlan` by a fingerprint of the (wrapped) source coordinates and
-// charges plus the `TreecodeParams` and backend, evicts least-recently-used
+// charges plus the `TreecodeParams`, evicts least-recently-used
 // plans when a configurable byte budget overflows, and counts hits, misses,
 // evictions, and fingerprint collisions.
 //
@@ -35,7 +35,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "core/plan.hpp"
 #include "core/solver.hpp"
 #include "util/workloads.hpp"
@@ -44,8 +43,8 @@ namespace bltc::serve {
 
 /// One immutable compiled artifact: the source-side plan with its moments
 /// and the eagerly built self-target plan (targets == sources, the dominant
-/// request shape). The source plan holds the full degree ladder on every
-/// backend ({n, n-1, ..., 2}, exact restrictions of the nominal moments):
+/// request shape). The source plan holds the full degree ladder
+/// ({n, n-1, ..., 2}, exact restrictions of the nominal moments):
 /// the dual traversal executes through it per pair, and the batched
 /// traversal's level-0 pairs execute [0] nominally and a deeper level when
 /// the frontend serves a *degraded tier* under overload (source_view(tier)
@@ -54,19 +53,12 @@ namespace bltc::serve {
 /// clouds against this source) are memoized in a small bounded side cache.
 struct CachedPlan {
   TreecodeParams params;
-  Backend backend = Backend::kCpu;
   std::uint64_t key = 0;
 
   SourcePlanState source;
   /// Planned at build: targets == sources (shared_ptr so requests hold the
   /// plan they executed independently of this CachedPlan's lifetime).
   std::shared_ptr<const TargetPlanState> self_targets;
-
-  /// GpuSim only: the simulated device this plan's evaluations run on. It
-  /// keeps residency bookkeeping alone (which plan versions it holds) and
-  /// serializes its calls internally, so concurrent requests interleaving
-  /// target plans each get their own targets staged.
-  std::unique_ptr<Engine> gpu_engine;
 
   /// kPeriodicMesh only: the solved FFT far field of the cached source
   /// cloud, built and solved once at plan build. Immutable afterwards —
@@ -77,11 +69,11 @@ struct CachedPlan {
   std::size_t bytes = 0;  ///< accounted against the cache budget
 
   /// Source view executing moment-ladder level `tier` (0 = nominal). Only
-  /// meaningful for batched CPU plans — the graceful-degradation path.
+  /// meaningful for batched plans — the graceful-degradation path.
   SourcePlan source_view(std::size_t tier = 0) const;
 
   /// Degraded tiers this plan can serve (1 when degradation does not apply:
-  /// dual traversal, GpuSim, or degree too small for a ladder).
+  /// dual traversal, or degree too small for a ladder).
   std::size_t degrade_tiers() const;
 
   /// Interpolation degree executed at `tier` (clamped).
@@ -149,14 +141,11 @@ std::uint64_t cloud_fingerprint_update(std::uint64_t fingerprint,
 /// FNV-1a over every result-affecting TreecodeParams field.
 std::uint64_t params_fingerprint(const TreecodeParams& params);
 
-/// The cache key: cloud x params x backend.
-std::uint64_t plan_key(const Cloud& sources, const TreecodeParams& params,
-                       Backend backend);
+/// The cache key: cloud x params.
+std::uint64_t plan_key(const Cloud& sources, const TreecodeParams& params);
 
 /// Budget accounting for one built plan: particle arrays, tree nodes,
 /// interaction lists, moments (every ladder level), shift table and mesh.
-/// Backend-independent: a GpuSim plan holds the same host state as its CPU
-/// twin.
 std::size_t cached_plan_bytes(const CachedPlan& plan);
 
 /// Thread-safe LRU plan cache under a byte budget (see file comment).
@@ -166,19 +155,16 @@ class PlanCache {
     /// Eviction threshold. At least the most recently used plan is always
     /// kept, even when it alone exceeds the budget.
     std::size_t max_bytes = std::size_t(256) << 20;
-    /// Options for GpuSim-backend plans' simulated devices.
-    GpuOptions gpu;
   };
 
   PlanCache() : PlanCache(Options{}) {}
   explicit PlanCache(Options options);
 
-  /// Return the cached plan for (sources, params, backend), building and
-  /// inserting it on miss. Single-flight per key; `was_hit` (optional)
-  /// reports whether a verified cached plan was served. Throws
+  /// Return the cached plan for (sources, params), building and inserting
+  /// it on miss. Single-flight per key; `was_hit` (optional) reports
+  /// whether a verified cached plan was served. Throws
   /// std::invalid_argument on invalid params or an empty cloud.
   PlanPtr get_or_build(const Cloud& sources, const TreecodeParams& params,
-                       Backend backend = Backend::kCpu,
                        bool* was_hit = nullptr);
 
   CacheStats stats() const;
@@ -196,12 +182,12 @@ class PlanCache {
 
   /// Build one plan outside the lock (the expensive path).
   PlanPtr build_plan(const Cloud& sources, const TreecodeParams& params,
-                     Backend backend, std::uint64_t key) const;
+                     std::uint64_t key) const;
 
-  /// Whether `plan` was really built over (sources, params, backend) —
-  /// wrap-aware coordinate + charge comparison, collision defense.
+  /// Whether `plan` was really built over (sources, params) — wrap-aware
+  /// coordinate + charge comparison, collision defense.
   static bool verify(const CachedPlan& plan, const Cloud& sources,
-                     const TreecodeParams& params, Backend backend);
+                     const TreecodeParams& params);
 
   Options options_;
   mutable std::mutex mutex_;

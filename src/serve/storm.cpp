@@ -23,10 +23,9 @@ StormParams default_storm_params(double box) {
 }
 
 ServeRequest storm_request(const RequestStorm& storm, const StormRequest& req,
-                           const StormParams& params, Backend backend) {
+                           const StormParams& params) {
   ServeRequest request;
   request.sources = &storm.clouds.at(req.cloud);
-  request.backend = backend;
   if (req.boundary == StormBoundary::kPeriodic) {
     request.params = params.periodic;
     request.kernel = params.periodic_kernel;

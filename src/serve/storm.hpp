@@ -34,7 +34,6 @@ StormParams default_storm_params(double box);
 /// Resolve one storm request into a ServeRequest pointing at the storm's
 /// cloud storage (the storm must outlive the request's response).
 ServeRequest storm_request(const RequestStorm& storm, const StormRequest& req,
-                           const StormParams& params,
-                           Backend backend = Backend::kCpu);
+                           const StormParams& params);
 
 }  // namespace bltc::serve

@@ -1,14 +1,14 @@
-// GpuSim engine: bitwise parity with the host engine (GpuSim models
-// launches over host numerics), the modeled launch schedule and residency,
-// and a pinned snapshot of the cost model's output.
-#include "core/gpu_engine.hpp"
+// GpuSim cost model: bitwise parity of Backend::kGpuSim with Backend::kCpu
+// (GpuSim models launches over host numerics), the modeled launch schedule
+// and residency, and a pinned snapshot of the cost model's output.
+#include "gpusim/cost_model.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "core/cpu_engine.hpp"
+#include "core/cpu_kernels.hpp"
 #include "core/plan.hpp"
 #include "core/solver.hpp"
 #include "dist/dist_solver.hpp"
@@ -41,20 +41,29 @@ Plan make_plan(const Cloud& c, const TreecodeParams& params) {
   return plan;
 }
 
-std::vector<double> evaluate(const Engine& engine, const Plan& plan,
+/// One Coulomb evaluation of `plan` on the host, modeled on `gpu` when it
+/// is non-null (staging before the numerics, the launches after them).
+std::vector<double> evaluate(gpusim::CostModel* gpu, const Plan& plan,
                              RunStats& stats) {
   const SourcePlan source = plan.sources.view();
-  return engine.evaluate_potential({&source, 1}, plan.targets.view(),
-                                   KernelSpec::coulomb(), stats, nullptr);
+  const TargetPlan targets = plan.targets.view();
+  const KernelSpec kernel = KernelSpec::coulomb();
+  if (gpu != nullptr) gpu->stage({&source, 1}, targets);
+  std::vector<double> phi =
+      evaluate_plan({&source, 1}, targets, kernel, stats);
+  if (gpu != nullptr) {
+    gpu->model_potential({&source, 1}, targets, kernel, stats);
+  }
+  return phi;
 }
 
-TEST(GpuEngine, PrecomputeLaunchesTwoKernelsPerNonemptyCluster) {
+TEST(GpuSimCostModel, PrecomputeLaunchesTwoKernelsPerNonemptyCluster) {
   const TreecodeParams params = small_params();
   const Cloud c = uniform_cube(2000, 2);
   const Plan plan = make_plan(c, params);
-  GpuSimEngine engine{GpuOptions{}};
+  gpusim::CostModel model{GpuOptions{}};
   RunStats stats;
-  (void)evaluate(engine, plan, stats);
+  (void)evaluate(&model, plan, stats);
 
   // The first evaluation uploads the plan: two preprocessing launches per
   // non-empty cluster ahead of one launch per list entry.
@@ -65,43 +74,42 @@ TEST(GpuEngine, PrecomputeLaunchesTwoKernelsPerNonemptyCluster) {
     if (src.tree.node(static_cast<int>(i)).count() > 0) ++nonempty;
   }
   const DualInteractionLists& lists = plan.targets.lists[0];
-  EXPECT_EQ(engine.device().launches(),
+  EXPECT_EQ(model.device().launches(),
             2 * nonempty + lists.total_pc + lists.total_direct);
   // HtD: four source streams, then every cluster's grid and modified
   // charges, then the three target coordinate streams; DtH: the modified
   // charges, then the potentials.
   const std::size_t m = static_cast<std::size_t>(params.degree) + 1;
   const std::size_t ppc = m * m * m;
-  EXPECT_EQ(engine.device().bytes_to_device(),
+  EXPECT_EQ(model.device().bytes_to_device(),
             (4 * c.size() + nn * (3 * m + ppc) + 3 * c.size()) *
                 sizeof(double));
-  EXPECT_EQ(engine.device().bytes_to_host(),
+  EXPECT_EQ(model.device().bytes_to_host(),
             (nn * ppc + c.size()) * sizeof(double));
 }
 
-TEST(GpuEngine, EvaluateMatchesCpuEngine) {
+TEST(GpuSimCostModel, ModeledEvaluationMatchesHost) {
   const TreecodeParams params = small_params();
   const Plan plan = make_plan(uniform_cube(4000, 3), params);
-  CpuEngine cpu;
-  GpuSimEngine gpu{GpuOptions{}};
+  gpusim::CostModel gpu{GpuOptions{}};
   RunStats cpu_stats, gpu_stats;
-  const auto phi_cpu = evaluate(cpu, plan, cpu_stats);
-  const auto phi_gpu = evaluate(gpu, plan, gpu_stats);
+  const auto phi_cpu = evaluate(nullptr, plan, cpu_stats);
+  const auto phi_gpu = evaluate(&gpu, plan, gpu_stats);
   EXPECT_EQ(phi_cpu, phi_gpu);  // bitwise: one numeric implementation
-  // Both engines count identical work.
+  // Modeling adds no work to the host's counts.
   EXPECT_EQ(cpu_stats.approx_evals, gpu_stats.approx_evals);
   EXPECT_EQ(cpu_stats.direct_evals, gpu_stats.direct_evals);
   EXPECT_EQ(cpu_stats.approx_launches, gpu_stats.approx_launches);
   EXPECT_EQ(cpu_stats.direct_launches, gpu_stats.direct_launches);
 }
 
-TEST(GpuEngine, OneLaunchPerBatchClusterInteraction) {
+TEST(GpuSimCostModel, OneLaunchPerBatchClusterInteraction) {
   const TreecodeParams params = small_params();
   const Plan plan = make_plan(uniform_cube(3000, 4), params);
-  GpuSimEngine gpu{GpuOptions{}};
+  gpusim::CostModel gpu{GpuOptions{}};
   RunStats first, repeat;
-  (void)evaluate(gpu, plan, first);
-  (void)evaluate(gpu, plan, repeat);
+  (void)evaluate(&gpu, plan, first);
+  (void)evaluate(&gpu, plan, repeat);
   const DualInteractionLists& lists = plan.targets.lists[0];
   EXPECT_EQ(repeat.gpu_launches, lists.total_pc + lists.total_direct);
   // Everything stays resident: a repeat moves only the potentials.
@@ -111,7 +119,7 @@ TEST(GpuEngine, OneLaunchPerBatchClusterInteraction) {
   EXPECT_EQ(repeat.modeled.precompute, 0.0);
 }
 
-TEST(GpuEngine, YukawaCostsMoreThanCoulombInModel) {
+TEST(GpuSimCostModel, YukawaCostsMoreThanCoulombInModel) {
   // Needs paper-sized batches (N_B = N_L = 2000): with tiny batches every
   // launch sits on the min-kernel-time floor and the per-eval weight is
   // invisible — the same effect that makes 2000 the sweet spot in §3.2.
@@ -134,7 +142,8 @@ TEST(GpuEngine, YukawaCostsMoreThanCoulombInModel) {
   EXPECT_LT(t_yukawa, 1.8 * t_coulomb);
 }
 
-TEST(GpuEngine, EvalWeightTable) {
+TEST(GpuSimCostModel, EvalWeightTable) {
+  using gpusim::kernel_eval_weight;
   EXPECT_DOUBLE_EQ(kernel_eval_weight(KernelSpec::coulomb(), true), 1.0);
   EXPECT_DOUBLE_EQ(kernel_eval_weight(KernelSpec::coulomb(), false), 1.0);
   EXPECT_DOUBLE_EQ(kernel_eval_weight(KernelSpec::yukawa(0.5), true), 1.5);

@@ -372,7 +372,7 @@ TEST(MixedPrecision, CacheKeysDistinguishPrecisionPolicies) {
   EXPECT_EQ(serve::cached_plan_bytes(*plan_mixed),
             serve::cached_plan_bytes(*plan_fp64));
   bool hit = false;
-  (void)cache.get_or_build(c, p, Backend::kCpu, &hit);
+  (void)cache.get_or_build(c, p, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(cache.stats().misses, 2u);
 }

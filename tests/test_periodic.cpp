@@ -1,6 +1,6 @@
 // Periodic-boundary test suite: parity against the periodic direct-sum
 // oracle over the identical image set (Yukawa + Gaussian, batched + dual
-// traversals, CPU + simulated-GPU engines), bit-for-bit translation
+// traversals, both backends), bit-for-bit translation
 // invariance, the boundary-mode/kernel rule (Coulomb runs under
 // kPeriodicMesh, not image sums) at every entry point, open-vs-periodic
 // consistency at zero shells, the one-shared-source-plan structural
@@ -82,7 +82,7 @@ Cloud replicate_images(const Cloud& c, int shells) {
   return out;
 }
 
-TEST_P(PeriodicParity, PotentialMatchesPeriodicOracleOnBothEngines) {
+TEST_P(PeriodicParity, PotentialMatchesPeriodicOracleOnBothBackends) {
   const auto [pc, mode] = GetParam();
   const Cloud c = cloud();
   const auto oracle =

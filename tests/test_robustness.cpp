@@ -554,7 +554,7 @@ TEST(FailpointServe, ChaosStormWithAllSitesArmedStaysCorrect) {
   options.retry_backoff_ms = 0.0;
   serve::ServeFrontend frontend(cache, options);
 
-  constexpr std::size_t kCpu = 24, kGpu = 8;
+  constexpr std::size_t kRequests = 32;
   std::vector<std::future<serve::ServeResponse>> futures;
   {
     std::vector<std::unique_ptr<FailpointScope>> scopes;
@@ -564,21 +564,16 @@ TEST(FailpointServe, ChaosStormWithAllSitesArmedStaysCorrect) {
       config.seed = 7;
       scopes.push_back(std::make_unique<FailpointScope>(site, config));
     }
-    for (std::size_t i = 0; i < kCpu; ++i) {
+    for (std::size_t i = 0; i < kRequests; ++i) {
       futures.push_back(
           frontend.submit(make_request(clouds[i % clouds.size()], params())));
-    }
-    for (std::size_t i = 0; i < kGpu; ++i) {
-      serve::ServeRequest request = make_request(clouds[0], params());
-      request.backend = Backend::kGpuSim;
-      futures.push_back(frontend.submit(request));
     }
     for (auto& f : futures) EXPECT_NO_THROW(f.get());
   }
 
   // References computed with the chaos disarmed: cached plans built under
   // injection must already have been correct.
-  for (std::size_t i = 0; i < kCpu; ++i) {
+  for (std::size_t i = 0; i < kRequests; ++i) {
     auto future = frontend.submit(make_request(clouds[i % clouds.size()],
                                                params()));
     const auto reference =
@@ -623,7 +618,9 @@ TEST(FailpointDist, RmaFaultDuringExchangeFailsCleanlyWithoutHang) {
 
 // ---- Retry convergence ---------------------------------------------------
 
-TEST(FailpointServe, GpuStagingRetryConverges) {
+TEST(FailpointServe, ContextAcquireRetryConverges) {
+  // Both execution paths lease their ExecContext inside the transient
+  // retry loop, so a failed lease is retried like any transient fault.
   const Cloud cloud = uniform_cube(1500, 81);
   serve::PlanCache cache;
   serve::ServeOptions options;
@@ -632,14 +629,13 @@ TEST(FailpointServe, GpuStagingRetryConverges) {
   options.retry_backoff_ms = 0.0;
   serve::ServeFrontend frontend(cache, options);
 
-  serve::ServeRequest request = make_request(cloud, params());
-  request.backend = Backend::kGpuSim;
+  const serve::ServeRequest request = make_request(cloud, params());
   serve::ServeResponse response;
   {
     FailpointConfig config;
-    config.probability = 1.0;  // every staging attempt fails...
+    config.probability = 1.0;  // every lease attempt fails...
     config.max_trips = 2;      // ...until the cap; retries then converge
-    FailpointScope scope(failpoints::sites::kGpuStage, config);
+    FailpointScope scope(failpoints::sites::kExecContextAcquire, config);
     response = frontend.submit(request).get();
   }
   EXPECT_GE(frontend.stats().retries, 1u);
@@ -647,6 +643,31 @@ TEST(FailpointServe, GpuStagingRetryConverges) {
   const auto reference = frontend.evaluate_now(request);
   EXPECT_TRUE(reference.cache_hit);
   expect_bits_equal(response.phi, reference.phi);
+
+  // The fused path: two target sets on one plan share one evaluation,
+  // whose lease is retried the same way.
+  serve::ServeOptions fused_options = options;
+  fused_options.max_batch = 2;
+  fused_options.max_delay_ms = 1e4;  // the group fills at two requests
+  serve::ServeFrontend fused(cache, fused_options);
+  const Cloud other = uniform_cube(400, 82);
+  serve::ServeRequest to_other = request;
+  to_other.targets = &other;
+  serve::ServeResponse self_response, other_response;
+  {
+    FailpointConfig config;
+    config.probability = 1.0;
+    config.max_trips = 2;
+    FailpointScope scope(failpoints::sites::kExecContextAcquire, config);
+    auto self_future = fused.submit(request);
+    auto other_future = fused.submit(to_other);
+    self_response = self_future.get();
+    other_response = other_future.get();
+  }
+  EXPECT_EQ(fused.stats().fused_requests, 2u);
+  EXPECT_GE(fused.stats().retries, 1u);
+  expect_bits_equal(self_response.phi, reference.phi);
+  expect_bits_equal(other_response.phi, fused.evaluate_now(to_other).phi);
 }
 
 // ---- Failed GpuSim staging never serves stale moments ---------------------

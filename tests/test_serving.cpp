@@ -58,12 +58,10 @@ TreecodeParams dual_params() {
 std::vector<double> solver_reference(const Cloud& sources,
                                      const Cloud& targets,
                                      const TreecodeParams& params,
-                                     const KernelSpec& kernel,
-                                     Backend backend = Backend::kCpu) {
+                                     const KernelSpec& kernel) {
   SolverConfig config;
   config.kernel = kernel;
   config.params = params;
-  config.backend = backend;
   Solver solver{std::move(config)};
   solver.set_sources(sources);
   return solver.evaluate(targets);
@@ -146,10 +144,10 @@ TEST(PlanCache, WrapAwareTranslatedCloudHits) {
 
   PlanCache cache;
   bool hit = true;
-  const PlanPtr plan = cache.get_or_build(base, params, Backend::kCpu, &hit);
+  const PlanPtr plan = cache.get_or_build(base, params, &hit);
   EXPECT_FALSE(hit);
   const PlanPtr again =
-      cache.get_or_build(shifted, params, Backend::kCpu, &hit);
+      cache.get_or_build(shifted, params, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(plan.get(), again.get());
 
@@ -179,18 +177,18 @@ TEST(PlanCache, ChargeChangeMissesCoordinateChangeMisses) {
   PlanCache cache;
   const TreecodeParams params = serving_params();
   bool hit = true;
-  cache.get_or_build(cloud, params, Backend::kCpu, &hit);
+  cache.get_or_build(cloud, params, &hit);
   EXPECT_FALSE(hit);
-  cache.get_or_build(recharged, params, Backend::kCpu, &hit);
+  cache.get_or_build(recharged, params, &hit);
   EXPECT_FALSE(hit);
-  cache.get_or_build(moved, params, Backend::kCpu, &hit);
+  cache.get_or_build(moved, params, &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.stats().entries, 3u);
 
   // Different params on the same cloud are a different plan.
   TreecodeParams other = params;
   other.degree = 7;
-  cache.get_or_build(cloud, other, Backend::kCpu, &hit);
+  cache.get_or_build(cloud, other, &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.stats().entries, 4u);
 }
@@ -205,19 +203,19 @@ TEST(PlanCache, LruEvictionUnderTinyBudget) {
   const Cloud b = uniform_cube(400, 2);
 
   bool hit = true;
-  cache.get_or_build(a, params, Backend::kCpu, &hit);
+  cache.get_or_build(a, params, &hit);
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.stats().entries, 1u);
 
-  cache.get_or_build(b, params, Backend::kCpu, &hit);  // evicts a
+  cache.get_or_build(b, params, &hit);  // evicts a
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.stats().entries, 1u);
   EXPECT_EQ(cache.stats().evictions, 1u);
 
-  cache.get_or_build(b, params, Backend::kCpu, &hit);  // MRU still resident
+  cache.get_or_build(b, params, &hit);  // MRU still resident
   EXPECT_TRUE(hit);
 
-  cache.get_or_build(a, params, Backend::kCpu, &hit);  // rebuilt
+  cache.get_or_build(a, params, &hit);  // rebuilt
   EXPECT_FALSE(hit);
   EXPECT_EQ(cache.stats().evictions, 2u);
 }
@@ -514,76 +512,6 @@ TEST(Frontend, EmptyAndNullRequests) {
   request.params = serving_params();
   const ServeResponse response = frontend.submit(request).get();
   EXPECT_TRUE(response.phi.empty());
-}
-
-// ---- GpuSim backend ------------------------------------------------------
-
-TEST(Serving, GpuSimCachedPlanMatchesSolver) {
-  const Cloud cloud = uniform_cube(1200, 41);
-  const TreecodeParams params = serving_params();
-  const KernelSpec kernel = KernelSpec::coulomb();
-
-  PlanCache cache;
-  ServeFrontend frontend(cache);
-  ServeRequest request;
-  request.sources = &cloud;
-  request.params = params;
-  request.kernel = kernel;
-  request.backend = Backend::kGpuSim;
-
-  const ServeResponse cold = frontend.evaluate_now(request);
-  const ServeResponse warm = frontend.evaluate_now(request);
-  EXPECT_FALSE(cold.cache_hit);
-  EXPECT_TRUE(warm.cache_hit);
-  expect_bits_equal(cold.phi, warm.phi);
-  expect_bits_equal(
-      cold.phi,
-      solver_reference(cloud, cloud, params, kernel, Backend::kGpuSim));
-
-  // Four clients interleave two target clouds on the one cached plan: the
-  // device stages whichever target plan it has not seen, and every result
-  // matches a serial Solver bitwise.
-  const Cloud other = uniform_cube(700, 42);
-  const std::vector<double> other_ref =
-      solver_reference(cloud, other, params, kernel, Backend::kGpuSim);
-  ServeRequest other_request = request;
-  other_request.targets = &other;
-  constexpr int kThreads = 4;
-  constexpr int kRepeats = 3;
-  std::vector<std::vector<double>> results(kThreads * kRepeats);
-  {
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        for (int r = 0; r < kRepeats; ++r) {
-          const ServeRequest& mine = (t + r) % 2 == 0 ? request : other_request;
-          results[static_cast<std::size_t>(t * kRepeats + r)] =
-              frontend.evaluate_now(mine).phi;
-        }
-      });
-    }
-    for (auto& thread : threads) thread.join();
-  }
-  for (int t = 0; t < kThreads; ++t) {
-    for (int r = 0; r < kRepeats; ++r) {
-      expect_bits_equal((t + r) % 2 == 0 ? cold.phi : other_ref,
-                        results[static_cast<std::size_t>(t * kRepeats + r)]);
-    }
-  }
-}
-
-TEST(Serving, GpuSimPlanAccountsTheBytesOfItsCpuTwin) {
-  // Both backends' plans hold the same host state (tree, full moment
-  // ladder, self-target plan), so the budget charges them equally.
-  const Cloud cloud = uniform_cube(1500, 43);
-  for (const TreecodeParams& params : {serving_params(), dual_params()}) {
-    PlanCache cache;
-    const PlanPtr cpu = cache.get_or_build(cloud, params, Backend::kCpu);
-    const PlanPtr gpu = cache.get_or_build(cloud, params, Backend::kGpuSim);
-    EXPECT_NE(cpu.get(), gpu.get());
-    EXPECT_EQ(gpu->bytes, cpu->bytes);
-    EXPECT_EQ(cache.stats().bytes, cpu->bytes + gpu->bytes);
-  }
 }
 
 }  // namespace
