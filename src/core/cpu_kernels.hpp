@@ -34,7 +34,7 @@
 // through these tiles for both traversals, potential and field.
 // Per-cluster grids are expanded once per (list, cluster) visit into
 // per-thread scratch that persists across evaluations (a `CpuWorkspace`
-// held by the caller's ExecContext), and target-leaf work blocks are
+// held by the caller), and target-leaf work blocks are
 // executed largest-first so the parallel tail is made of cheap blocks.
 // `evaluate_plan{,_field}` run a plan's source pieces through that driver,
 // and `mesh_far_field` adds the kPeriodicMesh far field on the host.
@@ -136,8 +136,8 @@ struct CpuScratch {
 };
 
 /// Host evaluation workspace. Each evaluation stream (a Solver, a
-/// DistSolver rank, a leased serve context) keeps one alive across calls
-/// through its ExecContext so repeated evaluations allocate nothing; the
+/// DistSolver rank, a leased serve workspace) keeps one alive across calls
+/// so repeated evaluations allocate nothing; the
 /// evaluators fall back to a call-local instance when given none.
 class CpuWorkspace {
  public:

@@ -481,6 +481,12 @@ TargetPlanState TargetPlanState::plan(const Cloud& targets,
   return state;
 }
 
+bool symmetric_self_mode(const TreecodeParams& params,
+                         bool targets_are_sources) {
+  return params.traversal == TraversalMode::kDual && !params.periodic() &&
+         params.max_leaf == params.max_batch && targets_are_sources;
+}
+
 std::size_t TargetPlanState::append_lists(const ClusterTree& source_tree,
                                           const TreecodeParams& params,
                                           bool self) {

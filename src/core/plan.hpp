@@ -282,6 +282,19 @@ struct SourcePlanState {
   std::vector<std::size_t> delta_patched_;
 };
 
+/// Whether a target plan runs the symmetric self traversal
+/// (`TargetPlanState::append_lists`' `self`). It does under the dual
+/// traversal when the targets are exactly the sources (`targets_are_sources`,
+/// i.e. `SourcePlanState::matches`) and both trees are built with the same
+/// leaf size: the trees are then identical (the build is deterministic) and
+/// the traversal can walk unordered pairs, executing direct interactions
+/// symmetrically (one G evaluation per point pair). Periodic boundaries
+/// disable it: a lattice-shifted image breaks the target/source exchange
+/// symmetry the mutual walk exploits, so every image (including the home
+/// cell) uses the asymmetric traversal.
+bool symmetric_self_mode(const TreecodeParams& params,
+                         bool targets_are_sources);
+
 /// Owning storage behind `TargetPlan`: the target tree plus the interaction
 /// lists of every source tree the targets interact with. `plan()` builds the
 /// geometry half once; `append_lists()` runs the configured traversal

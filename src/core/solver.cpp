@@ -8,7 +8,6 @@
 #include "core/plan.hpp"
 #include "gpusim/cost_model.hpp"
 #include "mesh/mesh.hpp"
-#include "serve/exec_context.hpp"
 #include "util/failpoints.hpp"
 #include "util/timer.hpp"
 #include "util/validate.hpp"
@@ -21,7 +20,7 @@ Solver::Solver(SolverConfig config) : config_(std::move(config)) {
   if (config_.backend == Backend::kGpuSim) {
     gpu_ = std::make_unique<gpusim::CostModel>(config_.gpu);
   }
-  exec_ = std::make_unique<ExecContext>();
+  workspace_ = std::make_unique<CpuWorkspace>();
 }
 
 Solver::~Solver() = default;
@@ -164,19 +163,9 @@ void Solver::update_positions(const Cloud& sources) {
 void Solver::plan_targets(const Cloud& targets) {
   require_finite(targets, "Solver::plan_targets");
   targets_ = TargetPlanState::plan(targets, config_.params);
-  // Dual traversal: when the targets are exactly the sources and both trees
-  // are built with the same leaf size, the trees are identical (the build
-  // is deterministic) and the traversal can walk unordered pairs, executing
-  // direct interactions symmetrically (one G evaluation per point pair).
-  // Periodic boundaries disable the self mode: a lattice-shifted image
-  // breaks the target/source exchange symmetry the mutual walk exploits, so
-  // every image (including the home cell) uses the asymmetric traversal.
   const bool follows = source_.matches(targets);
-  const bool self = config_.params.traversal == TraversalMode::kDual &&
-                    !config_.params.periodic() &&
-                    config_.params.max_leaf == config_.params.max_batch &&
-                    follows;
-  targets_.append_lists(source_.tree, config_.params, self);
+  targets_.append_lists(source_.tree, config_.params,
+                        symmetric_self_mode(config_.params, follows));
   targets_valid_ = true;
   // Remember whether this plan targets the sources themselves: an
   // incremental update_positions then moves the cached target plan in
@@ -232,7 +221,7 @@ std::vector<double> Solver::evaluate(const Cloud& targets, RunStats* stats) {
   const TargetPlan view = targets_.view();
   if (gpu_ != nullptr) gpu_->stage({&source, 1}, view);
   std::vector<double> phi_tree_order = evaluate_plan(
-      {&source, 1}, view, exec_kernel, local, &exec_->cpu_workspace());
+      {&source, 1}, view, exec_kernel, local, workspace_.get());
   if (gpu_ != nullptr) {
     gpu_->model_potential({&source, 1}, view, exec_kernel, local);
   }
@@ -272,7 +261,7 @@ FieldResult Solver::evaluate_field(const Cloud& targets, RunStats* stats) {
   const SourcePlan source = source_.view();
   const TargetPlan view = targets_.view();
   FieldResult tree_order = evaluate_plan_field(
-      {&source, 1}, view, exec_kernel, local, &exec_->cpu_workspace());
+      {&source, 1}, view, exec_kernel, local, workspace_.get());
   if (mesh_ != nullptr) {
     std::vector<double> unused;
     mesh_far_field(*mesh_, view, unused, &tree_order, local);

@@ -45,7 +45,7 @@
 
 namespace bltc {
 
-class ExecContext;
+class CpuWorkspace;  // host evaluation scratch (src/core/cpu_kernels.hpp)
 
 namespace gpusim {
 class CostModel;  // modeled device cost (src/gpusim/cost_model.hpp)
@@ -259,7 +259,7 @@ class Solver {
   /// Per-handle execution scratch: the mutable evaluation state (per-thread
   /// expansion caches, dual grid accumulators) lives here and persists
   /// across evaluate() calls.
-  std::unique_ptr<ExecContext> exec_;
+  std::unique_ptr<CpuWorkspace> workspace_;
 
   // Source plan (core/plan.hpp owns the construction pipeline).
   bool have_sources_ = false;

@@ -10,7 +10,6 @@
 #include "core/plan.hpp"
 #include "dist/let.hpp"
 #include "gpusim/cost_model.hpp"
-#include "serve/exec_context.hpp"
 #include "partition/rcb.hpp"
 #include "simmpi/comm.hpp"
 #include "util/box.hpp"
@@ -29,8 +28,8 @@ struct DistSolver::RankState {
   /// The rank's modeled device (Backend::kGpuSim only, null otherwise).
   std::unique_ptr<gpusim::CostModel> gpu;
   /// Per-rank execution scratch (one rank = one evaluation stream, so the
-  /// context is never shared across threads).
-  ExecContext exec;
+  /// workspace is never shared across threads).
+  CpuWorkspace workspace;
 
   // Local plan.
   std::vector<std::size_t> owned;  ///< original indices of local particles
@@ -571,7 +570,7 @@ std::vector<double> DistSolver::evaluate(DistStats* stats) {
     const TargetPlan view = s.targets.view();
     if (s.gpu != nullptr) s.gpu->stage(pieces, view);
     const std::vector<double> phi = evaluate_plan(
-        pieces, view, config_.kernel, st, &s.exec.cpu_workspace());
+        pieces, view, config_.kernel, st, &s.workspace);
     if (s.gpu != nullptr) {
       s.gpu->model_potential(pieces, view, config_.kernel, st);
     }
@@ -615,7 +614,7 @@ FieldResult DistSolver::evaluate_field(DistStats* stats) {
     WallTimer timer;
     const FieldResult tree_order =
         evaluate_plan_field(s.pieces(), s.targets.view(), config_.kernel, st,
-                            &s.exec.cpu_workspace());
+                            &s.workspace);
     st.compute_seconds = timer.seconds();
 
     const OrderedParticles& tgt = s.targets.particles;

@@ -413,10 +413,9 @@ std::vector<double> ServeFrontend::execute_plan(const CachedPlan& plan,
                                                 std::size_t tier) {
   RunStats stats;
   const SourcePlan source = plan.source_view(tier);
-  ExecContextPool::Lease context(contexts_);
-  std::vector<double> phi =
-      evaluate_plan({&source, 1}, view, exec_kernel(plan, kernel), stats,
-                    &context->cpu_workspace());
+  WorkspacePool::Lease workspace(workspaces_);
+  std::vector<double> phi = evaluate_plan(
+      {&source, 1}, view, exec_kernel(plan, kernel), stats, workspace.get());
   if (plan.mesh != nullptr) {
     mesh_far_field(*plan.mesh, view, phi, /*field=*/nullptr, stats);
   }

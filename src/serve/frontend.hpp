@@ -41,7 +41,7 @@
 //     retried with exponential backoff before failing the request.
 //
 // Re-entrancy: executions run concurrently through the host evaluators
-// (core/cpu_kernels.hpp), each on a per-call ExecContext leased from a pool.
+// (core/cpu_kernels.hpp), each on a per-call CpuWorkspace leased from a pool.
 // Serving has no backend: it reports measured costs only.
 #pragma once
 
@@ -59,7 +59,7 @@
 #include "core/kernels.hpp"
 #include "core/solver.hpp"
 #include "serve/errors.hpp"
-#include "serve/exec_context.hpp"
+#include "serve/workspace_pool.hpp"
 #include "serve/plan_cache.hpp"
 #include "util/workloads.hpp"
 
@@ -211,7 +211,7 @@ class ServeFrontend {
   /// Execute one coalesced group and fulfill its promises.
   void execute_group(std::vector<Pending>& group);
   /// Execute `plan` at a moment-ladder tier for the targets of `view`, on
-  /// a leased ExecContext; tree-order potentials, mesh far field included.
+  /// a leased CpuWorkspace; tree-order potentials, mesh far field included.
   std::vector<double> execute_plan(const CachedPlan& plan,
                                    const TargetPlan& view,
                                    const KernelSpec& kernel,
@@ -226,7 +226,7 @@ class ServeFrontend {
 
   PlanCache& cache_;
   ServeOptions options_;
-  ExecContextPool contexts_;
+  WorkspacePool workspaces_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;        ///< queue producer -> workers

@@ -109,18 +109,15 @@ std::size_t target_plan_bytes(const TargetPlanState& t) {
 }
 
 /// Build one target plan against the cached source (the Solver's
-/// plan_targets, including its dual self-mode condition).
+/// plan_targets, including its symmetric self mode).
 std::shared_ptr<const TargetPlanState> build_target_plan(
     const Cloud& targets, const SourcePlanState& source,
     const TreecodeParams& params) {
   auto state =
       std::make_shared<TargetPlanState>(TargetPlanState::plan(targets,
                                                               params));
-  const bool self = params.traversal == TraversalMode::kDual &&
-                    !params.periodic() &&
-                    params.max_leaf == params.max_batch &&
-                    source.matches(targets);
-  state->append_lists(source.tree, params, self);
+  state->append_lists(source.tree, params,
+                      symmetric_self_mode(params, source.matches(targets)));
   return state;
 }
 
@@ -128,34 +125,12 @@ std::shared_ptr<const TargetPlanState> build_target_plan(
 
 std::uint64_t cloud_fingerprint(const Cloud& cloud,
                                 const TreecodeParams& params) {
-  // XOR of per-particle hashes: commutative, so replacing one particle's
-  // contribution is two XORs — the basis of cloud_fingerprint_update.
+  // XOR of per-particle hashes (each chained on its slot index).
   std::uint64_t fp = mix64(cloud.size() ^ 0xb1c7a9e35d02f846ULL);
   for (std::size_t i = 0; i < cloud.size(); ++i) {
     fp ^= particle_hash(i, cloud, params);
   }
   return fp;
-}
-
-std::uint64_t cloud_fingerprint_update(std::uint64_t fingerprint,
-                                       const Cloud& before,
-                                       const Cloud& after,
-                                       std::span<const std::size_t> moved,
-                                       const TreecodeParams& params) {
-  if (before.size() != after.size()) {
-    throw std::invalid_argument(
-        "cloud_fingerprint_update: before/after particle counts differ — "
-        "an incremental update cannot add or remove particles");
-  }
-  for (const std::size_t i : moved) {
-    if (i >= after.size()) {
-      throw std::out_of_range(
-          "cloud_fingerprint_update: moved index out of range");
-    }
-    fingerprint ^= particle_hash(i, before, params);
-    fingerprint ^= particle_hash(i, after, params);
-  }
-  return fingerprint;
 }
 
 std::uint64_t params_fingerprint(const TreecodeParams& params) {

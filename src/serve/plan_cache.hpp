@@ -119,24 +119,9 @@ struct CacheStats {
 /// Commutative hash over the bit patterns of the cloud's coordinates
 /// (wrapped into `params.domain` under periodic boundaries) and charges:
 /// the XOR of one splitmix64-mixed hash per (slot, x, y, z, q) tuple.
-/// Lattice-exact translated clouds hash identical under kPeriodic, and
-/// because XOR is self-inverse a fingerprint can be advanced in O(moved)
-/// after an incremental position update (cloud_fingerprint_update) instead
-/// of rehashing all N particles.
+/// Lattice-exact translated clouds hash identical under kPeriodic.
 std::uint64_t cloud_fingerprint(const Cloud& cloud,
                                 const TreecodeParams& params);
-
-/// Advance `fingerprint` (a cloud_fingerprint of `before`) to the
-/// fingerprint of `after`, touching only the particles listed in `moved`
-/// (caller-order indices; duplicates are harmless only if listed an odd
-/// number of times — pass each moved index once). `before` and `after` must
-/// agree outside `moved`; the result then equals
-/// cloud_fingerprint(after, params) exactly. O(moved.size()).
-std::uint64_t cloud_fingerprint_update(std::uint64_t fingerprint,
-                                       const Cloud& before,
-                                       const Cloud& after,
-                                       std::span<const std::size_t> moved,
-                                       const TreecodeParams& params);
 
 /// FNV-1a over every result-affecting TreecodeParams field.
 std::uint64_t params_fingerprint(const TreecodeParams& params);

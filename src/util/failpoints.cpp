@@ -40,7 +40,7 @@ std::map<std::string, Site>& registry() {
 }  // namespace
 
 std::vector<const char*> all_sites() {
-  return {sites::kPlanCacheBuild,          sites::kExecContextAcquire,
+  return {sites::kPlanCacheBuild,          sites::kWorkspaceAcquire,
           sites::kSimmpiGet,               sites::kSimmpiPut,
           sites::kGpuStage,                sites::kPlanIncrementalRebucket,
           sites::kGpuPartialRestage};

@@ -68,7 +68,7 @@ namespace failpoints {
 /// all of them).
 namespace sites {
 inline constexpr const char* kPlanCacheBuild = "plan_cache.build";
-inline constexpr const char* kExecContextAcquire = "exec_context.acquire";
+inline constexpr const char* kWorkspaceAcquire = "workspace.acquire";
 inline constexpr const char* kSimmpiGet = "simmpi.get";
 inline constexpr const char* kSimmpiPut = "simmpi.put";
 inline constexpr const char* kGpuStage = "gpusim.stage";

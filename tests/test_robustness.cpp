@@ -618,8 +618,8 @@ TEST(FailpointDist, RmaFaultDuringExchangeFailsCleanlyWithoutHang) {
 
 // ---- Retry convergence ---------------------------------------------------
 
-TEST(FailpointServe, ContextAcquireRetryConverges) {
-  // Both execution paths lease their ExecContext inside the transient
+TEST(FailpointServe, WorkspaceAcquireRetryConverges) {
+  // Both execution paths lease their CpuWorkspace inside the transient
   // retry loop, so a failed lease is retried like any transient fault.
   const Cloud cloud = uniform_cube(1500, 81);
   serve::PlanCache cache;
@@ -635,7 +635,7 @@ TEST(FailpointServe, ContextAcquireRetryConverges) {
     FailpointConfig config;
     config.probability = 1.0;  // every lease attempt fails...
     config.max_trips = 2;      // ...until the cap; retries then converge
-    FailpointScope scope(failpoints::sites::kExecContextAcquire, config);
+    FailpointScope scope(failpoints::sites::kWorkspaceAcquire, config);
     response = frontend.submit(request).get();
   }
   EXPECT_GE(frontend.stats().retries, 1u);
@@ -658,7 +658,7 @@ TEST(FailpointServe, ContextAcquireRetryConverges) {
     FailpointConfig config;
     config.probability = 1.0;
     config.max_trips = 2;
-    FailpointScope scope(failpoints::sites::kExecContextAcquire, config);
+    FailpointScope scope(failpoints::sites::kWorkspaceAcquire, config);
     auto self_future = fused.submit(request);
     auto other_future = fused.submit(to_other);
     self_response = self_future.get();

@@ -15,10 +15,10 @@
 #include "core/moments.hpp"
 #include "core/solver.hpp"
 #include "core/tree.hpp"
-#include "serve/exec_context.hpp"
 #include "serve/frontend.hpp"
 #include "serve/plan_cache.hpp"
 #include "serve/storm.hpp"
+#include "serve/workspace_pool.hpp"
 #include "util/workloads.hpp"
 
 namespace bltc {
@@ -350,22 +350,22 @@ TEST(Serving, ConcurrentPeriodicAndDualHammer) {
   }
 }
 
-TEST(Serving, ExecContextPoolRecycles) {
-  serve::ExecContextPool pool;
+TEST(Serving, WorkspacePoolRecycles) {
+  serve::WorkspacePool pool;
   EXPECT_EQ(pool.idle(), 0u);
   auto a = pool.acquire();
   auto b = pool.acquire();
   EXPECT_NE(a.get(), b.get());
-  ExecContext* const raw = a.get();
+  CpuWorkspace* const raw = a.get();
   pool.release(std::move(a));
   EXPECT_EQ(pool.idle(), 1u);
   auto c = pool.acquire();
-  EXPECT_EQ(c.get(), raw);  // warmed context reused
+  EXPECT_EQ(c.get(), raw);  // warmed workspace reused
   EXPECT_EQ(pool.idle(), 0u);
   pool.release(std::move(b));
   pool.release(std::move(c));
   EXPECT_EQ(pool.idle(), 2u);
-  { serve::ExecContextPool::Lease lease(pool); EXPECT_EQ(pool.idle(), 1u); }
+  { serve::WorkspacePool::Lease lease(pool); EXPECT_EQ(pool.idle(), 1u); }
   EXPECT_EQ(pool.idle(), 2u);
 }
 

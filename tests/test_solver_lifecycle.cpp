@@ -9,6 +9,7 @@
 
 #include "core/direct_sum.hpp"
 #include "core/fields.hpp"
+#include "core/tree.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/workloads.hpp"
@@ -55,8 +56,13 @@ TEST(SolverLifecycle, UpdateChargesMatchesFreshSolve) {
   solver.evaluate(original);  // plan + first solve against old charges
 
   RunStats incr_stats;
+  const std::size_t trees_before = ClusterTree::build_count();
   solver.update_charges(changed.q);
   const auto incremental = solver.evaluate(original, &incr_stats);
+  // The incremental path re-ran precompute but not setup: no source or
+  // target tree was built, so nothing was re-planned.
+  EXPECT_EQ(ClusterTree::build_count(), trees_before);
+  EXPECT_GT(incr_stats.precompute_seconds, 0.0);
 
   Solver fresh(base_config());
   fresh.set_sources(changed);
@@ -64,9 +70,6 @@ TEST(SolverLifecycle, UpdateChargesMatchesFreshSolve) {
 
   // Same tree geometry, same lists, same moment arithmetic: bitwise equal.
   EXPECT_EQ(incremental, scratch);
-  // The incremental path re-ran precompute but not setup.
-  EXPECT_GT(incr_stats.precompute_seconds, 0.0);
-  EXPECT_LT(incr_stats.setup_seconds, 1e-3);
 }
 
 TEST(SolverLifecycle, UpdateChargesOnGpuMatchesFreshSolve) {
