@@ -214,6 +214,9 @@ void fig4(bool quick) {
                             " (paper: to 13 or machine precision)");
   rep.config("leaf_batch", std::to_string(leaf));
   rep.config("devices", "Titan V GPU and 6-core Xeon X5650, both modeled");
+  rep.config("paper_claims",
+             "treecode beats direct sum over the whole error range; GPU "
+             ">= 100x CPU; Yukawa ~1.8x (CPU) / ~1.5x (GPU) Coulomb's time");
 
   const Cloud cloud = uniform_cube(n, 4242);
   const gpusim::DeviceSpec gpu = gpusim::DeviceSpec::titan_v();
